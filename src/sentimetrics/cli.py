@@ -105,6 +105,33 @@ class RunConfig:
         return p
 
 
+# Parameters whose JSON type is checked exactly: bool() and int() would turn
+# "false" into True and 2.9 into 2.
+BOOL_KEYS = ("tie_up", "robust_se", "with_ols", "timings")
+INT_KEYS = (
+    "min_mentions",
+    "signal_lag",
+    "regression_n",
+    "rebalance_month",
+    "rebalance_day",
+    "min_breakpoint_stocks",
+)
+
+
+def _check_types(raw: dict, path: Path) -> None:
+    for key in BOOL_KEYS:
+        if key in raw and not isinstance(raw[key], bool):
+            raise ConfigError(f"{path}: '{key}' must be true or false, got {json.dumps(raw[key])}")
+    ints = [(key, raw[key]) for key in INT_KEYS if key in raw]
+    if "signal_n_list" in raw:
+        if not isinstance(raw["signal_n_list"], list):
+            raise ConfigError(f"{path}: 'signal_n_list' must be a list of integers")
+        ints += [("signal_n_list", n) for n in raw["signal_n_list"]]
+    for key, value in ints:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path}: '{key}' must be an integer, got {json.dumps(value)}")
+
+
 def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -116,25 +143,13 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON object expected")
 
-    known = set(INPUT_KEYS) | {
-        "out_dir",
-        "min_mentions",
-        "window",
-        "signal_n_list",
-        "signal_lag",
-        "signal_mode",
-        "regression_n",
-        "tie_up",
-        "robust_se",
-        "with_ols",
-        "rebalance_month",
-        "rebalance_day",
-        "min_breakpoint_stocks",
-        "timings",
+    known = {
+        *INPUT_KEYS, *BOOL_KEYS, *INT_KEYS, "out_dir", "window", "signal_n_list", "signal_mode"
     }
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    _check_types(raw, path)
 
     base = path.parent
 
@@ -163,27 +178,15 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     except TypeError as exc:
         raise ConfigError(f"{path}: bad window parameters ({exc})") from None
 
-    try:
-        cfg = RunConfig(
-            config_path=path,
-            out_dir=out_dir,
-            inputs=inputs,
-            min_mentions=int(raw.get("min_mentions", corpus.DEFAULT_MIN_MENTIONS)),
-            window=window,
-            signal_n_list=[int(n) for n in raw.get("signal_n_list", list(range(5, 21)))],
-            signal_lag=int(raw.get("signal_lag", timing.DEFAULT_LAG)),
-            signal_mode=str(raw.get("signal_mode", timing.INCLUSIVE)),
-            regression_n=int(raw.get("regression_n", 10)),
-            tie_up=bool(raw.get("tie_up", False)),
-            robust_se=bool(raw.get("robust_se", False)),
-            with_ols=bool(raw.get("with_ols", False)),
-            rebalance_month=int(raw.get("rebalance_month", 7)),
-            rebalance_day=int(raw.get("rebalance_day", 1)),
-            min_breakpoint_stocks=int(raw.get("min_breakpoint_stocks", 6)),
-            timings=bool(raw.get("timings", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    cfg = RunConfig(
+        config_path=path,
+        out_dir=out_dir,
+        inputs=inputs,
+        window=window,
+        signal_n_list=list(raw.get("signal_n_list", range(5, 21))),
+        signal_mode=str(raw.get("signal_mode", timing.INCLUSIVE)),
+        **{key: raw[key] for key in BOOL_KEYS + INT_KEYS if key in raw},
+    )
     if cfg.signal_mode not in (timing.INCLUSIVE, timing.EXCLUSIVE):
         raise ConfigError(f"{path}: signal_mode must be inclusive|exclusive")
     if not cfg.signal_n_list:
@@ -311,20 +314,7 @@ def stage_factors(cfg: RunConfig) -> dict:
         cfg.input_path("short_rate_csv", "factors"),
         panel,
     )
-    rows = []
-    for i, d in enumerate(controls.dates):
-        rows.append(
-            [
-                d.isoformat(),
-                "" if np.isnan(controls.nsi[i]) else _fmt(controls.nsi[i]),
-                "" if np.isnan(controls.d_nsi[i]) else _fmt(controls.d_nsi[i]),
-                "" if np.isnan(controls.short_rate[i]) else _fmt(controls.short_rate[i]),
-                _fmt(controls.pct_zero[i]),
-            ]
-        )
-    n_controls = _write_rows(
-        cfg.out_path("controls"), ["date", "nsi", "d_nsi", "short_rate", "pct_zero"], rows
-    )
+    n_controls = factormod.write_controls_csv(controls, cfg.out_path("controls"))
     return {
         "rows": {OUT_FILES["factors"]: len(series.dates), OUT_FILES["controls"]: n_controls},
         "factor_source": source,
@@ -442,12 +432,7 @@ def stage_regress(cfg: RunConfig) -> dict:
         sentiment.read_sentiment_csv(cfg.require_upstream("sentiment", "sentiment"))
     )
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
-    panel = factormod.load_panel(cfg.input_path("panel_csv", "regress"))
-    controls = factormod.load_controls(
-        cfg.input_path("nsi_csv", "regress"),
-        cfg.input_path("short_rate_csv", "regress"),
-        panel,
-    )
+    controls = factormod.read_controls_csv(cfg.require_upstream("controls", "factors"))
     signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
     rmrf = np.full(len(controls.dates), np.nan)
     for i, d in enumerate(controls.dates):

@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
 
-from .factors import FACTOR_NAMES, FactorSeries
+from .factors import FACTOR_NAMES, FactorSeries, SecurityPanel
 from .sentiment import NEGATIVE, POSITIVE, StockSentimentEvent
 
 REGRESSOR_NAMES = tuple(
@@ -291,7 +292,7 @@ def _count_overlaps(event_indices: dict[str, list[int]], evt_len: int) -> int:
 
 def run_event_study(
     events: list[StockSentimentEvent],
-    panel,
+    panel: SecurityPanel,
     factors: FactorSeries,
     window: EventWindowConfig,
 ) -> EventStudyRun:
@@ -302,6 +303,12 @@ def run_event_study(
     Events that cannot be estimated are excluded with a reason.
     """
     run = EventStudyRun(results={})
+    # Excess returns of every firm on the panel dates the factor calendar shares.
+    shared = [(t, d) for t, d in enumerate(panel.calendar) if factors.index_of(d) is not None]
+    shared_dates = [d for _t, d in shared]
+    cols = np.array([t for t, _d in shared], dtype=np.intp)
+    rf = factors.rf[[factors.index_of(d) for d in shared_dates]]
+    excess_all = panel.daily_return[:, cols] - rf
     excess_cache: dict[str, dict[date, float]] = {}
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
     event_indices: dict[str, list[int]] = {}
@@ -313,16 +320,16 @@ def run_event_study(
             run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
             continue
         if event.firm_id not in excess_cache:
-            if event.firm_id not in panel.data:
+            i = panel.firm_index(event.firm_id)
+            if i is None:
                 run.exclusions.append(
                     ExcludedEvent(event.firm_id, event.announce_date, "firm not in panel")
                 )
                 continue
-            excess_cache[event.firm_id] = {
-                d: row.daily_return - factors.rf[factors.index_of(d)]
-                for d, row in panel.data[event.firm_id].items()
-                if factors.index_of(d) is not None
-            }
+            have = panel.present[i, cols]
+            excess_cache[event.firm_id] = dict(
+                zip(compress(shared_dates, have), excess_all[i, have].tolist())
+            )
         excess = excess_cache[event.firm_id]
         try:
             estimate = estimate_exposures(excess, factors, window, event_date, event.firm_id)

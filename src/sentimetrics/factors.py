@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -51,6 +53,8 @@ class CalendarAlignmentError(ValueError):
 
 @dataclass
 class PanelRow:
+    """One (firm, date) observation, read out of a SecurityPanel."""
+
     daily_return: float
     market_cap: float
     exchange: str
@@ -60,33 +64,107 @@ class PanelRow:
     total_assets_prior: float
 
 
+PANEL_FIELDS = (
+    "daily_return",
+    "market_cap",
+    "book_equity",
+    "operating_income",
+    "total_assets",
+    "total_assets_prior",
+)
+
+
 @dataclass
 class SecurityPanel:
-    """Daily (firm, date) panel with the trading calendar derived from its rows."""
+    """Dense daily panel: one row per firm (sorted ids), one column per calendar date.
 
-    data: dict[str, dict[date, PanelRow]]
+    ``present`` marks the (firm, date) cells that have an observation;
+    ``is_main`` marks those listed on the main exchange.  The float arrays
+    hold the panel columns and are NaN where a cell is absent.
+    """
+
+    firms: list[str]
     calendar: list[date]
-    firms: list[str] = field(init=False)
+    present: np.ndarray
+    is_main: np.ndarray
+    daily_return: np.ndarray
+    market_cap: np.ndarray
+    book_equity: np.ndarray
+    operating_income: np.ndarray
+    total_assets: np.ndarray
+    total_assets_prior: np.ndarray
+    _firm_index: dict[str, int] = field(init=False, repr=False)
     _date_index: dict[date, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.firms = sorted(self.data)
-        self._date_index = {d: i for i, d in enumerate(self.calendar)}
+        if self.firms != sorted(set(self.firms)):
+            raise ValueError("panel firms must be unique and sorted")
+        if any(a >= b for a, b in zip(self.calendar, self.calendar[1:])):
+            raise ValueError("panel calendar must be strictly ascending")
+        shape = (len(self.firms), len(self.calendar))
+        for name in ("present", "is_main") + PANEL_FIELDS:
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"panel array '{name}' has shape {got}, want {shape}")
+        self._firm_index = {f: i for i, f in enumerate(self.firms)}
+        self._date_index = {d: t for t, d in enumerate(self.calendar)}
 
-    def has_date(self, d: date) -> bool:
-        return d in self._date_index
+    @classmethod
+    def from_rows(
+        cls, rows: Mapping[str, Mapping[date, PanelRow]], calendar: list[date] | None = None
+    ) -> SecurityPanel:
+        """Build the arrays from per-firm {date: PanelRow} maps.
+
+        The calendar defaults to every date that has a row."""
+        firms = sorted(rows)
+        if calendar is None:
+            calendar = sorted({d for by_date in rows.values() for d in by_date})
+        date_index = {d: t for t, d in enumerate(calendar)}
+        shape = (len(firms), len(calendar))
+        present = np.zeros(shape, dtype=bool)
+        is_main = np.zeros(shape, dtype=bool)
+        values = {name: np.full(shape, np.nan) for name in PANEL_FIELDS}
+        for i, firm in enumerate(firms):
+            for d, row in rows[firm].items():
+                t = date_index[d]
+                present[i, t] = True
+                is_main[i, t] = row.exchange == MAIN
+                for name in PANEL_FIELDS:
+                    values[name][i, t] = getattr(row, name)
+        return cls(firms=firms, calendar=list(calendar), present=present, is_main=is_main, **values)
+
+    def firm_index(self, firm_id: str) -> int | None:
+        return self._firm_index.get(firm_id)
+
+    def date_index(self, d: date) -> int | None:
+        return self._date_index.get(d)
+
+    def row(self, firm_id: str, d: date) -> PanelRow | None:
+        """The observation of `firm_id` on `d`, or None when the panel has none."""
+        i = self._firm_index.get(firm_id)
+        t = self._date_index.get(d)
+        if i is None or t is None or not self.present[i, t]:
+            return None
+        return self._row_at(i, t)
+
+    def _row_at(self, i: int, t: int) -> PanelRow:
+        exchange = MAIN if self.is_main[i, t] else SECONDARY
+        return PanelRow(
+            float(self.daily_return[i, t]),
+            float(self.market_cap[i, t]),
+            exchange,
+            float(self.book_equity[i, t]),
+            float(self.operating_income[i, t]),
+            float(self.total_assets[i, t]),
+            float(self.total_assets_prior[i, t]),
+        )
 
     def cross_section(self, d: date) -> list[tuple[str, PanelRow]]:
         """All firms with a row on date `d`, in firm-id order."""
-        out = []
-        for firm in self.firms:
-            row = self.data[firm].get(d)
-            if row is not None:
-                out.append((firm, row))
-        return out
-
-    def returns_of(self, firm_id: str) -> dict[date, float]:
-        return {d: row.daily_return for d, row in self.data[firm_id].items()}
+        t = self._date_index.get(d)
+        if t is None:
+            return []
+        return [(self.firms[i], self._row_at(i, t)) for i in np.flatnonzero(self.present[:, t])]
 
 
 @dataclass
@@ -153,6 +231,15 @@ def _parse_float(value: str, path: Path, lineno: int, field_name: str) -> float:
     return x
 
 
+def _parse_date(value: str, path: Path, lineno: int) -> date:
+    try:
+        return date.fromisoformat(value.strip())
+    except ValueError:
+        raise PanelFormatError(
+            f"{path}: row {lineno}: field 'date': invalid date {value!r}"
+        ) from None
+
+
 PANEL_COLUMNS = [
     "firm_id",
     "date",
@@ -164,82 +251,200 @@ PANEL_COLUMNS = [
     "total_assets",
     "total_assets_prior",
 ]
+_TEXT_COLUMNS = (0, 1, 4)  # firm_id, date, exchange
+_FLOAT_COLUMNS = (2, 3, 5, 6, 7, 8)  # PANEL_FIELDS, in file order
+
+
+def _plain_layout(path: Path) -> tuple[bool, int]:
+    """(every line has exactly 9 unquoted fields, number of lines after the header).
+
+    A byte scan: no quote characters and 8 commas per line.  Blank lines,
+    ragged rows and quoted fields make it False."""
+    lines = commas = quotes = 0
+    last = b"\n"
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            lines += chunk.count(b"\n")
+            commas += chunk.count(b",")
+            quotes += chunk.count(b'"')
+            last = chunk[-1:]
+    lines += last != b"\n"
+    plain = quotes == 0 and commas == (len(PANEL_COLUMNS) - 1) * lines
+    return plain, lines - 1
+
+
+def _read_columns_fast(path: Path) -> tuple[np.ndarray, np.ndarray, None] | None:
+    """(text rows x 3, float rows x 6, None) parsed by np.loadtxt, or None
+    when the file needs the row-by-row reader."""
+    plain, n_rows = _plain_layout(path)
+    if not plain:
+        return None
+    options = dict(delimiter=",", comments=None, skiprows=1, encoding="utf-8", ndmin=2)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            text = np.loadtxt(path, dtype=str, usecols=_TEXT_COLUMNS, **options)
+            values = np.loadtxt(path, dtype=float, usecols=_FLOAT_COLUMNS, **options)
+    except ValueError:
+        return None
+    if len(text) != n_rows:  # loadtxt skipped a blank line
+        return None
+    return text, values, None
+
+
+def _read_columns_by_row(
+    path: Path,
+) -> tuple[np.ndarray, np.ndarray, PanelFormatError | None]:
+    """The csv-module reader for files the fast path declines.
+
+    Stops at the first row with a malformed field and returns the columns of
+    the rows before it together with that row's error (None if there is none)."""
+    text, values = [], []
+    error = None
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                if len(row) != len(PANEL_COLUMNS):
+                    raise PanelFormatError(
+                        f"{path}: row {lineno}: expected {len(PANEL_COLUMNS)} fields, "
+                        f"got {len(row)}"
+                    )
+                _parse_date(row[1], path, lineno)
+                parsed = [
+                    _parse_float(row[j], path, lineno, PANEL_COLUMNS[j]) for j in _FLOAT_COLUMNS
+                ]
+            except PanelFormatError as exc:
+                error = exc
+                break
+            text.append([row[j] for j in _TEXT_COLUMNS])
+            values.append(parsed)
+    text_arr = np.array(text, dtype=str).reshape(-1, len(_TEXT_COLUMNS))
+    values_arr = np.array(values, dtype=float).reshape(-1, len(_FLOAT_COLUMNS))
+    return text_arr, values_arr, error
+
+
+def _index_rows(path: Path, text: np.ndarray, values: np.ndarray):
+    """Validate the parsed rows and map them to (firm, date) cells.
+
+    Returns (firms, calendar, firm_idx, date_idx, main) or raises the
+    PanelFormatError of the first offending row."""
+    firm_raw, date_raw, exchange_raw = text.T
+    firm_keys, firm_inv = np.unique(firm_raw, return_inverse=True)
+    firm_ids = [f.strip() for f in firm_keys.tolist()]
+    firms = sorted(set(firm_ids))
+    firm_pos = {f: i for i, f in enumerate(firms)}
+    firm_idx = np.array([firm_pos[f] for f in firm_ids], dtype=np.intp)[firm_inv]
+
+    date_keys, date_inv = np.unique(date_raw, return_inverse=True)
+    parsed: list[date | None] = []
+    for s in date_keys.tolist():
+        try:
+            parsed.append(date.fromisoformat(s.strip()))
+        except ValueError:
+            parsed.append(None)
+    calendar = sorted({d for d in parsed if d is not None})
+    date_pos = {d: t for t, d in enumerate(calendar)}
+    # An unparseable date takes the slot past the calendar; a duplicate key
+    # there always comes after a row whose date check fails first.
+    date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], dtype=np.intp)[date_inv]
+    bad_date = np.array([d is None for d in parsed], dtype=bool)[date_inv]
+
+    exchange_keys, exchange_inv = np.unique(exchange_raw, return_inverse=True)
+    exchanges = [e.strip() for e in exchange_keys.tolist()]
+    bad_exchange = np.array([e not in (MAIN, SECONDARY) for e in exchanges])[exchange_inv]
+    main = np.array([e == MAIN for e in exchanges], dtype=bool)[exchange_inv]
+
+    key = firm_idx * (len(calendar) + 1) + date_idx
+    duplicate = np.zeros(len(key), dtype=bool)
+    if len(key) and np.bincount(key).max() > 1:
+        order = np.argsort(key, kind="stable")
+        duplicate[order[1:][key[order][1:] == key[order][:-1]]] = True
+
+    ret, cap, _be, _oi, _ta, tap = values.T
+    checks = [(bad_date, lambda r: f"field 'date': invalid date {str(date_raw[r])!r}")]
+    for j, name in enumerate(PANEL_FIELDS):
+        checks.append(
+            (~np.isfinite(values[:, j]), lambda r, name=name: f"field '{name}': non-finite value")
+        )
+    checks += [
+        (ret <= -1.0, lambda r: "daily_return must be > -1"),
+        (cap <= 0.0, lambda r: "market_cap must be positive"),
+        (
+            bad_exchange,
+            lambda r: f"exchange must be '{MAIN}' or '{SECONDARY}', "
+            f"got {exchanges[exchange_inv[r]]!r}",
+        ),
+        (tap <= 0.0, lambda r: "total_assets_prior must be positive"),
+        (duplicate, lambda r: f"duplicate key ({firms[firm_idx[r]]}, {calendar[date_idx[r]]})"),
+    ]
+    hits = [(int(np.argmax(mask)), k) for k, (mask, _msg) in enumerate(checks) if mask.any()]
+    if hits:
+        # On a tie the check listed first wins: the order a row-by-row scan meets them in.
+        row, k = min(hits)
+        raise PanelFormatError(f"{path}: row {row + 2}: {checks[k][1](row)}")
+    return firms, calendar, firm_idx, date_idx, main
 
 
 def load_panel(path: str | Path) -> SecurityPanel:
-    """Read the security panel CSV; duplicate (firm, date) keys and nonpositive caps are errors."""
+    """Read the security panel CSV into dense firm x date arrays.
+
+    Duplicate (firm, date) keys, non-finite values, returns <= -1,
+    nonpositive caps or prior assets and unknown exchanges are errors naming
+    the first offending row.  A plain file is parsed column-wise by
+    np.loadtxt; one with quoted fields, blank lines or a malformed field
+    goes through the csv module, which locates the bad row."""
     path = Path(path)
-    data: dict[str, dict[date, PanelRow]] = {}
-    dates: set[date] = set()
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PANEL_COLUMNS:
-            raise PanelFormatError(f"{path}: expected header {','.join(PANEL_COLUMNS)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(PANEL_COLUMNS):
-                raise PanelFormatError(
-                    f"{path}: row {lineno}: expected {len(PANEL_COLUMNS)} fields, got {len(row)}"
-                )
-            firm_id = row[0].strip()
-            try:
-                d = date.fromisoformat(row[1].strip())
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: row {lineno}: field 'date': invalid date {row[1]!r}"
-                ) from None
-            ret = _parse_float(row[2], path, lineno, "daily_return")
-            cap = _parse_float(row[3], path, lineno, "market_cap")
-            exchange = row[4].strip()
-            be = _parse_float(row[5], path, lineno, "book_equity")
-            oi = _parse_float(row[6], path, lineno, "operating_income")
-            ta = _parse_float(row[7], path, lineno, "total_assets")
-            tap = _parse_float(row[8], path, lineno, "total_assets_prior")
-            if ret <= -1.0:
-                raise PanelFormatError(f"{path}: row {lineno}: daily_return must be > -1")
-            if cap <= 0.0:
-                raise PanelFormatError(f"{path}: row {lineno}: market_cap must be positive")
-            if exchange not in (MAIN, SECONDARY):
-                raise PanelFormatError(
-                    f"{path}: row {lineno}: exchange must be '{MAIN}' or '{SECONDARY}', got {exchange!r}"
-                )
-            if tap <= 0.0:
-                raise PanelFormatError(f"{path}: row {lineno}: total_assets_prior must be positive")
-            firm = data.setdefault(firm_id, {})
-            if d in firm:
-                raise PanelFormatError(f"{path}: row {lineno}: duplicate key ({firm_id}, {d})")
-            firm[d] = PanelRow(ret, cap, exchange, be, oi, ta, tap)
-            dates.add(d)
-    if not data:
+        header = next(csv.reader(fh), None)
+    if header is None or [h.strip() for h in header] != PANEL_COLUMNS:
+        raise PanelFormatError(f"{path}: expected header {','.join(PANEL_COLUMNS)!r}")
+    text, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
+    firms, calendar, firm_idx, date_idx, main = _index_rows(path, text, values)
+    if error is not None:
+        raise error
+    if not firms:
         raise PanelFormatError(f"{path}: panel is empty")
-    return SecurityPanel(data=data, calendar=sorted(dates))
+    shape = (len(firms), len(calendar))
+    present = np.zeros(shape, dtype=bool)
+    present[firm_idx, date_idx] = True
+    is_main = np.zeros(shape, dtype=bool)
+    is_main[firm_idx, date_idx] = main
+    arrays = {}
+    for j, name in enumerate(PANEL_FIELDS):
+        arrays[name] = np.full(shape, np.nan)
+        arrays[name][firm_idx, date_idx] = values[:, j]
+    return SecurityPanel(firms=firms, calendar=calendar, present=present, is_main=is_main, **arrays)
 
 
-def _vw_return(members: list[tuple[float, float]]) -> float:
-    """Value-weighted return from (return, weight) pairs; caller guarantees non-empty."""
-    num = 0.0
-    den = 0.0
-    for ret, weight in members:
-        num += ret * weight
-        den += weight
-    return num / den
+def _value_weighted(panel: SecurityPanel, member: np.ndarray) -> np.ndarray:
+    """Cap-weighted mean return per date of the firms a (..., firms, dates) mask selects.
+
+    The sums accumulate one firm at a time in firm order, the same additions
+    a loop over each date's cross-section makes, so the result does not
+    depend on numpy's pairwise summation.  Dates with no member give NaN."""
+    shape = member.shape[:-2] + member.shape[-1:]
+    num = np.zeros(shape)
+    den = np.zeros(shape)
+    weighted = panel.daily_return * panel.market_cap
+    for i in range(len(panel.firms)):
+        np.add(num, weighted[i], out=num, where=member[..., i, :])
+        np.add(den, panel.market_cap[i], out=den, where=member[..., i, :])
+    return np.divide(num, den, out=np.full(shape, np.nan), where=member.any(axis=-2))
 
 
-def market_excess_return(panel: SecurityPanel, rf: dict[date, float]) -> np.ndarray:
-    """Cap-weighted market return minus rf on every calendar date."""
-    _require_rf_coverage(panel.calendar, rf)
-    out = np.empty(len(panel.calendar))
-    for i, d in enumerate(panel.calendar):
-        cs = panel.cross_section(d)
-        out[i] = _vw_return([(row.daily_return, row.market_cap) for _f, row in cs]) - rf[d]
-    return out
-
-
-def _require_rf_coverage(calendar: list[date], rf: dict[date, float]) -> None:
+def _rf_on(calendar: list[date], rf: dict[date, float]) -> np.ndarray:
     missing = [d for d in calendar if d not in rf]
     if missing:
         head = ", ".join(d.isoformat() for d in missing[:5])
         raise CalendarAlignmentError(f"rf series missing {len(missing)} trading dates ({head} ...)")
+    return np.array([rf[d] for d in calendar], dtype=float)
+
+
+def market_excess_return(panel: SecurityPanel, rf: dict[date, float]) -> np.ndarray:
+    """Cap-weighted market return minus rf on every calendar date."""
+    return _value_weighted(panel, panel.present) - _rf_on(panel.calendar, rf)
 
 
 def rebalance_schedule(calendar: list[date], month: int = 7, day: int = 1) -> list[date]:
@@ -254,16 +459,41 @@ def rebalance_schedule(calendar: list[date], month: int = 7, day: int = 1) -> li
     return sorted(set(rebalances))
 
 
-def _characteristics(row: PanelRow, firm_id: str, d: date) -> tuple[float, float, float, float]:
-    if row.book_equity == 0.0:
+def _sort_cells(
+    panel: SecurityPanel, t: int, min_breakpoint_stocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """2x3 cells (size_bucket * 3 + char_bucket) of the firms present at rebalance column `t`.
+
+    Returns (firm rows, cells) with one cell column per sort dimension:
+    value, profitability, investment."""
+    d = panel.calendar[t]
+    rows = np.flatnonzero(panel.present[:, t])
+    be = panel.book_equity[rows, t]
+    if np.any(be == 0.0):
+        firm_id = panel.firms[rows[np.argmax(be == 0.0)]]
         raise DegenerateBreakpointsError(
             f"zero book equity for firm {firm_id} at rebalance {d}: profitability sort undefined"
         )
-    size = row.market_cap
-    value = row.book_equity / row.market_cap
-    profitability = row.operating_income / row.book_equity
-    investment = row.total_assets / row.total_assets_prior - 1.0
-    return size, value, profitability, investment
+    main = panel.is_main[rows, t]
+    if main.sum() < min_breakpoint_stocks:
+        raise DegenerateBreakpointsError(
+            f"rebalance {d}: only {main.sum()} main-exchange stocks "
+            f"(need >= {min_breakpoint_stocks})"
+        )
+    size = panel.market_cap[rows, t]
+    characteristics = (
+        be / size,
+        panel.operating_income[rows, t] / be,
+        panel.total_assets[rows, t] / panel.total_assets_prior[rows, t] - 1.0,
+    )
+    size_bp = float(np.median(size[main]))
+    size_bucket = np.where(size <= size_bp, 0, 1)  # 0 small, 1 big
+    cells = np.empty((len(rows), 3), dtype=np.int8)
+    for dim, c in enumerate(characteristics):
+        p30, p70 = np.percentile(c[main], [30.0, 70.0])
+        char_bucket = np.where(c <= p30, 0, np.where(c > p70, 2, 1))  # low/mid/high
+        cells[:, dim] = size_bucket * 3 + char_bucket
+    return rows, cells
 
 
 def construct_factors(
@@ -279,94 +509,56 @@ def construct_factors(
     Raises DegenerateBreakpointsError when a rebalance date has fewer than
     `min_breakpoint_stocks` main-exchange stocks.
     """
-    _require_rf_coverage(panel.calendar, rf)
     calendar = panel.calendar
+    rf_arr = _rf_on(calendar, rf)
     rebalances = rebalance_schedule(calendar, rebalance_month, rebalance_day)
+    starts = [panel.date_index(d) for d in rebalances]
 
-    # Per rebalance: for each sort dimension, firm -> (size_bucket, char_bucket).
-    memberships: dict[date, dict[str, dict[str, tuple[int, int]]]] = {}
-    for reb in rebalances:
-        cs = panel.cross_section(reb)
-        chars = {f: _characteristics(row, f, reb) for f, row in cs}
-        main_firms = [f for f, row in cs if row.exchange == MAIN]
-        if len(main_firms) < min_breakpoint_stocks:
-            raise DegenerateBreakpointsError(
-                f"rebalance {reb}: only {len(main_firms)} main-exchange stocks "
-                f"(need >= {min_breakpoint_stocks})"
-            )
-        size_bp = float(np.median([chars[f][0] for f in main_firms]))
-        dims: dict[str, dict[str, tuple[int, int]]] = {}
-        for dim_idx, dim in enumerate(("value", "profitability", "investment"), start=1):
-            p30, p70 = np.percentile([chars[f][dim_idx] for f in main_firms], [30.0, 70.0])
-            assign = {}
-            for f in chars:
-                size_bucket = 0 if chars[f][0] <= size_bp else 1  # 0 small, 1 big
-                c = chars[f][dim_idx]
-                char_bucket = 0 if c <= p30 else (2 if c > p70 else 1)  # low/mid/high
-                assign[f] = (size_bucket, char_bucket)
-            dims[dim] = assign
-        memberships[reb] = dims
+    # Cell of each firm per sort dimension and date; -1 = not sorted (entered
+    # the panel after the last rebalance).
+    cell = np.full((3, len(panel.firms), len(calendar)), -1, dtype=np.int8)
+    for start, end in zip(starts, starts[1:] + [len(calendar)]):
+        rows, cells = _sort_cells(panel, start, min_breakpoint_stocks)
+        cell[:, rows, start:end] = cells.T[:, :, None]
 
-    n = len(calendar)
-    rmrf = np.empty(n)
-    smb_legs = {dim: np.empty(n) for dim in ("value", "profitability", "investment")}
-    hml = np.empty(n)
-    rmw = np.empty(n)
-    cma = np.empty(n)
-    rf_arr = np.array([rf[d] for d in calendar], dtype=float)
+    market = _value_weighted(panel, panel.present)
+    member = (cell[:, None] == np.arange(6)[None, :, None, None]) & panel.present
+    # An empty cell on a date is imputed the market return.
+    ret = np.where(member.any(axis=-2), _value_weighted(panel, member), market)
 
-    reb_idx = -1
-    current: dict[str, dict[str, tuple[int, int]]] = {}
-    for i, d in enumerate(calendar):
-        while reb_idx + 1 < len(rebalances) and rebalances[reb_idx + 1] <= d:
-            reb_idx += 1
-            current = memberships[rebalances[reb_idx]]
-        cs = panel.cross_section(d)
-        market = _vw_return([(row.daily_return, row.market_cap) for _f, row in cs])
-        rmrf[i] = market - rf_arr[i]
-
-        dim_cells: dict[str, list[list[float]]] = {}
-        for dim, assign in current.items():
-            cells: list[list[tuple[float, float]]] = [[] for _ in range(6)]
-            for f, row in cs:
-                bucket = assign.get(f)
-                if bucket is None:
-                    continue  # entered the panel after the last rebalance
-                size_b, char_b = bucket
-                cells[size_b * 3 + char_b].append((row.daily_return, row.market_cap))
-            cell_ret = [market if not cell else _vw_return(cell) for cell in cells]
-            dim_cells[dim] = cell_ret
-            small = (cell_ret[0] + cell_ret[1] + cell_ret[2]) / 3.0
-            big = (cell_ret[3] + cell_ret[4] + cell_ret[5]) / 3.0
-            smb_legs[dim][i] = small - big
-
-        v = dim_cells["value"]
-        hml[i] = (v[2] + v[5]) / 2.0 - (v[0] + v[3]) / 2.0
-        p = dim_cells["profitability"]
-        rmw[i] = (p[2] + p[5]) / 2.0 - (p[0] + p[3]) / 2.0
-        inv = dim_cells["investment"]
-        cma[i] = (inv[0] + inv[3]) / 2.0 - (inv[2] + inv[5]) / 2.0  # conservative = low growth
-
-    smb = (smb_legs["value"] + smb_legs["profitability"] + smb_legs["investment"]) / 3.0
+    small = (ret[:, 0] + ret[:, 1] + ret[:, 2]) / 3.0
+    big = (ret[:, 3] + ret[:, 4] + ret[:, 5]) / 3.0
+    smb_legs = small - big  # per dimension
+    v, p, inv = ret
     series = FactorSeries(
-        dates=list(calendar), rmrf=rmrf, smb=smb, hml=hml, rmw=rmw, cma=cma, rf=rf_arr
+        dates=list(calendar),
+        rmrf=market - rf_arr,
+        smb=(smb_legs[0] + smb_legs[1] + smb_legs[2]) / 3.0,
+        hml=(v[2] + v[5]) / 2.0 - (v[0] + v[3]) / 2.0,
+        rmw=(p[2] + p[5]) / 2.0 - (p[0] + p[3]) / 2.0,
+        cma=(inv[0] + inv[3]) / 2.0 - (inv[2] + inv[5]) / 2.0,  # conservative = low growth
+        rf=rf_arr,
     )
     if detail:
         return series, FactorDetail(
-            smb_value=smb_legs["value"],
-            smb_profitability=smb_legs["profitability"],
-            smb_investment=smb_legs["investment"],
+            smb_value=smb_legs[0],
+            smb_profitability=smb_legs[1],
+            smb_investment=smb_legs[2],
         )
     return series
 
 
+def _zero_share(present: np.ndarray, returns: np.ndarray) -> np.ndarray:
+    """Per date (last axis): share of the present firms whose return is exactly zero."""
+    return (present & (returns == 0.0)).sum(axis=0) / present.sum(axis=0)
+
+
 def compute_pct_zero(panel: SecurityPanel, d: date) -> float:
     """Fraction of firms with a row on `d` whose return is exactly zero."""
-    if not panel.has_date(d):
+    t = panel.date_index(d)
+    if t is None:
         raise CalendarAlignmentError(f"{d} is not in the panel trading calendar")
-    cs = panel.cross_section(d)
-    zero = sum(1 for _f, row in cs if row.daily_return == 0.0)
-    return zero / len(cs)
+    return float(_zero_share(panel.present[:, t], panel.daily_return[:, t]))
 
 
 def _read_two_column_csv(path: str | Path, value_column: str) -> dict[date, float]:
@@ -380,12 +572,7 @@ def _read_two_column_csv(path: str | Path, value_column: str) -> dict[date, floa
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 2:
                 raise PanelFormatError(f"{path}: row {lineno}: expected 2 fields")
-            try:
-                d = date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: row {lineno}: field 'date': invalid date {row[0]!r}"
-                ) from None
+            d = _parse_date(row[0], path, lineno)
             if d in out:
                 raise PanelFormatError(f"{path}: row {lineno}: duplicate date {d}")
             out[d] = _parse_float(row[1], path, lineno, value_column)
@@ -401,7 +588,8 @@ def _align_control(
     raw: dict[date, float], calendar: list[date], label: str
 ) -> np.ndarray:
     """Place a dated series onto the calendar; its covered span must have no gaps."""
-    on_calendar = {d: v for d, v in raw.items() if d in set(calendar)}
+    trading = set(calendar)
+    on_calendar = {d: v for d, v in raw.items() if d in trading}
     if not on_calendar:
         raise CalendarAlignmentError(f"{label} series has no observations on trading dates")
     lo, hi = min(on_calendar), max(on_calendar)
@@ -411,11 +599,7 @@ def _align_control(
         raise CalendarAlignmentError(
             f"{label} series missing {len(gaps)} trading dates in its covered range ({head} ...)"
         )
-    out = np.full(len(calendar), np.nan)
-    for i, d in enumerate(calendar):
-        if d in on_calendar:
-            out[i] = on_calendar[d]
-    return out
+    return np.array([on_calendar.get(d, np.nan) for d in calendar], dtype=float)
 
 
 def load_controls(
@@ -428,50 +612,49 @@ def load_controls(
         _read_two_column_csv(short_rate_path, "short_rate"), calendar, "short_rate"
     )
     d_nsi = np.full(len(calendar), np.nan)
-    for i in range(1, len(calendar)):
-        if not math.isnan(nsi[i]) and not math.isnan(nsi[i - 1]):
-            d_nsi[i] = nsi[i] - nsi[i - 1]
-    pct_zero = np.array([compute_pct_zero(panel, d) for d in calendar])
+    d_nsi[1:] = nsi[1:] - nsi[:-1]  # NaN wherever either day is uncovered
     return ControlSeries(
-        dates=list(calendar), nsi=nsi, d_nsi=d_nsi, short_rate=short_rate, pct_zero=pct_zero
+        dates=list(calendar),
+        nsi=nsi,
+        d_nsi=d_nsi,
+        short_rate=short_rate,
+        pct_zero=_zero_share(panel.present, panel.daily_return),
     )
 
 
 FACTOR_CSV_COLUMNS = ["date", "rmrf", "smb", "hml", "rmw", "cma", "rf"]
 
 
-def read_factors_csv(path: str | Path) -> FactorSeries:
-    """Ingest a pre-computed factor series (``date,rmrf,smb,hml,rmw,cma,rf``)."""
-    path = Path(path)
+def _read_dated_columns(
+    path: Path, columns: list[str], blank_is_nan: bool = False
+) -> tuple[list[date], dict[str, np.ndarray]]:
+    """Read a ``date,<columns...>`` CSV into the date list and one array per column."""
     dates: list[date] = []
-    cols: dict[str, list[float]] = {name: [] for name in FACTOR_CSV_COLUMNS[1:]}
+    cols: dict[str, list[float]] = {name: [] for name in columns[1:]}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != FACTOR_CSV_COLUMNS:
-            raise PanelFormatError(f"{path}: expected header {','.join(FACTOR_CSV_COLUMNS)!r}")
+        if header is None or [h.strip() for h in header] != columns:
+            raise PanelFormatError(f"{path}: expected header {','.join(columns)!r}")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(FACTOR_CSV_COLUMNS):
-                raise PanelFormatError(f"{path}: row {lineno}: expected {len(FACTOR_CSV_COLUMNS)} fields")
-            try:
-                dates.append(date.fromisoformat(row[0].strip()))
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}: row {lineno}: field 'date': invalid date {row[0]!r}"
-                ) from None
-            for j, name in enumerate(FACTOR_CSV_COLUMNS[1:], start=1):
-                cols[name].append(_parse_float(row[j], path, lineno, name))
+            if len(row) != len(columns):
+                raise PanelFormatError(f"{path}: row {lineno}: expected {len(columns)} fields")
+            dates.append(_parse_date(row[0], path, lineno))
+            for name, value in zip(columns[1:], row[1:]):
+                if blank_is_nan and not value.strip():
+                    cols[name].append(math.nan)
+                else:
+                    cols[name].append(_parse_float(value, path, lineno, name))
+    return dates, {name: np.array(v, dtype=float) for name, v in cols.items()}
+
+
+def read_factors_csv(path: str | Path) -> FactorSeries:
+    """Ingest a pre-computed factor series (``date,rmrf,smb,hml,rmw,cma,rf``)."""
+    path = Path(path)
+    dates, cols = _read_dated_columns(path, FACTOR_CSV_COLUMNS)
     if not dates:
         raise PanelFormatError(f"{path}: factor file is empty")
-    return FactorSeries(
-        dates=dates,
-        rmrf=np.array(cols["rmrf"]),
-        smb=np.array(cols["smb"]),
-        hml=np.array(cols["hml"]),
-        rmw=np.array(cols["rmw"]),
-        cma=np.array(cols["cma"]),
-        rf=np.array(cols["rf"]),
-    )
+    return FactorSeries(dates=dates, **cols)
 
 
 def write_factors_csv(series: FactorSeries, path: str | Path) -> None:
@@ -483,3 +666,23 @@ def write_factors_csv(series: FactorSeries, path: str | Path) -> None:
                 [d.isoformat()]
                 + [repr(float(getattr(series, name)[i])) for name in FACTOR_CSV_COLUMNS[1:]]
             )
+
+
+CONTROL_CSV_COLUMNS = ["date", "nsi", "d_nsi", "short_rate", "pct_zero"]
+
+
+def write_controls_csv(controls: ControlSeries, path: str | Path) -> int:
+    """Write the controls, one row per calendar date; an uncovered value is an empty field."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CONTROL_CSV_COLUMNS)
+        for i, d in enumerate(controls.dates):
+            values = [float(getattr(controls, name)[i]) for name in CONTROL_CSV_COLUMNS[1:]]
+            writer.writerow([d.isoformat()] + ["" if math.isnan(x) else repr(x) for x in values])
+    return len(controls.dates)
+
+
+def read_controls_csv(path: str | Path) -> ControlSeries:
+    """Read back what write_controls_csv wrote; empty fields become NaN."""
+    dates, cols = _read_dated_columns(Path(path), CONTROL_CSV_COLUMNS, blank_is_nan=True)
+    return ControlSeries(dates=dates, **cols)

@@ -30,7 +30,15 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import FirmDictionary, TranscriptRecord
-from .factors import MAIN, SECONDARY, FactorSeries, PanelRow, SecurityPanel, write_factors_csv
+from .factors import (
+    MAIN,
+    PANEL_COLUMNS,
+    PANEL_FIELDS,
+    SECONDARY,
+    FactorSeries,
+    SecurityPanel,
+    write_factors_csv,
+)
 from .sentiment import NEGATIVE, POSITIVE, Lexicon, SentimentObservation
 from .timing import INCLUSIVE, build_signal
 
@@ -337,36 +345,44 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
         hi = min(n_days - 1, ev.day_index + config.event_tail)
         protected[ev.firm_id] = set(range(lo, hi + 1))
 
-    returns = {fid: np.empty(n_days) for fid in firm_ids}
+    returns = np.empty((config.n_firms, n_days))  # rows in firm_ids order
     for t in range(n_days):
-        for fid in firm_ids:
+        for i, fid in enumerate(firm_ids):
             ex = exposures[fid]
             r = config.rf_daily + ex["alpha"]
             for name in ("rmrf", "smb", "hml", "rmw", "cma"):
                 r += ex[name] * factor_arrays[name][t]
             r += rng.normal() * config.idio_vol
-            returns[fid][t] = r
+            returns[i, t] = r
     for ev in events:
         w0, w1 = ev.window
         for rel in range(w0, w1 + 1):
             t = ev.day_index + rel
             if 0 <= t < n_days:
-                returns[ev.firm_id][t] += ev.effect
+                returns[firm_ids.index(ev.firm_id), t] += ev.effect
     # Exact-zero days feed the zero-return share; event windows stay intact.
     for t in range(n_days):
-        for fid in firm_ids:
+        for i, fid in enumerate(firm_ids):
             hit = rng.uniform() < config.zero_return_rate
             if hit and t not in protected.get(fid, ()):
-                returns[fid][t] = 0.0
+                returns[i, t] = 0.0
 
-    panel_data = {
-        fid: {
-            calendar[t]: PanelRow(daily_return=float(returns[fid][t]), **fundamentals[fid])
-            for t in range(n_days)
-        }
-        for fid in firm_ids
-    }
-    panel = SecurityPanel(data=panel_data, calendar=list(calendar))
+    # Every firm trades every day; fundamentals are constant along each row.
+    order = sorted(range(config.n_firms), key=firm_ids.__getitem__)
+    shape = (config.n_firms, n_days)
+
+    def constant_rows(key: str) -> np.ndarray:
+        values = np.array([fundamentals[firm_ids[i]][key] for i in order])
+        return np.repeat(values[:, None], n_days, axis=1)
+
+    panel = SecurityPanel(
+        firms=[firm_ids[i] for i in order],
+        calendar=list(calendar),
+        present=np.ones(shape, dtype=bool),
+        is_main=constant_rows("exchange") == MAIN,
+        daily_return=returns[order],
+        **{name: constant_rows(name) for name in PANEL_FIELDS if name != "daily_return"},
+    )
 
     # Transcripts: one script per day reproducing the planted counts.
     transcripts = []
@@ -471,37 +487,19 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
         "\n".join(sorted(dataset.lexicon.negative)) + "\n", encoding="utf-8"
     )
 
+    panel = dataset.panel
     with paths["panel"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "firm_id",
-                "date",
-                "daily_return",
-                "market_cap",
-                "exchange",
-                "book_equity",
-                "operating_income",
-                "total_assets",
-                "total_assets_prior",
-            ]
-        )
-        for d in calendar:
-            for fid in sorted(dataset.panel.data):
-                row = dataset.panel.data[fid][d]
-                writer.writerow(
-                    [
-                        fid,
-                        d.isoformat(),
-                        repr(float(row.daily_return)),
-                        repr(float(row.market_cap)),
-                        row.exchange,
-                        repr(float(row.book_equity)),
-                        repr(float(row.operating_income)),
-                        repr(float(row.total_assets)),
-                        repr(float(row.total_assets_prior)),
-                    ]
-                )
+        writer.writerow(PANEL_COLUMNS)
+        exchange = np.where(panel.is_main, MAIN, SECONDARY)
+        for t, d in enumerate(panel.calendar):
+            day = d.isoformat()
+            ret, cap, be, oi, ta, tap = (
+                [repr(x) for x in getattr(panel, name)[:, t].tolist()] for name in PANEL_FIELDS
+            )
+            for i in np.flatnonzero(panel.present[:, t]).tolist():
+                row = [panel.firms[i], day, ret[i], cap[i], exchange[i, t]]
+                writer.writerow(row + [be[i], oi[i], ta[i], tap[i]])
 
     write_factors_csv(dataset.factors, paths["factors"])
 

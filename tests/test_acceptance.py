@@ -234,7 +234,7 @@ def test_04_factor_construction_oracle():
             d: PanelRow(rets[i, t], caps[i], "main", be, oi, 1e9, tap)
             for t, d in enumerate(calendar)
         }
-    panel = SecurityPanel(data=data, calendar=list(calendar))
+    panel = SecurityPanel.from_rows(data, list(calendar))
     rf = {d: 1e-4 for d in calendar}
     series = construct_factors(panel, rf)
 
@@ -275,7 +275,7 @@ def test_04_factor_construction_oracle():
 
     flat = {f"T{i}": {d: PanelRow(0.01, 5e9, "main", 2e9, 2e8, 1e9, 1e9) for d in calendar}
             for i in range(8)}
-    flat_series = construct_factors(SecurityPanel(flat, list(calendar)), rf)
+    flat_series = construct_factors(SecurityPanel.from_rows(flat, list(calendar)), rf)
     for name in ("smb", "hml", "rmw", "cma"):
         assert np.all(getattr(flat_series, name) == 0.0), name
     print(f"PASS 4 factor construction oracle: 12-stock worst gap {worst:.2e}; identical universe exact zeros")
@@ -352,7 +352,7 @@ def test_06_caar_arithmetic_identities():
     for path in paths:
         est = estimate_exposures(
             {
-                d: ds.panel.data[path.firm_id][d].daily_return - cfg.rf_daily
+                d: ds.panel.row(path.firm_id, d).daily_return - cfg.rf_daily
                 for d in ds.calendar
             },
             ds.factors,
@@ -371,7 +371,7 @@ def test_06_caar_arithmetic_identities():
                 row[3 * j] = mats[t - 1, j]
                 row[3 * j + 1] = mats[t, j]
                 row[3 * j + 2] = mats[t + 1, j]
-            excess_t = ds.panel.data[path.firm_id][ds.calendar[t]].daily_return - cfg.rf_daily
+            excess_t = ds.panel.row(path.firm_id, ds.calendar[t]).daily_return - cfg.rf_daily
             fitted = 1.0 * est.alpha + float(row @ est.slopes)
             assert path.values[off] == excess_t - fitted  # bitwise
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from sentimetrics.cli import OUT_FILES, STAGE_ORDER, load_config, main
+from sentimetrics import factors
+from sentimetrics.cli import OUT_FILES, STAGE_ORDER, ConfigError, load_config, main
 
 SYNTH_OVERRIDES = {
     "n_firms": 6,
@@ -194,8 +196,6 @@ def test_load_config_defaults(tmp_path):
 
 
 def test_load_config_rejects_bad_values(tmp_path):
-    from sentimetrics.cli import ConfigError
-
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"signal_mode": "sideways"}), encoding="utf-8")
     with pytest.raises(ConfigError, match="signal_mode"):
@@ -217,3 +217,87 @@ def test_synth_unknown_override_key_errors(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(overrides)])
     assert rc == 1
     assert "unknown synth keys: n_phirms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tie_up", "false"),
+        ("robust_se", 0),
+        ("with_ols", None),
+        ("timings", "yes"),
+        ("min_mentions", 2.9),
+        ("signal_lag", "2"),
+        ("regression_n", True),
+        ("rebalance_month", 7.0),
+        ("rebalance_day", [1]),
+        ("min_breakpoint_stocks", "6"),
+        ("signal_n_list", [5, 6.5]),
+        ("signal_n_list", [5, False]),
+        ("signal_n_list", "5,6"),
+    ],
+)
+def test_load_config_rejects_mistyped_values(tmp_path, key, value):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({key: value}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        load_config(p)
+
+
+def test_load_config_keeps_exact_json_types(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(
+        json.dumps({"tie_up": True, "min_mentions": 2, "signal_n_list": [5, 7]}), encoding="utf-8"
+    )
+    cfg = load_config(p)
+    assert cfg.tie_up is True and not cfg.robust_se
+    assert cfg.min_mentions == 2 and cfg.signal_n_list == [5, 7]
+
+
+def test_regress_alone_reads_controls_not_the_panel(pipeline, monkeypatch):
+    cfg_path, out = pipeline
+    before = {name: (out / name).read_bytes() for name in ("regressions.csv", "regressions.txt")}
+
+    def no_panel(*_args, **_kwargs):
+        raise AssertionError("regress must not parse the panel")
+
+    monkeypatch.setattr(factors, "load_panel", no_panel)
+    monkeypatch.setattr(factors, "load_controls", no_panel)
+    assert main(["regress", "--config", str(cfg_path)]) == 0
+    for name, content in before.items():
+        assert (out / name).read_bytes() == content, name
+
+
+# sha256 of the constructed factors and controls for one seeded dataset.  The
+# construction uses elementwise arithmetic, median and percentile only (no
+# BLAS), so these bytes hold on any machine.
+FACTOR_PINS = {
+    "factors.csv": "34f50e56161cea63a74a8c642c710cb804fdc6c80ab198b31a14821933e8540b",
+    "controls.csv": "8e9defc82aaaf859cc7927205d03adb0d796bd88d95403e9fef67b0579da0581",
+}
+
+
+def test_constructed_factors_and_controls_are_pinned(tmp_path):
+    overrides = tmp_path / "synth_overrides.json"
+    overrides.write_text(
+        json.dumps(
+            {
+                "n_firms": 15,
+                "n_days": 160,
+                "n_events": 3,
+                "event_history": 60,
+                "event_tail": 20,
+                "factor_construction": True,
+            }
+        ),
+        encoding="utf-8",
+    )
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--seed", "41", "--config", str(overrides)]) == 0
+    cfg_path = data / "run_config.json"
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    del raw["factors_csv"]  # construct the factors from the panel
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["factors", "--config", str(cfg_path)]) == 0
+    for name, digest in FACTOR_PINS.items():
+        assert hashlib.sha256((data / "out" / name).read_bytes()).hexdigest() == digest, name

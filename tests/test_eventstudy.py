@@ -330,7 +330,7 @@ def _panel_from_returns(returns_by_firm, calendar, rf):
             if d in excess:
                 rows[d] = PanelRow(excess[d] + rf, 1e9, "main", 5e8, 5e7, 1e9, 1e9)
         data[firm] = rows
-    return SecurityPanel(data=data, calendar=list(calendar))
+    return SecurityPanel.from_rows(data, list(calendar))
 
 
 def test_run_event_study_groups_and_excludes():

@@ -43,7 +43,7 @@ def _row(ret, cap, exchange="main", be=None, oi=None, ta=None, tap=None):
 
 def _panel(rows_by_firm, calendar):
     data = {f: {d: rows[i] for i, d in enumerate(calendar)} for f, rows in rows_by_firm.items()}
-    return SecurityPanel(data=data, calendar=list(calendar))
+    return SecurityPanel.from_rows(data, list(calendar))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +146,10 @@ def test_cap_scaling_leaves_factors_unchanged():
     rf = {d: RF for d in panel.calendar}
     base = construct_factors(panel, rf)
     scaled_data = {
-        f: {d: _scale_cap(row, 37.0) for d, row in rows.items()}
-        for f, rows in panel.data.items()
+        f: {d: _scale_cap(panel.row(f, d), 37.0) for d in panel.calendar}
+        for f in panel.firms
     }
-    scaled = construct_factors(SecurityPanel(scaled_data, list(panel.calendar)), rf)
+    scaled = construct_factors(SecurityPanel.from_rows(scaled_data, list(panel.calendar)), rf)
     for name in ("rmrf", "smb", "hml", "rmw", "cma"):
         assert np.allclose(getattr(base, name), getattr(scaled, name), atol=1e-13), name
 
@@ -209,9 +209,9 @@ def test_secondary_exchange_sorted_but_not_in_breakpoints():
     extra = {
         "X": {d: PanelRow(0.05, 1e13, "secondary", 5e11, 5e10, 1e9, 1e9) for d in calendar}
     }
-    data = dict(panel.data)
+    data = {f: {d: panel.row(f, d) for d in calendar} for f in panel.firms}
     data.update(extra)
-    wide = SecurityPanel(data, list(calendar))
+    wide = SecurityPanel.from_rows(data, list(calendar))
     rf = {d: RF for d in calendar}
     series = construct_factors(wide, rf)
     # be/cap = 0.05 and oi/be = 0.1 both sit below the main-firm p30 cutoffs
@@ -322,8 +322,8 @@ def test_load_panel_roundtrip(tmp_path):
     panel = load_panel(p)
     assert panel.firms == ["A", "B"]
     assert panel.calendar == [date(2022, 1, 3), date(2022, 1, 4)]
-    assert panel.data["B"][date(2022, 1, 3)].daily_return == 0.0
-    assert panel.data["B"][date(2022, 1, 3)].exchange == "secondary"
+    assert panel.row("B", date(2022, 1, 3)).daily_return == 0.0
+    assert panel.row("B", date(2022, 1, 3)).exchange == "secondary"
 
 
 def test_load_panel_duplicate_key_errors(tmp_path):
@@ -431,3 +431,92 @@ def test_load_controls_weekend_only_series_errors(tmp_path):
     nsi.write_text("date,nsi\n2022-01-08,100\n2022-01-09,101\n", encoding="utf-8")
     with pytest.raises(CalendarAlignmentError, match="no observations"):
         load_controls(nsi, sr, panel)
+
+
+# Rows 2 and 3 are clean; each case puts its fault on row 4 (two later
+# clean rows follow it), so the reported row number is not the first data row.
+CLEAN_ROWS = [
+    "A,2022-01-03,0.01,1e9,main,5e8,5e7,1e9,9e8",
+    "B,2022-01-03,0.02,2e9,secondary,1e9,1e8,2e9,2e9",
+]
+TAIL_ROWS = [
+    "A,2022-01-06,0.01,1e9,main,5e8,5e7,1e9,9e8",
+    "B,2022-01-06,0.01,2e9,secondary,1e9,1e8,2e9,2e9",
+]
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("A,2022-01-04,0.01,1e9,main,5e8,5e7,1e9", "expected 9 fields, got 8"),
+        ("A,2022-01-04,0.01,1e9,main,5e8,5e7,1e9,9e8,x", "expected 9 fields, got 10"),
+        ("", "expected 9 fields, got 0"),
+        ("A,2022-13-04,0.01,1e9,main,5e8,5e7,1e9,9e8", "field 'date': invalid date '2022-13-04'"),
+        ("A,2022-01-04,0.01,abc,main,5e8,5e7,1e9,9e8", "field 'market_cap': not a number: 'abc'"),
+        ("A,2022-01-04,0.01,1e9,main,nan,5e7,1e9,9e8", "field 'book_equity': non-finite value"),
+        ("A,2022-01-04,0.01,1e9,main,5e8,5e7,inf,9e8", "field 'total_assets': non-finite value"),
+        ("A,2022-01-04,-1.0,1e9,main,5e8,5e7,1e9,9e8", "daily_return must be > -1"),
+        ("A,2022-01-04,0.01,0.0,main,5e8,5e7,1e9,9e8", "market_cap must be positive"),
+        ("A,2022-01-04,0.01,1e9,main,5e8,5e7,1e9,-9e8", "total_assets_prior must be positive"),
+        (
+            "A,2022-01-04,0.01,1e9,kosdaq2,5e8,5e7,1e9,9e8",
+            "exchange must be 'main' or 'secondary', got 'kosdaq2'",
+        ),
+        ("B,2022-01-03,0.03,2e9,secondary,1e9,1e8,2e9,2e9", "duplicate key (B, 2022-01-03)"),
+        # Within a row the checks keep their order: the date before the numbers,
+        # a non-finite return before a malformed cap.
+        ("A,2022-02-30,0.01,abc,main,5e8,5e7,1e9,9e8", "field 'date': invalid date '2022-02-30'"),
+        ("A,2022-01-04,nan,abc,main,5e8,5e7,1e9,9e8", "field 'daily_return': non-finite value"),
+    ],
+)
+def test_load_panel_error_names_row_and_field(tmp_path, bad_row, message):
+    p = tmp_path / "panel.csv"
+    _write_panel(p, CLEAN_ROWS + [bad_row] + TAIL_ROWS)
+    with pytest.raises(PanelFormatError) as exc:
+        load_panel(p)
+    assert str(exc.value) == f"{p}: row 4: {message}"
+
+
+def test_load_panel_reports_the_earliest_faulty_row(tmp_path):
+    # A value fault on row 3 outranks an unparseable field on row 5.
+    p = tmp_path / "panel.csv"
+    _write_panel(
+        p,
+        [
+            "A,2022-01-03,0.01,1e9,main,5e8,5e7,1e9,9e8",
+            "A,2022-01-04,0.01,1e9,main,5e8,5e7,1e9,0",
+            "A,2022-01-05,0.01,1e9,main,5e8,5e7,1e9,9e8",
+            "A,2022-01-06,0.01,1e9,main,5e8,5e7,1e9,oops",
+        ],
+    )
+    with pytest.raises(PanelFormatError) as exc:
+        load_panel(p)
+    assert str(exc.value) == f"{p}: row 3: total_assets_prior must be positive"
+
+
+def test_load_panel_long_and_quoted_firm_ids_roundtrip(tmp_path):
+    long_id = "KRX-005930-SAMSUNG-ELECTRONICS"
+    plain = tmp_path / "plain.csv"
+    _write_panel(
+        plain,
+        [
+            f"{long_id},2022-01-03,0.01,1e9,main,5e8,5e7,1e9,9e8",
+            "B,2022-01-03,0.02,2e9,secondary,1e9,1e8,2e9,2e9",
+            f"{long_id},2022-01-04,-0.02,1e9,main,5e8,5e7,1e9,9e8",
+        ],
+    )
+    quoted = tmp_path / "quoted.csv"
+    _write_panel(
+        quoted,
+        [
+            f'"{long_id}",2022-01-03,0.01,1e9,main,5e8,5e7,1e9,9e8',
+            '"B",2022-01-03,0.02,2e9,secondary,1e9,1e8,2e9,2e9',
+            f'"{long_id}",2022-01-04,-0.02,1e9,main,5e8,5e7,1e9,9e8',
+        ],
+    )
+    for p in (plain, quoted):
+        panel = load_panel(p)
+        assert panel.firms == ["B", long_id]
+        assert panel.row(long_id, date(2022, 1, 4)).daily_return == -0.02
+        assert panel.row("B", date(2022, 1, 4)) is None
+        assert panel.present.tolist() == [[True, False], [True, True]]

@@ -111,9 +111,9 @@ def test_gen_dataset_is_deterministic():
     b = gen_dataset(SynthConfig(seed=42, **FAST))
     assert a.truth.to_json_dict() == b.truth.to_json_dict()
     assert [t.text for t in a.transcripts] == [t.text for t in b.transcripts]
-    for fid in a.panel.data:
-        ra = [a.panel.data[fid][d].daily_return for d in a.calendar]
-        rb = [b.panel.data[fid][d].daily_return for d in a.calendar]
+    for fid in a.panel.firms:
+        ra = [a.panel.row(fid, d).daily_return for d in a.calendar]
+        rb = [b.panel.row(fid, d).daily_return for d in a.calendar]
         assert ra == rb
     c = gen_dataset(SynthConfig(seed=43, **FAST))
     assert [t.text for t in a.transcripts] != [t.text for t in c.transcripts]
@@ -154,7 +154,7 @@ def test_event_effect_planted_exactly_with_noise_off():
         ex = ds.truth.exposures[ev.firm_id]
         for t, d in enumerate(ds.calendar):
             model = cfg.rf_daily + ex["alpha"] + sum(ex[n] * arrays[n][t] for n in names)
-            gap = ds.panel.data[ev.firm_id][d].daily_return - model
+            gap = ds.panel.row(ev.firm_id, d).daily_return - model
             rel = t - ev.day_index
             if ev.window[0] <= rel <= ev.window[1]:
                 assert gap == pytest.approx(ev.effect, abs=1e-15), rel
@@ -166,17 +166,17 @@ def test_zero_returns_appear_but_never_inside_event_windows():
     cfg = SynthConfig(seed=4, zero_return_rate=0.3, **FAST)
     ds = gen_dataset(cfg)
     flat = total = 0
-    for fid in ds.panel.data:
+    for fid in ds.panel.firms:
         for d in ds.calendar:
             total += 1
-            if ds.panel.data[fid][d].daily_return == 0.0:
+            if ds.panel.row(fid, d).daily_return == 0.0:
                 flat += 1
     assert 0.2 < flat / total < 0.4
     for ev in ds.truth.events:
         lo = max(0, ev.day_index - cfg.event_tail)
         hi = min(cfg.n_days - 1, ev.day_index + cfg.event_tail)
         for t in range(lo, hi + 1):
-            assert ds.panel.data[ev.firm_id][ds.calendar[t]].daily_return != 0.0
+            assert ds.panel.row(ev.firm_id, ds.calendar[t]).daily_return != 0.0
 
 
 def test_market_sign_tracks_lagged_signal():
@@ -201,9 +201,9 @@ def test_exposures_recoverable_when_noise_off():
     window = EventWindowConfig()
     anchor = ds.calendar[320]
     names = ("rmrf", "smb", "hml", "rmw", "cma")
-    for fid in ds.panel.data:
+    for fid in ds.panel.firms:
         excess = {
-            d: ds.panel.data[fid][d].daily_return - cfg.rf_daily for d in ds.calendar
+            d: ds.panel.row(fid, d).daily_return - cfg.rf_daily for d in ds.calendar
         }
         est = estimate_exposures(excess, ds.factors, window, anchor, fid)
         truth = ds.truth.exposures[fid]
@@ -282,10 +282,10 @@ def test_written_files_roundtrip_through_loaders(tmp_path):
 
     panel = load_panel(paths["panel"])
     assert panel.calendar == ds.calendar
-    assert sorted(panel.data) == sorted(ds.panel.data)
-    for fid in panel.data:
+    assert panel.firms == ds.panel.firms
+    for fid in panel.firms:
         for d in ds.calendar:
-            assert panel.data[fid][d].daily_return == ds.panel.data[fid][d].daily_return
+            assert panel.row(fid, d).daily_return == ds.panel.row(fid, d).daily_return
 
     factors = read_factors_csv(paths["factors"])
     for name in ("rmrf", "smb", "hml", "rmw", "cma", "rf"):
