@@ -17,6 +17,7 @@ import hashlib
 import json
 import sys
 import time
+import typing
 import warnings
 from dataclasses import dataclass, field as dc_field
 from datetime import date
@@ -86,6 +87,15 @@ class RunConfig:
     rebalance_day: int = 1
     min_breakpoint_stocks: int = 6
     timings: bool = False
+    _panel: factormod.SecurityPanel | None = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def panel(self, stage: str) -> factormod.SecurityPanel:
+        """The security panel, parsed on first use and shared by the later stages of this run."""
+        if self._panel is None:
+            self._panel = factormod.load_panel(self.input_path("panel_csv", stage))
+        return self._panel
 
     def input_path(self, key: str, stage: str) -> Path:
         p = self.inputs.get(key)
@@ -118,6 +128,10 @@ INT_KEYS = (
 )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_types(raw: dict, path: Path) -> None:
     for key in BOOL_KEYS:
         if key in raw and not isinstance(raw[key], bool):
@@ -128,7 +142,7 @@ def _check_types(raw: dict, path: Path) -> None:
             raise ConfigError(f"{path}: 'signal_n_list' must be a list of integers")
         ints += [("signal_n_list", n) for n in raw["signal_n_list"]]
     for key, value in ints:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ConfigError(f"{path}: '{key}' must be an integer, got {json.dumps(value)}")
 
 
@@ -292,7 +306,7 @@ def stage_sentiment(cfg: RunConfig) -> dict:
 
 
 def stage_factors(cfg: RunConfig) -> dict:
-    panel = factormod.load_panel(cfg.input_path("panel_csv", "factors"))
+    panel = cfg.panel("factors")
     provided = cfg.inputs.get("factors_csv")
     if provided is not None:
         series = factormod.read_factors_csv(provided)
@@ -324,8 +338,7 @@ def stage_factors(cfg: RunConfig) -> dict:
 def stage_eventstudy(cfg: RunConfig) -> dict:
     events = _read_events_csv(cfg.require_upstream("events", "sentiment"))
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
-    panel = factormod.load_panel(cfg.input_path("panel_csv", "eventstudy"))
-    run = eventstudy.run_event_study(events, panel, series, cfg.window)
+    run = eventstudy.run_event_study(events, cfg.panel("eventstudy"), series, cfg.window)
 
     rows = []
     for group in sorted(run.results):
@@ -532,7 +545,10 @@ def _synth_config(seed: int, overrides_path: str | None) -> synthetic.SynthConfi
     p = Path(overrides_path)
     if not p.exists():
         raise ConfigError(f"synth config not found: {p}")
-    raw = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{p}: top-level JSON object expected")
     valid = set(synthetic.SynthConfig.__dataclass_fields__)
@@ -540,13 +556,37 @@ def _synth_config(seed: int, overrides_path: str | None) -> synthetic.SynthConfi
     if unknown:
         raise ConfigError(f"{p}: unknown synth keys: {', '.join(unknown)}")
     raw.pop("seed", None)  # the --seed flag owns the seed
-    if "start" in raw:
-        raw["start"] = date.fromisoformat(raw["start"])
-    if "effect_window" in raw:
-        raw["effect_window"] = tuple(raw["effect_window"])
+    kinds = typing.get_type_hints(synthetic.SynthConfig)
     for key, value in raw.items():
-        setattr(cfg, key, value)
+        setattr(cfg, key, _synth_value(kinds[key], value, f"{p}: '{key}'"))
     return cfg
+
+
+def _synth_value(kind, value, where: str):
+    """`value` as the SynthConfig field type `kind`; ConfigError naming `where` otherwise."""
+    if kind is float and _is_int(value):
+        value = float(value)
+    if kind is date:
+        try:
+            return date.fromisoformat(value)
+        except (TypeError, ValueError):
+            pass
+    elif kind == tuple[int, int]:
+        if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
+            return tuple(value)
+    elif kind is int:
+        if _is_int(value):
+            return value
+    elif isinstance(value, kind):  # bool, float, str
+        return value
+    expected = {
+        bool: "true or false",
+        str: "a string",
+        int: "an integer",
+        float: "a number",
+        date: "an ISO date string",
+    }.get(kind, "a pair of integers")
+    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -67,17 +67,24 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
+class _TokenMemo(dict):
+    """raw whitespace-split piece -> its token ('' for pure punctuation), filled on first sight."""
+
+    def __missing__(self, raw: str) -> str:
+        tok = self[raw] = _strip_punct(_norm(raw))
+        return tok
+
+
+def _tokenize(text: str, memo: _TokenMemo) -> list[str]:
+    return [tok for tok in map(memo.__getitem__, text.split()) if tok]
+
+
 def tokenize(text: str) -> list[str]:
     """Split on Unicode whitespace, strip edge punctuation, NFC-normalize.
 
     Tokens that are pure punctuation vanish; duplicates are kept.
     """
-    out = []
-    for raw in text.split():
-        tok = _strip_punct(_norm(raw))
-        if tok:
-            out.append(tok)
-    return out
+    return _tokenize(text, _TokenMemo())
 
 
 def load_transcripts(path: str | Path) -> list[TranscriptRecord]:
@@ -106,14 +113,19 @@ def load_transcripts(path: str | Path) -> list[TranscriptRecord]:
 
 
 def build_days(records: list[TranscriptRecord]) -> list[TranscriptDay]:
-    """Concatenate same-day scripts (record order) into tokenized days, ascending by date."""
+    """Concatenate same-day scripts (record order) into tokenized days, ascending by date.
+
+    Each distinct raw piece is normalized once per call, and equal tokens
+    share one string.
+    """
+    memo = _TokenMemo()
     by_date: dict[date, TranscriptDay] = {}
     for rec in records:
         day = by_date.get(rec.publish_date)
         if day is None:
             day = TranscriptDay(date=rec.publish_date, tokens=[], source_count=0)
             by_date[rec.publish_date] = day
-        day.tokens.extend(tokenize(rec.text))
+        day.tokens.extend(_tokenize(rec.text, memo))
         day.source_count += 1
     return [by_date[d] for d in sorted(by_date)]
 
@@ -124,7 +136,8 @@ def load_firm_dictionary(
     """Read firm aliases (``firm_id,name`` CSV) and an optional exclusions file.
 
     A name listed in the exclusions file is removed from every firm entry;
-    firms left with no names are dropped.
+    firms left with no names are dropped.  Every other name must be one
+    token as ``tokenize`` yields it (no whitespace, no edge punctuation).
     """
     names_path = Path(names_path)
     exclusions: set[str] = set()
@@ -155,7 +168,14 @@ def load_firm_dictionary(
             if firm_id not in names:
                 names[firm_id] = []
                 order.append(firm_id)
-            if name not in exclusions and name not in names[firm_id]:
+            if name in exclusions:
+                continue
+            if tokenize(name) != [name]:
+                raise TranscriptFormatError(
+                    f"{names_path}: row {lineno}: firm name {name!r} is not a single token "
+                    "(matching compares single tokens, so it could never match)"
+                )
+            if name not in names[firm_id]:
                 names[firm_id].append(name)
 
     entries = [(fid, names[fid]) for fid in order if names[fid]]

@@ -346,7 +346,10 @@ def _fmt_t(v: float) -> str:
 
 
 def render_report(regset: TimingRegressionSet, model: str = LOGIT) -> str:
-    """Aligned text table: specifications across, terms down, t-values in parentheses."""
+    """Aligned text table: specifications across, terms down, t-values in parentheses.
+
+    A line under the table names each fit that did not converge.
+    """
     results = regset.logit if model == LOGIT else regset.ols
     if not results:
         raise ValueError(f"no {model} results to render")
@@ -386,6 +389,9 @@ def render_report(regset: TimingRegressionSet, model: str = LOGIT) -> str:
         lines.append(line.rstrip())
         if k == 0:
             lines.append("-" * len(line.rstrip()))
+    for s in spec_ids:
+        if not results[s].converged:
+            lines.append(f"warning: ({s}) converged=False after n_iter={results[s].n_iter}")
     return "\n".join(lines) + "\n"
 
 

@@ -134,20 +134,41 @@ def align_event_date(announce_date: date, calendar: list[date]) -> date:
     return calendar[lo]
 
 
-def _design_row(factors: FactorSeries, idx: int) -> np.ndarray | None:
-    """Intercept + 15 lead/lag regressors at calendar index `idx`, or None at the edges."""
-    if idx - 1 < 0 or idx + 1 >= len(factors.dates):
-        return None
-    row = np.empty(N_PARAMS)
-    row[0] = 1.0
+def _design_span(factors: FactorSeries, first: int, last: int) -> tuple[int, np.ndarray]:
+    """Lead/lag design rows for calendar indices first..last.
+
+    The span is clamped to 1..n-2, the indices that have both a lagging and a
+    leading factor value.  Returns the first kept index and the (rows, 16)
+    design: an intercept column, then each factor's lag, current and lead
+    value, ordered as REGRESSOR_NAMES.
+    """
+    lo = max(first, 1)
+    hi = max(min(last, len(factors.dates) - 2), lo - 1)  # hi = lo - 1: no rows
+    X = np.empty((hi - lo + 1, N_PARAMS))
+    X[:, 0] = 1.0
     k = 1
     for name in FACTOR_NAMES:
         series = getattr(factors, name)
-        row[k] = series[idx - 1]
-        row[k + 1] = series[idx]
-        row[k + 2] = series[idx + 1]
+        X[:, k] = series[lo - 1 : hi]
+        X[:, k + 1] = series[lo : hi + 1]
+        X[:, k + 2] = series[lo + 1 : hi + 2]
         k += 3
-    return row
+    return lo, X
+
+
+def _returns_on(
+    excess_returns: Mapping[date, float], factors: FactorSeries, lo: int, n: int
+) -> np.ndarray:
+    """Excess returns on calendar indices lo..lo+n-1, NaN where the mapping has none."""
+    values = map(excess_returns.get, factors.dates[lo : lo + n])
+    return np.array([math.nan if v is None else v for v in values], dtype=float)
+
+
+def _event_index(factors: FactorSeries, event_date: date) -> int:
+    event_idx = factors.index_of(event_date)
+    if event_idx is None:
+        raise EventAlignmentError(f"event date {event_date} not on the factor calendar")
+    return event_idx
 
 
 def estimate_exposures(
@@ -162,29 +183,15 @@ def estimate_exposures(
     Uses only estimation-window days where the return and all regressors exist.
     Solved by orthogonalization (lstsq), not by normal equations.
     """
-    event_idx = factors.index_of(event_date)
-    if event_idx is None:
-        raise EventAlignmentError(f"event date {event_date} not on the factor calendar")
-    rows = []
-    ys = []
-    for rel in range(window.est_start, window.est_end + 1):
-        idx = event_idx + rel
-        if idx < 0 or idx >= len(factors.dates):
-            continue
-        ret = excess_returns.get(factors.dates[idx])
-        if ret is None or math.isnan(ret):
-            continue
-        row = _design_row(factors, idx)
-        if row is None:
-            continue
-        rows.append(row)
-        ys.append(ret)
-    n_obs = len(rows)
+    event_idx = _event_index(factors, event_date)
+    lo, design = _design_span(factors, event_idx + window.est_start, event_idx + window.est_end)
+    y = _returns_on(excess_returns, factors, lo, len(design))
+    have = ~np.isnan(y)
+    X, y = design[have], y[have]
+    n_obs = len(y)
     required = max(window.min_est_obs, N_PARAMS + 1)
     if n_obs < required:
         raise InsufficientObservationsError(n_obs, required)
-    X = np.vstack(rows)
-    y = np.asarray(ys)
     beta, _res, rank, _sv = np.linalg.lstsq(X, y, rcond=None)
     if rank < N_PARAMS:
         raise RankDeficientDesignError(
@@ -209,22 +216,16 @@ def compute_ar(
     announce_date: date | None = None,
 ) -> ArPath:
     """Realized minus fitted excess return on each event-window day; NaN where data is missing."""
-    event_idx = factors.index_of(event_date)
-    if event_idx is None:
-        raise EventAlignmentError(f"event date {event_date} not on the factor calendar")
+    event_idx = _event_index(factors, event_date)
+    first = event_idx + window.evt_start
+    lo, design = _design_span(factors, first, event_idx + window.evt_end)
+    rets = _returns_on(excess_returns, factors, lo, len(design))
     values = np.full(window.evt_len + 1, np.nan)
-    for offset, rel in enumerate(range(window.evt_start, window.evt_end + 1)):
-        idx = event_idx + rel
-        if idx < 0 or idx >= len(factors.dates):
-            continue
-        ret = excess_returns.get(factors.dates[idx])
-        if ret is None or math.isnan(ret):
-            continue
-        row = _design_row(factors, idx)
-        if row is None:
-            continue
+    # Row by row: a matrix-vector product may round differently in the last bit.
+    for j in np.flatnonzero(~np.isnan(rets)):
+        row = design[j]
         expected = row[0] * estimate.alpha + float(row[1:] @ estimate.slopes)
-        values[offset] = ret - expected
+        values[lo - first + j] = rets[j] - expected
     return ArPath(
         firm_id=estimate.firm_id,
         announce_date=announce_date if announce_date is not None else event_date,
@@ -280,13 +281,9 @@ def _count_overlaps(event_indices: dict[str, list[int]], evt_len: int) -> int:
     count = 0
     for indices in event_indices.values():
         indices = sorted(indices)
-        flagged = [False] * len(indices)
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                if indices[b] - indices[a] <= evt_len:
-                    flagged[a] = True
-                    flagged[b] = True
-        count += sum(flagged)
+        # After sorting, a window meets another one exactly when it meets a neighbour's.
+        near = [b - a <= evt_len for a, b in zip(indices, indices[1:])]
+        count += sum(left or right for left, right in zip([False] + near, near + [False]))
     return count
 
 

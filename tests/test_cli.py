@@ -220,6 +220,76 @@ def test_synth_unknown_override_key_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("n_events", "3", "an integer"),
+        ("n_firms", True, "an integer"),
+        ("min_mentions", 2.5, "an integer"),
+        ("idio_vol", "0.01", "a number"),
+        ("factor_construction", 1, "true or false"),
+        ("event_polarity", 1, "a string"),
+        ("start", "2021-13-01", "an ISO date string"),
+        ("start", 20210104, "an ISO date string"),
+        ("effect_window", [0], "a pair of integers"),
+        ("effect_window", [0, 5.0], "a pair of integers"),
+        ("effect_window", "0,5", "a pair of integers"),
+    ],
+)
+def test_synth_override_of_the_wrong_type_names_file_and_key(
+    tmp_path, capsys, key, value, expected
+):
+    overrides = tmp_path / "s.json"
+    overrides.write_text(json.dumps({key: value}), encoding="utf-8")
+    rc = main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(overrides)])
+    assert rc == 1
+    assert f"{overrides}: '{key}' must be {expected}" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "run_config.json").exists()
+
+
+def test_synth_override_file_that_is_not_json_names_the_file(tmp_path, capsys):
+    overrides = tmp_path / "s.json"
+    overrides.write_text('{"n_firms": 5,', encoding="utf-8")
+    rc = main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(overrides)])
+    assert rc == 1
+    assert f"{overrides}: invalid JSON" in capsys.readouterr().err
+
+
+def test_synth_overrides_accept_ints_for_floats_dates_and_pairs(tmp_path):
+    overrides = tmp_path / "s.json"
+    overrides.write_text(
+        json.dumps(
+            {**SYNTH_OVERRIDES, "rf_daily": 0, "start": "2021-02-01", "effect_window": [1, 3]}
+        ),
+        encoding="utf-8",
+    )
+    data = tmp_path / "d"
+    assert main(["synth", "--out", str(data), "--seed", "1", "--config", str(overrides)]) == 0
+    truth = json.loads((data / "ground_truth.json").read_text(encoding="utf-8"))
+    assert isinstance(truth["rf_daily"], float) and truth["rf_daily"] == 0.0
+    load_config(data / "run_config.json")
+
+
+def test_all_parses_the_panel_once_and_eventstudy_alone_parses_it(tmp_path, monkeypatch):
+    cfg_path = _make_dataset(tmp_path)
+    out = cfg_path.parent / "out"
+    calls = []
+    load_panel = factors.load_panel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return load_panel(*args, **kwargs)
+
+    monkeypatch.setattr(factors, "load_panel", counted)
+    assert main(["all", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1
+    before = {n: (out / n).read_bytes() for n in ("event_study.csv", "event_exclusions.csv")}
+    assert main(["eventstudy", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 2
+    for name, content in before.items():
+        assert (out / name).read_bytes() == content, name
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("tie_up", "false"),

@@ -103,6 +103,26 @@ def test_build_days_empty():
     assert build_days([]) == []
 
 
+def test_build_days_matches_per_record_tokenize():
+    decomposed = "\u1112\u1161\u11ab"  # NFD of U+D55C
+    records = [
+        TranscriptRecord("c1", date(2022, 8, 2), f"{decomposed}, acme acme. (acme) ... !!"),
+        TranscriptRecord("c2", date(2022, 8, 3), f"--acme-- \u3001 {decomposed}\u3002 U.S."),
+        TranscriptRecord("c3", date(2022, 8, 2), f"acme. {decomposed}, acme? \"acme\""),
+        TranscriptRecord("c4", date(2022, 8, 4), "... , !"),
+    ]
+    days = build_days(records)
+    by_date = {}
+    for rec in records:
+        by_date.setdefault(rec.publish_date, []).extend(tokenize(rec.text))
+    assert [(d.date, d.tokens) for d in days] == sorted(by_date.items())
+    assert days[0].tokens[:4] == ["\ud55c", "acme", "acme", "acme"]
+    assert days[2].tokens == []
+    # One raw piece is normalized once: its tokens are one string object.
+    first, second = days[0].tokens[0], days[0].tokens[5]
+    assert first == second and first is second
+
+
 def test_load_firm_dictionary_groups_aliases(tmp_path):
     names = tmp_path / "names.csv"
     names.write_text(
@@ -110,6 +130,23 @@ def test_load_firm_dictionary_groups_aliases(tmp_path):
     )
     d = load_firm_dictionary(names)
     assert d.entries == [("F1", ["acme", "acme-corp"]), ("F2", ["globex"])]
+
+
+@pytest.mark.parametrize("name", ["Samsung Electronics", "Hyundai.", "(acme)", "\u00abkia\u00bb"])
+def test_load_firm_dictionary_rejects_names_that_are_not_one_token(tmp_path, name):
+    names = tmp_path / "names.csv"
+    with names.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["firm_id", "name"], ["F1", "acme"], ["F2", name]])
+    with pytest.raises(TranscriptFormatError, match=r"names\.csv: row 3: firm name"):
+        load_firm_dictionary(names)
+
+
+def test_load_firm_dictionary_excluded_names_need_not_be_one_token(tmp_path):
+    names = tmp_path / "names.csv"
+    names.write_text("firm_id,name\nF1,acme\nF1,Acme Corp\n", encoding="utf-8")
+    excl = tmp_path / "excl.txt"
+    excl.write_text("Acme Corp\n", encoding="utf-8")
+    assert load_firm_dictionary(names, excl).entries == [("F1", ["acme"])]
 
 
 def test_load_firm_dictionary_exclusions_win(tmp_path):

@@ -9,6 +9,7 @@ from sentimetrics.econometrics import (
     DegenerateResponseError,
     EmptySampleError,
     PerfectSeparationError,
+    RegressionResult,
     SPEC_TERMS,
     TERM_ORDER,
     build_design,
@@ -18,6 +19,7 @@ from sentimetrics.econometrics import (
     read_regressions_csv,
     render_report,
     run_timing_regressions,
+    TimingRegressionSet,
     write_regressions_csv,
 )
 from sentimetrics.factors import ControlSeries
@@ -431,6 +433,36 @@ def test_render_report_layout():
     dnsi_row = next(line for line in lines if line.lstrip().startswith("d_nsi"))
     sig_line = next(line for line in lines if line.lstrip().startswith("signal"))
     assert len(dnsi_row.split()) < len(sig_line.split()) + 1
+
+
+def _logit_result(converged, n_iter):
+    return RegressionResult(
+        model="logit",
+        terms=["intercept", "signal"],
+        estimates=np.array([0.1, 0.5]),
+        std_errs=np.array([0.05, 0.25]),
+        t_values=np.array([2.0, 2.0]),
+        n_obs=50,
+        converged=converged,
+        n_iter=n_iter,
+    )
+
+
+def test_render_report_flags_unconverged_fits():
+    fits = {
+        "1": _logit_result(True, 6),
+        "2": _logit_result(False, 100),
+        "3": _logit_result(False, 37),
+    }
+    text = render_report(TimingRegressionSet(logit=fits, signal_n=10, lag=2))
+    assert text.splitlines()[-2:] == [
+        "warning: (2) converged=False after n_iter=100",
+        "warning: (3) converged=False after n_iter=37",
+    ]
+    converged = {k: _logit_result(True, 6) for k in fits}
+    clean = render_report(TimingRegressionSet(logit=converged, signal_n=10, lag=2))
+    assert "converged" not in clean
+    assert text.startswith(clean[:-1])
 
 
 def test_regressions_csv_roundtrip(tmp_path):

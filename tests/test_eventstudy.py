@@ -10,6 +10,7 @@ from sentimetrics.eventstudy import (
     N_PARAMS,
     RankDeficientDesignError,
     REGRESSOR_NAMES,
+    _count_overlaps,
     align_event_date,
     compute_ar,
     estimate_exposures,
@@ -397,3 +398,124 @@ def test_window_validation():
         EventWindowConfig(est_start=-10, est_end=-20, evt_start=-5)
     with pytest.raises(ValueError):
         EventWindowConfig(est_start=-30, est_end=-10, evt_start=-5, min_est_obs=200)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the row-by-row design and the pairwise overlap loop
+
+
+def _old_design_row(factors, idx):
+    if idx - 1 < 0 or idx + 1 >= len(factors.dates):
+        return None
+    row = np.empty(N_PARAMS)
+    row[0] = 1.0
+    k = 1
+    for name in FACTOR_NAMES:
+        series = getattr(factors, name)
+        row[k] = series[idx - 1]
+        row[k + 1] = series[idx]
+        row[k + 2] = series[idx + 1]
+        k += 3
+    return row
+
+
+def _old_rows(excess, factors, event_idx, first, last):
+    """(offset, design row, return) for each usable day, built one row at a time."""
+    out = []
+    for offset, rel in enumerate(range(first, last + 1)):
+        idx = event_idx + rel
+        if idx < 0 or idx >= len(factors.dates):
+            continue
+        ret = excess.get(factors.dates[idx])
+        if ret is None or np.isnan(ret):
+            continue
+        row = _old_design_row(factors, idx)
+        if row is not None:
+            out.append((offset, row, ret))
+    return out
+
+
+def _old_estimate(excess, factors, window, event_date):
+    event_idx = factors.index_of(event_date)
+    rows = _old_rows(excess, factors, event_idx, window.est_start, window.est_end)
+    required = max(window.min_est_obs, N_PARAMS + 1)
+    if len(rows) < required:
+        return None
+    X = np.vstack([row for _o, row, _r in rows])
+    y = np.asarray([ret for _o, _row, ret in rows])
+    beta = np.linalg.lstsq(X, y, rcond=None)[0]
+    resid = y - X @ beta
+    return float(beta[0]), beta[1:].copy(), len(rows), float(resid @ resid) / (len(rows) - N_PARAMS)
+
+
+def _old_ar(alpha, slopes, excess, factors, window, event_date):
+    event_idx = factors.index_of(event_date)
+    values = np.full(window.evt_len + 1, np.nan)
+    for offset, row, ret in _old_rows(excess, factors, event_idx, window.evt_start, window.evt_end):
+        values[offset] = ret - (row[0] * alpha + float(row[1:] @ slopes))
+    return values
+
+
+def test_sliced_design_matches_row_by_row_design_bitwise():
+    n_days = 120
+    factors = _factors(n_days, seed=30)
+    rng = np.random.default_rng(31)
+    window = EventWindowConfig(
+        est_start=-70, est_end=-11, evt_start=-10, evt_len=25, min_est_obs=20
+    )
+    compared = excluded = 0
+    for trial in range(12):
+        excess = {d: float(rng.normal(0, 0.02)) for d in factors.dates}
+        for d in rng.choice(factors.dates, size=int(rng.integers(0, 30)), replace=False):
+            if rng.random() < 0.5:
+                del excess[d]
+            else:
+                excess[d] = float("nan")
+        # Windows that hit the first and last calendar days, windows wholly
+        # off the calendar, and interior ones.
+        for event_idx in (0, 1, 5, 25, 40, 60, 71, 100, 110, n_days - 2, n_days - 1):
+            event_date = factors.dates[event_idx]
+            old = _old_estimate(excess, factors, window, event_date)
+            if old is None:
+                with pytest.raises(InsufficientObservationsError):
+                    estimate_exposures(excess, factors, window, event_date)
+                excluded += 1
+                continue
+            est = estimate_exposures(excess, factors, window, event_date, "F")
+            assert np.float64(est.alpha).tobytes() == np.float64(old[0]).tobytes()
+            assert est.slopes.tobytes() == old[1].tobytes()
+            assert est.n_obs == old[2]
+            assert np.float64(est.residual_variance).tobytes() == np.float64(old[3]).tobytes()
+            ar = compute_ar(est, excess, factors, window, event_date)
+            old_ar = _old_ar(old[0], old[1], excess, factors, window, event_date)
+            assert ar.values.tobytes() == old_ar.tobytes()
+            compared += 1
+    assert compared > 50 and excluded > 20
+
+
+def _old_count_overlaps(event_indices, evt_len):
+    count = 0
+    for indices in event_indices.values():
+        indices = sorted(indices)
+        flagged = [False] * len(indices)
+        for a in range(len(indices)):
+            for b in range(a + 1, len(indices)):
+                if indices[b] - indices[a] <= evt_len:
+                    flagged[a] = True
+                    flagged[b] = True
+        count += sum(flagged)
+    return count
+
+
+def test_count_overlaps_matches_pairwise_loop():
+    rng = np.random.default_rng(32)
+    for _ in range(500):
+        evt_len = int(rng.choice([0, 0, 1, 3, 10, 40]))
+        event_indices = {
+            f"F{f}": [int(i) for i in rng.integers(0, 60, size=int(rng.integers(0, 12)))]
+            for f in range(int(rng.integers(1, 4)))
+        }
+        expected = _old_count_overlaps(event_indices, evt_len)
+        assert _count_overlaps(event_indices, evt_len) == expected
+    # Duplicate indices overlap even with a zero-length window.
+    assert _count_overlaps({"F": [7, 7, 9]}, 0) == 2
