@@ -115,96 +115,122 @@ class RunConfig:
         return p
 
 
-# Parameters whose JSON type is checked exactly: bool() and int() would turn
-# "false" into True and 2.9 into 2.
-BOOL_KEYS = ("tie_up", "robust_se", "with_ols", "timings")
-INT_KEYS = (
-    "min_mentions",
-    "signal_lag",
-    "regression_n",
-    "rebalance_month",
-    "rebalance_day",
-    "min_breakpoint_stocks",
-)
+# The JSON type of every config key, stated once: the input paths, the output
+# directory and the RunConfig parameters (`window` recurses into the fields of
+# EventWindowConfig).
+_CONFIG_KINDS = {
+    **dict.fromkeys(INPUT_KEYS, str | None),
+    "out_dir": str,
+    **{
+        key: kind
+        for key, kind in typing.get_type_hints(RunConfig).items()
+        if key not in ("config_path", "out_dir", "inputs", "_panel")
+    },
+}
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_types(raw: dict, path: Path) -> None:
-    for key in BOOL_KEYS:
-        if key in raw and not isinstance(raw[key], bool):
-            raise ConfigError(f"{path}: '{key}' must be true or false, got {json.dumps(raw[key])}")
-    ints = [(key, raw[key]) for key in INT_KEYS if key in raw]
-    if "signal_n_list" in raw:
-        if not isinstance(raw["signal_n_list"], list):
-            raise ConfigError(f"{path}: 'signal_n_list' must be a list of integers")
-        ints += [("signal_n_list", n) for n in raw["signal_n_list"]]
-    for key, value in ints:
-        if not _is_int(value):
-            raise ConfigError(f"{path}: '{key}' must be an integer, got {json.dumps(value)}")
-
-
-def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
-    path = Path(path)
+def _json_object(path: Path, what: str) -> dict:
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} not found: {path}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level JSON object expected")
+    return raw
 
-    known = {
-        *INPUT_KEYS, *BOOL_KEYS, *INT_KEYS, "out_dir", "window", "signal_n_list", "signal_mode"
-    }
-    unknown = sorted(set(raw) - known)
+
+def _typed(kinds: dict, raw: dict, where: str, what: str) -> dict:
+    """`raw` with each value checked against and converted to its type in `kinds`.
+
+    `where` prefixes every error message; `what` names the keys in the
+    unknown-key error.  bool() and int() would turn "false" into True and 2.9
+    into 2, so JSON types are matched exactly: ints are not bools, and only
+    floats accept ints (stored as floats).
+    """
+    unknown = sorted(set(raw) - set(kinds))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    _check_types(raw, path)
+        raise ConfigError(f"{where}unknown {what} keys: {', '.join(unknown)}")
+    return {key: _value(kinds[key], value, f"{where}'{key}'") for key, value in raw.items()}
 
-    base = path.parent
 
-    def resolve(value: str | None) -> Path | None:
-        if value is None:
-            return None
+def _value(kind, value, where: str):
+    """`value` as the type `kind`; a ConfigError naming `where` otherwise."""
+    if kind is date:
+        try:
+            return date.fromisoformat(value)
+        except (TypeError, ValueError):
+            ok = False
+    elif kind is eventstudy.EventWindowConfig:
+        ok = isinstance(value, dict)
+        if ok:
+            try:
+                value = kind(**_typed(typing.get_type_hints(kind), value, "", "window"))
+            except ValueError as exc:  # a field of the wrong type, or the windows' order
+                raise ConfigError(f"{where} must be an event window: {exc}") from None
+    elif kind is float:
+        ok = _is_int(value) or isinstance(value, float)
+        value = float(value) if ok else value
+    elif kind == tuple[int, int]:
+        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+        value = tuple(value) if ok else value
+    elif kind == list[int]:
+        ok = isinstance(value, list) and all(map(_is_int, value))
+    elif kind == str | None:
+        ok = value is None or isinstance(value, str)
+    elif kind is int:
+        ok = _is_int(value)
+    else:  # bool, str
+        ok = isinstance(value, kind)
+    if ok:
+        return value
+    expected = {
+        bool: "true or false",
+        str: "a string",
+        str | None: "a string or null",
+        int: "an integer",
+        float: "a number",
+        date: "an ISO date string",
+        tuple[int, int]: "a pair of integers",
+        list[int]: "a list of integers",
+    }.get(kind, "an object")
+    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+
+
+def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
+    path = Path(path)
+    raw = _typed(_CONFIG_KINDS, _json_object(path, "config file"), f"{path}: ", "config")
+
+    def resolve(value: str) -> Path:
         p = Path(value)
-        return p if p.is_absolute() else base / p
+        return p if p.is_absolute() else path.parent / p
 
     inputs: dict[str, Path | None] = {}
     for key in INPUT_KEYS:
-        p = resolve(raw.get(key))
+        value = raw.pop(key, None)
+        p = inputs[key] = None if value is None else resolve(value)
         if p is not None and not p.exists():
             raise ConfigError(f"{path}: {key} points to missing file {p}")
-        inputs[key] = p
-
+    out_dir = resolve(raw.pop("out_dir", "out"))
     if out_override is not None:
         out_dir = Path(out_override)
-    else:
-        out_dir = resolve(raw.get("out_dir", "out"))
-    window_raw = raw.get("window", {})
-    if not isinstance(window_raw, dict):
-        raise ConfigError(f"{path}: 'window' must be an object")
-    try:
-        window = eventstudy.EventWindowConfig(**window_raw)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: bad window parameters ({exc})") from None
 
-    cfg = RunConfig(
-        config_path=path,
-        out_dir=out_dir,
-        inputs=inputs,
-        window=window,
-        signal_n_list=list(raw.get("signal_n_list", range(5, 21))),
-        signal_mode=str(raw.get("signal_mode", timing.INCLUSIVE)),
-        **{key: raw[key] for key in BOOL_KEYS + INT_KEYS if key in raw},
-    )
+    cfg = RunConfig(config_path=path, out_dir=out_dir, inputs=inputs, **raw)
     if cfg.signal_mode not in (timing.INCLUSIVE, timing.EXCLUSIVE):
         raise ConfigError(f"{path}: signal_mode must be inclusive|exclusive")
-    if not cfg.signal_n_list:
-        raise ConfigError(f"{path}: signal_n_list must not be empty")
+    if not cfg.signal_n_list or min(cfg.signal_n_list) < 1:
+        raise ConfigError(
+            f"{path}: 'signal_n_list' must be a non-empty list of integers >= 1, "
+            f"got {cfg.signal_n_list}"
+        )
+    for key, least in (("signal_lag", 0), ("regression_n", 1)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"{path}: '{key}' must be >= {least}, got {getattr(cfg, key)}")
     return cfg
 
 
@@ -387,14 +413,7 @@ def stage_timing(cfg: RunConfig) -> dict:
             skipped_n.append(n)
     timing.write_signals_csv(signals, cfg.out_path("signals"))
 
-    entries = timing.r2_scan(
-        observations,
-        [s.n for s in signals],
-        calendar,
-        series.rmrf,
-        lag=cfg.signal_lag,
-        mode=cfg.signal_mode,
-    )
+    entries = timing.r2_scan(signals, calendar, series.rmrf, lag=cfg.signal_lag)
     timing.write_scan_csv(entries, cfg.out_path("r2_scan"))
 
     summary_rows = []
@@ -539,54 +558,13 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
 
 
 def _synth_config(seed: int, overrides_path: str | None) -> synthetic.SynthConfig:
-    cfg = synthetic.SynthConfig(seed=seed)
-    if overrides_path is None:
-        return cfg
-    p = Path(overrides_path)
-    if not p.exists():
-        raise ConfigError(f"synth config not found: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{p}: top-level JSON object expected")
-    valid = set(synthetic.SynthConfig.__dataclass_fields__)
-    unknown = sorted(set(raw) - valid)
-    if unknown:
-        raise ConfigError(f"{p}: unknown synth keys: {', '.join(unknown)}")
-    raw.pop("seed", None)  # the --seed flag owns the seed
     kinds = typing.get_type_hints(synthetic.SynthConfig)
-    for key, value in raw.items():
-        setattr(cfg, key, _synth_value(kinds[key], value, f"{p}: '{key}'"))
-    return cfg
-
-
-def _synth_value(kind, value, where: str):
-    """`value` as the SynthConfig field type `kind`; ConfigError naming `where` otherwise."""
-    if kind is float and _is_int(value):
-        value = float(value)
-    if kind is date:
-        try:
-            return date.fromisoformat(value)
-        except (TypeError, ValueError):
-            pass
-    elif kind == tuple[int, int]:
-        if isinstance(value, list) and len(value) == 2 and all(map(_is_int, value)):
-            return tuple(value)
-    elif kind is int:
-        if _is_int(value):
-            return value
-    elif isinstance(value, kind):  # bool, float, str
-        return value
-    expected = {
-        bool: "true or false",
-        str: "a string",
-        int: "an integer",
-        float: "a number",
-        date: "an ISO date string",
-    }.get(kind, "a pair of integers")
-    raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+    del kinds["seed"]  # the --seed flag owns the seed
+    raw = {}
+    if overrides_path is not None:
+        p = Path(overrides_path)
+        raw = _typed(kinds, _json_object(p, "synth config"), f"{p}: ", "synth")
+    return synthetic.SynthConfig(seed=seed, **raw)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -594,22 +572,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     dataset = synthetic.gen_dataset(cfg)
     out = Path(args.out)
     paths = synthetic.write_dataset(dataset, out)
-    run_config = {
-        "transcripts_csv": paths["transcripts"].name,
-        "firm_names_csv": paths["firm_names"].name,
-        "exclusions_txt": paths["exclusions"].name,
-        "lexicon_positive_txt": paths["lexicon_positive"].name,
-        "lexicon_negative_txt": paths["lexicon_negative"].name,
-        "panel_csv": paths["panel"].name,
-        "factors_csv": paths["factors"].name,
-        "rf_csv": paths["rf"].name,
-        "nsi_csv": paths["nsi"].name,
-        "short_rate_csv": paths["short_rate"].name,
-        "out_dir": "out",
-        "min_mentions": cfg.min_mentions,
-        "signal_lag": cfg.signal_lag,
-        "regression_n": cfg.signal_n,
-    }
+    run_config = {key: paths[key.rsplit("_", 1)[0]].name for key in INPUT_KEYS}
+    run_config.update(
+        out_dir="out",
+        min_mentions=cfg.min_mentions,
+        signal_lag=cfg.signal_lag,
+        regression_n=cfg.signal_n,
+    )
     with (out / "run_config.json").open("w", encoding="utf-8") as fh:
         json.dump(run_config, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -137,37 +137,29 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
 
 
 def r2_scan(
-    observations: list[SentimentObservation],
-    n_values: list[int],
+    signals: list[SignalSeries],
     calendar: list[date],
     market_returns: np.ndarray,
     lag: int = DEFAULT_LAG,
-    mode: str = INCLUSIVE,
 ) -> list[ScanEntry]:
-    """Squared correlation between the lagged signal and the market return, per N.
+    """Squared correlation between each lagged signal and the market return.
 
-    An N whose signal is constant over the overlap (zero variance) gets an
+    A signal that is constant over the overlap (zero variance) gets an
     undefined r2 rather than a fabricated number.
     """
     market_returns = np.asarray(market_returns, dtype=float)
     if market_returns.shape != (len(calendar),):
         raise ValueError("market_returns must align one-to-one with the calendar")
     entries = []
-    for n in n_values:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            signal = build_signal(observations, n, mode=mode)
+    for signal in signals:
         lagged = lagged_signal_values(signal, calendar, lag)
         mask = ~np.isnan(lagged)
-        if mask.sum() < 2:
-            entries.append(ScanEntry(n=n, lag=lag, r2=None, corr_sign=""))
-            continue
-        corr = _pearson(lagged[mask], market_returns[mask])
+        corr = _pearson(lagged[mask], market_returns[mask]) if mask.sum() >= 2 else None
         if corr is None:
-            entries.append(ScanEntry(n=n, lag=lag, r2=None, corr_sign=""))
+            entries.append(ScanEntry(n=signal.n, lag=lag, r2=None, corr_sign=""))
         else:
             sign = "+" if corr > 0 else ("-" if corr < 0 else "0")
-            entries.append(ScanEntry(n=n, lag=lag, r2=corr * corr, corr_sign=sign))
+            entries.append(ScanEntry(n=signal.n, lag=lag, r2=corr * corr, corr_sign=sign))
     return entries
 
 

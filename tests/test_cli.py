@@ -1,11 +1,20 @@
 import hashlib
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
 from sentimetrics import factors
-from sentimetrics.cli import OUT_FILES, STAGE_ORDER, ConfigError, load_config, main
+from sentimetrics.cli import (
+    INPUT_KEYS,
+    OUT_FILES,
+    STAGE_ORDER,
+    ConfigError,
+    RunConfig,
+    load_config,
+    main,
+)
 
 SYNTH_OVERRIDES = {
     "n_firms": 6,
@@ -305,6 +314,16 @@ def test_all_parses_the_panel_once_and_eventstudy_alone_parses_it(tmp_path, monk
         ("signal_n_list", [5, 6.5]),
         ("signal_n_list", [5, False]),
         ("signal_n_list", "5,6"),
+        ("window", {"est_start": -273.0}),
+        ("window", {"min_est_obs": True}),
+        ("window", {"evt_len": "40"}),
+        ("window", [1]),
+        ("window", {"est_start": -20}),
+        ("out_dir", 5),
+        ("transcripts_csv", 5),
+        ("signal_lag", -1),
+        ("regression_n", 0),
+        ("signal_n_list", [0]),
     ],
 )
 def test_load_config_rejects_mistyped_values(tmp_path, key, value):
@@ -322,6 +341,19 @@ def test_load_config_keeps_exact_json_types(tmp_path):
     cfg = load_config(p)
     assert cfg.tie_up is True and not cfg.robust_se
     assert cfg.min_mentions == 2 and cfg.signal_n_list == [5, 7]
+
+
+def test_load_config_reads_every_default_back_unchanged(tmp_path):
+    defaults = RunConfig(config_path=tmp_path, out_dir=tmp_path / "out", inputs={})
+    raw = {f.name: getattr(defaults, f.name) for f in fields(RunConfig) if f.init}
+    del raw["config_path"], raw["inputs"]
+    raw.update(out_dir="out", window=asdict(defaults.window), factors_csv=None)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = load_config(p)
+    assert cfg == RunConfig(
+        config_path=p, out_dir=tmp_path / "out", inputs=dict.fromkeys(INPUT_KEYS)
+    )
 
 
 def test_regress_alone_reads_controls_not_the_panel(pipeline, monkeypatch):

@@ -189,13 +189,13 @@ def test_r2_one_when_market_follows_signal():
     for k in range(3, 12):
         market[k] = 0.01 if values[k - 3] == 1 else -0.01
 
-    entries = r2_scan(obs, [1], cal, market, lag=lag, mode=EXCLUSIVE)
+    entries = r2_scan([build_signal(obs, 1, mode=EXCLUSIVE)], cal, market, lag=lag)
     assert len(entries) == 1
     assert entries[0].r2 == pytest.approx(1.0, abs=1e-12)
     assert entries[0].corr_sign == "+"
     assert entries[0].lag == lag
 
-    flipped = r2_scan(obs, [1], cal, -market, lag=lag, mode=EXCLUSIVE)
+    flipped = r2_scan([build_signal(obs, 1, mode=EXCLUSIVE)], cal, -market, lag=lag)
     assert flipped[0].r2 == pytest.approx(1.0, abs=1e-12)
     assert flipped[0].corr_sign == "-"
 
@@ -205,7 +205,7 @@ def test_r2_none_when_signal_constant():
     obs = _obs([0.1 * k for k in range(1, 9)])  # rising -> all-ones signal
     rng = np.random.default_rng(1)
     market = rng.normal(0, 0.01, 10)
-    entries = r2_scan(obs, [3], cal, market, lag=1)
+    entries = r2_scan([build_signal(obs, 3)], cal, market, lag=1)
     assert entries[0].r2 is None
     assert entries[0].corr_sign == ""
 
@@ -214,7 +214,7 @@ def test_r2_none_when_no_overlap():
     cal = _weekdays(date(2022, 1, 3), 4)
     obs = _obs([0.3, -0.2, 0.4, -0.1, 0.2, -0.3], start=date(2023, 1, 2))
     market = np.zeros(4)
-    entries = r2_scan(obs, [2], cal, market, lag=0)
+    entries = r2_scan([build_signal(obs, 2)], cal, market, lag=0)
     assert entries[0].r2 is None
 
 
@@ -226,7 +226,7 @@ def test_r2_scan_handles_oversized_windows_quietly():
 
     with _w.catch_warnings():
         _w.simplefilter("error")
-        entries = r2_scan(obs, [10], cal, market, lag=1)
+        entries = r2_scan([SignalSeries(10, INCLUSIVE, [], np.zeros(0, int))], cal, market, lag=1)
     assert entries[0].r2 is None
 
 
