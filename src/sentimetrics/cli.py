@@ -231,6 +231,16 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     for key, least in (("signal_lag", 0), ("regression_n", 1)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{path}: '{key}' must be >= {least}, got {getattr(cfg, key)}")
+    # The rebalance date must exist in every year, so a non-leap year decides.
+    if not 1 <= cfg.rebalance_month <= 12:
+        raise ConfigError(f"{path}: 'rebalance_month' must be in 1..12, got {cfg.rebalance_month}")
+    try:
+        date(2001, cfg.rebalance_month, cfg.rebalance_day)
+    except ValueError:
+        raise ConfigError(
+            f"{path}: 'rebalance_day' must be a day of month {cfg.rebalance_month} "
+            f"in every year, got {cfg.rebalance_day}"
+        ) from None
     return cfg
 
 

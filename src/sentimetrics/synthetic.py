@@ -25,12 +25,14 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import FirmDictionary, TranscriptRecord
 from .factors import (
+    FACTOR_NAMES,
     MAIN,
     PANEL_COLUMNS,
     PANEL_FIELDS,
@@ -55,41 +57,97 @@ class DeterministicRng:
     0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F.
     ``randint`` uses a modulo draw; its bias is negligible for the small
     ranges used here and keeps the stream arithmetic obvious.
+
+    SplitMix64 is counter-based: draw k from the state s is the mix of
+    s + (k + 1) * gamma.  ``_raw(n)`` mixes a whole block of counters in
+    wrapping numpy ``uint64`` arithmetic and advances the state by n * gamma,
+    so the block methods (``uniforms``, ``randints``, ``normals``) return
+    exactly what the same number of scalar calls would, and the scalar
+    methods are one-element blocks.  The Box-Muller transcendentals stay on
+    ``math``, element by element: ``np.log`` differs from ``math.log`` in the
+    last bit on about 0.35 % of the uniforms (numpy 2.4, x86-64), which would
+    change the bytes of every seed.
     """
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
 
+    def _raw(self, n: int) -> np.ndarray:
+        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GAMMA) & MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-        return z ^ (z >> 31)
+        return int(self._raw(1)[0])
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """n doubles in [0, 1), each the top 53 bits of a draw (exact)."""
+        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def uniform(self) -> float:
-        # 53-bit mantissa in [0, 1).
-        return (self.next_u64() >> 11) * 2.0**-53
+        return float(self.uniforms(1)[0])
 
-    def normal(self) -> float:
-        u1 = self.uniform()
-        while u1 == 0.0:
-            u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    def randints(self, lo: int, hi, n: int) -> np.ndarray:
+        """n integers in [lo, hi]; ``hi`` may be an array of n upper bounds."""
+        spans = np.asarray(hi, dtype=np.int64) - lo + 1
+        if np.any(spans < 1):
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        return (self._raw(n) % spans.astype(np.uint64)).astype(np.int64) + lo
 
     def randint(self, lo: int, hi: int) -> int:
-        if hi < lo:
-            raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+        return int(self.randints(lo, hi, 1)[0])
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
+    def _uniform_rows(self, n: int, width: int) -> np.ndarray:
+        """n rows of ``width`` uniforms, each row's first redrawn while it is 0.0."""
+        start = self._state
+        u = self.uniforms(n * width).reshape(n, width)
+        if np.all(u[:, 0] != 0.0):
+            return u
+        # A redrawn u1 shifts the rest of the stream: rewind and go one by one.
+        self._state = start
+        rows = []
+        for _ in range(n):
+            u1 = self.uniform()
+            while u1 == 0.0:
+                u1 = self.uniform()
+            rows.append([u1] + [self.uniform() for _ in range(width - 1)])
+        return np.array(rows)
+
+    def normals(self, n: int) -> np.ndarray:
+        """n standard normals; u1 = 0.0 is rejected, since log(0) is undefined."""
+        u = self._uniform_rows(n, 2)
+        return _box_muller(u[:, 0], u[:, 1])
+
+    def normal(self) -> float:
+        return float(self.normals(1)[0])
+
+    def normal_uniform_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """What n calls of ``normal`` then ``uniform`` draw, as two arrays."""
+        u = self._uniform_rows(n, 3)
+        return _box_muller(u[:, 0], u[:, 1]), u[:, 2]
 
     def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(0, i)
+        """Fisher-Yates from the back, one block of draws for the whole pass."""
+        n = len(seq)
+        if n < 2:
+            return
+        spans = np.arange(n - 1, 0, -1)
+        for i, j in zip(spans.tolist(), self.randints(0, spans, n - 1).tolist()):
             seq[i], seq[j] = seq[j], seq[i]
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Element by element on ``math``, whose results numpy does not always match."""
+    sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, 2.0 * math.pi
+    return np.array(
+        [sqrt(-2.0 * log(a)) * cos(two_pi * b) for a, b in zip(u1.tolist(), u2.tolist())]
+    )
 
 
 @dataclass
@@ -260,8 +318,10 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
     event_firms = event_firms[: config.n_events]
     events = []
     events_by_day: dict[int, list[PlantedEvent]] = {}
-    for fid in event_firms:
-        idx = rng.randint(config.event_history, n_days - 1 - config.event_tail)
+    event_days = rng.randints(
+        config.event_history, n_days - 1 - config.event_tail, len(event_firms)
+    )
+    for fid, idx in zip(event_firms, event_days.tolist()):
         ev = PlantedEvent(
             firm_id=fid,
             announce_date=calendar[idx],
@@ -275,12 +335,9 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
 
     # Daily sentiment word counts; the sum is odd, so scores are never zero.
     m = config.sentiment_draws
-    n_pos_by_day = np.empty(n_days, dtype=int)
-    for t in range(n_days):
-        if t in events_by_day:
-            n_pos_by_day[t] = m - 3 if config.event_polarity == POSITIVE else 3
-        else:
-            n_pos_by_day[t] = rng.randint(0, m)
+    is_event_day = np.isin(np.arange(n_days), list(events_by_day))
+    n_pos_by_day = np.full(n_days, m - 3 if config.event_polarity == POSITIVE else 3)
+    n_pos_by_day[~is_event_day] = rng.randints(0, m, n_days - len(events_by_day))
     observations = [
         SentimentObservation(
             date=calendar[t],
@@ -297,39 +354,42 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
     signal_at = {cal_index[d]: int(v) for d, v in zip(signal.dates, signal.values)}
     b1 = config.signal_strength
     b0 = -0.5 * b1
-    rmrf = np.empty(n_days)
-    for t in range(n_days):
-        s_lag = signal_at.get(t - config.signal_lag)
-        p_up = 0.5 if s_lag is None else _sigmoid(b0 + b1 * s_lag)
-        magnitude = abs(rng.normal()) * config.market_vol
-        rmrf[t] = magnitude if rng.uniform() < p_up else -magnitude
-
-    factor_arrays = {"rmrf": rmrf}
-    for name in ("smb", "hml", "rmw", "cma"):
-        factor_arrays[name] = np.array([rng.normal() * config.factor_vol for _ in range(n_days)])
+    p_up = np.array(
+        [
+            0.5 if s_lag is None else _sigmoid(b0 + b1 * s_lag)
+            for s_lag in (signal_at.get(t - config.signal_lag) for t in range(n_days))
+        ]
+    )
+    z, u = rng.normal_uniform_pairs(n_days)
+    magnitude = np.abs(z) * config.market_vol
+    factor_arrays = {"rmrf": np.where(u < p_up, magnitude, -magnitude)}
+    for name in FACTOR_NAMES[1:]:
+        factor_arrays[name] = rng.normals(n_days) * config.factor_vol
     rf = np.full(n_days, config.rf_daily)
     factors = FactorSeries(dates=list(calendar), rf=rf, **factor_arrays)
 
     # Firm exposures, then returns linear in the factors plus noise.
     exposures: dict[str, dict[str, float]] = {}
-    for fid in firm_ids:
+    draws = rng.uniforms(5 * config.n_firms).reshape(-1, 5).tolist()
+    for fid, (u_rmrf, u_smb, u_hml, u_rmw, u_cma) in zip(firm_ids, draws):
         exposures[fid] = {
             "alpha": 0.0,
-            "rmrf": 0.6 + 0.8 * rng.uniform(),
-            "smb": -0.5 + rng.uniform(),
-            "hml": -0.5 + rng.uniform(),
-            "rmw": -0.5 + rng.uniform(),
-            "cma": -0.5 + rng.uniform(),
+            "rmrf": 0.6 + 0.8 * u_rmrf,
+            "smb": -0.5 + u_smb,
+            "hml": -0.5 + u_hml,
+            "rmw": -0.5 + u_rmw,
+            "cma": -0.5 + u_cma,
         }
 
     # Static firm fundamentals; characteristics only matter at rebalance dates.
     fundamentals = {}
-    for i, fid in enumerate(firm_ids):
-        cap = math.exp(math.log(1e8) + rng.uniform() * (math.log(1e11) - math.log(1e8)))
-        be = cap * (0.3 + 1.2 * rng.uniform())
-        oi = be * (-0.1 + 0.4 * rng.uniform())
-        ta = cap * (0.5 + 1.5 * rng.uniform())
-        growth = -0.2 + 0.5 * rng.uniform()
+    draws = rng.uniforms(5 * config.n_firms).reshape(-1, 5).tolist()
+    for i, (fid, (u_cap, u_be, u_oi, u_ta, u_growth)) in enumerate(zip(firm_ids, draws)):
+        cap = math.exp(math.log(1e8) + u_cap * (math.log(1e11) - math.log(1e8)))
+        be = cap * (0.3 + 1.2 * u_be)
+        oi = be * (-0.1 + 0.4 * u_oi)
+        ta = cap * (0.5 + 1.5 * u_ta)
+        growth = -0.2 + 0.5 * u_growth
         fundamentals[fid] = {
             "market_cap": cap,
             "exchange": MAIN if i % 3 < 2 else SECONDARY,
@@ -339,33 +399,27 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
             "total_assets_prior": ta / (1.0 + growth),
         }
 
-    protected: dict[str, set[int]] = {}
-    for ev in events:
-        lo = max(0, ev.day_index - config.event_tail)
-        hi = min(n_days - 1, ev.day_index + config.event_tail)
-        protected[ev.firm_id] = set(range(lo, hi + 1))
+    # Rows in firm_ids order, each term added in the same order for every
+    # cell; the noise is drawn day by day, firm by firm.
+    def exposure(name: str) -> np.ndarray:
+        return np.array([exposures[fid][name] for fid in firm_ids])
 
-    returns = np.empty((config.n_firms, n_days))  # rows in firm_ids order
+    returns = np.repeat((config.rf_daily + exposure("alpha"))[:, None], n_days, axis=1)
+    for name in FACTOR_NAMES:
+        returns += np.outer(exposure(name), factor_arrays[name])
     for t in range(n_days):
-        for i, fid in enumerate(firm_ids):
-            ex = exposures[fid]
-            r = config.rf_daily + ex["alpha"]
-            for name in ("rmrf", "smb", "hml", "rmw", "cma"):
-                r += ex[name] * factor_arrays[name][t]
-            r += rng.normal() * config.idio_vol
-            returns[i, t] = r
+        returns[:, t] += rng.normals(config.n_firms) * config.idio_vol
+    protected = np.zeros(returns.shape, dtype=bool)
     for ev in events:
+        i = firm_ids.index(ev.firm_id)
         w0, w1 = ev.window
-        for rel in range(w0, w1 + 1):
-            t = ev.day_index + rel
-            if 0 <= t < n_days:
-                returns[firm_ids.index(ev.firm_id), t] += ev.effect
+        returns[i, max(0, ev.day_index + w0) : max(0, ev.day_index + w1 + 1)] += ev.effect
+        tail = config.event_tail
+        protected[i, max(0, ev.day_index - tail) : ev.day_index + tail + 1] = True
     # Exact-zero days feed the zero-return share; event windows stay intact.
     for t in range(n_days):
-        for i, fid in enumerate(firm_ids):
-            hit = rng.uniform() < config.zero_return_rate
-            if hit and t not in protected.get(fid, ()):
-                returns[i, t] = 0.0
+        hit = rng.uniforms(config.n_firms) < config.zero_return_rate
+        returns[hit & ~protected[:, t], t] = 0.0
 
     # Every firm trades every day; fundamentals are constant along each row.
     order = sorted(range(config.n_firms), key=firm_ids.__getitem__)
@@ -384,21 +438,23 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
         **{name: constant_rows(name) for name in PANEL_FIELDS if name != "daily_return"},
     )
 
-    # Transcripts: one script per day reproducing the planted counts.
+    # Transcripts: one script per day reproducing the planted counts.  A day
+    # draws, in order: a noise firm, the words, 5-12 fillers and a shuffle.
     transcripts = []
-    for t in range(n_days):
+    for t, n_pos in enumerate(n_pos_by_day.tolist()):
         tokens: list[str] = []
         for ev in events_by_day.get(t, []):
             a, b = _aliases(firm_ids.index(ev.firm_id))
             tokens += [a, a, b, b]
-        noise_firm = rng.randint(0, config.n_firms - 1)
+        hi = np.repeat(
+            [config.n_firms - 1, len(pos_words) - 1, len(neg_words) - 1, 12 - 5],
+            [1, n_pos, m - n_pos, 1],
+        )
+        noise_firm, *words, extra_fillers = rng.randints(0, hi, len(hi)).tolist()
         tokens.append(_aliases(noise_firm)[0])
-        for _ in range(int(n_pos_by_day[t])):
-            tokens.append(rng.choice(pos_words))
-        for _ in range(m - int(n_pos_by_day[t])):
-            tokens.append(rng.choice(neg_words))
-        for _ in range(rng.randint(5, 12)):
-            tokens.append(f"filler{rng.randint(0, 999)}")
+        tokens += [pos_words[k] for k in words[:n_pos]]
+        tokens += [neg_words[k] for k in words[n_pos:]]
+        tokens += [f"filler{k}" for k in rng.randints(0, 999, 5 + extra_fillers).tolist()]
         rng.shuffle(tokens)
         transcripts.append(
             TranscriptRecord(
@@ -487,19 +543,39 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
         "\n".join(sorted(dataset.lexicon.negative)) + "\n", encoding="utf-8"
     )
 
+    # Every panel field is an id, an ISO date, a float repr or an exchange
+    # name, none of which CSV quotes, so each day is joined and written at once.
     panel = dataset.panel
+    exchange = np.where(panel.is_main, MAIN, SECONDARY)
+    text_of: dict[int, str] = {}  # keyed by bit pattern: -0.0 and NaN keep their own text
+
+    def constant_texts(values: np.ndarray) -> list[str]:
+        """The reprs of values that repeat day after day, each made once."""
+        keys = values.view(np.uint64).tolist()
+        try:
+            return [text_of[k] for k in keys]
+        except KeyError:
+            text_of.update(zip(keys, map(repr, values.tolist())))
+            return [text_of[k] for k in keys]
+
     with paths["panel"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PANEL_COLUMNS)
-        exchange = np.where(panel.is_main, MAIN, SECONDARY)
+        fh.write(",".join(PANEL_COLUMNS) + "\n")
         for t, d in enumerate(panel.calendar):
             day = d.isoformat()
-            ret, cap, be, oi, ta, tap = (
-                [repr(x) for x in getattr(panel, name)[:, t].tolist()] for name in PANEL_FIELDS
+            rows = np.flatnonzero(panel.present[:, t])
+            ret = map(repr, panel.daily_return[rows, t].tolist())
+            cap, be, oi, ta, tap = (
+                constant_texts(getattr(panel, name)[rows, t]) for name in PANEL_FIELDS[1:]
             )
-            for i in np.flatnonzero(panel.present[:, t]).tolist():
-                row = [panel.firms[i], day, ret[i], cap[i], exchange[i, t]]
-                writer.writerow(row + [be[i], oi[i], ta[i], tap[i]])
+            firms = [panel.firms[i] for i in rows.tolist()]
+            fh.write(
+                "".join(
+                    f"{f},{day},{r},{c},{x},{b},{o},{a},{p}\n"
+                    for f, r, c, x, b, o, a, p in zip(
+                        firms, ret, cap, exchange[rows, t].tolist(), be, oi, ta, tap
+                    )
+                )
+            )
 
     write_factors_csv(dataset.factors, paths["factors"])
 
@@ -509,21 +585,18 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
         for i, d in enumerate(calendar):
             writer.writerow([d.isoformat(), repr(float(dataset.factors.rf[i]))])
 
-    nsi = 100.0
-    with paths["nsi"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "nsi"])
-        for d in calendar:
-            nsi += rng.normal()
-            writer.writerow([d.isoformat(), repr(float(nsi))])
-
-    rate = 0.02
-    with paths["short_rate"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "short_rate"])
-        for d in calendar:
-            rate += rng.normal() * 1e-4
-            writer.writerow([d.isoformat(), repr(float(rate))])
+    # Random walks, summed in Python floats step by step.
+    walks = {
+        "nsi": accumulate(rng.normals(len(calendar)).tolist(), initial=100.0),
+        "short_rate": accumulate((rng.normals(len(calendar)) * 1e-4).tolist(), initial=0.02),
+    }
+    for key, walk in walks.items():
+        next(walk)  # the starting level is not a row
+        with paths[key].open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["date", key])
+            for d, level in zip(calendar, walk):
+                writer.writerow([d.isoformat(), repr(level)])
 
     with paths["ground_truth"].open("w", encoding="utf-8") as fh:
         json.dump(dataset.truth.to_json_dict(), fh, indent=2, sort_keys=True)

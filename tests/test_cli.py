@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -331,6 +332,33 @@ def test_load_config_rejects_mistyped_values(tmp_path, key, value):
     p.write_text(json.dumps({key: value}), encoding="utf-8")
     with pytest.raises(ConfigError, match=f"'{key}' must be"):
         load_config(p)
+
+
+@pytest.mark.parametrize(
+    "month, day, key",
+    [
+        (13, 1, "rebalance_month"),
+        (0, 1, "rebalance_month"),
+        (7, 0, "rebalance_day"),
+        (4, 31, "rebalance_day"),
+        (2, 29, "rebalance_day"),
+    ],
+)
+def test_load_config_rejects_rebalance_dates_outside_the_calendar(tmp_path, month, day, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"rebalance_month": month, "rebalance_day": day}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: '{key}' must be")):
+        load_config(p)
+
+
+def test_bad_rebalance_date_stops_all_before_any_stage(tmp_path, capsys):
+    cfg_path = _make_dataset(tmp_path)
+    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg.update(rebalance_month=13, factors_csv=None)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    assert "'rebalance_month' must be" in capsys.readouterr().err
+    assert not (cfg_path.parent / cfg["out_dir"]).exists()
 
 
 def test_load_config_keeps_exact_json_types(tmp_path):

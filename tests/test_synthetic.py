@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from datetime import date
 
 import numpy as np
@@ -67,6 +69,147 @@ def test_rng_shuffle_is_permutation():
     rng.shuffle(shuffled)
     assert sorted(shuffled) == seq
     assert shuffled != seq
+
+
+# The pure-Python SplitMix64 with Box-Muller, one draw at a time: the
+# reference the block draws must reproduce exactly.
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
+
+
+def mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
+    return z ^ (z >> 31)
+
+
+def unmix(z: int) -> int:
+    """The inverse of `mix`: the mixer is a bijection of 64-bit words."""
+
+    def unshift(y: int, s: int) -> int:  # inverse of x ^ (x >> s)
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = (z * pow(MIX2, -1, 1 << 64)) & MASK64
+    z = unshift(z, 27)
+    z = (z * pow(MIX1, -1, 1 << 64)) & MASK64
+    return unshift(z, 30)
+
+
+class ScalarSplitMix64:
+    def __init__(self, seed: int):
+        self.state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GAMMA) & MASK64
+        return mix(self.state)
+
+    def uniform(self) -> float:
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def normal(self) -> float:
+        u1 = self.uniform()
+        while u1 == 0.0:
+            u1 = self.uniform()
+        u2 = self.uniform()
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def randint(self, lo: int, hi: int) -> int:
+        return lo + self.next_u64() % (hi - lo + 1)
+
+    def shuffle(self, seq: list) -> None:
+        for i in range(len(seq) - 1, 0, -1):
+            j = self.randint(0, i)
+            seq[i], seq[j] = seq[j], seq[i]
+
+
+def seed_with_small_draw(position: int, raw: int) -> int:
+    """A seed whose draw at 0-based `position` is the raw output `raw`."""
+    return (unmix(raw) - (position + 1) * GAMMA) & MASK64
+
+
+# Wrapping uint64 arithmetic must wrap silently, not through a warning.
+strict = pytest.mark.filterwarnings("error")
+
+
+@strict
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+def test_block_raw_draws_match_the_scalar_reference(seed):
+    ref = ScalarSplitMix64(seed)
+    want = [ref.next_u64() for _ in range(10_000)]
+    rng = DeterministicRng(seed)
+    got = rng._raw(1).tolist() + rng._raw(2999).tolist() + rng._raw(7000).tolist()
+    assert got == want
+    assert rng.next_u64() == ref.next_u64()
+
+
+@strict
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+def test_block_uniforms_and_randints_match_the_scalar_reference(seed):
+    ref = ScalarSplitMix64(seed)
+    rng = DeterministicRng(seed)
+    assert rng.uniforms(3000).tolist() == [ref.uniform() for _ in range(3000)]
+    assert rng.randints(-4, 9, 500).tolist() == [ref.randint(-4, 9) for _ in range(500)]
+    hi = np.arange(2000) % 997 + 3
+    want = [ref.randint(3, h) for h in hi.tolist()]
+    assert rng.randints(3, hi, len(hi)).tolist() == want
+    assert rng.randint(0, 2**62) == ref.randint(0, 2**62)
+    with pytest.raises(ValueError):
+        rng.randints(0, np.array([3, -1]), 2)
+
+
+@strict
+def test_block_shuffle_matches_the_scalar_reference():
+    ref = ScalarSplitMix64(77)
+    rng = DeterministicRng(77)
+    want = [f"token{i}" for i in range(1200)]
+    got = list(want)
+    ref.shuffle(want)
+    rng.shuffle(got)
+    assert got == want
+    one = ["only"]
+    rng.shuffle(one)
+    assert one == ["only"] and rng.next_u64() == ref.next_u64()
+
+
+@strict
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+def test_block_normals_match_the_scalar_reference(seed):
+    ref = ScalarSplitMix64(seed)
+    rng = DeterministicRng(seed)
+    assert rng.normals(2000).tolist() == [ref.normal() for _ in range(2000)]
+    z, u = rng.normal_uniform_pairs(700)
+    want = [(ref.normal(), ref.uniform()) for _ in range(700)]
+    assert (z.tolist(), u.tolist()) == ([a for a, _ in want], [b for _, b in want])
+    assert rng.normal() == ref.normal()
+
+
+@strict
+@pytest.mark.parametrize("raw", [0, (1 << 11) - 1])
+def test_block_normals_keep_the_stream_through_a_rejected_u1(raw):
+    # Draw 10 is the u1 of the sixth normal; its top 53 bits are zero, so it
+    # is rejected and the rest of the stream shifts by one draw.
+    seed = seed_with_small_draw(10, raw)
+    ref = ScalarSplitMix64(seed)
+    assert [ref.next_u64() for _ in range(11)][10] == raw
+
+    ref = ScalarSplitMix64(seed)
+    rng = DeterministicRng(seed)
+    assert rng.normals(12).tolist() == [ref.normal() for _ in range(12)]
+    assert rng.next_u64() == ref.next_u64()
+
+    # Two draws earlier in the stream, it is the u1 of the fifth (normal, uniform) pair.
+    ref = ScalarSplitMix64(seed - 2 * GAMMA)
+    rng = DeterministicRng(seed - 2 * GAMMA)
+    z, u = rng.normal_uniform_pairs(8)
+    want = [(ref.normal(), ref.uniform()) for _ in range(8)]
+    assert (z.tolist(), u.tolist()) == ([a for a, _ in want], [b for _, b in want])
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_trading_calendar_weekdays_only():
@@ -312,3 +455,48 @@ def test_controls_walks_cover_calendar(tmp_path):
     assert len(sr_lines) == cfg.n_days + 1
     nsi_vals = [float(line.split(",")[1]) for line in nsi_lines[1:]]
     assert len(set(nsi_vals)) > 1  # a walk, not a constant
+
+
+# The sha256 of every written file, recorded before the generator drew its
+# numbers in blocks: a seed must keep its bytes.
+PINNED_DATASETS = [
+    (
+        dict(seed=0),
+        {
+            "exclusions": "e2600c9bf8c348a3ffd1138ae2435673370ea339daa94ca7c7446576fa3e8514",
+            "factors": "33fe744635c2be1bf85897934daf64ffff23b4dd562b7c19720e21be1d488585",
+            "firm_names": "3ff6b6400641a4112a1638f7b9437888ec1abea2581304c3d381d9af6c716ac5",
+            "ground_truth": "6cfa948062a29d7e5ffb2d14e40d5704184e22ebc08b4c9ffa5c6cadd742e1ae",
+            "lexicon_negative": "92e8bc982556321cb8a99f5fb3e758d6811834bb07a92976c9c3d093d593546a",
+            "lexicon_positive": "6786138532020ca2563dd067ea6ebd116369fdb7de57341eb1f5b4e359213de3",
+            "nsi": "b17dc94ccb1c8548496b1911e7d9be273ab1bbfc50e17af9fcbf5d11707e3767",
+            "panel": "0f3cf8f7e0fe9c9d832dc5179a9be2045e5344af2b5c0b06fdb874d06ba009c2",
+            "rf": "e0f542d33592f18878ec12957b482521273c4481d02bcce7a6dd0b0e88af7ddb",
+            "short_rate": "c223344543cf58fdb92fe8eb8285bd90d097489d049a50c4279ff46739410a81",
+            "transcripts": "f326e5cc546d68758e1159b4162538569206a43ac534e4cbdcf4e764736b08c2",
+        },
+    ),
+    (
+        dict(seed=3, event_polarity="positive", n_events=5, factor_construction=True),
+        {
+            "exclusions": "e2600c9bf8c348a3ffd1138ae2435673370ea339daa94ca7c7446576fa3e8514",
+            "factors": "7e09c12e6619a504f4dcbfa9929b73fae2fb19b3b3f49d789d4aead2b79a9772",
+            "firm_names": "3ff6b6400641a4112a1638f7b9437888ec1abea2581304c3d381d9af6c716ac5",
+            "ground_truth": "7d4079e72e7b1740ab5a198b50ec7d0cc3617e58027fc13df6b07076c683338c",
+            "lexicon_negative": "92e8bc982556321cb8a99f5fb3e758d6811834bb07a92976c9c3d093d593546a",
+            "lexicon_positive": "6786138532020ca2563dd067ea6ebd116369fdb7de57341eb1f5b4e359213de3",
+            "nsi": "9d81c4077cbae8c41d65235fadf31a27f8293c090e64885cfff9f91eb3d7b61a",
+            "panel": "14937319c607dc4718ab4c9fedb4fd1933f2cedd7cef7369caf57ff7a1446823",
+            "rf": "e0f542d33592f18878ec12957b482521273c4481d02bcce7a6dd0b0e88af7ddb",
+            "short_rate": "0716b4b03ed8709261e87f3a76221dfda76dc2409c6c81fe766c8886cda8c5b9",
+            "transcripts": "032125028233e865846183bcd82fa35cbb335c3177f99b7b6a8256d95385ef96",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, want", PINNED_DATASETS)
+def test_written_files_keep_their_pinned_bytes(tmp_path, overrides, want):
+    paths = write_dataset(gen_dataset(SynthConfig(**overrides)), tmp_path)
+    got = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
+    assert got == want
