@@ -12,7 +12,6 @@ the default output tree deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -25,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, econometrics, eventstudy, factors as factormod, sentiment, synthetic, timing
+from . import corpus, econometrics, eventstudy, factors as factormod, sentiment, synthetic
+from . import tables, timing
 
 PROG = "sentimetrics"
 
@@ -245,45 +245,6 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Small CSV helpers for intermediates owned by the CLI.
-
-
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> int:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-    return len(rows)
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _write_events_csv(path: Path, events: list[sentiment.StockSentimentEvent]) -> int:
-    return _write_rows(
-        path,
-        ["firm_id", "announce_date", "sentiment", "polarity"],
-        [[e.firm_id, e.announce_date.isoformat(), _fmt(e.sentiment), e.polarity] for e in events],
-    )
-
-
-def _read_events_csv(path: Path) -> list[sentiment.StockSentimentEvent]:
-    out = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(
-                sentiment.StockSentimentEvent(
-                    firm_id=row["firm_id"],
-                    announce_date=date.fromisoformat(row["announce_date"]),
-                    sentiment=float(row["sentiment"]),
-                    polarity=row["polarity"],
-                )
-            )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Stages.  Each returns {filename: row_count} plus optional notes for the manifest.
 
 
@@ -293,17 +254,15 @@ def stage_ingest(cfg: RunConfig) -> dict:
         cfg.input_path("firm_names_csv", "ingest"), cfg.inputs.get("exclusions_txt")
     )
     days = corpus.build_days(records)
-    mention_rows = []
-    for day in days:
-        mset = corpus.extract_mentions(day, dictionary, cfg.min_mentions)
-        for firm_id, count in mset.mentions:
-            mention_rows.append([day.date.isoformat(), firm_id, count])
-    n_days = _write_rows(
-        cfg.out_path("days"),
-        ["date", "source_count", "n_tokens"],
-        [[d.date.isoformat(), d.source_count, len(d.tokens)] for d in days],
+    mentions = [
+        (day.date, firm_id, count)
+        for day in days
+        for firm_id, count in corpus.extract_mentions(day, dictionary, cfg.min_mentions).mentions
+    ]
+    n_days = tables.write_rows(
+        cfg.out_path("days"), tables.DAYS, [(d.date, d.source_count, len(d.tokens)) for d in days]
     )
-    n_mentions = _write_rows(cfg.out_path("mentions"), ["date", "firm_id", "count"], mention_rows)
+    n_mentions = tables.write_rows(cfg.out_path("mentions"), tables.MENTIONS, mentions)
     return {"rows": {OUT_FILES["days"]: n_days, OUT_FILES["mentions"]: n_mentions}}
 
 
@@ -316,25 +275,18 @@ def stage_sentiment(cfg: RunConfig) -> dict:
     )
     days = corpus.build_days(records)
     observations = [sentiment.score_day(day, lexicon) for day in days]
-    sentiment.write_sentiment_csv(observations, cfg.out_path("sentiment"))
+    n_scores = tables.write_items(cfg.out_path("sentiment"), tables.SENTIMENT, observations)
 
     by_date: dict[date, list[tuple[str, int]]] = {}
-    with mentions_path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            by_date.setdefault(date.fromisoformat(row["date"]), []).append(
-                (row["firm_id"], int(row["count"]))
-            )
+    for d, firm_id, count in zip(*tables.read_table(mentions_path, tables.MENTIONS).values()):
+        by_date.setdefault(d, []).append((firm_id, count))
     mention_sets = [corpus.MentionSet(date=d, mentions=by_date[d]) for d in sorted(by_date)]
     events, skipped = sentiment.build_stock_events(mention_sets, observations)
-    n_events = _write_events_csv(cfg.out_path("events"), events)
-    n_skips = _write_rows(
-        cfg.out_path("event_skips"),
-        ["firm_id", "date", "reason"],
-        [[s.firm_id, s.date.isoformat(), s.reason] for s in skipped],
-    )
+    n_events = tables.write_items(cfg.out_path("events"), tables.EVENTS, events)
+    n_skips = tables.write_items(cfg.out_path("event_skips"), tables.EVENT_SKIPS, skipped)
     return {
         "rows": {
-            OUT_FILES["sentiment"]: len(observations),
+            OUT_FILES["sentiment"]: n_scores,
             OUT_FILES["events"]: n_events,
             OUT_FILES["event_skips"]: n_skips,
         }
@@ -357,14 +309,18 @@ def stage_factors(cfg: RunConfig) -> dict:
             min_breakpoint_stocks=cfg.min_breakpoint_stocks,
         )
         source = "constructed"
-    factormod.write_factors_csv(series, cfg.out_path("factors"))
+    tables.write_table(
+        cfg.out_path("factors"), tables.FACTORS, tables.dated_columns(series, tables.FACTORS)
+    )
 
     controls = factormod.load_controls(
         cfg.input_path("nsi_csv", "factors"),
         cfg.input_path("short_rate_csv", "factors"),
         panel,
     )
-    n_controls = factormod.write_controls_csv(controls, cfg.out_path("controls"))
+    n_controls = tables.write_table(
+        cfg.out_path("controls"), tables.CONTROLS, tables.dated_columns(controls, tables.CONTROLS)
+    )
     return {
         "rows": {OUT_FILES["factors"]: len(series.dates), OUT_FILES["controls"]: n_controls},
         "factor_source": source,
@@ -372,30 +328,22 @@ def stage_factors(cfg: RunConfig) -> dict:
 
 
 def stage_eventstudy(cfg: RunConfig) -> dict:
-    events = _read_events_csv(cfg.require_upstream("events", "sentiment"))
+    table = tables.read_table(cfg.require_upstream("events", "sentiment"), tables.EVENTS)
+    events = [sentiment.StockSentimentEvent(*row) for row in zip(*table.values())]
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
     run = eventstudy.run_event_study(events, cfg.panel("eventstudy"), series, cfg.window)
 
-    rows = []
-    for group in sorted(run.results):
-        res = run.results[group]
-        for k, rel in enumerate(res.rel_days):
-            rows.append(
-                [
-                    group,
-                    int(rel),
-                    _fmt(res.aar[k]),
-                    _fmt(res.caar[k]),
-                    int(res.n_events_per_day[k]),
-                ]
-            )
-    n_rows = _write_rows(
-        cfg.out_path("event_study"), ["group", "relative_day", "aar", "caar", "n_events"], rows
+    n_rows = tables.write_rows(
+        cfg.out_path("event_study"),
+        tables.EVENT_STUDY,
+        [
+            (group, *day)
+            for group, res in sorted(run.results.items())
+            for day in zip(res.rel_days, res.aar, res.caar, res.n_events_per_day)
+        ],
     )
-    n_excl = _write_rows(
-        cfg.out_path("event_exclusions"),
-        ["firm_id", "announce_date", "reason"],
-        [[e.firm_id, e.announce_date.isoformat(), e.reason] for e in run.exclusions],
+    n_excl = tables.write_items(
+        cfg.out_path("event_exclusions"), tables.EVENT_EXCLUSIONS, run.exclusions
     )
     return {
         "rows": {OUT_FILES["event_study"]: n_rows, OUT_FILES["event_exclusions"]: n_excl},
@@ -404,10 +352,14 @@ def stage_eventstudy(cfg: RunConfig) -> dict:
     }
 
 
+def _timing_observations(cfg: RunConfig) -> list[sentiment.SentimentObservation]:
+    table = tables.read_table(cfg.require_upstream("sentiment", "sentiment"), tables.SENTIMENT)
+    rows = zip(*table.values())
+    return timing.timing_observations([sentiment.SentimentObservation(*row) for row in rows])
+
+
 def stage_timing(cfg: RunConfig) -> dict:
-    observations = timing.timing_observations(
-        sentiment.read_sentiment_csv(cfg.require_upstream("sentiment", "sentiment"))
-    )
+    observations = _timing_observations(cfg)
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
     calendar = series.dates
 
@@ -421,16 +373,18 @@ def stage_timing(cfg: RunConfig) -> dict:
             signals.append(sig)
         else:
             skipped_n.append(n)
-    timing.write_signals_csv(signals, cfg.out_path("signals"))
-
     entries = timing.r2_scan(signals, calendar, series.rmrf, lag=cfg.signal_lag)
-    timing.write_scan_csv(entries, cfg.out_path("r2_scan"))
-
-    summary_rows = []
     rows_by_file = {
-        OUT_FILES["signals"]: sum(len(s.dates) for s in signals),
-        OUT_FILES["r2_scan"]: len(entries),
+        OUT_FILES["signals"]: tables.write_rows(
+            cfg.out_path("signals"), tables.SIGNALS, timing.signal_rows(signals)
+        ),
+        OUT_FILES["r2_scan"]: tables.write_rows(
+            cfg.out_path("r2_scan"),
+            tables.R2_SCAN,
+            [(e.n, e.lag, e.r2, e.corr_sign) for e in entries],
+        ),
     }
+    summary = []
     for sig in signals:
         try:
             result = timing.backtest_strategy(sig, calendar, series.rmrf, lag=cfg.signal_lag)
@@ -439,29 +393,19 @@ def stage_timing(cfg: RunConfig) -> dict:
             skipped_n.append(sig.n)
             continue
         name = f"backtest_N{sig.n:02d}.csv"
-        timing.write_backtest_csv(result, cfg.out_dir / name)
-        rows_by_file[name] = len(result.dates)
-        summary_rows.append(
-            [
+        rows_by_file[name] = timing.write_backtest_csv(result, cfg.out_dir / name)
+        summary.append(
+            (
                 sig.n,
                 len(result.dates),
-                _fmt(result.strategy_equity[-1]),
-                _fmt(result.benchmark_equity[-1]),
-                _fmt(result.outperformance),
-                _fmt(result.outperformance_geometric),
-            ]
+                result.strategy_equity[-1],
+                result.benchmark_equity[-1],
+                result.outperformance,
+                result.outperformance_geometric,
+            )
         )
-    rows_by_file[OUT_FILES["backtest_summary"]] = _write_rows(
-        cfg.out_path("backtest_summary"),
-        [
-            "N",
-            "n_days",
-            "strategy_equity",
-            "benchmark_equity",
-            "outperformance",
-            "outperformance_geometric",
-        ],
-        summary_rows,
+    rows_by_file[OUT_FILES["backtest_summary"]] = tables.write_rows(
+        cfg.out_path("backtest_summary"), tables.BACKTEST_SUMMARY, summary
     )
     out = {"rows": rows_by_file}
     if skipped_n:
@@ -470,9 +414,7 @@ def stage_timing(cfg: RunConfig) -> dict:
 
 
 def stage_regress(cfg: RunConfig) -> dict:
-    observations = timing.timing_observations(
-        sentiment.read_sentiment_csv(cfg.require_upstream("sentiment", "sentiment"))
-    )
+    observations = _timing_observations(cfg)
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
     controls = factormod.read_controls_csv(cfg.require_upstream("controls", "factors"))
     signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
@@ -490,14 +432,16 @@ def stage_regress(cfg: RunConfig) -> dict:
         robust=cfg.robust_se,
         with_ols=cfg.with_ols,
     )
-    econometrics.write_regressions_csv(regset, cfg.out_path("regressions_csv"))
+    tables.write_rows(
+        cfg.out_path("regressions_csv"), tables.REGRESSIONS, econometrics.regression_rows(regset)
+    )
     report = econometrics.render_report(regset)
     if cfg.with_ols:
         report += "\n" + econometrics.render_report(regset, model=econometrics.OLS)
     cfg.out_path("regressions_txt").write_text(report, encoding="utf-8")
-    n_rows = len(regset.logit) + len(regset.ols)
+    n_fits = len(regset.logit) + len(regset.ols)
     return {
-        "rows": {OUT_FILES["regressions_csv"]: n_rows},
+        "rows": {OUT_FILES["regressions_csv"]: n_fits},
         "n_obs": {k: r.n_obs for k, r in sorted(regset.logit.items())},
     }
 

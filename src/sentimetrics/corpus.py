@@ -44,9 +44,6 @@ class FirmDictionary:
     entries: list[tuple[str, list[str]]]
     exclusions: set[str] = field(default_factory=set)
 
-    def names_by_firm(self) -> dict[str, list[str]]:
-        return {firm_id: list(names) for firm_id, names in self.entries}
-
 
 @dataclass
 class MentionSet:

@@ -12,9 +12,7 @@ point estimates with t-values in parentheses underneath.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -395,27 +393,11 @@ def render_report(regset: TimingRegressionSet, model: str = LOGIT) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_regressions_csv(regset: TimingRegressionSet, path: str | Path) -> None:
-    """Long-form dump: `spec,term,estimate,std_err,t_value,n_obs` (OLS specs prefixed)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["spec", "term", "estimate", "std_err", "t_value", "n_obs"])
-        for label, results in (("", regset.logit), ("ols_", regset.ols)):
-            for spec_id in sorted(results):
-                res = results[spec_id]
-                for i, term in enumerate(res.terms):
-                    writer.writerow(
-                        [
-                            f"{label}{spec_id}",
-                            term,
-                            repr(float(res.estimates[i])),
-                            repr(float(res.std_errs[i])),
-                            repr(float(res.t_values[i])),
-                            res.n_obs,
-                        ]
-                    )
-
-
-def read_regressions_csv(path: str | Path) -> list[dict[str, str]]:
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+def regression_rows(regset: TimingRegressionSet) -> list[tuple]:
+    """The long-form table (tables.REGRESSIONS): one row per (spec, term), OLS specs prefixed."""
+    return [
+        (f"{label}{spec_id}", *term, res.n_obs)
+        for label, results in (("", regset.logit), ("ols_", regset.ols))
+        for spec_id, res in sorted(results.items())
+        for term in zip(res.terms, res.estimates, res.std_errs, res.t_values)
+    ]

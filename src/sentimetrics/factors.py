@@ -25,7 +25,6 @@ Conventions this module pins down (the panel interface leaves them open):
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -34,13 +33,12 @@ from typing import Mapping
 
 import numpy as np
 
+from . import tables
+from .tables import PanelFormatError, _parse_date, _parse_float
+
 MAIN = "main"
 SECONDARY = "secondary"
 FACTOR_NAMES = ("rmrf", "smb", "hml", "rmw", "cma")
-
-
-class PanelFormatError(ValueError):
-    """Malformed panel, factor, or control input file."""
 
 
 class DegenerateBreakpointsError(ValueError):
@@ -219,27 +217,6 @@ class ControlSeries:
     pct_zero: np.ndarray
 
 
-def _parse_float(value: str, path: Path, lineno: int, field_name: str) -> float:
-    try:
-        x = float(value)
-    except ValueError:
-        raise PanelFormatError(
-            f"{path}: row {lineno}: field '{field_name}': not a number: {value!r}"
-        ) from None
-    if math.isnan(x) or math.isinf(x):
-        raise PanelFormatError(f"{path}: row {lineno}: field '{field_name}': non-finite value")
-    return x
-
-
-def _parse_date(value: str, path: Path, lineno: int) -> date:
-    try:
-        return date.fromisoformat(value.strip())
-    except ValueError:
-        raise PanelFormatError(
-            f"{path}: row {lineno}: field 'date': invalid date {value!r}"
-        ) from None
-
-
 PANEL_COLUMNS = [
     "firm_id",
     "date",
@@ -311,7 +288,7 @@ def _read_columns_by_row(
                         f"{path}: row {lineno}: expected {len(PANEL_COLUMNS)} fields, "
                         f"got {len(row)}"
                     )
-                _parse_date(row[1], path, lineno)
+                _parse_date(row[1], path, lineno, "date")
                 parsed = [
                     _parse_float(row[j], path, lineno, PANEL_COLUMNS[j]) for j in _FLOAT_COLUMNS
                 ]
@@ -561,27 +538,13 @@ def compute_pct_zero(panel: SecurityPanel, d: date) -> float:
     return float(_zero_share(panel.present[:, t], panel.daily_return[:, t]))
 
 
-def _read_two_column_csv(path: str | Path, value_column: str) -> dict[date, float]:
-    path = Path(path)
-    out: dict[date, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", value_column]:
-            raise PanelFormatError(f"{path}: expected header 'date,{value_column}'")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise PanelFormatError(f"{path}: row {lineno}: expected 2 fields")
-            d = _parse_date(row[0], path, lineno)
-            if d in out:
-                raise PanelFormatError(f"{path}: row {lineno}: duplicate date {d}")
-            out[d] = _parse_float(row[1], path, lineno, value_column)
-    return out
+def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:
+    return dict(zip(*tables.read_table(path, schema).values()))
 
 
 def read_rf_csv(path: str | Path) -> dict[date, float]:
     """Read a ``date,rf`` series used as the risk-free leg in factor construction."""
-    return _read_two_column_csv(path, "rf")
+    return _dated_values(path, tables.RF)
 
 
 def _align_control(
@@ -607,9 +570,9 @@ def load_controls(
 ) -> ControlSeries:
     """Load NSI and short-rate files and align them (plus pct_zero) to the panel calendar."""
     calendar = panel.calendar
-    nsi = _align_control(_read_two_column_csv(nsi_path, "nsi"), calendar, "nsi")
+    nsi = _align_control(_dated_values(nsi_path, tables.NSI), calendar, "nsi")
     short_rate = _align_control(
-        _read_two_column_csv(short_rate_path, "short_rate"), calendar, "short_rate"
+        _dated_values(short_rate_path, tables.SHORT_RATE), calendar, "short_rate"
     )
     d_nsi = np.full(len(calendar), np.nan)
     d_nsi[1:] = nsi[1:] - nsi[:-1]  # NaN wherever either day is uncovered
@@ -622,67 +585,15 @@ def load_controls(
     )
 
 
-FACTOR_CSV_COLUMNS = ["date", "rmrf", "smb", "hml", "rmw", "cma", "rf"]
-
-
-def _read_dated_columns(
-    path: Path, columns: list[str], blank_is_nan: bool = False
-) -> tuple[list[date], dict[str, np.ndarray]]:
-    """Read a ``date,<columns...>`` CSV into the date list and one array per column."""
-    dates: list[date] = []
-    cols: dict[str, list[float]] = {name: [] for name in columns[1:]}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != columns:
-            raise PanelFormatError(f"{path}: expected header {','.join(columns)!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(columns):
-                raise PanelFormatError(f"{path}: row {lineno}: expected {len(columns)} fields")
-            dates.append(_parse_date(row[0], path, lineno))
-            for name, value in zip(columns[1:], row[1:]):
-                if blank_is_nan and not value.strip():
-                    cols[name].append(math.nan)
-                else:
-                    cols[name].append(_parse_float(value, path, lineno, name))
-    return dates, {name: np.array(v, dtype=float) for name, v in cols.items()}
-
-
 def read_factors_csv(path: str | Path) -> FactorSeries:
     """Ingest a pre-computed factor series (``date,rmrf,smb,hml,rmw,cma,rf``)."""
-    path = Path(path)
-    dates, cols = _read_dated_columns(path, FACTOR_CSV_COLUMNS)
-    if not dates:
+    columns = tables.read_table(path, tables.FACTORS)
+    if not columns["date"]:
         raise PanelFormatError(f"{path}: factor file is empty")
-    return FactorSeries(dates=dates, **cols)
-
-
-def write_factors_csv(series: FactorSeries, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FACTOR_CSV_COLUMNS)
-        for i, d in enumerate(series.dates):
-            writer.writerow(
-                [d.isoformat()]
-                + [repr(float(getattr(series, name)[i])) for name in FACTOR_CSV_COLUMNS[1:]]
-            )
-
-
-CONTROL_CSV_COLUMNS = ["date", "nsi", "d_nsi", "short_rate", "pct_zero"]
-
-
-def write_controls_csv(controls: ControlSeries, path: str | Path) -> int:
-    """Write the controls, one row per calendar date; an uncovered value is an empty field."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CONTROL_CSV_COLUMNS)
-        for i, d in enumerate(controls.dates):
-            values = [float(getattr(controls, name)[i]) for name in CONTROL_CSV_COLUMNS[1:]]
-            writer.writerow([d.isoformat()] + ["" if math.isnan(x) else repr(x) for x in values])
-    return len(controls.dates)
+    return FactorSeries(dates=columns.pop("date"), **columns)
 
 
 def read_controls_csv(path: str | Path) -> ControlSeries:
-    """Read back what write_controls_csv wrote; empty fields become NaN."""
-    dates, cols = _read_dated_columns(Path(path), CONTROL_CSV_COLUMNS, blank_is_nan=True)
-    return ControlSeries(dates=dates, **cols)
+    """Read back a controls table; empty fields become NaN."""
+    columns = tables.read_table(path, tables.CONTROLS)
+    return ControlSeries(columns.pop("date"), **{k: np.array(v, float) for k, v in columns.items()})

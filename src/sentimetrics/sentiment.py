@@ -8,7 +8,6 @@ a defined nonzero score becomes one signed stock event.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -116,30 +115,3 @@ def build_stock_events(
                 )
             )
     return events, skipped
-
-
-def write_sentiment_csv(observations: list[SentimentObservation], path: str | Path) -> None:
-    """Write ``date,n_positive,n_negative,score``; undefined scores are empty fields."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "n_positive", "n_negative", "score"])
-        for obs in observations:
-            score = "" if obs.score is None else repr(float(obs.score))
-            writer.writerow([obs.date.isoformat(), obs.n_positive, obs.n_negative, score])
-
-
-def read_sentiment_csv(path: str | Path) -> list[SentimentObservation]:
-    out = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            score = row["score"]
-            out.append(
-                SentimentObservation(
-                    date=date.fromisoformat(row["date"]),
-                    n_positive=int(row["n_positive"]),
-                    n_negative=int(row["n_negative"]),
-                    score=None if score == "" else float(score),
-                )
-            )
-    return out

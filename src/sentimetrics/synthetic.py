@@ -39,9 +39,9 @@ from .factors import (
     SECONDARY,
     FactorSeries,
     SecurityPanel,
-    write_factors_csv,
 )
 from .sentiment import NEGATIVE, POSITIVE, Lexicon, SentimentObservation
+from .tables import FACTORS, NSI, RF, SHORT_RATE, dated_columns, write_table
 from .timing import INCLUSIVE, build_signal
 
 MASK64 = (1 << 64) - 1
@@ -577,26 +577,16 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
                 )
             )
 
-    write_factors_csv(dataset.factors, paths["factors"])
+    write_table(paths["factors"], FACTORS, dated_columns(dataset.factors, FACTORS))
+    write_table(paths["rf"], RF, {"date": calendar, "rf": dataset.factors.rf})
 
-    with paths["rf"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "rf"])
-        for i, d in enumerate(calendar):
-            writer.writerow([d.isoformat(), repr(float(dataset.factors.rf[i]))])
-
-    # Random walks, summed in Python floats step by step.
+    # Random walks, summed in Python floats step by step; the starting level is not a row.
     walks = {
         "nsi": accumulate(rng.normals(len(calendar)).tolist(), initial=100.0),
         "short_rate": accumulate((rng.normals(len(calendar)) * 1e-4).tolist(), initial=0.02),
     }
-    for key, walk in walks.items():
-        next(walk)  # the starting level is not a row
-        with paths[key].open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["date", key])
-            for d, level in zip(calendar, walk):
-                writer.writerow([d.isoformat(), repr(level)])
+    for (key, walk), schema in zip(walks.items(), (NSI, SHORT_RATE)):
+        write_table(paths[key], schema, {"date": calendar, key: list(walk)[1:]})
 
     with paths["ground_truth"].open("w", encoding="utf-8") as fh:
         json.dump(dataset.truth.to_json_dict(), fh, indent=2, sort_keys=True)

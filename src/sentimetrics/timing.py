@@ -14,17 +14,18 @@ stays flat where that lagged value is undefined.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .sentiment import SentimentObservation
+from .tables import BACKTEST, write_table
 
 INCLUSIVE = "inclusive"
 EXCLUSIVE = "exclusive"
@@ -216,36 +217,17 @@ def backtest_strategy(
     )
 
 
-def write_signals_csv(signals: list[SignalSeries], path: str | Path) -> None:
-    """Stacked signal panel, one row per (date, N)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "N", "signal"])
-        for s in signals:
-            for d, v in zip(s.dates, s.values):
-                writer.writerow([d.isoformat(), s.n, int(v)])
+def signal_rows(signals: list[SignalSeries]) -> Iterator[tuple]:
+    """The stacked signal panel (tables.SIGNALS): one row per (date, N)."""
+    return ((d, s.n, v) for s in signals for d, v in zip(s.dates, s.values.tolist()))
 
 
-def write_scan_csv(entries: list[ScanEntry], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["N", "lag", "r2", "corr_sign"])
-        for e in entries:
-            r2 = "" if e.r2 is None else repr(float(e.r2))
-            writer.writerow([e.n, e.lag, r2, e.corr_sign])
-
-
-def write_backtest_csv(result: BacktestResult, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "position", "strategy_ret", "strategy_equity", "benchmark_equity"])
-        for k, d in enumerate(result.dates):
-            writer.writerow(
-                [
-                    d.isoformat(),
-                    int(result.positions[k]),
-                    repr(float(result.strategy_returns[k])),
-                    repr(float(result.strategy_equity[k])),
-                    repr(float(result.benchmark_equity[k])),
-                ]
-            )
+def write_backtest_csv(result: BacktestResult, path: str | Path) -> int:
+    columns = {
+        "date": result.dates,
+        "position": result.positions,
+        "strategy_ret": result.strategy_returns,
+        "strategy_equity": result.strategy_equity,
+        "benchmark_equity": result.benchmark_equity,
+    }
+    return write_table(path, BACKTEST, columns)

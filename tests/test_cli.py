@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import json
 import re
+import shutil
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -431,3 +433,243 @@ def test_constructed_factors_and_controls_are_pinned(tmp_path):
     assert main(["factors", "--config", str(cfg_path)]) == 0
     for name, digest in FACTOR_PINS.items():
         assert hashlib.sha256((data / "out" / name).read_bytes()).hexdigest() == digest, name
+
+
+# ---------------------------------------------------------------------------
+# The seed-7 demo of the README (`synth --seed 7`, then `all`): its output tree
+# pinned byte for byte, and corrupted copies of its intermediate files.
+
+
+@pytest.fixture(scope="module")
+def demo7(tmp_path_factory):
+    data = tmp_path_factory.mktemp("demo7") / "data"
+    assert main(["synth", "--out", str(data), "--seed", "7"]) == 0
+    assert main(["all", "--config", str(data / "run_config.json")]) == 0
+    return data
+
+
+# sha256 of every file of the seed-7 demo's output tree.  Some of these bytes
+# come out of numpy's linear algebra (least squares, Newton solves, dot
+# products), so they hold for the numpy and BLAS build they were recorded on:
+# numpy 2.4.6 on x86-64.
+DEMO7_PINS = {
+    "backtest_N05.csv": "7412d70df6d1e35cfbd39bbb57d208017c1f3cb2235271c6d84a69e691636edd",
+    "backtest_N06.csv": "13562eebf85f3a498c7f5871c0bfb764c58f725ea3f67f0b977c4b63e163071f",
+    "backtest_N07.csv": "0c4edf9d78a3cecddfa24a5f705ca52421412eb40b75d36172029c7a7ee40442",
+    "backtest_N08.csv": "ca46611b7722c80656e6773305ab1c40f0d324666c7bb315c000aaf663a27f8a",
+    "backtest_N09.csv": "aeb22320a01198651635fa36079ecf023774061e57c3b8331de8d48bcfb0922d",
+    "backtest_N10.csv": "8b24802c9170950a8354d9ee7c372b47913085c5e09f03e65356f6397f1a5f14",
+    "backtest_N11.csv": "2bd5cf6148e6642ac4188566bbe2777ed204bffc094c699c98d14b674bf950d0",
+    "backtest_N12.csv": "88f682675e5d9b9ea34515fee413ac90b63c29ca9d1c63a9d3493b7974533d52",
+    "backtest_N13.csv": "ffd2350e252bb3720388f7ecc7e1bb683048f8a9036de0bea77abb62564bb5a2",
+    "backtest_N14.csv": "bcd836018a4b142077865de77c1d9f6210f70aeaf43075cc32cf5cfa911d9d35",
+    "backtest_N15.csv": "ba45483dc0d73e85ab68e93563b48a03a5e2d97a07fac772073840874a2b688f",
+    "backtest_N16.csv": "d55654222057bf3096bce93d6f86e80ec91030cbced35b16576b83a44b901fc3",
+    "backtest_N17.csv": "7365cf79635041b3dde4f5306480a1cba707fdad5f312e00f27b6632cdddf4fb",
+    "backtest_N18.csv": "c9b53eb511ea870e78069f3903d3a09e580db12e2ca1e078d01c8a3d59100b0f",
+    "backtest_N19.csv": "ced578025cdea26a91c5c2e6d4801c50a078fd59c5b6bed7cc5c05fffa17aaca",
+    "backtest_N20.csv": "1818648bade6d95cfee3d3b359bb29215f5a0c4e61e40658add20ee92d74414e",
+    "backtest_summary.csv": "dcdb5eff5fbbfff5ebcb3dc12469eeadb66986ce8b00e45a0f6294ded238f544",
+    "controls.csv": "5a11c7a699daa885841bbc545fddf8ce0b08fe39903961ac39288567d19297e9",
+    "days.csv": "6d693324eb5ecb399ab618d847229058c9db1f3c34359565719809c0fa7788c2",
+    "event_exclusions.csv": "4cc31348700fe6706ef35249314fe2c0cd6d596ac2745bbbc6480c17c0d201ec",
+    "event_skips.csv": "5f732063712fb6623ed467cdcc9f2628979b9bc7c9edfb821b8a69369eac780c",
+    "event_study.csv": "464a37081465c7c4a80bad58edccb703ac03d3d8c2dd8c5415e80b43c633664f",
+    "events.csv": "91cd9dfbb620052cbe21dcfe9766721b511b9ef49cba9008606c199d82eb567b",
+    "factors.csv": "a09d48856354fd4f093a5bb05c65ba95cef935fbab364c15796456d1fb77794e",
+    "manifest.json": "3582fc573ecc8cb5d81196f8de0ec73994f5d6533dc08396708fd807425a486a",
+    "mentions.csv": "7c8b45acf74ae76ac463c736090b0b3148c6ea17eb668e093078781eed87f79a",
+    "r2_scan.csv": "44a0c3217ddd864669a826a7ea8ba95b70ae73ec8de2acade170cab3e202b694",
+    "regressions.csv": "626a169a81bfc27c904101207a2aa2e82ce371b0c3da2d6b659a9aed93328e09",
+    "regressions.txt": "280c2a18ac582b383a7bd8f772d9a7dccb9006115a07e0a3a96d002f523e8c7f",
+    "sentiment.csv": "22eab139b26923fa3dd8458bbc92b6c3ff742f6853dda34cabe642f8032c6a16",
+    "signals.csv": "60bccb48d82b79578f370110a37fb38a6885845dde5ee1e49896a6c69a17cd7c",
+}
+
+
+def test_demo_output_tree_keeps_its_pinned_bytes(demo7):
+    out = demo7 / "out"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == DEMO7_PINS
+
+
+def _corrupt(demo7: Path, tmp_path: Path, name: str, edit) -> tuple[Path, Path]:
+    """A copy of the demo whose input or output file `name` went through `edit`.
+
+    `edit` changes the list of CSV rows in place; returns (config, edited file)."""
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    path = data / name
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return data / "run_config.json", path
+
+
+# Row numbers count the header as row 1, as the error messages do.
+def _set(row, col, value):
+    def edit(rows):
+        rows[row - 1][col] = value
+
+    return edit
+
+
+def _drop_last_field(row):
+    def edit(rows):
+        rows[row - 1].pop()
+
+    return edit
+
+
+def _drop_column(col):
+    def edit(rows):
+        for r in rows:
+            del r[col]
+
+    return edit
+
+
+def _swap(row):
+    def edit(rows):
+        rows[row - 1], rows[row] = rows[row], rows[row - 1]
+
+    return edit
+
+
+def _repeat(row):
+    def edit(rows):
+        rows.insert(row, list(rows[row - 1]))
+
+    return edit
+
+
+def _assert_rejected(capsys, cfg_path, stage, path, pattern):
+    assert main([stage, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.match(re.escape(f"sentimetrics: error: {path}: ") + pattern, err), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, stage, edit, pattern",
+    [
+        (
+            "out/events.csv",
+            "eventstudy",
+            _set(2, 2, "abc"),
+            "row 2: field 'sentiment': not a number: 'abc'$",
+        ),
+        (
+            "out/events.csv",
+            "eventstudy",
+            _set(2, 3, "neg"),
+            "row 2: field 'polarity': must be one of 'positive', 'negative', got 'neg'$",
+        ),
+        ("out/events.csv", "eventstudy", _drop_last_field(3), "row 3: expected 4 fields, got 3$"),
+        (
+            "out/sentiment.csv",
+            "timing",
+            _drop_column(3),
+            "expected header 'date,n_positive,n_negative,score', got 'date,n_positive,n_negative'$",
+        ),
+        (
+            "out/sentiment.csv",
+            "regress",
+            _drop_column(3),
+            "expected header 'date,n_positive,n_negative,score', got 'date,n_positive,n_negative'$",
+        ),
+        (
+            "out/mentions.csv",
+            "sentiment",
+            _drop_column(2),
+            "expected header 'date,firm_id,count', got 'date,firm_id'$",
+        ),
+        (
+            "out/mentions.csv",
+            "sentiment",
+            _set(2, 2, "x"),
+            "row 2: field 'count': not an integer: 'x'$",
+        ),
+    ],
+)
+def test_malformed_intermediate_names_file_row_and_field(
+    demo7, tmp_path, capsys, name, stage, edit, pattern
+):
+    cfg_path, path = _corrupt(demo7, tmp_path, name, edit)
+    _assert_rejected(capsys, cfg_path, stage, path, pattern)
+
+
+@pytest.mark.parametrize(
+    "name, stage, edit, pattern",
+    [
+        (
+            "out/sentiment.csv",
+            "timing",
+            _set(2, 3, "nan"),
+            "row 2: field 'score': non-finite value$",
+        ),
+        (
+            "out/events.csv",
+            "eventstudy",
+            _set(2, 2, "-inf"),
+            "row 2: field 'sentiment': non-finite value$",
+        ),
+        (
+            "out/controls.csv",
+            "regress",
+            _repeat(5),
+            "row 6: field 'date': 2021-01-07 is not after 2021-01-07; "
+            "dates must be strictly ascending$",
+        ),
+        (
+            "out/controls.csv",
+            "regress",
+            _swap(5),
+            "row 6: field 'date': 2021-01-07 is not after 2021-01-08; "
+            "dates must be strictly ascending$",
+        ),
+        (
+            "out/sentiment.csv",
+            "timing",
+            _swap(2),
+            "row 3: field 'date': 2021-01-04 is not after 2021-01-05; "
+            "dates must be strictly ascending$",
+        ),
+    ],
+)
+def test_non_finite_or_misordered_intermediate_is_rejected(
+    demo7, tmp_path, capsys, name, stage, edit, pattern
+):
+    cfg_path, path = _corrupt(demo7, tmp_path, name, edit)
+    _assert_rejected(capsys, cfg_path, stage, path, pattern)
+
+
+def _reverse_rows(rows):
+    rows[1:] = rows[:0:-1]
+
+
+def _constructing_factors(cfg_path: Path) -> Path:
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    raw["factors_csv"] = None  # construct the factors, so rf.csv is read too
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    return cfg_path
+
+
+@pytest.mark.parametrize("name", ["rf.csv", "nsi.csv", "short_rate.csv"])
+def test_dated_inputs_take_any_order_but_no_repeated_date(demo7, tmp_path, capsys, name):
+    built = {}
+    for label, edit in (("clean", lambda rows: None), ("reversed", _reverse_rows)):
+        cfg_path, _path = _corrupt(demo7, tmp_path / label, name, edit)
+        assert main(["factors", "--config", str(_constructing_factors(cfg_path))]) == 0
+        out = cfg_path.parent / "out"
+        built[label] = {n: (out / n).read_bytes() for n in ("factors.csv", "controls.csv")}
+    assert built["reversed"] == built["clean"]
+
+    capsys.readouterr()
+    cfg_path, path = _corrupt(demo7, tmp_path / "repeated", name, _repeat(3))
+    assert main(["factors", "--config", str(_constructing_factors(cfg_path))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sentimetrics: error: {path}: row 4: "), err
+    assert "duplicate date" in err

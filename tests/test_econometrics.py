@@ -16,13 +16,13 @@ from sentimetrics.econometrics import (
     fit_logit,
     fit_ols,
     logit_log_likelihood,
-    read_regressions_csv,
+    regression_rows,
     render_report,
     run_timing_regressions,
     TimingRegressionSet,
-    write_regressions_csv,
 )
 from sentimetrics.factors import ControlSeries
+from sentimetrics.tables import REGRESSIONS, read_table, write_rows
 from sentimetrics.timing import INCLUSIVE, SignalSeries
 
 
@@ -469,8 +469,9 @@ def test_regressions_csv_roundtrip(tmp_path):
     signal, controls, market = _harness_inputs()
     regset = run_timing_regressions(signal, controls, market, lag=2, with_ols=True)
     p = tmp_path / "regressions.csv"
-    write_regressions_csv(regset, p)
-    rows = read_regressions_csv(p)
+    write_rows(p, REGRESSIONS, regression_rows(regset))
+    table = read_table(p, REGRESSIONS)
+    rows = [dict(zip(table, row)) for row in zip(*table.values())]
     specs = {r["spec"] for r in rows}
     assert specs == {"1", "2", "3", "4", "5", "ols_1", "ols_2", "ols_3", "ols_4", "ols_5"}
     first = rows[0]

@@ -17,8 +17,8 @@ from sentimetrics.factors import (
     market_excess_return,
     read_factors_csv,
     rebalance_schedule,
-    write_factors_csv,
 )
+from sentimetrics.tables import FACTORS, dated_columns, write_table
 
 RF = 1e-4
 
@@ -366,7 +366,7 @@ def test_factors_csv_roundtrip(tmp_path):
         rf=np.full(3, RF),
     )
     p = tmp_path / "factors.csv"
-    write_factors_csv(series, p)
+    write_table(p, FACTORS, dated_columns(series, FACTORS))
     back = read_factors_csv(p)
     assert back.dates == calendar
     for name in ("rmrf", "smb", "hml", "rmw", "cma", "rf"):

@@ -9,10 +9,9 @@ from sentimetrics.sentiment import (
     SentimentObservation,
     build_stock_events,
     load_lexicon,
-    read_sentiment_csv,
     score_day,
-    write_sentiment_csv,
 )
+from sentimetrics.tables import SENTIMENT, read_table, write_items
 
 LEX = Lexicon(positive={"good", "fine"}, negative={"bad", "poor"})
 
@@ -139,8 +138,8 @@ def test_sentiment_csv_roundtrip(tmp_path):
         _obs(date(2022, 8, 4), -1 / 3, 1, 2),
     ]
     p = tmp_path / "s.csv"
-    write_sentiment_csv(obs, p)
-    back = read_sentiment_csv(p)
+    write_items(p, SENTIMENT, obs)
+    back = [SentimentObservation(*row) for row in zip(*read_table(p, SENTIMENT).values())]
     assert back == obs
     header = p.read_text(encoding="utf-8").splitlines()[0]
     assert header == "date,n_positive,n_negative,score"

@@ -12,12 +12,12 @@ from sentimetrics.timing import (
     build_signal,
     lagged_signal_values,
     r2_scan,
+    signal_rows,
     signal_on_calendar,
     timing_observations,
     write_backtest_csv,
-    write_scan_csv,
-    write_signals_csv,
 )
+from sentimetrics.tables import R2_SCAN, SIGNALS, write_rows, write_table
 
 
 def _weekdays(start, n):
@@ -323,7 +323,7 @@ def test_signals_csv_stacks_ns(tmp_path):
     s3 = build_signal(obs, 3)
     s5 = build_signal(obs, 5)
     p = tmp_path / "signals.csv"
-    write_signals_csv([s3, s5], p)
+    write_rows(p, SIGNALS, signal_rows([s3, s5]))
     lines = p.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "date,N,signal"
     assert len(lines) == 1 + 7 + 5
@@ -332,11 +332,9 @@ def test_signals_csv_stacks_ns(tmp_path):
 
 
 def test_scan_csv_blank_r2_for_undefined(tmp_path):
-    from sentimetrics.timing import ScanEntry
-
     p = tmp_path / "scan.csv"
-    write_scan_csv(
-        [ScanEntry(3, 2, 0.25, "+"), ScanEntry(9, 2, None, "")], p
+    write_table(
+        p, R2_SCAN, {"N": [3, 9], "lag": [2, 2], "r2": [0.25, None], "corr_sign": ["+", ""]}
     )
     lines = p.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "N,lag,r2,corr_sign"
