@@ -7,15 +7,17 @@ factors (16 parameters).  Relative days count trading days on the factor
 calendar.  Abnormal return is realized excess return minus the fitted model,
 intercept included; pooled averages use whichever events have data at each
 relative day, and cumulative averages are exact running sums.
+
+A firm's excess returns are one float array aligned with the factor calendar,
+NaN on the days it has no return.  Pooled paths share one event window: the
+same first relative day `t0` and the same length.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
-from itertools import compress
-from typing import Mapping
 
 import numpy as np
 
@@ -122,13 +124,7 @@ def align_event_date(announce_date: date, calendar: list[date]) -> date:
     """The announcement date itself if it trades, else the next trading date."""
     if not calendar:
         raise EventAlignmentError("empty trading calendar")
-    lo, hi = 0, len(calendar)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if calendar[mid] < announce_date:
-            lo = mid + 1
-        else:
-            hi = mid
+    lo = bisect_left(calendar, announce_date)
     if lo == len(calendar):
         raise EventAlignmentError(f"no trading day on or after {announce_date}")
     return calendar[lo]
@@ -156,15 +152,10 @@ def _design_span(factors: FactorSeries, first: int, last: int) -> tuple[int, np.
     return lo, X
 
 
-def _returns_on(
-    excess_returns: Mapping[date, float], factors: FactorSeries, lo: int, n: int
-) -> np.ndarray:
-    """Excess returns on calendar indices lo..lo+n-1, NaN where the mapping has none."""
-    values = map(excess_returns.get, factors.dates[lo : lo + n])
-    return np.array([math.nan if v is None else v for v in values], dtype=float)
-
-
-def _event_index(factors: FactorSeries, event_date: date) -> int:
+def _event_index(factors: FactorSeries, event_date: date, excess_returns: np.ndarray) -> int:
+    """The event date's index on the factor calendar, which the returns must align with."""
+    if excess_returns.shape != (len(factors.dates),):
+        raise ValueError("excess returns must align one-to-one with the factor calendar")
     event_idx = factors.index_of(event_date)
     if event_idx is None:
         raise EventAlignmentError(f"event date {event_date} not on the factor calendar")
@@ -172,7 +163,7 @@ def _event_index(factors: FactorSeries, event_date: date) -> int:
 
 
 def estimate_exposures(
-    excess_returns: Mapping[date, float],
+    excess_returns: np.ndarray,
     factors: FactorSeries,
     window: EventWindowConfig,
     event_date: date,
@@ -180,12 +171,14 @@ def estimate_exposures(
 ) -> ExposureEstimate:
     """OLS of the stock's excess return on the 16-parameter lead/lag factor design.
 
-    Uses only estimation-window days where the return and all regressors exist.
-    Solved by orthogonalization (lstsq), not by normal equations.
+    `excess_returns` is aligned with the factor calendar, NaN where the stock
+    has no return.  Uses only estimation-window days where the return and all
+    regressors exist.  Solved by orthogonalization (lstsq), not by normal
+    equations.
     """
-    event_idx = _event_index(factors, event_date)
+    event_idx = _event_index(factors, event_date, excess_returns)
     lo, design = _design_span(factors, event_idx + window.est_start, event_idx + window.est_end)
-    y = _returns_on(excess_returns, factors, lo, len(design))
+    y = excess_returns[lo : lo + len(design)]
     have = ~np.isnan(y)
     X, y = design[have], y[have]
     n_obs = len(y)
@@ -209,23 +202,24 @@ def estimate_exposures(
 
 def compute_ar(
     estimate: ExposureEstimate,
-    excess_returns: Mapping[date, float],
+    excess_returns: np.ndarray,
     factors: FactorSeries,
     window: EventWindowConfig,
     event_date: date,
     announce_date: date | None = None,
 ) -> ArPath:
-    """Realized minus fitted excess return on each event-window day; NaN where data is missing."""
-    event_idx = _event_index(factors, event_date)
+    """Realized minus fitted excess return on each event-window day.
+
+    `excess_returns` is aligned with the factor calendar, NaN where the stock
+    has no return.  The path is NaN where the return or a regressor is missing.
+    """
+    event_idx = _event_index(factors, event_date, excess_returns)
     first = event_idx + window.evt_start
     lo, design = _design_span(factors, first, event_idx + window.evt_end)
-    rets = _returns_on(excess_returns, factors, lo, len(design))
+    # vecdot, not design @ slopes: a gemv may round differently from a per-row dot product.
+    expected = design[:, 0] * estimate.alpha + np.vecdot(design[:, 1:], estimate.slopes)
     values = np.full(window.evt_len + 1, np.nan)
-    # Row by row: a matrix-vector product may round differently in the last bit.
-    for j in np.flatnonzero(~np.isnan(rets)):
-        row = design[j]
-        expected = row[0] * estimate.alpha + float(row[1:] @ estimate.slopes)
-        values[lo - first + j] = rets[j] - expected
+    values[lo - first : lo - first + len(design)] = excess_returns[lo : lo + len(design)] - expected
     return ArPath(
         firm_id=estimate.firm_id,
         announce_date=announce_date if announce_date is not None else event_date,
@@ -238,39 +232,32 @@ def compute_ar(
 def pool_aar_caar(ar_paths: list[ArPath], t0: int, t_len: int, group: str = "") -> EventStudyResult:
     """Average AR across events day by day and accumulate the running sum.
 
-    AAR at each relative day averages the events that have data there; CAAR
-    satisfies caar[k] == caar[k-1] + aar[k] exactly by construction.
+    The paths share one event window (one `t0`, one length) that holds relative
+    days t0..t0+t_len.  AAR at each relative day averages the events that have
+    data there, summed in list order; CAAR satisfies caar[k] == caar[k-1] +
+    aar[k] exactly by construction.
     """
     if not ar_paths:
         raise ValueError("cannot pool an empty list of abnormal-return paths")
-    rel_days = np.arange(t0, t0 + t_len + 1)
-    aar = np.full(t_len + 1, np.nan)
-    n_per_day = np.zeros(t_len + 1, dtype=int)
-    for k, rel in enumerate(rel_days):
-        total = 0.0
-        count = 0
-        for path in ar_paths:
-            offset = rel - path.t0
-            if 0 <= offset < len(path.values):
-                v = path.values[offset]
-                if not math.isnan(v):
-                    total += v
-                    count += 1
-        if count > 0:
-            aar[k] = total / count
-        n_per_day[k] = count
-    caar = np.empty(t_len + 1)
-    running = 0.0
-    for k in range(t_len + 1):
-        running = running + aar[k]
-        caar[k] = running
+    first = ar_paths[0]
+    if any(p.t0 != first.t0 or len(p.values) != len(first.values) for p in ar_paths):
+        raise ValueError("abnormal-return paths must share one t0 and one length")
+    start = t0 - first.t0
+    if start < 0 or start + t_len >= len(first.values):
+        raise ValueError(f"relative days {t0}..{t0 + t_len} are outside the paths' window")
+    ar = np.array([p.values[start : start + t_len + 1] for p in ar_paths])
+    have = ~np.isnan(ar)
+    n_per_day = have.sum(axis=0)
+    # Adds each day's values one path at a time from 0.0, as a running total would.
+    total = np.add.reduce(np.where(have, ar, 0.0), axis=0, initial=0.0)
+    aar = np.divide(total, n_per_day, out=np.full(t_len + 1, np.nan), where=n_per_day > 0)
     return EventStudyResult(
         group=group,
         t0=t0,
         t_end=t0 + t_len,
-        rel_days=rel_days,
+        rel_days=np.arange(t0, t0 + t_len + 1),
         aar=aar,
-        caar=caar,
+        caar=np.cumsum(aar),
         n_events_per_day=n_per_day,
         n_events=len(ar_paths),
     )
@@ -300,13 +287,13 @@ def run_event_study(
     Events that cannot be estimated are excluded with a reason.
     """
     run = EventStudyRun(results={})
-    # Excess returns of every firm on the panel dates the factor calendar shares.
-    shared = [(t, d) for t, d in enumerate(panel.calendar) if factors.index_of(d) is not None]
-    shared_dates = [d for _t, d in shared]
-    cols = np.array([t for t, _d in shared], dtype=np.intp)
-    rf = factors.rf[[factors.index_of(d) for d in shared_dates]]
-    excess_all = panel.daily_return[:, cols] - rf
-    excess_cache: dict[str, dict[date, float]] = {}
+    # One row per panel firm on the factor calendar, NaN where it has no return.
+    excess = np.full((len(panel.firms), len(factors.dates)), np.nan)
+    for t, d in enumerate(panel.calendar):
+        j = factors.index_of(d)
+        if j is not None:
+            returns = panel.daily_return[:, t] - factors.rf[j]
+            excess[:, j] = np.where(panel.present[:, t], returns, np.nan)
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
     event_indices: dict[str, list[int]] = {}
 
@@ -316,24 +303,18 @@ def run_event_study(
         except EventAlignmentError as exc:
             run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
             continue
-        if event.firm_id not in excess_cache:
-            i = panel.firm_index(event.firm_id)
-            if i is None:
-                run.exclusions.append(
-                    ExcludedEvent(event.firm_id, event.announce_date, "firm not in panel")
-                )
-                continue
-            have = panel.present[i, cols]
-            excess_cache[event.firm_id] = dict(
-                zip(compress(shared_dates, have), excess_all[i, have].tolist())
+        i = panel.firm_index(event.firm_id)
+        if i is None:
+            run.exclusions.append(
+                ExcludedEvent(event.firm_id, event.announce_date, "firm not in panel")
             )
-        excess = excess_cache[event.firm_id]
+            continue
         try:
-            estimate = estimate_exposures(excess, factors, window, event_date, event.firm_id)
+            estimate = estimate_exposures(excess[i], factors, window, event_date, event.firm_id)
         except (InsufficientObservationsError, RankDeficientDesignError) as exc:
             run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
             continue
-        path = compute_ar(estimate, excess, factors, window, event_date, event.announce_date)
+        path = compute_ar(estimate, excess[i], factors, window, event_date, event.announce_date)
         grouped[event.polarity].append(path)
         event_indices.setdefault(event.firm_id, []).append(factors.index_of(event_date))
 

@@ -42,7 +42,7 @@ from .factors import (
 )
 from .sentiment import NEGATIVE, POSITIVE, Lexicon, SentimentObservation
 from .tables import FACTORS, NSI, RF, SHORT_RATE, dated_columns, write_table
-from .timing import INCLUSIVE, build_signal
+from .timing import INCLUSIVE, build_signal, lagged_signal_values
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -350,16 +350,10 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
 
     # The binary signal drives the market's direction `signal_lag` days later.
     signal = build_signal(observations, config.signal_n, mode=INCLUSIVE)
-    cal_index = {d: t for t, d in enumerate(calendar)}
-    signal_at = {cal_index[d]: int(v) for d, v in zip(signal.dates, signal.values)}
+    lagged = lagged_signal_values(signal, calendar, config.signal_lag)
     b1 = config.signal_strength
     b0 = -0.5 * b1
-    p_up = np.array(
-        [
-            0.5 if s_lag is None else _sigmoid(b0 + b1 * s_lag)
-            for s_lag in (signal_at.get(t - config.signal_lag) for t in range(n_days))
-        ]
-    )
+    p_up = np.array([0.5 if math.isnan(s) else _sigmoid(b0 + b1 * s) for s in lagged.tolist()])
     z, u = rng.normal_uniform_pairs(n_days)
     magnitude = np.abs(z) * config.market_vol
     factor_arrays = {"rmrf": np.where(u < p_up, magnitude, -magnitude)}

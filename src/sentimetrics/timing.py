@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .sentiment import SentimentObservation
 from .tables import BACKTEST, write_table
@@ -93,13 +94,10 @@ def build_signal(
         )
         return SignalSeries(n=n, mode=mode, dates=[], values=np.zeros(0, dtype=int))
     scores = np.array([s for _d, s in usable])
-    dates = []
-    values = []
-    for i in range(n, len(usable)):
-        window = scores[i - n + 1 : i + 1] if mode == INCLUSIVE else scores[i - n : i]
-        values.append(1 if scores[i] - window.mean() > 0 else 0)
-        dates.append(usable[i][0])
-    return SignalSeries(n=n, mode=mode, dates=dates, values=np.array(values, dtype=int))
+    windows = sliding_window_view(scores, n)
+    windows = windows[1:] if mode == INCLUSIVE else windows[:-1]
+    values = (scores[n:] - windows.mean(axis=1) > 0).astype(int)
+    return SignalSeries(n=n, mode=mode, dates=[d for d, _s in usable[n:]], values=values)
 
 
 def signal_on_calendar(signal: SignalSeries, calendar: list[date]) -> dict[int, int]:
@@ -118,12 +116,10 @@ def lagged_signal_values(
     """Per trading day, the signal value `lag` trading days earlier (NaN undefined)."""
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
-    mapped = signal_on_calendar(signal, calendar)
     out = np.full(len(calendar), np.nan)
-    for i in range(len(calendar)):
-        v = mapped.get(i - lag)
-        if v is not None:
-            out[i] = v
+    for idx, v in signal_on_calendar(signal, calendar).items():
+        if idx + lag < len(calendar):
+            out[idx + lag] = v
     return out
 
 
@@ -186,34 +182,21 @@ def backtest_strategy(
         raise ValueError("signal and market calendar have no overlapping coverage")
     start = int(defined[0])
 
-    dates = list(calendar[start:])
-    n = len(dates)
-    positions = np.zeros(n, dtype=int)
-    strat_ret = np.zeros(n)
-    strat_eq = np.empty(n)
-    bench_eq = np.empty(n)
-    strat_gross = 1.0
-    bench_gross = 1.0
-    for k in range(n):
-        s = lagged[start + k]
-        r = market_returns[start + k]
-        if not math.isnan(s):
-            positions[k] = 1 if s == 1.0 else -1
-            strat_ret[k] = positions[k] * r
-        strat_gross *= 1.0 + strat_ret[k]
-        bench_gross *= 1.0 + r
-        strat_eq[k] = strat_gross - 1.0
-        bench_eq[k] = bench_gross - 1.0
-    outperf = float(strat_eq[-1] - bench_eq[-1])
-    outperf_geo = float(strat_gross / bench_gross - 1.0)
+    s, r = lagged[start:], market_returns[start:]
+    positions = np.where(np.isnan(s), 0, np.where(s == 1.0, 1, -1))
+    # A flat day earns 0.0, never the -0.0 that 0 * r gives on a negative return.
+    strat_ret = np.where(positions != 0, positions * r, 0.0)
+    strat_gross = np.cumprod(1.0 + strat_ret)
+    bench_gross = np.cumprod(1.0 + r)
+    strat_eq, bench_eq = strat_gross - 1.0, bench_gross - 1.0
     return BacktestResult(
-        dates=dates,
+        dates=list(calendar[start:]),
         positions=positions,
         strategy_returns=strat_ret,
         strategy_equity=strat_eq,
         benchmark_equity=bench_eq,
-        outperformance=outperf,
-        outperformance_geometric=outperf_geo,
+        outperformance=float(strat_eq[-1] - bench_eq[-1]),
+        outperformance_geometric=float(strat_gross[-1] / bench_gross[-1] - 1.0),
     )
 
 

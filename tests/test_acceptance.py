@@ -68,6 +68,11 @@ def _random_factors(rng, n_days, start=date(2019, 1, 7)):
     )
 
 
+def _on_calendar(excess, factors):
+    """A date -> excess-return map as one array on the factor calendar, NaN where it has none."""
+    return np.array([excess.get(d, np.nan) for d in factors.dates])
+
+
 # ---------------------------------------------------------------------------
 # 1. Sentiment exactness on a toy corpus (hand counts, duplicates kept)
 
@@ -130,7 +135,7 @@ def test_02_ols_oracle_equivalence():
                 )
             excess[factors.dates[t]] = model + rng.normal(0.0, 0.005)
         anchor = factors.dates[280]
-        est = estimate_exposures(excess, factors, window, anchor)
+        est = estimate_exposures(_on_calendar(excess, factors), factors, window, anchor)
 
         rows, ys = [], []
         for rel in range(window.est_start, window.est_end + 1):
@@ -351,10 +356,13 @@ def test_06_caar_arithmetic_identities():
     # AR identity: value == realized excess minus fitted, recomputed per path.
     for path in paths:
         est = estimate_exposures(
-            {
-                d: ds.panel.row(path.firm_id, d).daily_return - cfg.rf_daily
-                for d in ds.calendar
-            },
+            _on_calendar(
+                {
+                    d: ds.panel.row(path.firm_id, d).daily_return - cfg.rf_daily
+                    for d in ds.calendar
+                },
+                ds.factors,
+            ),
             ds.factors,
             window,
             path.event_date,

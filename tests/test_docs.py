@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from sentimetrics import tables
@@ -53,5 +53,11 @@ def test_readme_parameters_list_every_field_with_its_default(tmp_path):
         value = getattr(defaults, name)
         if name == "out_dir":
             assert value == tmp_path / json.loads(text.strip("`"))
-        elif isinstance(value, (bool, int, float, str)):
+        elif name == "window":
+            documented_window = {k: int(v) for k, v in re.findall(r"(\w+):(-?\d+)", text)}
+            assert documented_window == asdict(value), name
+        elif name == "signal_n_list":
+            first, last = re.fullmatch(r"`\[(\d+)\.\.(\d+)\]`", text).groups()
+            assert list(range(int(first), int(last) + 1)) == value, name
+        else:
             assert json.loads(text.strip("`")) == value, name

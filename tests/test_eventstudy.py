@@ -6,6 +6,7 @@ import pytest
 from sentimetrics.eventstudy import (
     EventAlignmentError,
     EventWindowConfig,
+    ExposureEstimate,
     InsufficientObservationsError,
     N_PARAMS,
     RankDeficientDesignError,
@@ -49,6 +50,11 @@ def _factors(n_days, seed=0, start=date(2020, 1, 6)):
 SHORT_WINDOW = EventWindowConfig(
     est_start=-60, est_end=-6, evt_start=-5, evt_len=10, min_est_obs=20
 )
+
+
+def _on_calendar(excess, factors):
+    """A date -> excess-return map as one array on the factor calendar, NaN where it has none."""
+    return np.array([excess.get(d, np.nan) for d in factors.dates])
 
 
 def _linear_excess(factors, alpha, slopes):
@@ -112,7 +118,9 @@ def test_exact_recovery_on_noiseless_returns():
     slopes = rng.normal(0.0, 0.5, 15)
     excess = _linear_excess(factors, alpha, slopes)
     event_date = factors.dates[90]
-    est = estimate_exposures(excess, factors, SHORT_WINDOW, event_date, "F0")
+    est = estimate_exposures(
+        _on_calendar(excess, factors), factors, SHORT_WINDOW, event_date, "F0"
+    )
     assert est.alpha == pytest.approx(alpha, abs=1e-10)
     assert np.allclose(est.slopes, slopes, atol=1e-10)
     assert est.residual_variance == pytest.approx(0.0, abs=1e-18)
@@ -128,7 +136,7 @@ def test_estimates_match_normal_equations_oracle():
         for d, v in _linear_excess(factors, 0.0002, slopes).items()
     }
     event_date = factors.dates[110]
-    est = estimate_exposures(excess, factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(_on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
 
     # Rebuild the design by hand and solve X'X b = X'y.
     event_idx = factors.dates.index(event_date)
@@ -161,7 +169,7 @@ def test_insufficient_observations_raises():
     event_date = factors.dates[90]
     sparse = {factors.dates[t]: 0.001 for t in range(40, 55)}  # 15 < 20 required
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(sparse, factors, SHORT_WINDOW, event_date)
+        estimate_exposures(_on_calendar(sparse, factors), factors, SHORT_WINDOW, event_date)
 
 
 def test_min_obs_floor_is_one_more_than_params():
@@ -175,7 +183,7 @@ def test_min_obs_floor_is_one_more_than_params():
     kept_dates = [factors.dates[event_idx + rel] for rel in range(-22, -6)]  # 16 days
     sparse = {d: full[d] for d in kept_dates}
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(sparse, factors, window, event_date)
+        estimate_exposures(_on_calendar(sparse, factors), factors, window, event_date)
 
 
 def test_duplicated_factor_is_rank_deficient():
@@ -191,13 +199,13 @@ def test_duplicated_factor_is_rank_deficient():
     )
     excess = {d: 0.001 for d in clone.dates}
     with pytest.raises(RankDeficientDesignError):
-        estimate_exposures(excess, clone, SHORT_WINDOW, clone.dates[110])
+        estimate_exposures(_on_calendar(excess, clone), clone, SHORT_WINDOW, clone.dates[110])
 
 
 def test_event_date_off_calendar_errors():
     factors = _factors(100, seed=8)
     with pytest.raises(EventAlignmentError, match="not on the factor calendar"):
-        estimate_exposures({}, factors, SHORT_WINDOW, date(2019, 1, 1))
+        estimate_exposures(_on_calendar({}, factors), factors, SHORT_WINDOW, date(2019, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +218,8 @@ def test_ar_zero_for_model_consistent_returns():
     slopes = rng.normal(0.0, 0.4, 15)
     excess = _linear_excess(factors, 0.0003, slopes)
     event_date = factors.dates[95]
-    est = estimate_exposures(excess, factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, excess, factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(_on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    path = compute_ar(est, _on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
     assert path.t0 == SHORT_WINDOW.evt_start
     assert len(path.values) == SHORT_WINDOW.evt_len + 1
     assert np.all(np.isfinite(path.values))
@@ -232,8 +240,8 @@ def test_ar_shifts_one_for_one_with_return_bumps():
         bump = 0.001 * (rel + 6)
         bumped[d] = base[d] + bump
         bumps[rel] = bump
-    est = estimate_exposures(bumped, factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, bumped, factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(_on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
+    path = compute_ar(est, _on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
     for rel, bump in bumps.items():
         assert path.value_at(rel) == pytest.approx(bump, abs=1e-10)
 
@@ -243,8 +251,8 @@ def test_ar_nan_past_calendar_end():
     rng = np.random.default_rng(14)
     excess = _linear_excess(factors, 0.0, rng.normal(0, 0.3, 15))
     event_date = factors.dates[96]  # evt window runs past the last date
-    est = estimate_exposures(excess, factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, excess, factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(_on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    path = compute_ar(est, _on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
     # rel +2 is the penultimate calendar day (lead regressor exists), +3 on
     # the last day has no lead, beyond that there is no calendar at all.
     assert np.isfinite(path.value_at(2))
@@ -317,6 +325,17 @@ def test_pool_is_event_order_invariant():
 def test_pool_empty_list_errors():
     with pytest.raises(ValueError):
         pool_aar_caar([], 0, 5)
+
+
+def test_pool_rejects_paths_with_different_windows():
+    paths = [_path("A", [0.01] * 5, t0=-2), _path("B", [0.01] * 5, t0=-1)]
+    with pytest.raises(ValueError, match="t0"):
+        pool_aar_caar(paths, -1, 3)
+    paths = [_path("A", [0.01] * 5), _path("B", [0.01] * 4)]
+    with pytest.raises(ValueError, match="length"):
+        pool_aar_caar(paths, -2, 3)
+    with pytest.raises(ValueError, match="outside"):
+        pool_aar_caar(paths[:1], 0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +497,17 @@ def test_sliced_design_matches_row_by_row_design_bitwise():
             old = _old_estimate(excess, factors, window, event_date)
             if old is None:
                 with pytest.raises(InsufficientObservationsError):
-                    estimate_exposures(excess, factors, window, event_date)
+                    estimate_exposures(_on_calendar(excess, factors), factors, window, event_date)
                 excluded += 1
                 continue
-            est = estimate_exposures(excess, factors, window, event_date, "F")
+            est = estimate_exposures(
+                _on_calendar(excess, factors), factors, window, event_date, "F"
+            )
             assert np.float64(est.alpha).tobytes() == np.float64(old[0]).tobytes()
             assert est.slopes.tobytes() == old[1].tobytes()
             assert est.n_obs == old[2]
             assert np.float64(est.residual_variance).tobytes() == np.float64(old[3]).tobytes()
-            ar = compute_ar(est, excess, factors, window, event_date)
+            ar = compute_ar(est, _on_calendar(excess, factors), factors, window, event_date)
             old_ar = _old_ar(old[0], old[1], excess, factors, window, event_date)
             assert ar.values.tobytes() == old_ar.tobytes()
             compared += 1
@@ -519,3 +540,67 @@ def test_count_overlaps_matches_pairwise_loop():
         assert _count_overlaps(event_indices, evt_len) == expected
     # Duplicate indices overlap even with a zero-length window.
     assert _count_overlaps({"F": [7, 7, 9]}, 0) == 2
+
+
+def test_compute_ar_matches_row_by_row_loop_bitwise():
+    n_days = 80
+    factors = _factors(n_days, seed=33)
+    rng = np.random.default_rng(34)
+    window = EventWindowConfig(
+        est_start=-40, est_end=-11, evt_start=-10, evt_len=25, min_est_obs=20
+    )
+    for _ in range(200):
+        excess = {}
+        for d, r, u in zip(factors.dates, rng.normal(0, 0.02, n_days), rng.random(n_days)):
+            if u > 0.1:
+                excess[d] = float("nan") if u > 0.95 else float(r)
+        est = ExposureEstimate("F", float(rng.normal(0, 1e-3)), rng.normal(0, 0.5, 15), 0, 0.0)
+        # Event days anywhere on the calendar: windows clamped at either end.
+        event_date = factors.dates[int(rng.integers(0, n_days))]
+        ar = compute_ar(est, _on_calendar(excess, factors), factors, window, event_date)
+        want = _old_ar(est.alpha, est.slopes, excess, factors, window, event_date)
+        assert ar.values.tobytes() == want.tobytes()
+
+
+def _loop_pool(paths, t0, t_len):
+    """AAR, CAAR and counts by the day-by-day, path-by-path running total."""
+    aar = np.full(t_len + 1, np.nan)
+    n_per_day = np.zeros(t_len + 1, dtype=int)
+    for k in range(t_len + 1):
+        total = 0.0
+        count = 0
+        for path in paths:
+            v = path.values[t0 + k - path.t0]
+            if not np.isnan(v):
+                total += v
+                count += 1
+        if count > 0:
+            aar[k] = total / count
+        n_per_day[k] = count
+    caar = np.empty(t_len + 1)
+    running = 0.0
+    for k in range(t_len + 1):
+        running = running + aar[k]
+        caar[k] = running
+    return aar, caar, n_per_day
+
+
+def test_pool_matches_sequential_loop_bitwise():
+    rng = np.random.default_rng(35)
+    for n_paths in list(range(1, 12)) * 5:
+        values = rng.normal(0, 0.01, (n_paths, 21))
+        values[rng.random(values.shape) < 0.2] = np.nan
+        values[:, 3] = np.nan  # no event has day 3: AAR NaN, count 0
+        values[0, 4] = -0.0
+        values[:, 5] = np.nan
+        values[0, 5] = -0.0  # a day whose only AR is -0.0
+        paths = [_path(f"F{i}", row, t0=-10) for i, row in enumerate(values)]
+        for t0, t_len in ((-10, 20), (0, 10)):
+            res = pool_aar_caar(paths, t0, t_len)
+            aar, caar, n_per_day = _loop_pool(paths, t0, t_len)
+            assert res.aar.tobytes() == aar.tobytes()
+            assert res.caar.tobytes() == caar.tobytes()
+            assert res.n_events_per_day.tobytes() == n_per_day.tobytes()
+        full = pool_aar_caar(paths, -10, 20)
+        assert np.isnan(full.aar[3]) and full.n_events_per_day[3] == 0
+        assert full.aar[5] == 0.0 and not np.signbit(full.aar[5])

@@ -336,6 +336,11 @@ def test_market_sign_tracks_lagged_signal():
     assert rate1 > 0.5 > rate0
 
 
+def _on_calendar(excess, factors):
+    """A date -> excess-return map as one array on the factor calendar, NaN where it has none."""
+    return np.array([excess.get(d, np.nan) for d in factors.dates])
+
+
 def test_exposures_recoverable_when_noise_off():
     cfg = SynthConfig(
         seed=6, n_firms=3, n_days=340, n_events=0, idio_vol=0.0, zero_return_rate=0.0
@@ -348,7 +353,9 @@ def test_exposures_recoverable_when_noise_off():
         excess = {
             d: ds.panel.row(fid, d).daily_return - cfg.rf_daily for d in ds.calendar
         }
-        est = estimate_exposures(excess, ds.factors, window, anchor, fid)
+        est = estimate_exposures(
+            _on_calendar(excess, ds.factors), ds.factors, window, anchor, fid
+        )
         truth = ds.truth.exposures[fid]
         assert est.alpha == pytest.approx(truth["alpha"], abs=1e-8)
         for j, name in enumerate(names):

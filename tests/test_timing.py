@@ -356,3 +356,76 @@ def test_backtest_csv_layout(tmp_path):
     assert first[0] == res.dates[0].isoformat()
     assert first[1] == "1"
     assert float(first[2]) == pytest.approx(0.01)
+
+
+# ---------------------------------------------------------------------------
+# Array forms against the per-window and per-day loops, bit for bit
+
+
+def _loop_signal(scores, n, mode):
+    values = []
+    for i in range(n, len(scores)):
+        window = scores[i - n + 1 : i + 1] if mode == INCLUSIVE else scores[i - n : i]
+        values.append(1 if scores[i] - window.mean() > 0 else 0)
+    return np.array(values, dtype=int)
+
+
+def test_signal_matches_per_window_loop_bitwise():
+    rng = np.random.default_rng(40)
+    scores = rng.uniform(-1.0, 1.0, 120)
+    scores[40:70] = 0.5  # day 69 equals the mean of any window inside the run
+    obs = _obs(scores.tolist())
+    for mode in (INCLUSIVE, EXCLUSIVE):
+        for n in (1, 5, 9, 16, 20):
+            series = build_signal(obs, n, mode)
+            assert series.values.tobytes() == _loop_signal(scores, n, mode).tobytes()
+            assert series.values[69 - n] == 0
+
+
+def _loop_backtest(lagged, market):
+    """Positions, returns and equity curves from the first defined day, one day at a time."""
+    start = int(np.flatnonzero(~np.isnan(lagged))[0])
+    n = len(market) - start
+    positions = np.zeros(n, dtype=int)
+    strat_ret = np.zeros(n)
+    strat_eq = np.empty(n)
+    bench_eq = np.empty(n)
+    strat_gross = bench_gross = 1.0
+    for k in range(n):
+        s, r = lagged[start + k], market[start + k]
+        if not np.isnan(s):
+            positions[k] = 1 if s == 1.0 else -1
+            strat_ret[k] = positions[k] * r
+        strat_gross *= 1.0 + strat_ret[k]
+        bench_gross *= 1.0 + r
+        strat_eq[k] = strat_gross - 1.0
+        bench_eq[k] = bench_gross - 1.0
+    return positions, strat_ret, strat_eq, bench_eq, strat_gross / bench_gross - 1.0
+
+
+def test_backtest_matches_per_day_loop_bitwise():
+    cal = _weekdays(date(2022, 1, 3), 60)
+    rng = np.random.default_rng(41)
+    market = rng.normal(0.0, 0.01, 60)
+    market[15:20] = -np.abs(market[15:20])  # flat days on negative returns
+    market[[10, 30]] = 0.0
+    values = rng.integers(0, 2, 50)
+    values[[8, 28]] = 0  # short on the 0.0 returns two days later
+    keep = [i for i in range(50) if not 13 <= i < 18]
+    series = SignalSeries(
+        n=1, mode=INCLUSIVE, dates=[cal[i] for i in keep], values=values[keep]
+    )
+    res = backtest_strategy(series, cal, market, lag=2)
+    positions, strat_ret, strat_eq, bench_eq, geo = _loop_backtest(
+        lagged_signal_values(series, cal, 2), market
+    )
+    assert res.positions.tobytes() == positions.tobytes()
+    assert res.strategy_returns.tobytes() == strat_ret.tobytes()
+    assert res.strategy_equity.tobytes() == strat_eq.tobytes()
+    assert res.benchmark_equity.tobytes() == bench_eq.tobytes()
+    assert res.outperformance == float(strat_eq[-1] - bench_eq[-1])
+    assert np.float64(res.outperformance_geometric).tobytes() == np.float64(geo).tobytes()
+    flat = [res.dates.index(cal[t]) for t in range(15, 20)]
+    assert not np.any(res.positions[flat]) and not np.any(np.signbit(res.strategy_returns[flat]))
+    short_on_zero = [res.dates.index(cal[t]) for t in (10, 30)]
+    assert np.all(np.signbit(res.strategy_returns[short_on_zero]))
