@@ -18,7 +18,7 @@ import sys
 import time
 import typing
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from datetime import date
 from pathlib import Path
 
@@ -90,6 +90,16 @@ class RunConfig:
     _panel: factormod.SecurityPanel | None = dc_field(
         default=None, init=False, repr=False, compare=False
     )
+    _days: corpus.Days | None = dc_field(default=None, init=False, repr=False, compare=False)
+
+    def days(self, stage: str, keep: bool = True) -> corpus.Days:
+        """The transcript days, built on first use; kept for a later stage of this run if `keep`."""
+        days = self._days
+        if days is None:
+            path = self.input_path("transcripts_csv", stage)
+            days = corpus.build_days(corpus.load_transcripts(path))
+        self._days = days if keep else None
+        return days
 
     def panel(self, stage: str) -> factormod.SecurityPanel:
         """The security panel, parsed on first use and shared by the later stages of this run."""
@@ -117,14 +127,14 @@ class RunConfig:
 
 # The JSON type of every config key, stated once: the input paths, the output
 # directory and the RunConfig parameters (`window` recurses into the fields of
-# EventWindowConfig).
+# EventWindowConfig); the in-run caches are not __init__ fields, so never keys.
 _CONFIG_KINDS = {
     **dict.fromkeys(INPUT_KEYS, str | None),
     "out_dir": str,
     **{
-        key: kind
-        for key, kind in typing.get_type_hints(RunConfig).items()
-        if key not in ("config_path", "out_dir", "inputs", "_panel")
+        f.name: typing.get_type_hints(RunConfig)[f.name]
+        for f in fields(RunConfig)
+        if f.init and f.name not in ("config_path", "out_dir", "inputs")
     },
 }
 
@@ -249,15 +259,15 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 
 
 def stage_ingest(cfg: RunConfig) -> dict:
-    records = corpus.load_transcripts(cfg.input_path("transcripts_csv", "ingest"))
+    days = cfg.days("ingest")
     dictionary = corpus.load_firm_dictionary(
         cfg.input_path("firm_names_csv", "ingest"), cfg.inputs.get("exclusions_txt")
     )
-    days = corpus.build_days(records)
+    firms = dictionary.index(days.vocab)
     mentions = [
         (day.date, firm_id, count)
         for day in days
-        for firm_id, count in corpus.extract_mentions(day, dictionary, cfg.min_mentions).mentions
+        for firm_id, count in corpus.extract_mentions(day, firms, cfg.min_mentions).mentions
     ]
     n_days = tables.write_rows(
         cfg.out_path("days"), tables.DAYS, [(d.date, d.source_count, len(d.tokens)) for d in days]
@@ -268,13 +278,13 @@ def stage_ingest(cfg: RunConfig) -> dict:
 
 def stage_sentiment(cfg: RunConfig) -> dict:
     mentions_path = cfg.require_upstream("mentions", "ingest")
-    records = corpus.load_transcripts(cfg.input_path("transcripts_csv", "sentiment"))
+    days = cfg.days("sentiment", keep=False)
     lexicon = sentiment.load_lexicon(
         cfg.input_path("lexicon_positive_txt", "sentiment"),
         cfg.input_path("lexicon_negative_txt", "sentiment"),
     )
-    days = corpus.build_days(records)
-    observations = [sentiment.score_day(day, lexicon) for day in days]
+    polarity = lexicon.polarity(days.vocab)
+    observations = [sentiment.score_day(day, polarity) for day in days]
     n_scores = tables.write_items(cfg.out_path("sentiment"), tables.SENTIMENT, observations)
 
     by_date: dict[date, list[tuple[str, int]]] = {}

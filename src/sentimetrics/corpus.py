@@ -1,7 +1,8 @@
 """Transcript ingestion: daily concatenation, tokenization, firm-mention extraction.
 
-Raw transcript rows are merged per calendar day, split into tokens, and
-matched against a firm-name dictionary.  Matching is exact token equality
+Raw transcript rows are merged per calendar day as they are read, split into
+tokens held as ids into one vocabulary, and matched against a firm-name
+dictionary mapped onto that vocabulary.  Matching is exact token equality
 after NFC normalization; common-noun-like names can be suppressed through
 an exclusion list.
 """
@@ -10,9 +11,12 @@ from __future__ import annotations
 
 import csv
 import unicodedata
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 DEFAULT_MIN_MENTIONS = 3
 
@@ -30,11 +34,29 @@ class TranscriptRecord:
 
 @dataclass
 class TranscriptDay:
-    """All of one calendar day's scripts, concatenated and tokenized."""
+    """All of one calendar day's scripts: int32 ids into its ``build_days`` call's vocabulary."""
 
     date: date
-    tokens: list[str]
+    tokens: np.ndarray
     source_count: int
+
+
+class Days(list):
+    """The days of one ``build_days`` call, ascending; ``vocab`` maps token -> id, in id order."""
+
+    def __init__(self, days: list[TranscriptDay], vocab: dict[str, int]):
+        super().__init__(days)
+        self.vocab = vocab
+
+
+@dataclass
+class FirmIndex:
+    """Firms on one vocabulary: token id -> ``slot_of`` name slot (0: none), firm i -> its slots."""
+
+    firm_ids: list[str]
+    slot_of: np.ndarray
+    slots: np.ndarray
+    starts: np.ndarray
 
 
 @dataclass
@@ -43,6 +65,17 @@ class FirmDictionary:
 
     entries: list[tuple[str, list[str]]]
     exclusions: set[str] = field(default_factory=set)
+
+    def index(self, vocab: dict[str, int]) -> FirmIndex:
+        """The entries on one vocabulary; a name two firms share counts for both."""
+        entries = [entry for entry in self.entries if entry[1]]  # a firm without names never counts
+        slot: dict[str, int] = {}
+        slots = [slot.setdefault(n, len(slot) + 1) for _, names in entries for n in names]
+        slot_of = np.zeros(len(vocab), np.intp)
+        for name in slot.keys() & vocab.keys():
+            slot_of[vocab[name]] = slot[name]
+        starts = np.cumsum([0] + [len(names) for _, names in entries])[:-1]
+        return FirmIndex([fid for fid, _ in entries], slot_of, np.array(slots, np.intp), starts)
 
 
 @dataclass
@@ -64,16 +97,17 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
-class _TokenMemo(dict):
-    """raw whitespace-split piece -> its token ('' for pure punctuation), filled on first sight."""
+class _PieceIds(dict):
+    """raw whitespace-split piece -> token id in ``vocab`` (-1: pure punctuation), memoized."""
 
-    def __missing__(self, raw: str) -> str:
-        tok = self[raw] = _strip_punct(_norm(raw))
-        return tok
+    def __init__(self):
+        super().__init__()
+        self.vocab: dict[str, int] = {}
 
-
-def _tokenize(text: str, memo: _TokenMemo) -> list[str]:
-    return [tok for tok in map(memo.__getitem__, text.split()) if tok]
+    def __missing__(self, raw: str) -> int:
+        tok = _strip_punct(_norm(raw))
+        i = self[raw] = self.vocab.setdefault(tok, len(self.vocab)) if tok else -1
+        return i
 
 
 def tokenize(text: str) -> list[str]:
@@ -81,50 +115,73 @@ def tokenize(text: str) -> list[str]:
 
     Tokens that are pure punctuation vanish; duplicates are kept.
     """
-    return _tokenize(text, _TokenMemo())
+    return [tok for tok in (_strip_punct(_norm(raw)) for raw in text.split()) if tok]
 
 
-def load_transcripts(path: str | Path) -> list[TranscriptRecord]:
-    """Read a transcript CSV (``content_id,publish_date,text``) in row order."""
-    path = Path(path)
-    records = []
+def _one_token(word: str, where: str) -> str:
+    """``word`` if ``tokenize`` yields it as one token; an error naming ``where`` otherwise."""
+    if tokenize(word) != [word]:
+        raise TranscriptFormatError(
+            f"{where} {word!r} is not a single token "
+            "(matching compares single tokens, so it could never match)"
+        )
+    return word
+
+
+def _words(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, NFC word) of each non-blank line of a one-word-per-line file."""
+    with Path(path).open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if word := _norm(line.strip()):
+                yield lineno, word
+
+
+def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) of each row of a CSV whose header must be ``header``."""
+    columns = header.split(",")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["content_id", "publish_date", "text"]:
-            raise TranscriptFormatError(
-                f"{path}: expected header 'content_id,publish_date,text', got {header!r}"
-            )
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != columns:
+            raise TranscriptFormatError(f"{path}: expected header {header!r}, got {got!r}")
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise TranscriptFormatError(f"{path}: row {lineno}: expected 3 fields, got {len(row)}")
-            content_id, date_str, text = row
-            try:
-                pub = date.fromisoformat(date_str.strip())
-            except ValueError:
+            if len(row) != len(columns):
                 raise TranscriptFormatError(
-                    f"{path}: row {lineno}: field 'publish_date': invalid date {date_str!r}"
-                ) from None
-            records.append(TranscriptRecord(content_id=content_id, publish_date=pub, text=text))
-    return records
+                    f"{path}: row {lineno}: expected {len(columns)} fields, got {len(row)}"
+                )
+            yield lineno, row
 
 
-def build_days(records: list[TranscriptRecord]) -> list[TranscriptDay]:
+def load_transcripts(path: str | Path) -> Iterator[TranscriptRecord]:
+    """Read a transcript CSV (``content_id,publish_date,text``) row by row, as it is iterated.
+
+    A one-shot iterator, so the text is never held at once: ``list()`` it to
+    count or reread the records.  A bad header or row raises when reached.
+    """
+    path = Path(path)
+    for lineno, (content_id, date_str, text) in _csv_rows(path, "content_id,publish_date,text"):
+        try:
+            pub = date.fromisoformat(date_str.strip())
+        except ValueError:
+            raise TranscriptFormatError(
+                f"{path}: row {lineno}: field 'publish_date': invalid date {date_str!r}"
+            ) from None
+        yield TranscriptRecord(content_id=content_id, publish_date=pub, text=text)
+
+
+def build_days(records: Iterable[TranscriptRecord]) -> Days:
     """Concatenate same-day scripts (record order) into tokenized days, ascending by date.
 
-    Each distinct raw piece is normalized once per call, and equal tokens
-    share one string.
+    Records are tokenized as they arrive, so the whole text is never held.
+    Each distinct raw piece is normalized once, and each token gets one id.
     """
-    memo = _TokenMemo()
-    by_date: dict[date, TranscriptDay] = {}
+    piece_ids = _PieceIds()
+    by_date: dict[date, list[np.ndarray]] = {}
     for rec in records:
-        day = by_date.get(rec.publish_date)
-        if day is None:
-            day = TranscriptDay(date=rec.publish_date, tokens=[], source_count=0)
-            by_date[rec.publish_date] = day
-        day.tokens.extend(_tokenize(rec.text, memo))
-        day.source_count += 1
-    return [by_date[d] for d in sorted(by_date)]
+        ids = np.fromiter(map(piece_ids.__getitem__, rec.text.split()), np.int32)
+        by_date.setdefault(rec.publish_date, []).append(ids[ids >= 0])
+    days = [TranscriptDay(d, np.concatenate(by_date[d]), len(by_date[d])) for d in sorted(by_date)]
+    return Days(days, piece_ids.vocab)
 
 
 def load_firm_dictionary(
@@ -137,64 +194,33 @@ def load_firm_dictionary(
     token as ``tokenize`` yields it (no whitespace, no edge punctuation).
     """
     names_path = Path(names_path)
-    exclusions: set[str] = set()
-    if exclusions_path is not None:
-        with Path(exclusions_path).open(encoding="utf-8") as fh:
-            for line in fh:
-                name = _norm(line.strip())
-                if name:
-                    exclusions.add(name)
-
-    order: list[str] = []
+    exclusions = set() if exclusions_path is None else {name for _, name in _words(exclusions_path)}
     names: dict[str, list[str]] = {}
-    with names_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["firm_id", "name"]:
-            raise TranscriptFormatError(
-                f"{names_path}: expected header 'firm_id,name', got {header!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise TranscriptFormatError(
-                    f"{names_path}: row {lineno}: expected 2 fields, got {len(row)}"
-                )
-            firm_id, name = row[0].strip(), _norm(row[1].strip())
-            if not firm_id or not name:
-                raise TranscriptFormatError(f"{names_path}: row {lineno}: empty firm_id or name")
-            if firm_id not in names:
-                names[firm_id] = []
-                order.append(firm_id)
-            if name in exclusions:
-                continue
-            if tokenize(name) != [name]:
-                raise TranscriptFormatError(
-                    f"{names_path}: row {lineno}: firm name {name!r} is not a single token "
-                    "(matching compares single tokens, so it could never match)"
-                )
-            if name not in names[firm_id]:
-                names[firm_id].append(name)
-
-    entries = [(fid, names[fid]) for fid in order if names[fid]]
+    for lineno, row in _csv_rows(names_path, "firm_id,name"):
+        firm_id, name = row[0].strip(), _norm(row[1].strip())
+        if not firm_id or not name:
+            raise TranscriptFormatError(f"{names_path}: row {lineno}: empty firm_id or name")
+        firm_names = names.setdefault(firm_id, [])
+        if name in exclusions:
+            continue
+        _one_token(name, f"{names_path}: row {lineno}: firm name")
+        if name not in firm_names:
+            firm_names.append(name)
+    entries = [(fid, firm_names) for fid, firm_names in names.items() if firm_names]
     return FirmDictionary(entries=entries, exclusions=exclusions)
 
 
 def extract_mentions(
-    day: TranscriptDay, dictionary: FirmDictionary, min_mentions: int = DEFAULT_MIN_MENTIONS
+    day: TranscriptDay, firms: FirmIndex, min_mentions: int = DEFAULT_MIN_MENTIONS
 ) -> MentionSet:
-    """Count per-firm name occurrences in one day's tokens.
+    """Count per-firm name occurrences in one day's tokens, by ``FirmDictionary.index``.
 
     Counts sum over all aliases of a firm; firms below ``min_mentions`` are
     dropped.  Dictionary entries already exclude suppressed names.
     """
     if min_mentions < 1:
         raise ValueError(f"min_mentions must be >= 1, got {min_mentions}")
-    counts: dict[str, int] = {}
-    for tok in day.tokens:
-        counts[tok] = counts.get(tok, 0) + 1
-    mentions = []
-    for firm_id, names in dictionary.entries:
-        total = sum(counts.get(name, 0) for name in names)
-        if total >= min_mentions:
-            mentions.append((firm_id, total))
+    counts = np.bincount(firms.slot_of[day.tokens], minlength=len(firms.slots) + 1)
+    totals = np.add.reduceat(counts[firms.slots], firms.starts).tolist()
+    mentions = [(fid, n) for fid, n in zip(firms.firm_ids, totals) if n >= min_mentions]
     return MentionSet(date=day.date, mentions=mentions)

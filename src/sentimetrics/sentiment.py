@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .corpus import MentionSet, TranscriptDay, _norm
+import numpy as np
+
+from .corpus import MentionSet, TranscriptDay, _one_token, _words
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -24,8 +26,22 @@ class LexiconConflictError(ValueError):
 
 @dataclass
 class Lexicon:
+    """Positive and negative words; a word in both is an error, as it would score both ways."""
+
     positive: set[str]
     negative: set[str]
+
+    def __post_init__(self):
+        conflicts = sorted(self.positive & self.negative)
+        if conflicts:
+            raise LexiconConflictError("words in both polarity lists: " + ", ".join(conflicts))
+
+    def polarity(self, vocab: dict[str, int]) -> np.ndarray:
+        """Each token id's polarity on ``vocab``: 1 positive, 2 negative, 0 neither."""
+        polarity = np.zeros(len(vocab), np.intp)
+        for value, words in ((1, self.positive), (2, self.negative)):
+            polarity[[vocab[w] for w in words if w in vocab]] = value
+        return polarity
 
 
 @dataclass
@@ -52,31 +68,20 @@ class SkippedMention:
 
 
 def _load_wordlist(path: str | Path) -> set[str]:
-    words = set()
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            word = _norm(line.strip())
-            if word:
-                words.add(word)
-    return words
+    return {_one_token(w, f"{path}: line {lineno}: lexicon word") for lineno, w in _words(path)}
 
 
 def load_lexicon(positive_path: str | Path, negative_path: str | Path) -> Lexicon:
-    """Load the two one-word-per-line polarity files; overlapping words are an error."""
-    positive = _load_wordlist(positive_path)
-    negative = _load_wordlist(negative_path)
-    conflicts = sorted(positive & negative)
-    if conflicts:
-        raise LexiconConflictError(
-            "words present in both polarity files: " + ", ".join(conflicts)
-        )
-    return Lexicon(positive=positive, negative=negative)
+    """Load the two one-word-per-line polarity files; overlapping words are an error.
+
+    Each word must be one token as ``tokenize`` yields it, or it could never score.
+    """
+    return Lexicon(positive=_load_wordlist(positive_path), negative=_load_wordlist(negative_path))
 
 
-def score_day(day: TranscriptDay, lexicon: Lexicon) -> SentimentObservation:
-    """Score one day's tokens; duplicates count separately."""
-    n_pos = sum(1 for tok in day.tokens if tok in lexicon.positive)
-    n_neg = sum(1 for tok in day.tokens if tok in lexicon.negative)
+def score_day(day: TranscriptDay, polarity: np.ndarray) -> SentimentObservation:
+    """Score one day's tokens by ``Lexicon.polarity`` of their vocabulary; duplicates count."""
+    _, n_pos, n_neg = np.bincount(polarity[day.tokens], minlength=3).tolist()
     total = n_pos + n_neg
     score = (n_pos - n_neg) / total if total > 0 else None
     return SentimentObservation(date=day.date, n_positive=n_pos, n_negative=n_neg, score=score)

@@ -87,9 +87,10 @@ def test_01_sentiment_exactness():
     # Hand count, duplicates kept: rally x3, gain x2 ("gain!" strips to
     # "gain", "GAIN" stays uppercase and must not match), strong x1 -> 6
     # positive.  loss x1, weak x3 -> 4 negative.  Score = (6-4)/10.
-    day = build_days([TranscriptRecord("a", date(2022, 5, 2), text)])[0]
+    days = build_days([TranscriptRecord("a", date(2022, 5, 2), text)])
+    day = days[0]
     assert len(day.tokens) <= 50
-    obs = score_day(day, lexicon)
+    obs = score_day(day, lexicon.polarity(days.vocab))
     assert obs.n_positive == 6
     assert obs.n_negative == 4
     assert obs.score == (6 - 4) / 10

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sentimetrics import factors
+from sentimetrics import corpus, factors
 from sentimetrics.cli import (
     INPUT_KEYS,
     OUT_FILES,
@@ -17,6 +17,7 @@ from sentimetrics.cli import (
     RunConfig,
     load_config,
     main,
+    run_stages,
 )
 
 SYNTH_OVERRIDES = {
@@ -299,6 +300,38 @@ def test_all_parses_the_panel_once_and_eventstudy_alone_parses_it(tmp_path, monk
     assert len(calls) == 2
     for name, content in before.items():
         assert (out / name).read_bytes() == content, name
+
+
+def test_all_reads_and_tokenizes_the_transcripts_once(tmp_path, monkeypatch):
+    cfg = load_config(_make_dataset(tmp_path))
+    calls = []
+    for name in ("load_transcripts", "build_days"):
+
+        def counted(*args, _fn=getattr(corpus, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, name, counted)
+    run_stages(cfg, STAGE_ORDER)
+    assert calls == ["load_transcripts", "build_days"]
+    assert cfg._days is None  # sentiment releases the days
+
+
+def test_lone_ingest_then_lone_sentiment_write_the_bytes_of_all(pipeline, tmp_path):
+    cfg_path, out = pipeline
+    alone = tmp_path / "alone"
+    for stage in ("ingest", "sentiment"):
+        assert main([stage, "--config", str(cfg_path), "--out", str(alone)]) == 0
+    for name in ("days.csv", "mentions.csv", "sentiment.csv", "events.csv", "event_skips.csv"):
+        assert (alone / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("key", ["_panel", "_days"])
+def test_in_run_cache_fields_are_not_config_keys(tmp_path, capsys, key):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({key: None}), encoding="utf-8")
+    assert main(["all", "--config", str(p)]) == 1
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

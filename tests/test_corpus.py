@@ -36,6 +36,12 @@ def test_tokenize_interior_punctuation_survives():
     assert tokenize("U.S. stock-market") == ["U.S", "stock-market"]
 
 
+def _words(days, day):
+    """The day's tokens as strings, through the vocabulary of its build_days call."""
+    words = list(days.vocab)
+    return [words[i] for i in day.tokens]
+
+
 def _write_transcripts(path, rows):
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -53,7 +59,7 @@ def test_load_transcripts_roundtrip(tmp_path):
             ["c3", "2022-08-03", ""],
         ],
     )
-    records = load_transcripts(p)
+    records = list(load_transcripts(p))
     assert [r.content_id for r in records] == ["c1", "c2", "c3"]
     assert records[0].publish_date == date(2022, 8, 2)
     assert records[2].text == ""
@@ -62,21 +68,21 @@ def test_load_transcripts_roundtrip(tmp_path):
 def test_load_transcripts_empty_file(tmp_path):
     p = tmp_path / "t.csv"
     _write_transcripts(p, [])
-    assert load_transcripts(p) == []
+    assert list(load_transcripts(p)) == []
 
 
 def test_load_transcripts_bad_date_names_row(tmp_path):
     p = tmp_path / "t.csv"
     _write_transcripts(p, [["c1", "2022-08-02", "x"], ["c2", "2022-13-01", "y"]])
     with pytest.raises(TranscriptFormatError, match="row 3.*publish_date"):
-        load_transcripts(p)
+        list(load_transcripts(p))
 
 
 def test_load_transcripts_bad_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("id,when,words\nc1,2022-08-02,x\n", encoding="utf-8")
     with pytest.raises(TranscriptFormatError, match="header"):
-        load_transcripts(p)
+        list(load_transcripts(p))
 
 
 def test_build_days_concatenates_same_day_in_record_order():
@@ -86,7 +92,7 @@ def test_build_days_concatenates_same_day_in_record_order():
     ]
     days = build_days(records)
     assert len(days) == 1
-    assert days[0].tokens == ["a", "b", "b", "c"]
+    assert _words(days, days[0]) == ["a", "b", "b", "c"]
     assert days[0].source_count == 2
 
 
@@ -115,12 +121,12 @@ def test_build_days_matches_per_record_tokenize():
     by_date = {}
     for rec in records:
         by_date.setdefault(rec.publish_date, []).extend(tokenize(rec.text))
-    assert [(d.date, d.tokens) for d in days] == sorted(by_date.items())
-    assert days[0].tokens[:4] == ["\ud55c", "acme", "acme", "acme"]
-    assert days[2].tokens == []
-    # One raw piece is normalized once: its tokens are one string object.
+    assert [(d.date, _words(days, d)) for d in days] == sorted(by_date.items())
+    assert _words(days, days[0])[:4] == ["\ud55c", "acme", "acme", "acme"]
+    assert _words(days, days[2]) == []
+    # Equal tokens, however they were spelled raw, share one id.
     first, second = days[0].tokens[0], days[0].tokens[5]
-    assert first == second and first is second
+    assert first == second and list(days.vocab).count("\ud55c") == 1
 
 
 def test_load_firm_dictionary_groups_aliases(tmp_path):
@@ -160,41 +166,45 @@ def test_load_firm_dictionary_exclusions_win(tmp_path):
     assert "sun" in d.exclusions
 
 
-def _day(tokens):
+def _mentions(tokens, dictionary, min_mentions):
     days = build_days([TranscriptRecord("c", date(2022, 8, 2), " ".join(tokens))])
-    return days[0]
+    return extract_mentions(days[0], dictionary.index(days.vocab), min_mentions).mentions
 
 
 FIRMS = FirmDictionary(entries=[("F1", ["acme", "acmeco"]), ("F2", ["globex"])])
 
 
 def test_extract_mentions_threshold():
-    day = _day(["acme", "acme", "acme", "globex", "globex"])
-    mset = extract_mentions(day, FIRMS, min_mentions=3)
-    assert mset.mentions == [("F1", 3)]
+    day = ["acme", "acme", "acme", "globex", "globex"]
+    assert _mentions(day, FIRMS, min_mentions=3) == [("F1", 3)]
 
 
 def test_extract_mentions_sums_aliases():
-    day = _day(["acme", "acmeco", "acme"])
-    mset = extract_mentions(day, FIRMS, min_mentions=3)
-    assert mset.mentions == [("F1", 3)]
+    day = ["acme", "acmeco", "acme"]
+    assert _mentions(day, FIRMS, min_mentions=3) == [("F1", 3)]
 
 
 def test_extract_mentions_monotone_in_threshold():
-    day = _day(["acme"] * 4 + ["globex"] * 2)
+    day = ["acme"] * 4 + ["globex"] * 2
     for lo in range(1, 6):
-        keep_lo = {f for f, _ in extract_mentions(day, FIRMS, lo).mentions}
-        keep_hi = {f for f, _ in extract_mentions(day, FIRMS, lo + 1).mentions}
+        keep_lo = {f for f, _ in _mentions(day, FIRMS, lo)}
+        keep_hi = {f for f, _ in _mentions(day, FIRMS, lo + 1)}
         assert keep_hi <= keep_lo
 
 
 def test_extract_mentions_excluded_name_never_matches():
     d = FirmDictionary(entries=[("F1", ["acme"])], exclusions={"globex"})
-    day = _day(["globex"] * 10 + ["acme"] * 3)
-    mset = extract_mentions(day, d, min_mentions=1)
-    assert mset.mentions == [("F1", 3)]
+    day = ["globex"] * 10 + ["acme"] * 3
+    assert _mentions(day, d, min_mentions=1) == [("F1", 3)]
 
 
 def test_extract_mentions_rejects_bad_threshold():
     with pytest.raises(ValueError):
-        extract_mentions(_day(["acme"]), FIRMS, min_mentions=0)
+        _mentions(["acme"], FIRMS, min_mentions=0)
+
+
+def test_extract_mentions_counts_a_shared_alias_for_both_firms():
+    d = FirmDictionary(entries=[("F1", ["acme", "sun"]), ("F2", ["sun"]), ("F3", ["globex"])])
+    day = ["sun", "acme", "sun", "globex"]
+    assert _mentions(day, d, min_mentions=1) == [("F1", 3), ("F2", 2), ("F3", 1)]
+    assert _mentions(day, d, min_mentions=2) == [("F1", 3), ("F2", 2)]

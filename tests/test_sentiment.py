@@ -2,7 +2,7 @@ from datetime import date
 
 import pytest
 
-from sentimetrics.corpus import MentionSet, TranscriptDay
+from sentimetrics.corpus import MentionSet, TranscriptFormatError, TranscriptRecord, build_days
 from sentimetrics.sentiment import (
     Lexicon,
     LexiconConflictError,
@@ -16,51 +16,52 @@ from sentimetrics.tables import SENTIMENT, read_table, write_items
 LEX = Lexicon(positive={"good", "fine"}, negative={"bad", "poor"})
 
 
-def _day(tokens, d=date(2022, 8, 2)):
-    return TranscriptDay(date=d, tokens=list(tokens), source_count=1)
+def _score(tokens, lexicon=LEX):
+    days = build_days([TranscriptRecord("c", date(2022, 8, 2), " ".join(tokens))])
+    return score_day(days[0], lexicon.polarity(days.vocab))
 
 
 def test_score_day_basic_ratio():
-    obs = score_day(_day(["good", "good", "good", "bad"]), LEX)
+    obs = _score(["good", "good", "good", "bad"])
     assert (obs.n_positive, obs.n_negative) == (3, 1)
     assert obs.score == 0.5
 
 
 def test_score_day_duplicates_count_separately():
-    obs = score_day(_day(["good", "good", "bad"]), LEX)
+    obs = _score(["good", "good", "bad"])
     assert obs.n_positive == 2
     assert obs.score == pytest.approx(1 / 3)
 
 
 def test_score_day_no_matches_is_undefined_not_zero():
-    obs = score_day(_day(["unrelated", "words"]), LEX)
+    obs = _score(["unrelated", "words"])
     assert (obs.n_positive, obs.n_negative) == (0, 0)
     assert obs.score is None
 
 
 def test_score_day_balanced_is_exact_zero():
-    obs = score_day(_day(["good", "bad"]), LEX)
+    obs = _score(["good", "bad"])
     assert obs.score == 0.0
 
 
 def test_score_day_antisymmetric_under_lexicon_swap():
     swapped = Lexicon(positive=LEX.negative, negative=LEX.positive)
     tokens = ["good", "bad", "bad", "fine", "poor", "noise"]
-    a = score_day(_day(tokens), LEX)
-    b = score_day(_day(tokens), swapped)
+    a = _score(tokens)
+    b = _score(tokens, swapped)
     assert a.score == -b.score
 
 
 def test_score_day_order_invariant():
     tokens = ["good", "bad", "bad", "fine"]
-    a = score_day(_day(tokens), LEX)
-    b = score_day(_day(list(reversed(tokens))), LEX)
+    a = _score(tokens)
+    b = _score(list(reversed(tokens)))
     assert (a.n_positive, a.n_negative, a.score) == (b.n_positive, b.n_negative, b.score)
 
 
 def test_score_day_single_polarity_hits_unit_magnitude():
-    assert score_day(_day(["good", "fine", "good"]), LEX).score == 1.0
-    assert score_day(_day(["bad"]), LEX).score == -1.0
+    assert _score(["good", "fine", "good"]).score == 1.0
+    assert _score(["bad"]).score == -1.0
 
 
 def test_load_lexicon_dedup_and_sets(tmp_path):
@@ -73,6 +74,11 @@ def test_load_lexicon_dedup_and_sets(tmp_path):
     assert lex.negative == {"down", "weak"}
 
 
+def test_lexicon_built_with_a_word_in_both_lists_is_rejected():
+    with pytest.raises(LexiconConflictError, match="mixed"):
+        Lexicon(positive={"up", "mixed"}, negative={"mixed"})
+
+
 def test_load_lexicon_conflict_lists_words(tmp_path):
     pos = tmp_path / "pos.txt"
     neg = tmp_path / "neg.txt"
@@ -80,6 +86,26 @@ def test_load_lexicon_conflict_lists_words(tmp_path):
     neg.write_text("mixed\ndown\n", encoding="utf-8")
     with pytest.raises(LexiconConflictError, match="mixed"):
         load_lexicon(pos, neg)
+
+
+@pytest.mark.parametrize("word", ["good.", "very good", "(bad)", "\u00abfine\u00bb", "!!!"])
+def test_load_lexicon_rejects_words_that_are_not_one_token(tmp_path, word):
+    pos = tmp_path / "pos.txt"
+    neg = tmp_path / "neg.txt"
+    pos.write_text("up\n\nstrong\n", encoding="utf-8")
+    neg.write_text(f"down\n{word}\n", encoding="utf-8")
+    with pytest.raises(TranscriptFormatError, match=r"neg\.txt: line 2: lexicon word"):
+        load_lexicon(pos, neg)
+
+
+def test_load_lexicon_normalizes_words_before_the_check(tmp_path):
+    pos = tmp_path / "pos.txt"
+    neg = tmp_path / "neg.txt"
+    pos.write_text("\u1112\u1161\u11ab\n", encoding="utf-8")  # NFD of U+D55C
+    neg.write_text("  down  \n", encoding="utf-8")
+    lex = load_lexicon(pos, neg)
+    assert lex.positive == {"\ud55c"}
+    assert lex.negative == {"down"}
 
 
 def _obs(d, score, n_pos=1, n_neg=1):

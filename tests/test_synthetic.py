@@ -385,15 +385,17 @@ def test_transcripts_reproduce_planted_scores_and_events():
 
     by_date = {obs.date: obs for obs in ds.observations}
     scores = []
+    polarity = ds.lexicon.polarity(days.vocab)
     for day in days:
-        obs = score_day(day, ds.lexicon)
+        obs = score_day(day, polarity)
         want = by_date[day.date]
         assert obs.n_positive == want.n_positive
         assert obs.n_negative == want.n_negative
         assert obs.score == pytest.approx(want.score, abs=1e-15)
         scores.append(obs)
 
-    mentions = [extract_mentions(day, ds.dictionary, cfg.min_mentions) for day in days]
+    firms = ds.dictionary.index(days.vocab)
+    mentions = [extract_mentions(day, firms, cfg.min_mentions) for day in days]
     events, skipped = build_stock_events(mentions, scores)
     assert skipped == []
     got = {(e.firm_id, e.announce_date, e.polarity) for e in events}
@@ -406,8 +408,9 @@ def test_single_noise_mention_stays_below_threshold():
     ds = gen_dataset(cfg)
     days = build_days(ds.transcripts)
     event_dates = {e.announce_date for e in ds.truth.events}
+    firms = ds.dictionary.index(days.vocab)
     for day in days:
-        mset = extract_mentions(day, ds.dictionary, cfg.min_mentions)
+        mset = extract_mentions(day, firms, cfg.min_mentions)
         if day.date not in event_dates:
             assert mset.mentions == []
 
