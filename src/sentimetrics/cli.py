@@ -5,8 +5,7 @@ stages or the whole chain in dependency order.  Stages communicate only
 through CSV files in the output directory, so any stage can be re-run alone
 once its upstream files exist, and re-running with unchanged inputs rewrites
 byte-identical outputs.  A manifest records the config hash, input checksums,
-and per-stage row counts; wall-clock timings go in only when asked, to keep
-the default output tree deterministic.
+and per-stage row counts.
 """
 
 from __future__ import annotations
@@ -86,7 +85,6 @@ class RunConfig:
     rebalance_month: int = 7
     rebalance_day: int = 1
     min_breakpoint_stocks: int = 6
-    timings: bool = False
     _panel: factormod.SecurityPanel | None = dc_field(
         default=None, init=False, repr=False, compare=False
     )
@@ -233,12 +231,18 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     cfg = RunConfig(config_path=path, out_dir=out_dir, inputs=inputs, **raw)
     if cfg.signal_mode not in (timing.INCLUSIVE, timing.EXCLUSIVE):
         raise ConfigError(f"{path}: signal_mode must be inclusive|exclusive")
-    if not cfg.signal_n_list or min(cfg.signal_n_list) < 1:
+    n_list = cfg.signal_n_list
+    if not n_list or min(n_list) < 1 or len(set(n_list)) < len(n_list):
         raise ConfigError(
-            f"{path}: 'signal_n_list' must be a non-empty list of integers >= 1, "
-            f"got {cfg.signal_n_list}"
+            f"{path}: 'signal_n_list' must be a non-empty list of distinct integers >= 1, "
+            f"got {n_list}"
         )
-    for key, least in (("signal_lag", 0), ("regression_n", 1)):
+    for key, least in (
+        ("min_mentions", 1),
+        ("signal_lag", 0),
+        ("regression_n", 1),
+        ("min_breakpoint_stocks", 1),
+    ):
         if getattr(cfg, key) < least:
             raise ConfigError(f"{path}: '{key}' must be >= {least}, got {getattr(cfg, key)}")
     # The rebalance date must exist in every year, so a non-leap year decides.
@@ -476,30 +480,18 @@ def _sha256(path: Path) -> str:
 
 def _write_manifest(cfg: RunConfig, stage_infos: dict[str, dict], reset: bool) -> None:
     manifest_path = cfg.out_path("manifest")
-    manifest = {}
+    stages = {}
     if not reset and manifest_path.exists():
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            stages = json.loads(manifest_path.read_text(encoding="utf-8")).get("stages", {})
         except json.JSONDecodeError:
-            manifest = {}
-    manifest["config_sha256"] = _sha256(cfg.config_path)
-    inputs = {}
-    for key, p in sorted(cfg.inputs.items()):
-        if p is not None:
-            inputs[key] = _sha256(p)
-    manifest["inputs"] = inputs
-    stages = manifest.get("stages", {}) if not reset else {}
-    timings = manifest.get("timings", {}) if (not reset and cfg.timings) else {}
-    for name, info in stage_infos.items():
-        elapsed = info.pop("_elapsed", None)
-        stages[name] = info
-        if cfg.timings and elapsed is not None:
-            timings[name] = round(elapsed, 6)
-    manifest["stages"] = {k: stages[k] for k in sorted(stages)}
-    if cfg.timings:
-        manifest["timings"] = {k: timings[k] for k in sorted(timings)}
-    else:
-        manifest.pop("timings", None)
+            pass
+    stages.update(stage_infos)
+    manifest = {
+        "config_sha256": _sha256(cfg.config_path),
+        "inputs": {key: _sha256(p) for key, p in sorted(cfg.inputs.items()) if p is not None},
+        "stages": stages,
+    }
     with manifest_path.open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -510,10 +502,8 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
     infos: dict[str, dict] = {}
     for name in stages:
         started = time.perf_counter()
-        info = STAGE_FUNCS[name](cfg)
-        info["_elapsed"] = time.perf_counter() - started
-        infos[name] = info
-        print(f"{PROG}: {name}: done", file=sys.stderr)
+        infos[name] = STAGE_FUNCS[name](cfg)
+        print(f"{PROG}: {name}: done in {time.perf_counter() - started:.2f} s", file=sys.stderr)
     _write_manifest(cfg, infos, reset=(stages == STAGE_ORDER))
 
 

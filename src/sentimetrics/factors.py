@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -47,19 +46,6 @@ class DegenerateBreakpointsError(ValueError):
 
 class CalendarAlignmentError(ValueError):
     """A series cannot be aligned to the trading calendar."""
-
-
-@dataclass
-class PanelRow:
-    """One (firm, date) observation, read out of a SecurityPanel."""
-
-    daily_return: float
-    market_cap: float
-    exchange: str
-    book_equity: float
-    operating_income: float
-    total_assets: float
-    total_assets_prior: float
 
 
 PANEL_FIELDS = (
@@ -107,62 +93,11 @@ class SecurityPanel:
         self._firm_index = {f: i for i, f in enumerate(self.firms)}
         self._date_index = {d: t for t, d in enumerate(self.calendar)}
 
-    @classmethod
-    def from_rows(
-        cls, rows: Mapping[str, Mapping[date, PanelRow]], calendar: list[date] | None = None
-    ) -> SecurityPanel:
-        """Build the arrays from per-firm {date: PanelRow} maps.
-
-        The calendar defaults to every date that has a row."""
-        firms = sorted(rows)
-        if calendar is None:
-            calendar = sorted({d for by_date in rows.values() for d in by_date})
-        date_index = {d: t for t, d in enumerate(calendar)}
-        shape = (len(firms), len(calendar))
-        present = np.zeros(shape, dtype=bool)
-        is_main = np.zeros(shape, dtype=bool)
-        values = {name: np.full(shape, np.nan) for name in PANEL_FIELDS}
-        for i, firm in enumerate(firms):
-            for d, row in rows[firm].items():
-                t = date_index[d]
-                present[i, t] = True
-                is_main[i, t] = row.exchange == MAIN
-                for name in PANEL_FIELDS:
-                    values[name][i, t] = getattr(row, name)
-        return cls(firms=firms, calendar=list(calendar), present=present, is_main=is_main, **values)
-
     def firm_index(self, firm_id: str) -> int | None:
         return self._firm_index.get(firm_id)
 
     def date_index(self, d: date) -> int | None:
         return self._date_index.get(d)
-
-    def row(self, firm_id: str, d: date) -> PanelRow | None:
-        """The observation of `firm_id` on `d`, or None when the panel has none."""
-        i = self._firm_index.get(firm_id)
-        t = self._date_index.get(d)
-        if i is None or t is None or not self.present[i, t]:
-            return None
-        return self._row_at(i, t)
-
-    def _row_at(self, i: int, t: int) -> PanelRow:
-        exchange = MAIN if self.is_main[i, t] else SECONDARY
-        return PanelRow(
-            float(self.daily_return[i, t]),
-            float(self.market_cap[i, t]),
-            exchange,
-            float(self.book_equity[i, t]),
-            float(self.operating_income[i, t]),
-            float(self.total_assets[i, t]),
-            float(self.total_assets_prior[i, t]),
-        )
-
-    def cross_section(self, d: date) -> list[tuple[str, PanelRow]]:
-        """All firms with a row on date `d`, in firm-id order."""
-        t = self._date_index.get(d)
-        if t is None:
-            return []
-        return [(self.firms[i], self._row_at(i, t)) for i in np.flatnonzero(self.present[:, t])]
 
 
 @dataclass
@@ -195,15 +130,6 @@ class FactorSeries:
 
     def index_of(self, d: date) -> int | None:
         return self._date_index.get(d)
-
-
-@dataclass
-class FactorDetail:
-    """Per-dimension small-minus-big legs behind the reported size factor."""
-
-    smb_value: np.ndarray
-    smb_profitability: np.ndarray
-    smb_investment: np.ndarray
 
 
 @dataclass
@@ -419,11 +345,6 @@ def _rf_on(calendar: list[date], rf: dict[date, float]) -> np.ndarray:
     return np.array([rf[d] for d in calendar], dtype=float)
 
 
-def market_excess_return(panel: SecurityPanel, rf: dict[date, float]) -> np.ndarray:
-    """Cap-weighted market return minus rf on every calendar date."""
-    return _value_weighted(panel, panel.present) - _rf_on(panel.calendar, rf)
-
-
 def rebalance_schedule(calendar: list[date], month: int = 7, day: int = 1) -> list[date]:
     """Initial formation at the first trading day, then the first trading day
     on/after `month`/`day` of each later-or-equal year."""
@@ -479,8 +400,7 @@ def construct_factors(
     rebalance_month: int = 7,
     rebalance_day: int = 1,
     min_breakpoint_stocks: int = 6,
-    detail: bool = False,
-) -> FactorSeries | tuple[FactorSeries, FactorDetail]:
+) -> FactorSeries:
     """Build the daily five-factor series from the panel.
 
     Raises DegenerateBreakpointsError when a rebalance date has fewer than
@@ -507,7 +427,7 @@ def construct_factors(
     big = (ret[:, 3] + ret[:, 4] + ret[:, 5]) / 3.0
     smb_legs = small - big  # per dimension
     v, p, inv = ret
-    series = FactorSeries(
+    return FactorSeries(
         dates=list(calendar),
         rmrf=market - rf_arr,
         smb=(smb_legs[0] + smb_legs[1] + smb_legs[2]) / 3.0,
@@ -516,26 +436,11 @@ def construct_factors(
         cma=(inv[0] + inv[3]) / 2.0 - (inv[2] + inv[5]) / 2.0,  # conservative = low growth
         rf=rf_arr,
     )
-    if detail:
-        return series, FactorDetail(
-            smb_value=smb_legs[0],
-            smb_profitability=smb_legs[1],
-            smb_investment=smb_legs[2],
-        )
-    return series
 
 
 def _zero_share(present: np.ndarray, returns: np.ndarray) -> np.ndarray:
     """Per date (last axis): share of the present firms whose return is exactly zero."""
     return (present & (returns == 0.0)).sum(axis=0) / present.sum(axis=0)
-
-
-def compute_pct_zero(panel: SecurityPanel, d: date) -> float:
-    """Fraction of firms with a row on `d` whose return is exactly zero."""
-    t = panel.date_index(d)
-    if t is None:
-        raise CalendarAlignmentError(f"{d} is not in the panel trading calendar")
-    return float(_zero_share(panel.present[:, t], panel.daily_return[:, t]))
 
 
 def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:

@@ -8,7 +8,7 @@ assert their own budget.
 import json
 import math
 import time
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -27,13 +27,7 @@ from sentimetrics.eventstudy import (
     estimate_exposures,
     run_event_study,
 )
-from sentimetrics.factors import (
-    FACTOR_NAMES,
-    FactorSeries,
-    PanelRow,
-    SecurityPanel,
-    construct_factors,
-)
+from sentimetrics.factors import FACTOR_NAMES, FactorSeries, construct_factors
 from sentimetrics.sentiment import Lexicon, StockSentimentEvent, score_day
 from sentimetrics.synthetic import SynthConfig, gen_dataset
 from sentimetrics.timing import (
@@ -45,20 +39,12 @@ from sentimetrics.timing import (
     timing_observations,
 )
 
-
-def _weekdays(start, n):
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+from helpers import Row, cell, on_calendar, panel_from_rows, weekdays
 
 
 def _random_factors(rng, n_days, start=date(2019, 1, 7)):
     return FactorSeries(
-        dates=_weekdays(start, n_days),
+        dates=weekdays(start, n_days),
         rmrf=rng.normal(0.0003, 0.01, n_days),
         smb=rng.normal(0.0, 0.005, n_days),
         hml=rng.normal(0.0, 0.005, n_days),
@@ -66,11 +52,6 @@ def _random_factors(rng, n_days, start=date(2019, 1, 7)):
         cma=rng.normal(0.0, 0.004, n_days),
         rf=np.full(n_days, 1e-4),
     )
-
-
-def _on_calendar(excess, factors):
-    """A date -> excess-return map as one array on the factor calendar, NaN where it has none."""
-    return np.array([excess.get(d, np.nan) for d in factors.dates])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +117,7 @@ def test_02_ols_oracle_equivalence():
                 )
             excess[factors.dates[t]] = model + rng.normal(0.0, 0.005)
         anchor = factors.dates[280]
-        est = estimate_exposures(_on_calendar(excess, factors), factors, window, anchor)
+        est = estimate_exposures(on_calendar(excess, factors), factors, window, anchor)
 
         rows, ys = [], []
         for rel in range(window.est_start, window.est_end + 1):
@@ -224,7 +205,7 @@ def _vw(pairs):
 
 
 def test_04_factor_construction_oracle():
-    calendar = _weekdays(date(2022, 1, 3), 5)
+    calendar = weekdays(date(2022, 1, 3), 5)
     rng = np.random.default_rng(404)
     caps = [1e9 * (i + 1) for i in range(6)] + [1e11 * (i + 1) for i in range(6)]
     value_rank = [1, 5, 9, 2, 6, 10, 3, 7, 11, 4, 8, 12]
@@ -237,10 +218,10 @@ def test_04_factor_construction_oracle():
         oi = (prof_rank[i] / 20) * be
         tap = 1e9 / (1 + (inv_rank[i] - 6) / 20)
         data[f"S{i}"] = {
-            d: PanelRow(rets[i, t], caps[i], "main", be, oi, 1e9, tap)
+            d: Row(rets[i, t], caps[i], "main", be, oi, 1e9, tap)
             for t, d in enumerate(calendar)
         }
-    panel = SecurityPanel.from_rows(data, list(calendar))
+    panel = panel_from_rows(data, calendar)
     rf = {d: 1e-4 for d in calendar}
     series = construct_factors(panel, rf)
 
@@ -254,7 +235,7 @@ def test_04_factor_construction_oracle():
     }
     worst = 0.0
     for t, d in enumerate(calendar):
-        cs = panel.cross_section(d)
+        cs = [(f, row) for f in panel.firms if (row := cell(panel, f, d))]
         market = _vw([(row.daily_return, row.market_cap) for _f, row in cs])
         legs = []
         dims = {}
@@ -279,9 +260,9 @@ def test_04_factor_construction_oracle():
             worst = max(worst, gap)
             assert gap < 1e-12, (name, d)
 
-    flat = {f"T{i}": {d: PanelRow(0.01, 5e9, "main", 2e9, 2e8, 1e9, 1e9) for d in calendar}
+    flat = {f"T{i}": {d: Row(0.01, 5e9, "main", 2e9, 2e8, 1e9, 1e9) for d in calendar}
             for i in range(8)}
-    flat_series = construct_factors(SecurityPanel.from_rows(flat, list(calendar)), rf)
+    flat_series = construct_factors(panel_from_rows(flat, calendar), rf)
     for name in ("smb", "hml", "rmw", "cma"):
         assert np.all(getattr(flat_series, name) == 0.0), name
     print(f"PASS 4 factor construction oracle: 12-stock worst gap {worst:.2e}; identical universe exact zeros")
@@ -357,9 +338,9 @@ def test_06_caar_arithmetic_identities():
     # AR identity: value == realized excess minus fitted, recomputed per path.
     for path in paths:
         est = estimate_exposures(
-            _on_calendar(
+            on_calendar(
                 {
-                    d: ds.panel.row(path.firm_id, d).daily_return - cfg.rf_daily
+                    d: cell(ds.panel, path.firm_id, d).daily_return - cfg.rf_daily
                     for d in ds.calendar
                 },
                 ds.factors,
@@ -380,7 +361,7 @@ def test_06_caar_arithmetic_identities():
                 row[3 * j] = mats[t - 1, j]
                 row[3 * j + 1] = mats[t, j]
                 row[3 * j + 2] = mats[t + 1, j]
-            excess_t = ds.panel.row(path.firm_id, ds.calendar[t]).daily_return - cfg.rf_daily
+            excess_t = cell(ds.panel, path.firm_id, ds.calendar[t]).daily_return - cfg.rf_daily
             fitted = 1.0 * est.alpha + float(row @ est.slopes)
             assert path.values[off] == excess_t - fitted  # bitwise
 
@@ -415,7 +396,7 @@ def test_06_caar_arithmetic_identities():
 def test_07_signal_correctness():
     from sentimetrics.sentiment import SentimentObservation
 
-    dates = _weekdays(date(2022, 1, 3), 10)
+    dates = weekdays(date(2022, 1, 3), 10)
     scores = [0.10, 0.30, 0.20, 0.50, 0.40, 0.60, 0.10, 0.20, 0.70, 0.30]
     obs = [SentimentObservation(d, 3, 1, s) for d, s in zip(dates, scores)]
     assert list(build_signal(obs, 3).values) == [1, 1, 1, 0, 0, 1, 0]
@@ -429,7 +410,7 @@ def test_07_signal_correctness():
         raw = rng.uniform(-1.0, 1.0, 14)
         a = rng.uniform(0.05, 4.0)
         b = rng.uniform(-2.0, 2.0)
-        base = [SentimentObservation(d, 1, 1, float(s)) for d, s in zip(_weekdays(date(2021, 3, 1), 14), raw)]
+        base = [SentimentObservation(d, 1, 1, float(s)) for d, s in zip(weekdays(date(2021, 3, 1), 14), raw)]
         scaled = [
             SentimentObservation(o.date, o.n_positive, o.n_negative, a * o.score + b)
             for o in base
@@ -444,7 +425,7 @@ def test_07_signal_correctness():
 
 
 def test_08_backtest_identities():
-    cal = _weekdays(date(2021, 1, 4), 60)
+    cal = weekdays(date(2021, 1, 4), 60)
     rng = np.random.default_rng(808)
     market = rng.normal(0.0002, 0.011, 60)
     lag = 2

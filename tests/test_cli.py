@@ -97,7 +97,7 @@ def test_manifest_records_hashes_and_stages(pipeline):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert set(manifest["stages"]) == set(STAGE_ORDER)
     assert len(manifest["config_sha256"]) == 64
-    assert "timings" not in manifest  # opt-in only
+    assert set(manifest) == {"config_sha256", "inputs", "stages"}
     assert "transcripts_csv" in manifest["inputs"]
     assert all(len(v) == 64 for v in manifest["inputs"].values())
     rows = manifest["stages"]["ingest"]["rows"]
@@ -134,6 +134,11 @@ def test_single_stage_rerun_is_stable(pipeline):
     manifest_after = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     # Partial rerun merges into the existing stage map instead of resetting it.
     assert set(manifest_after["stages"]) == set(manifest_before["stages"])
+    # Only the earlier stages carry over, so a stale top-level block drops out.
+    stale = {**manifest_after, "timings": {"timing": 0.25}}
+    (out / "manifest.json").write_text(json.dumps(stale), encoding="utf-8")
+    assert main(["timing", "--config", str(cfg_path)]) == 0
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8")) == manifest_before
 
 
 def test_full_reruns_are_byte_identical(tmp_path):
@@ -168,6 +173,9 @@ def test_unknown_config_key_errors(tmp_path, capsys):
     rc = main(["all", "--config", str(p)])
     assert rc == 1
     assert "unknown config keys: transcript_csv" in capsys.readouterr().err
+    p.write_text(json.dumps({"timings": False}), encoding="utf-8")
+    assert main(["all", "--config", str(p)]) == 1
+    assert "unknown config keys: timings" in capsys.readouterr().err
 
 
 def test_config_input_pointing_nowhere_errors(tmp_path, capsys):
@@ -187,11 +195,13 @@ def test_missing_required_input_names_stage(tmp_path, capsys):
     assert "transcripts_csv" in err and "ingest stage" in err
 
 
-def test_out_flag_overrides_configured_dir(tmp_path):
+def test_out_flag_overrides_configured_dir(tmp_path, capsys):
     cfg_path = _make_dataset(tmp_path)
     other = tmp_path / "elsewhere"
+    capsys.readouterr()
     rc = main(["ingest", "--config", str(cfg_path), "--out", str(other)])
     assert rc == 0
+    assert re.fullmatch(r"sentimetrics: ingest: done in \d+\.\d\d s\n", capsys.readouterr().err)
     assert (other / "days.csv").exists()
     assert not (cfg_path.parent / "out" / "days.csv").exists()
 
@@ -204,7 +214,6 @@ def test_load_config_defaults(tmp_path):
     assert cfg.signal_n_list == list(range(5, 21))
     assert cfg.signal_lag == 2
     assert cfg.regression_n == 10
-    assert not cfg.timings
     assert cfg.window.est_start == -273
 
 
@@ -340,7 +349,6 @@ def test_in_run_cache_fields_are_not_config_keys(tmp_path, capsys, key):
         ("tie_up", "false"),
         ("robust_se", 0),
         ("with_ols", None),
-        ("timings", "yes"),
         ("min_mentions", 2.9),
         ("signal_lag", "2"),
         ("regression_n", True),
@@ -360,6 +368,10 @@ def test_in_run_cache_fields_are_not_config_keys(tmp_path, capsys, key):
         ("signal_lag", -1),
         ("regression_n", 0),
         ("signal_n_list", [0]),
+        ("signal_n_list", [5, 5]),
+        ("min_mentions", 0),
+        ("min_breakpoint_stocks", 0),
+        ("min_breakpoint_stocks", -1),
     ],
 )
 def test_load_config_rejects_mistyped_values(tmp_path, key, value):
@@ -393,6 +405,20 @@ def test_bad_rebalance_date_stops_all_before_any_stage(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["all", "--config", str(cfg_path)]) == 1
     assert "'rebalance_month' must be" in capsys.readouterr().err
+    assert not (cfg_path.parent / cfg["out_dir"]).exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("min_mentions", 0), ("min_breakpoint_stocks", 0), ("signal_n_list", [5, 5])],
+)
+def test_out_of_range_setting_stops_all_before_any_stage(tmp_path, capsys, key, value):
+    cfg_path = _make_dataset(tmp_path)
+    cfg = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg.update({key: value, "factors_csv": None})
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    assert f"{cfg_path}: '{key}' must be" in capsys.readouterr().err
     assert not (cfg_path.parent / cfg["out_dir"]).exists()
 
 

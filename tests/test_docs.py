@@ -1,4 +1,4 @@
-"""The README's configuration tables against the code they describe."""
+"""The README's configuration tables and library example against the code they describe."""
 
 import json
 import re
@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from sentimetrics import tables
-from sentimetrics.cli import RunConfig, load_config
+from sentimetrics.cli import RunConfig, load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -61,3 +61,11 @@ def test_readme_parameters_list_every_field_with_its_default(tmp_path):
             assert list(range(int(first), int(last) + 1)) == value, name
         else:
             assert json.loads(text.strip("`")) == value, name
+
+
+def test_readme_library_use_runs_on_a_synth_dataset(tmp_path, monkeypatch):
+    assert main(["synth", "--out", str(tmp_path), "--seed", "7"]) == 0
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Library use\n.*?^```python\n(.*?)^```$", text, re.S | re.M).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, f"{README}: Library use", "exec"), {})

@@ -1,5 +1,5 @@
 import math
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -25,15 +25,7 @@ from sentimetrics.factors import ControlSeries
 from sentimetrics.tables import REGRESSIONS, read_table, write_rows
 from sentimetrics.timing import INCLUSIVE, SignalSeries
 
-
-def _weekdays(start, n):
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+from helpers import weekdays
 
 
 def test_spec_table_matches_design():
@@ -279,7 +271,7 @@ def test_logit_extreme_linear_predictor_is_stable():
 
 def _harness_inputs(n_days=240, seed=8, zero_days=(), nan_market=()):
     rng = np.random.default_rng(seed)
-    cal = _weekdays(date(2021, 1, 4), n_days)
+    cal = weekdays(date(2021, 1, 4), n_days)
     sig_values = rng.integers(0, 2, n_days - 3)
     signal = SignalSeries(n=3, mode=INCLUSIVE, dates=cal[: n_days - 3], values=sig_values)
     market = rng.normal(0.0004, 0.01, n_days)
@@ -370,7 +362,7 @@ def test_with_ols_runs_return_regressions_alongside():
 def test_planted_signal_slope_recovered():
     rng = np.random.default_rng(10)
     n_days = 1200
-    cal = _weekdays(date(2018, 1, 1), n_days)
+    cal = weekdays(date(2018, 1, 1), n_days)
     values = rng.integers(0, 2, n_days)
     signal = SignalSeries(n=3, mode=INCLUSIVE, dates=list(cal), values=values)
     lag = 2

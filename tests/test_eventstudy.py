@@ -18,24 +18,16 @@ from sentimetrics.eventstudy import (
     pool_aar_caar,
     run_event_study,
 )
-from sentimetrics.factors import FACTOR_NAMES, FactorSeries, PanelRow, SecurityPanel
+from sentimetrics.factors import FACTOR_NAMES, FactorSeries
 from sentimetrics.eventstudy import ArPath
 from sentimetrics.sentiment import StockSentimentEvent
 
-
-def _weekdays(start, n):
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+from helpers import Row, on_calendar, panel_from_rows, weekdays
 
 
 def _factors(n_days, seed=0, start=date(2020, 1, 6)):
     rng = np.random.default_rng(seed)
-    dates = _weekdays(start, n_days)
+    dates = weekdays(start, n_days)
     return FactorSeries(
         dates=dates,
         rmrf=rng.normal(0.0003, 0.01, n_days),
@@ -50,11 +42,6 @@ def _factors(n_days, seed=0, start=date(2020, 1, 6)):
 SHORT_WINDOW = EventWindowConfig(
     est_start=-60, est_end=-6, evt_start=-5, evt_len=10, min_est_obs=20
 )
-
-
-def _on_calendar(excess, factors):
-    """A date -> excess-return map as one array on the factor calendar, NaN where it has none."""
-    return np.array([excess.get(d, np.nan) for d in factors.dates])
 
 
 def _linear_excess(factors, alpha, slopes):
@@ -86,23 +73,23 @@ def test_regressor_layout_factor_major():
 
 
 def test_align_trading_day_is_identity():
-    cal = _weekdays(date(2022, 1, 3), 10)
+    cal = weekdays(date(2022, 1, 3), 10)
     assert align_event_date(cal[4], cal) == cal[4]
 
 
 def test_align_weekend_rolls_forward():
-    cal = _weekdays(date(2022, 1, 3), 10)
+    cal = weekdays(date(2022, 1, 3), 10)
     sat = date(2022, 1, 8)
     assert align_event_date(sat, cal) == date(2022, 1, 10)
 
 
 def test_align_before_start_maps_to_first_day():
-    cal = _weekdays(date(2022, 1, 3), 10)
+    cal = weekdays(date(2022, 1, 3), 10)
     assert align_event_date(date(2021, 12, 25), cal) == cal[0]
 
 
 def test_align_past_end_errors():
-    cal = _weekdays(date(2022, 1, 3), 10)
+    cal = weekdays(date(2022, 1, 3), 10)
     with pytest.raises(EventAlignmentError):
         align_event_date(cal[-1] + timedelta(days=3), cal)
 
@@ -119,7 +106,7 @@ def test_exact_recovery_on_noiseless_returns():
     excess = _linear_excess(factors, alpha, slopes)
     event_date = factors.dates[90]
     est = estimate_exposures(
-        _on_calendar(excess, factors), factors, SHORT_WINDOW, event_date, "F0"
+        on_calendar(excess, factors), factors, SHORT_WINDOW, event_date, "F0"
     )
     assert est.alpha == pytest.approx(alpha, abs=1e-10)
     assert np.allclose(est.slopes, slopes, atol=1e-10)
@@ -136,7 +123,7 @@ def test_estimates_match_normal_equations_oracle():
         for d, v in _linear_excess(factors, 0.0002, slopes).items()
     }
     event_date = factors.dates[110]
-    est = estimate_exposures(_on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
 
     # Rebuild the design by hand and solve X'X b = X'y.
     event_idx = factors.dates.index(event_date)
@@ -169,7 +156,7 @@ def test_insufficient_observations_raises():
     event_date = factors.dates[90]
     sparse = {factors.dates[t]: 0.001 for t in range(40, 55)}  # 15 < 20 required
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(_on_calendar(sparse, factors), factors, SHORT_WINDOW, event_date)
+        estimate_exposures(on_calendar(sparse, factors), factors, SHORT_WINDOW, event_date)
 
 
 def test_min_obs_floor_is_one_more_than_params():
@@ -183,7 +170,7 @@ def test_min_obs_floor_is_one_more_than_params():
     kept_dates = [factors.dates[event_idx + rel] for rel in range(-22, -6)]  # 16 days
     sparse = {d: full[d] for d in kept_dates}
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(_on_calendar(sparse, factors), factors, window, event_date)
+        estimate_exposures(on_calendar(sparse, factors), factors, window, event_date)
 
 
 def test_duplicated_factor_is_rank_deficient():
@@ -199,13 +186,13 @@ def test_duplicated_factor_is_rank_deficient():
     )
     excess = {d: 0.001 for d in clone.dates}
     with pytest.raises(RankDeficientDesignError):
-        estimate_exposures(_on_calendar(excess, clone), clone, SHORT_WINDOW, clone.dates[110])
+        estimate_exposures(on_calendar(excess, clone), clone, SHORT_WINDOW, clone.dates[110])
 
 
 def test_event_date_off_calendar_errors():
     factors = _factors(100, seed=8)
     with pytest.raises(EventAlignmentError, match="not on the factor calendar"):
-        estimate_exposures(_on_calendar({}, factors), factors, SHORT_WINDOW, date(2019, 1, 1))
+        estimate_exposures(on_calendar({}, factors), factors, SHORT_WINDOW, date(2019, 1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +205,8 @@ def test_ar_zero_for_model_consistent_returns():
     slopes = rng.normal(0.0, 0.4, 15)
     excess = _linear_excess(factors, 0.0003, slopes)
     event_date = factors.dates[95]
-    est = estimate_exposures(_on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, _on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
     assert path.t0 == SHORT_WINDOW.evt_start
     assert len(path.values) == SHORT_WINDOW.evt_len + 1
     assert np.all(np.isfinite(path.values))
@@ -240,8 +227,8 @@ def test_ar_shifts_one_for_one_with_return_bumps():
         bump = 0.001 * (rel + 6)
         bumped[d] = base[d] + bump
         bumps[rel] = bump
-    est = estimate_exposures(_on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, _on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
+    path = compute_ar(est, on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
     for rel, bump in bumps.items():
         assert path.value_at(rel) == pytest.approx(bump, abs=1e-10)
 
@@ -251,8 +238,8 @@ def test_ar_nan_past_calendar_end():
     rng = np.random.default_rng(14)
     excess = _linear_excess(factors, 0.0, rng.normal(0, 0.3, 15))
     event_date = factors.dates[96]  # evt window runs past the last date
-    est = estimate_exposures(_on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, _on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
     # rel +2 is the penultimate calendar day (lead regressor exists), +3 on
     # the last day has no lead, beyond that there is no calendar at all.
     assert np.isfinite(path.value_at(2))
@@ -348,9 +335,9 @@ def _panel_from_returns(returns_by_firm, calendar, rf):
         rows = {}
         for i, d in enumerate(calendar):
             if d in excess:
-                rows[d] = PanelRow(excess[d] + rf, 1e9, "main", 5e8, 5e7, 1e9, 1e9)
+                rows[d] = Row(excess[d] + rf, 1e9, "main", 5e8, 5e7, 1e9, 1e9)
         data[firm] = rows
-    return SecurityPanel.from_rows(data, list(calendar))
+    return panel_from_rows(data, calendar)
 
 
 def test_run_event_study_groups_and_excludes():
@@ -497,17 +484,17 @@ def test_sliced_design_matches_row_by_row_design_bitwise():
             old = _old_estimate(excess, factors, window, event_date)
             if old is None:
                 with pytest.raises(InsufficientObservationsError):
-                    estimate_exposures(_on_calendar(excess, factors), factors, window, event_date)
+                    estimate_exposures(on_calendar(excess, factors), factors, window, event_date)
                 excluded += 1
                 continue
             est = estimate_exposures(
-                _on_calendar(excess, factors), factors, window, event_date, "F"
+                on_calendar(excess, factors), factors, window, event_date, "F"
             )
             assert np.float64(est.alpha).tobytes() == np.float64(old[0]).tobytes()
             assert est.slopes.tobytes() == old[1].tobytes()
             assert est.n_obs == old[2]
             assert np.float64(est.residual_variance).tobytes() == np.float64(old[3]).tobytes()
-            ar = compute_ar(est, _on_calendar(excess, factors), factors, window, event_date)
+            ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_date)
             old_ar = _old_ar(old[0], old[1], excess, factors, window, event_date)
             assert ar.values.tobytes() == old_ar.tobytes()
             compared += 1
@@ -557,7 +544,7 @@ def test_compute_ar_matches_row_by_row_loop_bitwise():
         est = ExposureEstimate("F", float(rng.normal(0, 1e-3)), rng.normal(0, 0.5, 15), 0, 0.0)
         # Event days anywhere on the calendar: windows clamped at either end.
         event_date = factors.dates[int(rng.integers(0, n_days))]
-        ar = compute_ar(est, _on_calendar(excess, factors), factors, window, event_date)
+        ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_date)
         want = _old_ar(est.alpha, est.slopes, excess, factors, window, event_date)
         assert ar.values.tobytes() == want.tobytes()
 

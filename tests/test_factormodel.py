@@ -1,4 +1,4 @@
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -8,29 +8,17 @@ from sentimetrics.factors import (
     DegenerateBreakpointsError,
     FactorSeries,
     PanelFormatError,
-    PanelRow,
-    SecurityPanel,
-    compute_pct_zero,
     construct_factors,
     load_controls,
     load_panel,
-    market_excess_return,
     read_factors_csv,
     rebalance_schedule,
 )
 from sentimetrics.tables import FACTORS, dated_columns, write_table
 
+from helpers import Row, cell, panel_from_rows, weekdays
+
 RF = 1e-4
-
-
-def _weekdays(start, n):
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
 
 
 def _row(ret, cap, exchange="main", be=None, oi=None, ta=None, tap=None):
@@ -38,12 +26,12 @@ def _row(ret, cap, exchange="main", be=None, oi=None, ta=None, tap=None):
     oi = be * 0.1 if oi is None else oi
     ta = cap if ta is None else ta
     tap = ta if tap is None else tap
-    return PanelRow(ret, cap, exchange, be, oi, ta, tap)
+    return Row(ret, cap, exchange, be, oi, ta, tap)
 
 
 def _panel(rows_by_firm, calendar):
     data = {f: {d: rows[i] for i, d in enumerate(calendar)} for f, rows in rows_by_firm.items()}
-    return SecurityPanel.from_rows(data, list(calendar))
+    return panel_from_rows(data, calendar)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +46,7 @@ def _vw(pairs):
 
 def _oracle_day(panel, d, membership, rf):
     """membership: dim -> firm -> (size_bucket, char_bucket), hand-assigned."""
-    cs = panel.cross_section(d)
+    cs = [(f, row) for f in panel.firms if (row := cell(panel, f, d))]
     market = _vw([(row.daily_return, row.market_cap) for _f, row in cs])
     out = {"rmrf": market - rf}
     legs = []
@@ -84,7 +72,7 @@ def _oracle_day(panel, d, membership, rf):
 def _twelve_stock_panel(n_days=5, seed=11):
     """12 main-exchange stocks with characteristics placed well clear of the
     30/70 and median breakpoints, so bucket assignments are unambiguous."""
-    calendar = _weekdays(date(2022, 1, 3), n_days)
+    calendar = weekdays(date(2022, 1, 3), n_days)
     firms = [f"S{i}" for i in range(12)]
     caps = [1e9 * (i + 1) for i in range(6)] + [1e11 * (i + 1) for i in range(6)]
     # Rank 1..12 per characteristic; ranks 1-4 land low, 5-8 mid, 9-12 high.
@@ -102,7 +90,7 @@ def _twelve_stock_panel(n_days=5, seed=11):
         ta = 1e9
         tap = ta / (1 + (inv_rank[i] - 6) / 20)
         rows_by_firm[f] = [
-            PanelRow(rets[i, t], cap, "main", be, oi, ta, tap) for t in range(n_days)
+            Row(rets[i, t], cap, "main", be, oi, ta, tap) for t in range(n_days)
         ]
     panel = _panel(rows_by_firm, calendar)
 
@@ -130,7 +118,7 @@ def test_construct_factors_matches_hand_oracle():
 
 
 def test_identical_universe_long_short_factors_exactly_zero():
-    calendar = _weekdays(date(2022, 1, 3), 4)
+    calendar = weekdays(date(2022, 1, 3), 4)
     rows_by_firm = {
         f"S{i}": [_row(0.01, 5e9) for _ in calendar] for i in range(8)
     }
@@ -146,55 +134,41 @@ def test_cap_scaling_leaves_factors_unchanged():
     rf = {d: RF for d in panel.calendar}
     base = construct_factors(panel, rf)
     scaled_data = {
-        f: {d: _scale_cap(panel.row(f, d), 37.0) for d in panel.calendar}
+        f: {d: _scale_cap(cell(panel, f, d), 37.0) for d in panel.calendar}
         for f in panel.firms
     }
-    scaled = construct_factors(SecurityPanel.from_rows(scaled_data, list(panel.calendar)), rf)
+    scaled = construct_factors(panel_from_rows(scaled_data, panel.calendar), rf)
     for name in ("rmrf", "smb", "hml", "rmw", "cma"):
         assert np.allclose(getattr(base, name), getattr(scaled, name), atol=1e-13), name
 
 
 def _scale_cap(row, k):
     # Scale cap and book equity together so value/profitability sorts are intact.
-    return PanelRow(
-        row.daily_return,
-        row.market_cap * k,
-        row.exchange,
-        row.book_equity * k,
-        row.operating_income * k,
-        row.total_assets,
-        row.total_assets_prior,
+    return row._replace(
+        market_cap=row.market_cap * k,
+        book_equity=row.book_equity * k,
+        operating_income=row.operating_income * k,
     )
-
-
-def test_smb_is_mean_of_per_dimension_legs():
-    panel, _ = _twelve_stock_panel()
-    rf = {d: RF for d in panel.calendar}
-    series, detail = construct_factors(panel, rf, detail=True)
-    legs = (detail.smb_value + detail.smb_profitability + detail.smb_investment) / 3.0
-    assert np.array_equal(series.smb, legs)
 
 
 def test_rmrf_equals_cap_weighted_excess_mean():
     panel, _ = _twelve_stock_panel()
-    rf = {d: RF for d in panel.calendar}
-    series = construct_factors(panel, rf)
-    direct = market_excess_return(panel, rf)
-    assert np.allclose(series.rmrf, direct, atol=1e-15)
-    d0 = panel.calendar[0]
-    hand = _vw([(r.daily_return, r.market_cap) for _f, r in panel.cross_section(d0)]) - RF
-    assert abs(series.rmrf[0] - hand) < 1e-12
+    series = construct_factors(panel, {d: RF for d in panel.calendar})
+    for t, d in enumerate(panel.calendar):
+        cs = [row for f in panel.firms if (row := cell(panel, f, d))]
+        hand = _vw([(r.daily_return, r.market_cap) for r in cs]) - RF
+        assert abs(series.rmrf[t] - hand) < 1e-12, d
 
 
 def test_single_stock_market_excess_return():
-    calendar = _weekdays(date(2022, 1, 3), 3)
+    calendar = weekdays(date(2022, 1, 3), 3)
     panel = _panel({"ONLY": [_row(0.02, 1e9), _row(-0.01, 1e9), _row(0.0, 1e9)]}, calendar)
-    out = market_excess_return(panel, {d: RF for d in calendar})
+    out = construct_factors(panel, {d: RF for d in calendar}, min_breakpoint_stocks=1).rmrf
     assert np.allclose(out, np.array([0.02, -0.01, 0.0]) - RF, atol=1e-15)
 
 
 def test_too_few_main_exchange_stocks_is_degenerate():
-    calendar = _weekdays(date(2022, 1, 3), 3)
+    calendar = weekdays(date(2022, 1, 3), 3)
     rows_by_firm = {f"S{i}": [_row(0.01, 1e9 * (i + 1)) for _ in calendar] for i in range(5)}
     panel = _panel(rows_by_firm, calendar)
     with pytest.raises(DegenerateBreakpointsError, match="main-exchange"):
@@ -207,11 +181,11 @@ def test_secondary_exchange_sorted_but_not_in_breakpoints():
     panel, membership = _twelve_stock_panel()
     calendar = panel.calendar
     extra = {
-        "X": {d: PanelRow(0.05, 1e13, "secondary", 5e11, 5e10, 1e9, 1e9) for d in calendar}
+        "X": {d: Row(0.05, 1e13, "secondary", 5e11, 5e10, 1e9, 1e9) for d in calendar}
     }
-    data = {f: {d: panel.row(f, d) for d in calendar} for f in panel.firms}
+    data = {f: {d: cell(panel, f, d) for d in calendar} for f in panel.firms}
     data.update(extra)
-    wide = SecurityPanel.from_rows(data, list(calendar))
+    wide = panel_from_rows(data, calendar)
     rf = {d: RF for d in calendar}
     series = construct_factors(wide, rf)
     # be/cap = 0.05 and oi/be = 0.1 both sit below the main-firm p30 cutoffs
@@ -229,7 +203,7 @@ def test_secondary_exchange_sorted_but_not_in_breakpoints():
 
 
 def test_rebalance_schedule_initial_plus_annual_july():
-    calendar = _weekdays(date(2021, 3, 1), 400)  # spans two July firsts
+    calendar = weekdays(date(2021, 3, 1), 400)  # spans two July firsts
     sched = rebalance_schedule(calendar)
     assert sched[0] == calendar[0]
     julys = [d for d in sched[1:]]
@@ -241,7 +215,7 @@ def test_rebalance_schedule_initial_plus_annual_july():
 def test_membership_refreshes_at_rebalance():
     # Two small firms swap caps with two big ones on July 1; SMB must follow
     # the new memberships from the rebalance day on.
-    calendar = _weekdays(date(2022, 6, 27), 8)  # 2022-07-01 is a Friday
+    calendar = weekdays(date(2022, 6, 27), 8)  # 2022-07-01 is a Friday
     flip = date(2022, 7, 1)
     firms = [f"S{i}" for i in range(8)]
     small_caps = [1e9, 2e9, 3e9, 4e9]
@@ -280,23 +254,17 @@ def test_membership_refreshes_at_rebalance():
 # pct_zero, panel IO, controls
 
 
-def test_pct_zero_hand_counts():
-    calendar = _weekdays(date(2022, 1, 3), 1)
-    d = calendar[0]
-    rows = {f"S{i}": [_row(0.0 if i < 3 else 0.01, 1e9)] for i in range(10)}
-    panel = _panel(rows, calendar)
-    assert compute_pct_zero(panel, d) == pytest.approx(0.3)
-    all_zero = _panel({f"S{i}": [_row(0.0, 1e9)] for i in range(10)}, calendar)
-    assert compute_pct_zero(all_zero, d) == 1.0
-    none_zero = _panel({f"S{i}": [_row(0.02, 1e9)] for i in range(10)}, calendar)
-    assert compute_pct_zero(none_zero, d) == 0.0
+def test_pct_zero_hand_counts(tmp_path):
+    calendar = weekdays(date(2022, 1, 3), 1)
+    nsi, sr = _controls_files(tmp_path, calendar)
 
+    def pct_zero(rows):
+        return load_controls(nsi, sr, _panel(rows, calendar)).pct_zero[0]
 
-def test_pct_zero_unknown_date_errors():
-    calendar = _weekdays(date(2022, 1, 3), 1)
-    panel = _panel({"S0": [_row(0.01, 1e9)]}, calendar)
-    with pytest.raises(CalendarAlignmentError):
-        compute_pct_zero(panel, date(2030, 1, 1))
+    three_zero = {f"S{i}": [_row(0.0 if i < 3 else 0.01, 1e9)] for i in range(10)}
+    assert pct_zero(three_zero) == pytest.approx(0.3)
+    assert pct_zero({f"S{i}": [_row(0.0, 1e9)] for i in range(10)}) == 1.0
+    assert pct_zero({f"S{i}": [_row(0.02, 1e9)] for i in range(10)}) == 0.0
 
 
 PANEL_HEADER = (
@@ -322,8 +290,8 @@ def test_load_panel_roundtrip(tmp_path):
     panel = load_panel(p)
     assert panel.firms == ["A", "B"]
     assert panel.calendar == [date(2022, 1, 3), date(2022, 1, 4)]
-    assert panel.row("B", date(2022, 1, 3)).daily_return == 0.0
-    assert panel.row("B", date(2022, 1, 3)).exchange == "secondary"
+    assert cell(panel, "B", date(2022, 1, 3)).daily_return == 0.0
+    assert cell(panel, "B", date(2022, 1, 3)).exchange == "secondary"
 
 
 def test_load_panel_duplicate_key_errors(tmp_path):
@@ -354,7 +322,7 @@ def test_load_panel_bad_exchange_errors(tmp_path):
 
 
 def test_factors_csv_roundtrip(tmp_path):
-    calendar = _weekdays(date(2022, 1, 3), 3)
+    calendar = weekdays(date(2022, 1, 3), 3)
     rng = np.random.default_rng(5)
     series = FactorSeries(
         dates=calendar,
@@ -389,7 +357,7 @@ def _controls_files(tmp_path, calendar, nsi_vals=None):
 
 
 def test_load_controls_first_difference(tmp_path):
-    calendar = _weekdays(date(2022, 1, 3), 4)
+    calendar = weekdays(date(2022, 1, 3), 4)
     panel = _panel({f"S{i}": [_row(0.01, 1e9)] * 4 for i in range(3)}, calendar)
     nsi, sr = _controls_files(tmp_path, calendar, nsi_vals=[100.0, 102.0, 101.0, 101.0])
     controls = load_controls(nsi, sr, panel)
@@ -401,7 +369,7 @@ def test_load_controls_first_difference(tmp_path):
 
 
 def test_load_controls_constant_nsi_zero_differences(tmp_path):
-    calendar = _weekdays(date(2022, 1, 3), 3)
+    calendar = weekdays(date(2022, 1, 3), 3)
     panel = _panel({"S0": [_row(0.01, 1e9)] * 3}, calendar)
     nsi, sr = _controls_files(tmp_path, calendar, nsi_vals=[100.0, 100.0, 100.0])
     controls = load_controls(nsi, sr, panel)
@@ -409,7 +377,7 @@ def test_load_controls_constant_nsi_zero_differences(tmp_path):
 
 
 def test_load_controls_gap_in_covered_span_errors(tmp_path):
-    calendar = _weekdays(date(2022, 1, 3), 4)
+    calendar = weekdays(date(2022, 1, 3), 4)
     panel = _panel({"S0": [_row(0.01, 1e9)] * 4 for _ in range(1)}, calendar)
     _nsi_unused, sr = _controls_files(tmp_path, calendar)
     nsi = tmp_path / "nsi_gap.csv"
@@ -424,7 +392,7 @@ def test_load_controls_gap_in_covered_span_errors(tmp_path):
 
 
 def test_load_controls_weekend_only_series_errors(tmp_path):
-    calendar = _weekdays(date(2022, 1, 3), 3)
+    calendar = weekdays(date(2022, 1, 3), 3)
     panel = _panel({"S0": [_row(0.01, 1e9)] * 3}, calendar)
     _nsi_unused, sr = _controls_files(tmp_path, calendar)
     nsi = tmp_path / "nsi_weekend.csv"
@@ -517,6 +485,6 @@ def test_load_panel_long_and_quoted_firm_ids_roundtrip(tmp_path):
     for p in (plain, quoted):
         panel = load_panel(p)
         assert panel.firms == ["B", long_id]
-        assert panel.row(long_id, date(2022, 1, 4)).daily_return == -0.02
-        assert panel.row("B", date(2022, 1, 4)) is None
+        assert cell(panel, long_id, date(2022, 1, 4)).daily_return == -0.02
+        assert cell(panel, "B", date(2022, 1, 4)) is None
         assert panel.present.tolist() == [[True, False], [True, True]]

@@ -19,6 +19,8 @@ from sentimetrics.synthetic import (
     write_dataset,
 )
 
+from helpers import cell, on_calendar
+
 
 # ---------------------------------------------------------------------------
 # Generator primitives
@@ -255,8 +257,8 @@ def test_gen_dataset_is_deterministic():
     assert a.truth.to_json_dict() == b.truth.to_json_dict()
     assert [t.text for t in a.transcripts] == [t.text for t in b.transcripts]
     for fid in a.panel.firms:
-        ra = [a.panel.row(fid, d).daily_return for d in a.calendar]
-        rb = [b.panel.row(fid, d).daily_return for d in a.calendar]
+        ra = [cell(a.panel, fid, d).daily_return for d in a.calendar]
+        rb = [cell(b.panel, fid, d).daily_return for d in a.calendar]
         assert ra == rb
     c = gen_dataset(SynthConfig(seed=43, **FAST))
     assert [t.text for t in a.transcripts] != [t.text for t in c.transcripts]
@@ -297,7 +299,7 @@ def test_event_effect_planted_exactly_with_noise_off():
         ex = ds.truth.exposures[ev.firm_id]
         for t, d in enumerate(ds.calendar):
             model = cfg.rf_daily + ex["alpha"] + sum(ex[n] * arrays[n][t] for n in names)
-            gap = ds.panel.row(ev.firm_id, d).daily_return - model
+            gap = cell(ds.panel, ev.firm_id, d).daily_return - model
             rel = t - ev.day_index
             if ev.window[0] <= rel <= ev.window[1]:
                 assert gap == pytest.approx(ev.effect, abs=1e-15), rel
@@ -312,14 +314,14 @@ def test_zero_returns_appear_but_never_inside_event_windows():
     for fid in ds.panel.firms:
         for d in ds.calendar:
             total += 1
-            if ds.panel.row(fid, d).daily_return == 0.0:
+            if cell(ds.panel, fid, d).daily_return == 0.0:
                 flat += 1
     assert 0.2 < flat / total < 0.4
     for ev in ds.truth.events:
         lo = max(0, ev.day_index - cfg.event_tail)
         hi = min(cfg.n_days - 1, ev.day_index + cfg.event_tail)
         for t in range(lo, hi + 1):
-            assert ds.panel.row(ev.firm_id, ds.calendar[t]).daily_return != 0.0
+            assert cell(ds.panel, ev.firm_id, ds.calendar[t]).daily_return != 0.0
 
 
 def test_market_sign_tracks_lagged_signal():
@@ -336,11 +338,6 @@ def test_market_sign_tracks_lagged_signal():
     assert rate1 > 0.5 > rate0
 
 
-def _on_calendar(excess, factors):
-    """A date -> excess-return map as one array on the factor calendar, NaN where it has none."""
-    return np.array([excess.get(d, np.nan) for d in factors.dates])
-
-
 def test_exposures_recoverable_when_noise_off():
     cfg = SynthConfig(
         seed=6, n_firms=3, n_days=340, n_events=0, idio_vol=0.0, zero_return_rate=0.0
@@ -351,10 +348,10 @@ def test_exposures_recoverable_when_noise_off():
     names = ("rmrf", "smb", "hml", "rmw", "cma")
     for fid in ds.panel.firms:
         excess = {
-            d: ds.panel.row(fid, d).daily_return - cfg.rf_daily for d in ds.calendar
+            d: cell(ds.panel, fid, d).daily_return - cfg.rf_daily for d in ds.calendar
         }
         est = estimate_exposures(
-            _on_calendar(excess, ds.factors), ds.factors, window, anchor, fid
+            on_calendar(excess, ds.factors), ds.factors, window, anchor, fid
         )
         truth = ds.truth.exposures[fid]
         assert est.alpha == pytest.approx(truth["alpha"], abs=1e-8)
@@ -438,7 +435,7 @@ def test_written_files_roundtrip_through_loaders(tmp_path):
     assert panel.firms == ds.panel.firms
     for fid in panel.firms:
         for d in ds.calendar:
-            assert panel.row(fid, d).daily_return == ds.panel.row(fid, d).daily_return
+            assert cell(panel, fid, d).daily_return == cell(ds.panel, fid, d).daily_return
 
     factors = read_factors_csv(paths["factors"])
     for name in ("rmrf", "smb", "hml", "rmw", "cma", "rf"):

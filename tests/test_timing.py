@@ -1,4 +1,4 @@
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
@@ -19,19 +19,11 @@ from sentimetrics.timing import (
 )
 from sentimetrics.tables import R2_SCAN, SIGNALS, write_rows, write_table
 
-
-def _weekdays(start, n):
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+from helpers import weekdays
 
 
 def _obs(scores, start=date(2022, 1, 3)):
-    dates = _weekdays(start, len(scores))
+    dates = weekdays(start, len(scores))
     out = []
     for d, s in zip(dates, scores):
         if s is None:
@@ -48,7 +40,7 @@ def test_signal_hand_values_inclusive_n3():
     series = build_signal(_obs(HAND_SCORES), 3)
     # First emission at index 3; window is the 3 scores ending at the current day.
     assert len(series.values) == 7
-    assert series.dates[0] == _weekdays(date(2022, 1, 3), 10)[3]
+    assert series.dates[0] == weekdays(date(2022, 1, 3), 10)[3]
     assert list(series.values) == [1, 1, 1, 0, 0, 1, 0]
 
 
@@ -128,7 +120,7 @@ def test_none_scores_skipped_inside_build_signal():
 
 
 def test_signal_maps_to_next_trading_day():
-    cal = _weekdays(date(2022, 1, 3), 10)
+    cal = weekdays(date(2022, 1, 3), 10)
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[date(2022, 1, 8)], values=np.array([1])
     )  # Saturday
@@ -149,7 +141,7 @@ def test_latest_signal_wins_when_rolling_collides():
 
 
 def test_signal_past_calendar_end_dropped():
-    cal = _weekdays(date(2022, 1, 3), 5)
+    cal = weekdays(date(2022, 1, 3), 5)
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[date(2022, 3, 1)], values=np.array([1])
     )
@@ -157,7 +149,7 @@ def test_signal_past_calendar_end_dropped():
 
 
 def test_lagged_values_shift_by_trading_days():
-    cal = _weekdays(date(2022, 1, 3), 6)
+    cal = weekdays(date(2022, 1, 3), 6)
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[cal[0], cal[1], cal[2]], values=np.array([1, 0, 1])
     )
@@ -174,7 +166,7 @@ def test_lagged_values_shift_by_trading_days():
 
 
 def test_r2_one_when_market_follows_signal():
-    cal = _weekdays(date(2022, 1, 3), 12)
+    cal = weekdays(date(2022, 1, 3), 12)
     values = [1, 0, 1, 1, 0, 1, 0, 0, 1, 0]
     lag = 2
 
@@ -201,7 +193,7 @@ def test_r2_one_when_market_follows_signal():
 
 
 def test_r2_none_when_signal_constant():
-    cal = _weekdays(date(2022, 1, 3), 10)
+    cal = weekdays(date(2022, 1, 3), 10)
     obs = _obs([0.1 * k for k in range(1, 9)])  # rising -> all-ones signal
     rng = np.random.default_rng(1)
     market = rng.normal(0, 0.01, 10)
@@ -211,7 +203,7 @@ def test_r2_none_when_signal_constant():
 
 
 def test_r2_none_when_no_overlap():
-    cal = _weekdays(date(2022, 1, 3), 4)
+    cal = weekdays(date(2022, 1, 3), 4)
     obs = _obs([0.3, -0.2, 0.4, -0.1, 0.2, -0.3], start=date(2023, 1, 2))
     market = np.zeros(4)
     entries = r2_scan([build_signal(obs, 2)], cal, market, lag=0)
@@ -219,7 +211,7 @@ def test_r2_none_when_no_overlap():
 
 
 def test_r2_scan_handles_oversized_windows_quietly():
-    cal = _weekdays(date(2022, 1, 3), 6)
+    cal = weekdays(date(2022, 1, 3), 6)
     obs = _obs([0.3, -0.2, 0.4])
     market = np.zeros(6)
     import warnings as _w
@@ -239,7 +231,7 @@ def _mk_signal(cal, values, n=1):
 
 
 def test_always_long_matches_benchmark_exactly():
-    cal = _weekdays(date(2022, 1, 3), 40)
+    cal = weekdays(date(2022, 1, 3), 40)
     rng = np.random.default_rng(2)
     market = rng.normal(0.0005, 0.01, 40)
     series = _mk_signal(cal, np.ones(38, dtype=int))
@@ -252,7 +244,7 @@ def test_always_long_matches_benchmark_exactly():
 
 
 def test_always_short_negates_daily_returns():
-    cal = _weekdays(date(2022, 1, 3), 30)
+    cal = weekdays(date(2022, 1, 3), 30)
     rng = np.random.default_rng(3)
     market = rng.normal(0.0, 0.01, 30)
     series = _mk_signal(cal, np.zeros(28, dtype=int))
@@ -262,7 +254,7 @@ def test_always_short_negates_daily_returns():
 
 
 def test_perfect_foresight_equity_matches_product_oracle():
-    cal = _weekdays(date(2022, 1, 3), 50)
+    cal = weekdays(date(2022, 1, 3), 50)
     rng = np.random.default_rng(4)
     market = rng.normal(0.0, 0.012, 50)
     lag = 2
@@ -277,7 +269,7 @@ def test_perfect_foresight_equity_matches_product_oracle():
 
 
 def test_interior_gap_sits_flat():
-    cal = _weekdays(date(2022, 1, 3), 8)
+    cal = weekdays(date(2022, 1, 3), 8)
     # Signal defined on days 0,1,3 only; with lag 1, day 3 has no lagged value.
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[cal[0], cal[1], cal[3]], values=np.array([1, 1, 1])
@@ -293,7 +285,7 @@ def test_interior_gap_sits_flat():
 
 
 def test_backtest_without_overlap_errors():
-    cal = _weekdays(date(2022, 1, 3), 5)
+    cal = weekdays(date(2022, 1, 3), 5)
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[date(2023, 1, 2)], values=np.array([1])
     )
@@ -302,7 +294,7 @@ def test_backtest_without_overlap_errors():
 
 
 def test_equity_curves_compound():
-    cal = _weekdays(date(2022, 1, 3), 4)
+    cal = weekdays(date(2022, 1, 3), 4)
     market = np.array([0.0, 0.0, 0.1, -0.5])
     series = _mk_signal(cal, [1, 0], n=1)
     res = backtest_strategy(series, cal, market, lag=2)
@@ -343,7 +335,7 @@ def test_scan_csv_blank_r2_for_undefined(tmp_path):
 
 
 def test_backtest_csv_layout(tmp_path):
-    cal = _weekdays(date(2022, 1, 3), 6)
+    cal = weekdays(date(2022, 1, 3), 6)
     market = np.full(6, 0.01)
     series = _mk_signal(cal, [1, 1, 1, 1])
     res = backtest_strategy(series, cal, market, lag=2)
@@ -404,7 +396,7 @@ def _loop_backtest(lagged, market):
 
 
 def test_backtest_matches_per_day_loop_bitwise():
-    cal = _weekdays(date(2022, 1, 3), 60)
+    cal = weekdays(date(2022, 1, 3), 60)
     rng = np.random.default_rng(41)
     market = rng.normal(0.0, 0.01, 60)
     market[15:20] = -np.abs(market[15:20])  # flat days on negative returns
