@@ -20,6 +20,10 @@ import warnings
 from dataclasses import dataclass, field as dc_field, fields
 from datetime import date
 from pathlib import Path
+try:
+    import resource
+except ImportError:  # Windows
+    resource = None
 
 import numpy as np
 
@@ -483,9 +487,11 @@ def _write_manifest(cfg: RunConfig, stage_infos: dict[str, dict], reset: bool) -
     stages = {}
     if not reset and manifest_path.exists():
         try:
-            stages = json.loads(manifest_path.read_text(encoding="utf-8")).get("stages", {})
+            old = json.loads(manifest_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
-            pass
+            old = None
+        if isinstance(old, dict) and isinstance(old.get("stages"), dict):  # else carry none over
+            stages = old["stages"]
     stages.update(stage_infos)
     manifest = {
         "config_sha256": _sha256(cfg.config_path),
@@ -503,7 +509,11 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
     for name in stages:
         started = time.perf_counter()
         infos[name] = STAGE_FUNCS[name](cfg)
-        print(f"{PROG}: {name}: done in {time.perf_counter() - started:.2f} s", file=sys.stderr)
+        done = f"{PROG}: {name}: done in {time.perf_counter() - started:.2f} s"
+        if resource is not None:  # the process's high-water mark so far
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+            done += f", peak RSS {peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB"
+        print(done, file=sys.stderr)
     _write_manifest(cfg, infos, reset=(stages == STAGE_ORDER))
 
 

@@ -25,6 +25,7 @@ Conventions this module pins down (the panel interface leaves them open):
 from __future__ import annotations
 
 import csv
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -156,6 +157,8 @@ PANEL_COLUMNS = [
 ]
 _TEXT_COLUMNS = (0, 1, 4)  # firm_id, date, exchange
 _FLOAT_COLUMNS = (2, 3, 5, 6, 7, 8)  # PANEL_FIELDS, in file order
+_ROW_DTYPE = np.dtype([(c, "f8" if c in PANEL_FIELDS else "O") for c in PANEL_COLUMNS])
+_BLOCK_ROWS = 8192  # rows per np.loadtxt call: bounds the parse's transient memory
 
 
 def _plain_layout(path: Path) -> tuple[bool, int]:
@@ -176,34 +179,43 @@ def _plain_layout(path: Path) -> tuple[bool, int]:
     return plain, lines - 1
 
 
-def _read_columns_fast(path: Path) -> tuple[np.ndarray, np.ndarray, None] | None:
-    """(text rows x 3, float rows x 6, None) parsed by np.loadtxt, or None
-    when the file needs the row-by-row reader."""
+def _read_columns_fast(path: Path):
+    """(text columns, 6 x rows floats, None), or None when the file needs the row-by-row reader.
+
+    One pass over the lines _plain_layout counted (split at line feeds only) in blocks of
+    _BLOCK_ROWS, one structured np.loadtxt call each: text cells get ids from a first-seen
+    dict per column, floats go into one preallocated array; the text is never held whole."""
     plain, n_rows = _plain_layout(path)
     if not plain:
         return None
-    options = dict(delimiter=",", comments=None, skiprows=1, encoding="utf-8", ndmin=2)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            text = np.loadtxt(path, dtype=str, usecols=_TEXT_COLUMNS, **options)
-            values = np.loadtxt(path, dtype=float, usecols=_FLOAT_COLUMNS, **options)
-    except ValueError:
-        return None
-    if len(text) != n_rows:  # loadtxt skipped a blank line
-        return None
-    return text, values, None
+    seen = [{} for _ in _TEXT_COLUMNS]  # cell -> id, in first-seen order
+    ids = np.empty((len(_TEXT_COLUMNS), n_rows), dtype=np.int32)
+    values = np.empty((len(_FLOAT_COLUMNS), n_rows))
+    with path.open(encoding="utf-8", newline="\n") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        next(fh)  # the header
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_rows)
+            lines = itertools.islice(fh, stop - start)
+            try:
+                block = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+            except ValueError:
+                return None
+            if len(block) != stop - start:  # loadtxt skipped a blank line
+                return None
+            for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
+                row_ids[start:stop] = [s.setdefault(c, len(s)) for c in block[PANEL_COLUMNS[j]]]
+            values[:, start:stop] = [block[PANEL_COLUMNS[j]] for j in _FLOAT_COLUMNS]
+    return list(zip(map(list, seen), ids)), values, None
 
 
-def _read_columns_by_row(
-    path: Path,
-) -> tuple[np.ndarray, np.ndarray, PanelFormatError | None]:
+def _read_columns_by_row(path: Path):
     """The csv-module reader for files the fast path declines.
 
     Stops at the first row with a malformed field and returns the columns of
     the rows before it together with that row's error (None if there is none)."""
-    text, values = [], []
-    error = None
+    seen, ids = [{} for _ in _TEXT_COLUMNS], [[] for _ in _TEXT_COLUMNS]
+    values, error = [], None
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
@@ -221,28 +233,27 @@ def _read_columns_by_row(
             except PanelFormatError as exc:
                 error = exc
                 break
-            text.append([row[j] for j in _TEXT_COLUMNS])
+            for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
+                row_ids.append(s.setdefault(row[j], len(s)))
             values.append(parsed)
-    text_arr = np.array(text, dtype=str).reshape(-1, len(_TEXT_COLUMNS))
-    values_arr = np.array(values, dtype=float).reshape(-1, len(_FLOAT_COLUMNS))
-    return text_arr, values_arr, error
+    values_arr = np.array(values, dtype=float).reshape(-1, len(_FLOAT_COLUMNS)).T
+    return list(zip(map(list, seen), np.array(ids, dtype=np.int32))), values_arr, error
 
 
-def _index_rows(path: Path, text: np.ndarray, values: np.ndarray):
+def _index_rows(path: Path, columns: list, values: np.ndarray):
     """Validate the parsed rows and map them to (firm, date) cells.
 
-    Returns (firms, calendar, firm_idx, date_idx, main) or raises the
-    PanelFormatError of the first offending row."""
-    firm_raw, date_raw, exchange_raw = text.T
-    firm_keys, firm_inv = np.unique(firm_raw, return_inverse=True)
-    firm_ids = [f.strip() for f in firm_keys.tolist()]
+    Takes the readers' (distinct cells, each row's index into them) per text
+    column and one row of floats per field.  Returns (firms, calendar, firm_idx,
+    date_idx, main) or raises the PanelFormatError of the first offending row."""
+    (firm_keys, firm_inv), (date_keys, date_inv), (exchange_keys, exchange_inv) = columns
+    firm_ids = [f.strip() for f in firm_keys]
     firms = sorted(set(firm_ids))
     firm_pos = {f: i for i, f in enumerate(firms)}
     firm_idx = np.array([firm_pos[f] for f in firm_ids], dtype=np.intp)[firm_inv]
 
-    date_keys, date_inv = np.unique(date_raw, return_inverse=True)
     parsed: list[date | None] = []
-    for s in date_keys.tolist():
+    for s in date_keys:
         try:
             parsed.append(date.fromisoformat(s.strip()))
         except ValueError:
@@ -254,8 +265,7 @@ def _index_rows(path: Path, text: np.ndarray, values: np.ndarray):
     date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], dtype=np.intp)[date_inv]
     bad_date = np.array([d is None for d in parsed], dtype=bool)[date_inv]
 
-    exchange_keys, exchange_inv = np.unique(exchange_raw, return_inverse=True)
-    exchanges = [e.strip() for e in exchange_keys.tolist()]
+    exchanges = [e.strip() for e in exchange_keys]
     bad_exchange = np.array([e not in (MAIN, SECONDARY) for e in exchanges])[exchange_inv]
     main = np.array([e == MAIN for e in exchanges], dtype=bool)[exchange_inv]
 
@@ -265,11 +275,11 @@ def _index_rows(path: Path, text: np.ndarray, values: np.ndarray):
         order = np.argsort(key, kind="stable")
         duplicate[order[1:][key[order][1:] == key[order][:-1]]] = True
 
-    ret, cap, _be, _oi, _ta, tap = values.T
-    checks = [(bad_date, lambda r: f"field 'date': invalid date {str(date_raw[r])!r}")]
+    ret, cap, _be, _oi, _ta, tap = values
+    checks = [(bad_date, lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}")]
     for j, name in enumerate(PANEL_FIELDS):
         checks.append(
-            (~np.isfinite(values[:, j]), lambda r, name=name: f"field '{name}': non-finite value")
+            (~np.isfinite(values[j]), lambda r, name=name: f"field '{name}': non-finite value")
         )
     checks += [
         (ret <= -1.0, lambda r: "daily_return must be > -1"),
@@ -295,16 +305,17 @@ def load_panel(path: str | Path) -> SecurityPanel:
 
     Duplicate (firm, date) keys, non-finite values, returns <= -1,
     nonpositive caps or prior assets and unknown exchanges are errors naming
-    the first offending row.  A plain file is parsed column-wise by
-    np.loadtxt; one with quoted fields, blank lines or a malformed field
-    goes through the csv module, which locates the bad row."""
+    the first offending row.  A plain file is parsed in blocks of rows, one
+    structured np.loadtxt call a block, so its text is never held whole; one
+    with quoted fields, blank lines or a malformed field goes through the csv
+    module, which locates the bad row."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh), None)
     if header is None or [h.strip() for h in header] != PANEL_COLUMNS:
         raise PanelFormatError(f"{path}: expected header {','.join(PANEL_COLUMNS)!r}")
-    text, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
-    firms, calendar, firm_idx, date_idx, main = _index_rows(path, text, values)
+    columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
+    firms, calendar, firm_idx, date_idx, main = _index_rows(path, columns, values)
     if error is not None:
         raise error
     if not firms:
@@ -314,10 +325,9 @@ def load_panel(path: str | Path) -> SecurityPanel:
     present[firm_idx, date_idx] = True
     is_main = np.zeros(shape, dtype=bool)
     is_main[firm_idx, date_idx] = main
-    arrays = {}
-    for j, name in enumerate(PANEL_FIELDS):
-        arrays[name] = np.full(shape, np.nan)
-        arrays[name][firm_idx, date_idx] = values[:, j]
+    cells = np.full((len(PANEL_FIELDS),) + shape, np.nan)
+    cells[:, firm_idx, date_idx] = values
+    arrays = dict(zip(PANEL_FIELDS, cells))
     return SecurityPanel(firms=firms, calendar=calendar, present=present, is_main=is_main, **arrays)
 
 

@@ -201,7 +201,8 @@ def test_out_flag_overrides_configured_dir(tmp_path, capsys):
     capsys.readouterr()
     rc = main(["ingest", "--config", str(cfg_path), "--out", str(other)])
     assert rc == 0
-    assert re.fullmatch(r"sentimetrics: ingest: done in \d+\.\d\d s\n", capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"sentimetrics: ingest: done in \d+\.\d\d s, peak RSS \d+\.\d MB\n", err)
     assert (other / "days.csv").exists()
     assert not (cfg_path.parent / "out" / "days.csv").exists()
 
@@ -550,6 +551,21 @@ def test_demo_output_tree_keeps_its_pinned_bytes(demo7):
     out = demo7 / "out"
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == DEMO7_PINS
+
+
+@pytest.mark.parametrize("old", ["[]", "null", '{"stages": []}', '{"stages": "ingest"}'])
+def test_stage_rerun_over_a_manifest_of_another_shape_carries_no_stages(
+    demo7, tmp_path, capsys, old
+):
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    manifest = data / "out" / "manifest.json"
+    want = json.loads(manifest.read_text(encoding="utf-8"))
+    want["stages"] = {"timing": want["stages"]["timing"]}
+    manifest.write_text(old, encoding="utf-8")
+    assert main(["timing", "--config", str(data / "run_config.json")]) == 0
+    assert json.loads(manifest.read_text(encoding="utf-8")) == want
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _corrupt(demo7: Path, tmp_path: Path, name: str, edit) -> tuple[Path, Path]:

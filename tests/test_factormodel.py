@@ -1,9 +1,13 @@
+import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
 
+from sentimetrics import factors
 from sentimetrics.factors import (
+    PANEL_COLUMNS,
+    PANEL_FIELDS,
     CalendarAlignmentError,
     DegenerateBreakpointsError,
     FactorSeries,
@@ -488,3 +492,176 @@ def test_load_panel_long_and_quoted_firm_ids_roundtrip(tmp_path):
         assert cell(panel, long_id, date(2022, 1, 4)).daily_return == -0.02
         assert cell(panel, "B", date(2022, 1, 4)) is None
         assert panel.present.tolist() == [[True, False], [True, True]]
+
+
+# ---------------------------------------------------------------------------
+# The block reader: a plain file is parsed _BLOCK_ROWS rows at a time.
+
+
+def _block_rows(firms="ABCD", days=range(8), seed=4):
+    """Clean rows in date-major order; each firm's fundamentals repeat on every day."""
+    rng = np.random.default_rng(seed)
+    calendar = weekdays(date(2022, 1, 3), 12)
+    rows = []
+    for t in days:
+        for k, f in enumerate(firms):
+            exchange = "main" if k % 2 == 0 else "secondary"
+            ret, cap = float(rng.normal(0.0, 0.02)), float(rng.uniform(1e9, 9e9))
+            rows.append(
+                f"{f},{calendar[t]},{ret!r},{cap!r},{exchange},"
+                f"{5e8 * (k + 1)!r},{5e7 * (k + 1)!r},{1e9 * (k + 2)!r},{9e8 * (k + 2)!r}"
+            )
+    return rows
+
+
+def _quoted(row):
+    """The row with its firm id quoted, which sends the file to the csv-module reader."""
+    firm, rest = row.split(",", 1)
+    return f'"{firm}",{rest}'
+
+
+def _padded(row):
+    return ",".join(f" {field}  " for field in row.split(","))
+
+
+def _parity_rows():
+    """Shuffled clean rows, then a firm first seen late, then a new firm on a new date."""
+    rows = _block_rows()
+    np.random.default_rng(9).shuffle(rows)
+    return rows + _block_rows(firms="E", days=range(1, 4)) + _block_rows(firms="F", days=[10])
+
+
+@pytest.mark.parametrize(
+    "newline, final, pad",
+    [("\n", True, False), ("\r\n", True, False), ("\n", False, False), ("\n", True, True)],
+    ids=["lf", "crlf", "no-final-newline", "space-padded"],
+)
+@pytest.mark.parametrize("block", [1, 7, "n", "n-1"])
+def test_block_reader_matches_the_row_by_row_reader_bitwise(
+    tmp_path, monkeypatch, newline, final, pad, block
+):
+    rows = _parity_rows()
+    if pad:
+        rows = [_padded(r) for r in rows]
+    block = {"n": len(rows), "n-1": len(rows) - 1}.get(block, block)
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", block)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    for p, lines in ((plain, rows), (quoted, [_quoted(r) for r in rows])):
+        p.write_bytes(newline.join([PANEL_HEADER] + lines + [""] * final).encode())
+    assert factors._read_columns_fast(plain) is not None
+    assert factors._read_columns_fast(quoted) is None
+    got, want = load_panel(plain), load_panel(quoted)
+    assert got.firms == want.firms == list("ABCDEF")
+    assert got.calendar == want.calendar and len(got.calendar) == 9
+    for name in ("present", "is_main") + PANEL_FIELDS:
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _with_field(row, column, value):
+    fields = row.split(",")
+    fields[PANEL_COLUMNS.index(column)] = value
+    return ",".join(fields)
+
+
+def _set_field(index, column, value):
+    def edit(rows):
+        rows[index] = _with_field(rows[index], column, value)
+
+    return edit
+
+
+def _both(*edits):
+    def edit(rows):
+        for e in edits:
+            e(rows)
+
+    return edit
+
+
+def _blank_line_and_long_row(rows):
+    # A blank line and a 17-field row keep 8 commas a line, so the file looks plain.
+    rows.insert(10, "")
+    rows.insert(20, rows[5] + "," + ",".join(rows[6].split(",")[:8]))
+
+
+def _lone_carriage_return(rows):
+    # Two rows joined by a lone "\r", and a last line with no comma, keep 8 commas a line.
+    rows[20:22] = [rows[20] + "\r" + rows[21]]
+    rows.append("x")
+
+
+# 32 clean rows (4 firms x 8 days, date-major); file row = list index + 2.
+@pytest.mark.parametrize(
+    "edit, block, message",
+    [
+        (
+            lambda rows: rows.insert(23, _with_field(rows[2], "daily_return", "0.5")),
+            7,
+            "row 25: duplicate key (C, 2022-01-03)",
+        ),
+        (_set_field(17, "book_equity", "nan"), 7, "row 19: field 'book_equity': non-finite value"),
+        (
+            _set_field(26, "exchange", "kosdaq2"),
+            7,
+            "row 28: exchange must be 'main' or 'secondary', got 'kosdaq2'",
+        ),
+        (
+            _set_field(15, "date", "2022-02-30"),
+            7,
+            "row 17: field 'date': invalid date '2022-02-30'",
+        ),
+        (
+            _set_field(24, "market_cap", "oops"),
+            7,
+            "row 26: field 'market_cap': not a number: 'oops'",
+        ),
+        (
+            _both(_set_field(9, "daily_return", "-1.5"), _set_field(24, "market_cap", "oops")),
+            7,
+            "row 11: daily_return must be > -1",
+        ),
+        (_blank_line_and_long_row, 1, "row 12: expected 9 fields, got 0"),
+        (_lone_carriage_return, 7, "row 34: expected 9 fields, got 1"),
+    ],
+    ids=[
+        "duplicate", "nan", "exchange", "date", "oops", "fault-before-oops", "blank-line", "lone-cr"
+    ],
+)
+def test_load_panel_errors_past_the_first_block_name_their_row(
+    tmp_path, monkeypatch, edit, block, message
+):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", block)
+    rows = _block_rows()
+    edit(rows)
+    p = tmp_path / "panel.csv"
+    _write_panel(p, rows)
+    with pytest.raises(PanelFormatError) as exc:
+        load_panel(p)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_load_panel_traced_peak_stays_within_four_panels(tmp_path):
+    rng = np.random.default_rng(12)
+    n_firms, calendar = 40, weekdays(date(2018, 1, 1), 1000)
+    ret = rng.normal(0.0, 0.02, size=(len(calendar), n_firms)).tolist()
+    cap = rng.uniform(1e9, 9e10, size=(len(calendar), n_firms)).tolist()
+    lines = [PANEL_HEADER]
+    for t, d in enumerate(calendar):
+        for k in range(n_firms):
+            exchange = "main" if k % 3 else "secondary"
+            lines.append(
+                f"F{k:03d},{d},{ret[t][k]!r},{cap[t][k]!r},{exchange},"
+                f"{cap[t][k] * 0.6!r},{cap[t][k] * 0.05!r},{cap[t][k] * 1.1!r},{cap[t][k]!r}"
+            )
+    p = tmp_path / "panel.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        panel = load_panel(p)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(getattr(panel, name).nbytes for name in ("present", "is_main") + PANEL_FIELDS)
+    assert panel.present.all()
+    assert peak <= 4 * nbytes, peak / nbytes
