@@ -63,59 +63,3 @@ from .timing import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArPath",
-    "BacktestResult",
-    "ControlSeries",
-    "DesignMatrix",
-    "DeterministicRng",
-    "EventStudyResult",
-    "EventStudyRun",
-    "EventWindowConfig",
-    "ExposureEstimate",
-    "FactorSeries",
-    "FirmDictionary",
-    "Lexicon",
-    "MentionSet",
-    "RegressionResult",
-    "SecurityPanel",
-    "SentimentObservation",
-    "SignalSeries",
-    "StockSentimentEvent",
-    "SynthConfig",
-    "SynthDataset",
-    "TimingRegressionSet",
-    "TranscriptDay",
-    "TranscriptRecord",
-    "align_event_date",
-    "backtest_strategy",
-    "build_days",
-    "build_design",
-    "build_signal",
-    "build_stock_events",
-    "compute_ar",
-    "construct_factors",
-    "estimate_exposures",
-    "extract_mentions",
-    "fit_logit",
-    "fit_ols",
-    "gen_dataset",
-    "load_controls",
-    "load_firm_dictionary",
-    "load_lexicon",
-    "load_panel",
-    "load_transcripts",
-    "pool_aar_caar",
-    "r2_scan",
-    "read_controls_csv",
-    "read_factors_csv",
-    "read_rf_csv",
-    "render_report",
-    "run_event_study",
-    "run_timing_regressions",
-    "score_day",
-    "timing_observations",
-    "tokenize",
-    "write_dataset",
-]

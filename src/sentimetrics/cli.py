@@ -436,11 +436,8 @@ def stage_regress(cfg: RunConfig) -> dict:
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
     controls = factormod.read_controls_csv(cfg.require_upstream("controls", "factors"))
     signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
-    rmrf = np.full(len(controls.dates), np.nan)
-    for i, d in enumerate(controls.dates):
-        idx = series.index_of(d)
-        if idx is not None:
-            rmrf[i] = series.rmrf[idx]
+    # A control day not on the factor calendar (index -1) takes the appended NaN.
+    rmrf = np.append(series.rmrf, np.nan)[series.indices_of(controls.dates)]
     regset = econometrics.run_timing_regressions(
         signal,
         controls,

@@ -104,9 +104,6 @@ class RegressionResult:
     def coef(self, term: str) -> float:
         return float(self.estimates[self._idx(term)])
 
-    def se_of(self, term: str) -> float:
-        return float(self.std_errs[self._idx(term)])
-
     def t_of(self, term: str) -> float:
         return float(self.t_values[self._idx(term)])
 

@@ -89,9 +89,6 @@ class ArPath:
     t0: int
     values: np.ndarray
 
-    def value_at(self, rel_day: int) -> float:
-        return float(self.values[rel_day - self.t0])
-
 
 @dataclass
 class EventStudyResult:
@@ -289,11 +286,10 @@ def run_event_study(
     run = EventStudyRun(results={})
     # One row per panel firm on the factor calendar, NaN where it has no return.
     excess = np.full((len(panel.firms), len(factors.dates)), np.nan)
-    for t, d in enumerate(panel.calendar):
-        j = factors.index_of(d)
-        if j is not None:
-            returns = panel.daily_return[:, t] - factors.rf[j]
-            excess[:, j] = np.where(panel.present[:, t], returns, np.nan)
+    j = factors.indices_of(panel.calendar)
+    on = j >= 0
+    returns = panel.daily_return[:, on] - factors.rf[j[on]]
+    excess[:, j[on]] = np.where(panel.present[:, on], returns, np.nan)
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
     event_indices: dict[str, list[int]] = {}
 

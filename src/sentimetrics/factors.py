@@ -132,6 +132,10 @@ class FactorSeries:
     def index_of(self, d: date) -> int | None:
         return self._date_index.get(d)
 
+    def indices_of(self, dates: list[date]) -> np.ndarray:
+        """Each date's index on the calendar, -1 where it is not on it."""
+        return np.array([self._date_index.get(d, -1) for d in dates], dtype=np.intp)
+
 
 @dataclass
 class ControlSeries:

@@ -53,20 +53,20 @@ _MIX2 = 0x94D049BB133111EB
 class DeterministicRng:
     """SplitMix64 with Box-Muller normals; stable across platforms.
 
-    Known-answer values for seed 0: the first raw outputs are
+    Known-answer values for seed 0: the first raw outputs of ``_raw`` are
     0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F.
-    ``randint`` uses a modulo draw; its bias is negligible for the small
+    ``randints`` uses a modulo draw; its bias is negligible for the small
     ranges used here and keeps the stream arithmetic obvious.
 
     SplitMix64 is counter-based: draw k from the state s is the mix of
     s + (k + 1) * gamma.  ``_raw(n)`` mixes a whole block of counters in
     wrapping numpy ``uint64`` arithmetic and advances the state by n * gamma,
     so the block methods (``uniforms``, ``randints``, ``normals``) return
-    exactly what the same number of scalar calls would, and the scalar
-    methods are one-element blocks.  The Box-Muller transcendentals stay on
-    ``math``, element by element: ``np.log`` differs from ``math.log`` in the
-    last bit on about 0.35 % of the uniforms (numpy 2.4, x86-64), which would
-    change the bytes of every seed.
+    exactly what the same draws taken one at a time would give.  The one
+    scalar method, ``uniform()``, is a one-element block.  The Box-Muller
+    transcendentals stay on ``math``, element by element: ``np.log`` differs
+    from ``math.log`` in the last bit on about 0.35 % of the uniforms
+    (numpy 2.4, x86-64), which would change the bytes of every seed.
     """
 
     def __init__(self, seed: int):
@@ -83,9 +83,6 @@ class DeterministicRng:
         z ^= z >> np.uint64(31)
         return z
 
-    def next_u64(self) -> int:
-        return int(self._raw(1)[0])
-
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each the top 53 bits of a draw (exact)."""
         return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -99,9 +96,6 @@ class DeterministicRng:
         if np.any(spans < 1):
             raise ValueError(f"empty range [{lo}, {hi}]")
         return (self._raw(n) % spans.astype(np.uint64)).astype(np.int64) + lo
-
-    def randint(self, lo: int, hi: int) -> int:
-        return int(self.randints(lo, hi, 1)[0])
 
     def _uniform_rows(self, n: int, width: int) -> np.ndarray:
         """n rows of ``width`` uniforms, each row's first redrawn while it is 0.0."""
@@ -124,11 +118,8 @@ class DeterministicRng:
         u = self._uniform_rows(n, 2)
         return _box_muller(u[:, 0], u[:, 1])
 
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
-
     def normal_uniform_pairs(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """What n calls of ``normal`` then ``uniform`` draw, as two arrays."""
+        """n (normal, uniform) pairs, drawn pair after pair, as two arrays."""
         u = self._uniform_rows(n, 3)
         return _box_muller(u[:, 0], u[:, 1]), u[:, 2]
 

@@ -37,12 +37,8 @@ DEFAULT_LAG = 2
 class SignalSeries:
     n: int
     mode: str
-    dates: list[date]
+    dates: list[date]  # strictly ascending
     values: np.ndarray  # 0/1 ints aligned with dates
-
-    @property
-    def defined_from(self) -> date | None:
-        return self.dates[0] if self.dates else None
 
 
 @dataclass
@@ -100,16 +96,6 @@ def build_signal(
     return SignalSeries(n=n, mode=mode, dates=[d for d, _s in usable[n:]], values=values)
 
 
-def signal_on_calendar(signal: SignalSeries, calendar: list[date]) -> dict[int, int]:
-    """Map signal values to trading-calendar indices (forward roll, latest wins)."""
-    mapped: dict[int, int] = {}
-    for d, v in zip(signal.dates, signal.values):
-        idx = bisect_left(calendar, d)
-        if idx < len(calendar):
-            mapped[idx] = int(v)
-    return mapped
-
-
 def lagged_signal_values(
     signal: SignalSeries, calendar: list[date], lag: int
 ) -> np.ndarray:
@@ -117,9 +103,10 @@ def lagged_signal_values(
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
     out = np.full(len(calendar), np.nan)
-    for idx, v in signal_on_calendar(signal, calendar).items():
-        if idx + lag < len(calendar):
-            out[idx + lag] = v
+    idx = np.array([bisect_left(calendar, d) for d in signal.dates], dtype=np.intp) + lag
+    keep = idx < len(calendar)
+    keep[:-1] &= idx[:-1] != idx[1:]  # of the days rolled onto one trading day, the latest
+    out[idx[keep]] = signal.values[keep]
     return out
 
 

@@ -476,7 +476,7 @@ def test_09_timing_regression_recovery():
         up = (ds.factors.rmrf > 0).astype(float)
         up[np.isnan(lagged)] = np.nan
         res = fit_logit(build_design({"signal": lagged}, up))
-        if abs(res.coef("signal") - slope) <= 2.0 * res.se_of("signal"):
+        if abs(res.coef("signal") - slope) <= 2.0 * res.std_errs[res.terms.index("signal")]:
             hits += 1
     assert hits >= 18, hits
     print(f"PASS 9 timing-regression recovery: slope 0.8 within 2 SE in {hits}/20 seeds")

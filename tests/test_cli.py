@@ -6,9 +6,10 @@ import shutil
 from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sentimetrics import corpus, factors
+from sentimetrics import cli, corpus, econometrics, factors, tables, timing
 from sentimetrics.cli import (
     INPUT_KEYS,
     OUT_FILES,
@@ -748,3 +749,47 @@ def test_dated_inputs_take_any_order_but_no_repeated_date(demo7, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"sentimetrics: error: {path}: row 4: "), err
     assert "duplicate date" in err
+
+
+def test_regress_aligns_rmrf_to_controls_dates_missing_from_the_factors(demo7, tmp_path):
+    def drop(*rows):
+        def edit(table):
+            for row in sorted(rows, reverse=True):
+                del table[row - 1]
+
+        return edit
+
+    # Three control days lose their factor row; one factor day loses its control row.
+    cfg_path, _path = _corrupt(demo7, tmp_path, "out/factors.csv", drop(40, 41, 120))
+    out = cfg_path.parent / "out"
+    controls_path = out / "controls.csv"
+    with controls_path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    drop(80)(rows)
+    with controls_path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert main(["regress", "--config", str(cfg_path)]) == 0
+
+    cfg = load_config(cfg_path)
+    series = factors.read_factors_csv(out / "factors.csv")
+    controls = factors.read_controls_csv(controls_path)
+    rmrf_on = dict(zip(series.dates, series.rmrf.tolist()))
+    assert sum(d not in rmrf_on for d in controls.dates) == 3
+    rmrf = np.array([rmrf_on.get(d, np.nan) for d in controls.dates])
+    signal = timing.build_signal(
+        cli._timing_observations(cfg), cfg.regression_n, mode=cfg.signal_mode
+    )
+    regset = econometrics.run_timing_regressions(
+        signal,
+        controls,
+        rmrf,
+        lag=cfg.signal_lag,
+        tie_up=cfg.tie_up,
+        robust=cfg.robust_se,
+        with_ols=cfg.with_ols,
+    )
+    want = tmp_path / "want.csv"
+    tables.write_rows(want, tables.REGRESSIONS, econometrics.regression_rows(regset))
+    got = (out / "regressions.csv").read_bytes()
+    assert got == want.read_bytes()
+    assert got != (demo7 / "out" / "regressions.csv").read_bytes()

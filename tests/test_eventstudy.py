@@ -230,7 +230,7 @@ def test_ar_shifts_one_for_one_with_return_bumps():
     est = estimate_exposures(on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
     path = compute_ar(est, on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
     for rel, bump in bumps.items():
-        assert path.value_at(rel) == pytest.approx(bump, abs=1e-10)
+        assert path.values[rel - path.t0] == pytest.approx(bump, abs=1e-10)
 
 
 def test_ar_nan_past_calendar_end():
@@ -242,9 +242,9 @@ def test_ar_nan_past_calendar_end():
     path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
     # rel +2 is the penultimate calendar day (lead regressor exists), +3 on
     # the last day has no lead, beyond that there is no calendar at all.
-    assert np.isfinite(path.value_at(2))
-    assert np.isnan(path.value_at(3))
-    assert np.isnan(path.value_at(SHORT_WINDOW.evt_end))
+    assert np.isfinite(path.values[2 - path.t0])
+    assert np.isnan(path.values[3 - path.t0])
+    assert np.isnan(path.values[SHORT_WINDOW.evt_end - path.t0])
 
 
 # ---------------------------------------------------------------------------
@@ -591,3 +591,34 @@ def test_pool_matches_sequential_loop_bitwise():
         full = pool_aar_caar(paths, -10, 20)
         assert np.isnan(full.aar[3]) and full.n_events_per_day[3] == 0
         assert full.aar[5] == 0.0 and not np.signbit(full.aar[5])
+
+
+def test_run_event_study_aligns_a_panel_calendar_that_differs_from_the_factor_calendar():
+    factors = _factors(140, seed=42)
+    rng = np.random.default_rng(43)
+    excess = _linear_excess(factors, 0.0, rng.normal(0, 0.3, 15))
+    # Factor days 98, 103 and 105 are not in the panel; the Saturday before day 105
+    # and a day before the factor calendar starts are panel days only.
+    missing = {factors.dates[t] for t in (98, 103, 105)}
+    saturday = factors.dates[104] + timedelta(days=1)
+    extra = {saturday: 0.5, factors.dates[0] - timedelta(days=2): -0.5}
+    calendar = sorted((set(factors.dates) - missing) | set(extra))
+    panel = _panel_from_returns({"F": {**excess, **extra}}, calendar, 1e-4)
+    events = [
+        StockSentimentEvent("F", factors.dates[100], 0.5, "positive"),
+        StockSentimentEvent("F", saturday, -0.5, "negative"),  # rolls to day 105
+    ]
+    run = run_event_study(events, panel, factors, SHORT_WINDOW)
+
+    kept = {d: (v + 1e-4) - 1e-4 for d, v in excess.items() if d not in missing}
+    want_excess = on_calendar(kept, factors)
+    paths = run.ar_paths["positive"] + run.ar_paths["negative"]
+    assert [p.event_date for p in paths] == [factors.dates[100], factors.dates[105]]
+    for path in paths:
+        est = estimate_exposures(want_excess, factors, SHORT_WINDOW, path.event_date, "F")
+        want = compute_ar(
+            est, want_excess, factors, SHORT_WINDOW, path.event_date, path.announce_date
+        )
+        assert path.values.tobytes() == want.values.tobytes()
+    for path, missing_rel in zip(paths, ([-2, 3, 5], [-2, 0])):
+        assert np.flatnonzero(np.isnan(path.values)).tolist() == [r - path.t0 for r in missing_rel]

@@ -1,4 +1,5 @@
-from datetime import date
+from bisect import bisect_left
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from sentimetrics.timing import (
     lagged_signal_values,
     r2_scan,
     signal_rows,
-    signal_on_calendar,
     timing_observations,
     write_backtest_csv,
 )
@@ -88,7 +88,6 @@ def test_window_longer_than_series_warns_and_is_empty():
         series = build_signal(_obs([0.1, 0.2, 0.3]), 3)
     assert series.dates == []
     assert series.values.size == 0
-    assert series.defined_from is None
 
 
 def test_build_signal_rejects_bad_args():
@@ -124,8 +123,9 @@ def test_signal_maps_to_next_trading_day():
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[date(2022, 1, 8)], values=np.array([1])
     )  # Saturday
-    mapped = signal_on_calendar(series, cal)
-    assert mapped == {cal.index(date(2022, 1, 10)): 1}
+    lagged = lagged_signal_values(series, cal, 0)
+    assert np.flatnonzero(~np.isnan(lagged)).tolist() == [cal.index(date(2022, 1, 10))]
+    assert lagged[cal.index(date(2022, 1, 10))] == 1
 
 
 def test_latest_signal_wins_when_rolling_collides():
@@ -136,8 +136,8 @@ def test_latest_signal_wins_when_rolling_collides():
         dates=[date(2022, 1, 5), date(2022, 1, 8)],  # both roll to Jan 10
         values=np.array([1, 0]),
     )
-    mapped = signal_on_calendar(series, cal)
-    assert mapped == {1: 0}
+    lagged = lagged_signal_values(series, cal, 0)
+    assert np.isnan(lagged[0]) and lagged[1] == 0
 
 
 def test_signal_past_calendar_end_dropped():
@@ -145,7 +145,7 @@ def test_signal_past_calendar_end_dropped():
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[date(2022, 3, 1)], values=np.array([1])
     )
-    assert signal_on_calendar(series, cal) == {}
+    assert np.isnan(lagged_signal_values(series, cal, 0)).all()
 
 
 def test_lagged_values_shift_by_trading_days():
@@ -421,3 +421,39 @@ def test_backtest_matches_per_day_loop_bitwise():
     assert not np.any(res.positions[flat]) and not np.any(np.signbit(res.strategy_returns[flat]))
     short_on_zero = [res.dates.index(cal[t]) for t in (10, 30)]
     assert np.all(np.signbit(res.strategy_returns[short_on_zero]))
+
+
+def _dict_lagged(signal, calendar, lag):
+    """Each signal day bisected into a dict of calendar indices (latest wins), then shifted."""
+    mapped = {}
+    for d, v in zip(signal.dates, signal.values):
+        idx = bisect_left(calendar, d)
+        if idx < len(calendar):
+            mapped[idx] = int(v)
+    out = np.full(len(calendar), np.nan)
+    for idx, v in mapped.items():
+        if idx + lag < len(calendar):
+            out[idx + lag] = v
+    return out
+
+
+def test_lagged_values_match_the_dict_loop_bitwise():
+    rng = np.random.default_rng(42)
+    start = date(2022, 1, 3)
+    span = [start + timedelta(days=k) for k in range(-10, 70)]  # 10 days either side
+    weekdays_in = [d for d in span[10:-10] if d.weekday() < 5]
+    cases = [([], weekdays_in, 2), (span[:20], [], 0), (span[:20], [], 3)]
+    for _ in range(400):
+        cal = sorted(rng.choice(weekdays_in, size=rng.integers(1, len(weekdays_in)), replace=False))
+        days = sorted(rng.choice(span, size=rng.integers(1, len(span)), replace=False))
+        lag = int(rng.choice([0, 1, 2, 5, len(cal) - 1, len(cal), len(cal) + 3]))
+        cases.append((days, cal, lag))
+    rolled = collided = 0
+    for days, cal, lag in cases:
+        series = SignalSeries(1, INCLUSIVE, list(days), rng.integers(0, 2, len(days)))
+        got = lagged_signal_values(series, list(cal), lag)
+        assert got.tobytes() == _dict_lagged(series, list(cal), lag).tobytes()
+        idx = [bisect_left(cal, d) for d in days]
+        rolled += any(d.weekday() >= 5 and i < len(cal) for d, i in zip(days, idx))
+        collided += len(set(idx)) < len(idx)
+    assert rolled > 100 and collided > 100
