@@ -149,7 +149,7 @@ def _json_object(path: Path, what: str) -> dict:
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads("".join(tables.read_lines(path)))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
@@ -318,14 +318,17 @@ def stage_factors(cfg: RunConfig) -> dict:
         series = factormod.read_factors_csv(provided)
         source = "file"
     else:
-        rf = factormod.read_rf_csv(cfg.input_path("rf_csv", "factors"))
-        series = factormod.construct_factors(
-            panel,
-            rf,
-            rebalance_month=cfg.rebalance_month,
-            rebalance_day=cfg.rebalance_day,
-            min_breakpoint_stocks=cfg.min_breakpoint_stocks,
-        )
+        rf_path = cfg.input_path("rf_csv", "factors")
+        try:
+            series = factormod.construct_factors(
+                panel,
+                factormod.read_rf_csv(rf_path),
+                rebalance_month=cfg.rebalance_month,
+                rebalance_day=cfg.rebalance_day,
+                min_breakpoint_stocks=cfg.min_breakpoint_stocks,
+            )
+        except factormod.CalendarAlignmentError as exc:  # rf misses trading dates
+            raise factormod.CalendarAlignmentError(f"{rf_path}: {exc}") from None
         source = "constructed"
     tables.write_table(
         cfg.out_path("factors"), tables.FACTORS, tables.dated_columns(series, tables.FACTORS)
@@ -485,7 +488,7 @@ def _write_manifest(cfg: RunConfig, stage_infos: dict[str, dict], reset: bool) -
     if not reset and manifest_path.exists():
         try:
             old = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or not UTF-8
             old = None
         if isinstance(old, dict) and isinstance(old.get("stages"), dict):  # else carry none over
             stages = old["stages"]

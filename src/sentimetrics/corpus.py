@@ -9,7 +9,6 @@ an exclusion list.
 
 from __future__ import annotations
 
-import csv
 import unicodedata
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -18,11 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
+
 DEFAULT_MIN_MENTIONS = 3
-
-
-class TranscriptFormatError(ValueError):
-    """Malformed transcript or dictionary input file."""
 
 
 @dataclass
@@ -121,7 +118,7 @@ def tokenize(text: str) -> list[str]:
 def _one_token(word: str, where: str) -> str:
     """``word`` if ``tokenize`` yields it as one token; an error naming ``where`` otherwise."""
     if tokenize(word) != [word]:
-        raise TranscriptFormatError(
+        raise tables.PanelFormatError(
             f"{where} {word!r} is not a single token "
             "(matching compares single tokens, so it could never match)"
         )
@@ -130,26 +127,9 @@ def _one_token(word: str, where: str) -> str:
 
 def _words(path: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, NFC word) of each non-blank line of a one-word-per-line file."""
-    with Path(path).open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if word := _norm(line.strip()):
-                yield lineno, word
-
-
-def _csv_rows(path: Path, header: str) -> Iterator[tuple[int, list[str]]]:
-    """(row number, fields) of each row of a CSV whose header must be ``header``."""
-    columns = header.split(",")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or [h.strip() for h in got] != columns:
-            raise TranscriptFormatError(f"{path}: expected header {header!r}, got {got!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(columns):
-                raise TranscriptFormatError(
-                    f"{path}: row {lineno}: expected {len(columns)} fields, got {len(row)}"
-                )
-            yield lineno, row
+    for lineno, line in enumerate(tables.read_lines(path), start=1):
+        if word := _norm(line.strip()):
+            yield lineno, word
 
 
 def load_transcripts(path: str | Path) -> Iterator[TranscriptRecord]:
@@ -158,14 +138,8 @@ def load_transcripts(path: str | Path) -> Iterator[TranscriptRecord]:
     A one-shot iterator, so the text is never held at once: ``list()`` it to
     count or reread the records.  A bad header or row raises when reached.
     """
-    path = Path(path)
-    for lineno, (content_id, date_str, text) in _csv_rows(path, "content_id,publish_date,text"):
-        try:
-            pub = date.fromisoformat(date_str.strip())
-        except ValueError:
-            raise TranscriptFormatError(
-                f"{path}: row {lineno}: field 'publish_date': invalid date {date_str!r}"
-            ) from None
+    for lineno, (content_id, date_str, text) in tables.read_rows(path, tables.TRANSCRIPTS.columns):
+        pub = tables._parse_date(date_str, path, lineno, "publish_date")
         yield TranscriptRecord(content_id=content_id, publish_date=pub, text=text)
 
 
@@ -196,10 +170,10 @@ def load_firm_dictionary(
     names_path = Path(names_path)
     exclusions = set() if exclusions_path is None else {name for _, name in _words(exclusions_path)}
     names: dict[str, list[str]] = {}
-    for lineno, row in _csv_rows(names_path, "firm_id,name"):
+    for lineno, row in tables.read_rows(names_path, tables.FIRM_NAMES.columns):
         firm_id, name = row[0].strip(), _norm(row[1].strip())
         if not firm_id or not name:
-            raise TranscriptFormatError(f"{names_path}: row {lineno}: empty firm_id or name")
+            raise tables.PanelFormatError(f"{names_path}: row {lineno}: empty firm_id or name")
         firm_names = names.setdefault(firm_id, [])
         if name in exclusions:
             continue

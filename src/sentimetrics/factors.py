@@ -24,7 +24,6 @@ Conventions this module pins down (the panel interface leaves them open):
 
 from __future__ import annotations
 
-import csv
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -214,32 +213,21 @@ def _read_columns_fast(path: Path):
 
 
 def _read_columns_by_row(path: Path):
-    """The csv-module reader for files the fast path declines.
+    """The row-by-row reader (tables.read_rows) for files the fast path declines.
 
-    Stops at the first row with a malformed field and returns the columns of
-    the rows before it together with that row's error (None if there is none)."""
+    Stops at the first malformed row and returns the columns of the rows
+    before it together with that row's error (None if there is none)."""
     seen, ids = [{} for _ in _TEXT_COLUMNS], [[] for _ in _TEXT_COLUMNS]
     values, error = [], None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                if len(row) != len(PANEL_COLUMNS):
-                    raise PanelFormatError(
-                        f"{path}: row {lineno}: expected {len(PANEL_COLUMNS)} fields, "
-                        f"got {len(row)}"
-                    )
-                _parse_date(row[1], path, lineno, "date")
-                parsed = [
-                    _parse_float(row[j], path, lineno, PANEL_COLUMNS[j]) for j in _FLOAT_COLUMNS
-                ]
-            except PanelFormatError as exc:
-                error = exc
-                break
+    try:
+        for lineno, row in tables.read_rows(path, PANEL_COLUMNS):
+            _parse_date(row[1], path, lineno, "date")
+            parsed = [_parse_float(row[j], path, lineno, PANEL_COLUMNS[j]) for j in _FLOAT_COLUMNS]
             for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
                 row_ids.append(s.setdefault(row[j], len(s)))
             values.append(parsed)
+    except PanelFormatError as exc:
+        error = exc
     values_arr = np.array(values, dtype=float).reshape(-1, len(_FLOAT_COLUMNS)).T
     return list(zip(map(list, seen), np.array(ids, dtype=np.int32))), values_arr, error
 
@@ -314,10 +302,7 @@ def load_panel(path: str | Path) -> SecurityPanel:
     with quoted fields, blank lines or a malformed field goes through the csv
     module, which locates the bad row."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None or [h.strip() for h in header] != PANEL_COLUMNS:
-        raise PanelFormatError(f"{path}: expected header {','.join(PANEL_COLUMNS)!r}")
+    next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
     columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
     firms, calendar, firm_idx, date_idx, main = _index_rows(path, columns, values)
     if error is not None:
@@ -466,20 +451,18 @@ def read_rf_csv(path: str | Path) -> dict[date, float]:
     return _dated_values(path, tables.RF)
 
 
-def _align_control(
-    raw: dict[date, float], calendar: list[date], label: str
-) -> np.ndarray:
-    """Place a dated series onto the calendar; its covered span must have no gaps."""
+def _align_control(path: str | Path, schema: tables.Schema, calendar: list[date]) -> np.ndarray:
+    """Read a dated series and place it onto the calendar; its covered span must have no gaps."""
     trading = set(calendar)
-    on_calendar = {d: v for d, v in raw.items() if d in trading}
+    on_calendar = {d: v for d, v in _dated_values(path, schema).items() if d in trading}
     if not on_calendar:
-        raise CalendarAlignmentError(f"{label} series has no observations on trading dates")
+        raise CalendarAlignmentError(f"{path}: series has no observations on trading dates")
     lo, hi = min(on_calendar), max(on_calendar)
     gaps = [d for d in calendar if lo <= d <= hi and d not in on_calendar]
     if gaps:
         head = ", ".join(d.isoformat() for d in gaps[:5])
         raise CalendarAlignmentError(
-            f"{label} series missing {len(gaps)} trading dates in its covered range ({head} ...)"
+            f"{path}: series missing {len(gaps)} trading dates in its covered range ({head} ...)"
         )
     return np.array([on_calendar.get(d, np.nan) for d in calendar], dtype=float)
 
@@ -489,10 +472,8 @@ def load_controls(
 ) -> ControlSeries:
     """Load NSI and short-rate files and align them (plus pct_zero) to the panel calendar."""
     calendar = panel.calendar
-    nsi = _align_control(_dated_values(nsi_path, tables.NSI), calendar, "nsi")
-    short_rate = _align_control(
-        _dated_values(short_rate_path, tables.SHORT_RATE), calendar, "short_rate"
-    )
+    nsi = _align_control(nsi_path, tables.NSI, calendar)
+    short_rate = _align_control(short_rate_path, tables.SHORT_RATE, calendar)
     d_nsi = np.full(len(calendar), np.nan)
     d_nsi[1:] = nsi[1:] - nsi[:-1]  # NaN wherever either day is uncovered
     return ControlSeries(

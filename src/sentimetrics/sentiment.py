@@ -15,9 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import MentionSet, TranscriptDay, _one_token, _words
-
-POSITIVE = "positive"
-NEGATIVE = "negative"
+from .tables import NEGATIVE, POSITIVE
 
 
 class LexiconConflictError(ValueError):

@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .corpus import FirmDictionary, TranscriptRecord
 from .factors import (
     FACTOR_NAMES,
@@ -41,7 +42,6 @@ from .factors import (
     SecurityPanel,
 )
 from .sentiment import NEGATIVE, POSITIVE, Lexicon, SentimentObservation
-from .tables import FACTORS, NSI, RF, SHORT_RATE, dated_columns, write_table
 from .timing import INCLUSIVE, build_signal, lagged_signal_values
 
 MASK64 = (1 << 64) - 1
@@ -498,8 +498,6 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
     The macro controls (a sentiment-index random walk and a short-rate walk)
     are generated here, after the core draws, so they extend the same stream.
     """
-    import csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {key: out / name for key, name in DATASET_FILES.items()}
@@ -507,18 +505,9 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
     calendar = dataset.calendar
     rng = DeterministicRng(cfg.seed ^ 0xC0FFEE)  # controls stream, independent of core draws
 
-    with paths["transcripts"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["content_id", "publish_date", "text"])
-        for rec in dataset.transcripts:
-            writer.writerow([rec.content_id, rec.publish_date.isoformat(), rec.text])
-
-    with paths["firm_names"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["firm_id", "name"])
-        for fid, names in dataset.dictionary.entries:
-            for name in names:
-                writer.writerow([fid, name])
+    tables.write_items(paths["transcripts"], tables.TRANSCRIPTS, dataset.transcripts)
+    aliases = [(fid, name) for fid, names in dataset.dictionary.entries for name in names]
+    tables.write_rows(paths["firm_names"], tables.FIRM_NAMES, aliases)
 
     paths["exclusions"].write_text("commonword\n", encoding="utf-8")
     paths["lexicon_positive"].write_text(
@@ -562,16 +551,17 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
                 )
             )
 
-    write_table(paths["factors"], FACTORS, dated_columns(dataset.factors, FACTORS))
-    write_table(paths["rf"], RF, {"date": calendar, "rf": dataset.factors.rf})
+    factors = tables.dated_columns(dataset.factors, tables.FACTORS)
+    tables.write_table(paths["factors"], tables.FACTORS, factors)
+    tables.write_table(paths["rf"], tables.RF, {"date": calendar, "rf": dataset.factors.rf})
 
     # Random walks, summed in Python floats step by step; the starting level is not a row.
     walks = {
         "nsi": accumulate(rng.normals(len(calendar)).tolist(), initial=100.0),
         "short_rate": accumulate((rng.normals(len(calendar)) * 1e-4).tolist(), initial=0.02),
     }
-    for (key, walk), schema in zip(walks.items(), (NSI, SHORT_RATE)):
-        write_table(paths[key], schema, {"date": calendar, key: list(walk)[1:]})
+    for (key, walk), schema in zip(walks.items(), (tables.NSI, tables.SHORT_RATE)):
+        tables.write_table(paths[key], schema, {"date": calendar, key: list(walk)[1:]})
 
     with paths["ground_truth"].open("w", encoding="utf-8") as fh:
         json.dump(dataset.truth.to_json_dict(), fh, indent=2, sort_keys=True)

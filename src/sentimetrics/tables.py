@@ -1,14 +1,18 @@
-"""One reader and one writer for every CSV table the pipeline owns.
+"""The one reader and writer of every CSV, and the one line source of every input.
 
-Each such file has one Schema, declared here and used by both ends: its
-columns in file order with their kinds, and the rule on its 'date' column
-(ASCENDING strictly for the pipeline's own dated tables; UNIQUE, any order
-and no date twice, for the dated input series).  Kinds: FLOAT is written
-with repr and must be finite; BLANK_FLOAT may also be an empty field, which
-NaN and None are written as and which reads back as None; INT, DATE (ISO),
-TEXT, and choice(...) for one of a fixed set of strings.  A fault stops
-either end with a PanelFormatError ``<file>: row N: field 'x': ...``, the
-header being row 1, so every file the pipeline writes reads back.
+read_lines decodes a file as UTF-8, dropping a leading BOM; a byte that is
+not UTF-8 stops it with ``<file>: line N: not UTF-8 (...)``.  read_rows runs
+the csv module over those lines and checks the header and each row's field
+count; a field may be of any practical size, so a transcript is one field.
+Each table has one Schema, declared here and used by both ends: its columns
+in file order with their kinds, and the rule on its 'date' column (ASCENDING
+strictly for the pipeline's own dated tables; UNIQUE, any order and no date
+twice, for the dated input series).  Kinds: FLOAT is written with repr and
+must be finite; BLANK_FLOAT may also be an empty field, which NaN and None
+are written as and which reads back as None; INT, DATE (ISO), TEXT, and
+choice(...) for one of a fixed set of strings.  A fault stops either end
+with a PanelFormatError ``<file>: row N: ...``, the header being row 1, so
+every file the pipeline writes reads back.
 """
 
 from __future__ import annotations
@@ -19,13 +23,17 @@ import operator
 from datetime import date
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .sentiment import NEGATIVE, POSITIVE
+POSITIVE = "positive"
+NEGATIVE = "negative"
+
+# Far above any real transcript field (csv's default limit is 131072 characters).
+csv.field_size_limit(1 << 30)
 
 
 class PanelFormatError(ValueError):
-    """Malformed CSV: a header, field count or field that breaks its file's format."""
+    """Malformed input: a byte, header, field count or field that breaks its file's format."""
 
 
 def _field(convert: Callable, value, path: Path, lineno: int, name: str):
@@ -137,6 +145,8 @@ REGRESSIONS = Schema(
 RF = Schema(UNIQUE, date=DATE, rf=FLOAT)
 NSI = Schema(UNIQUE, date=DATE, nsi=FLOAT)
 SHORT_RATE = Schema(UNIQUE, date=DATE, short_rate=FLOAT)
+TRANSCRIPTS = Schema(content_id=TEXT, publish_date=DATE, text=TEXT)
+FIRM_NAMES = Schema(firm_id=TEXT, name=TEXT)
 
 
 def _check_dates(path: Path, schema: Schema, columns: Mapping[str, Sequence]) -> None:
@@ -192,24 +202,51 @@ def write_items(path: str | Path, schema: Schema, items: Sequence) -> int:
     return write_table(path, schema, columns)
 
 
-def read_table(path: str | Path, schema: Schema) -> dict[str, list]:
-    """The columns of a file written under `schema`, one list per column, in schema order."""
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, a leading BOM dropped, each with its line ending."""
     path = Path(path)
-    names, want = list(schema.columns), ",".join(schema.columns)
-    parsers = [parse for _format, parse in schema.columns.values()]
-    columns: list[list] = [[] for _ in names]
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [h.strip() for h in header] != names:
-            raise PanelFormatError(f"{path}: expected header {want!r}, got {','.join(header)!r}")
-        for lineno, row in enumerate(reader, start=2):
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            yield from fh
+    except UnicodeDecodeError:  # raised for a chunk of the file: find the bad byte's line
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise PanelFormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from None
+        raise
+
+
+def read_rows(path: str | Path, header: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) of each row after a CSV's header, which must be `header`."""
+    path, names, lines = Path(path), list(header), read_lines(path)
+    rows, lineno = enumerate(csv.reader(lines), start=1), 0
+    try:
+        lineno, got = next(rows, (1, []))
+        if [h.strip() for h in got] != names:
+            raise PanelFormatError(
+                f"{path}: expected header {','.join(names)!r}, got {','.join(got)!r}"
+            )
+        for lineno, row in rows:
             if len(row) != len(names):
                 raise PanelFormatError(
                     f"{path}: row {lineno}: expected {len(names)} fields, got {len(row)}"
                 )
-            for column, parse, name, value in zip(columns, parsers, names, row):
-                column.append(_field(parse, value, path, lineno, name))
+            yield lineno, row
+    except csv.Error as exc:  # the row after the last one read
+        raise PanelFormatError(f"{path}: row {lineno + 1}: {exc}") from None
+    finally:
+        lines.close()  # now, not when an error that holds this frame is freed
+
+
+def read_table(path: str | Path, schema: Schema) -> dict[str, list]:
+    """The columns of a file written under `schema`, one list per column, in schema order."""
+    path, names = Path(path), list(schema.columns)
+    parsers = [parse for _format, parse in schema.columns.values()]
+    columns: list[list] = [[] for _ in names]
+    for lineno, row in read_rows(path, names):
+        for column, parse, name, value in zip(columns, parsers, names, row):
+            column.append(_field(parse, value, path, lineno, name))
     table = dict(zip(names, columns))
     _check_dates(path, schema, table)
     return table

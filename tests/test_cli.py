@@ -233,6 +233,11 @@ def test_load_config_rejects_bad_values(tmp_path):
     p.write_text("not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(p)
+    p.write_bytes(b'{"min_mentions": 2,\n "signal_mode": "incl\xffusive"}')
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line 2: not UTF-8")):
+        load_config(p)
+    p.write_bytes(b'\xef\xbb\xbf{"min_mentions": 2}')  # a BOM is dropped
+    assert load_config(p).min_mentions == 2
 
 
 def test_synth_unknown_override_key_errors(tmp_path, capsys):
@@ -270,12 +275,16 @@ def test_synth_override_of_the_wrong_type_names_file_and_key(
     assert not (tmp_path / "d" / "run_config.json").exists()
 
 
-def test_synth_override_file_that_is_not_json_names_the_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "raw, message",
+    [(b'{"n_firms": 5,', "invalid JSON"), (b'{"n_firms": 5}\xff', "line 1: not UTF-8")],
+)
+def test_synth_override_file_that_is_not_json_names_the_file(tmp_path, capsys, raw, message):
     overrides = tmp_path / "s.json"
-    overrides.write_text('{"n_firms": 5,', encoding="utf-8")
+    overrides.write_bytes(raw)
     rc = main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(overrides)])
     assert rc == 1
-    assert f"{overrides}: invalid JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"sentimetrics: error: {overrides}: {message}")
 
 
 def test_synth_overrides_accept_ints_for_floats_dates_and_pairs(tmp_path):
@@ -554,7 +563,9 @@ def test_demo_output_tree_keeps_its_pinned_bytes(demo7):
     assert digests == DEMO7_PINS
 
 
-@pytest.mark.parametrize("old", ["[]", "null", '{"stages": []}', '{"stages": "ingest"}'])
+@pytest.mark.parametrize(
+    "old", [b"[]", b"null", b'{"stages": []}', b'{"stages": "ingest"}', b'\xff{"stages": {}}']
+)
 def test_stage_rerun_over_a_manifest_of_another_shape_carries_no_stages(
     demo7, tmp_path, capsys, old
 ):
@@ -563,7 +574,7 @@ def test_stage_rerun_over_a_manifest_of_another_shape_carries_no_stages(
     manifest = data / "out" / "manifest.json"
     want = json.loads(manifest.read_text(encoding="utf-8"))
     want["stages"] = {"timing": want["stages"]["timing"]}
-    manifest.write_text(old, encoding="utf-8")
+    manifest.write_bytes(old)
     assert main(["timing", "--config", str(data / "run_config.json")]) == 0
     assert json.loads(manifest.read_text(encoding="utf-8")) == want
     assert "Traceback" not in capsys.readouterr().err

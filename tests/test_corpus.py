@@ -5,7 +5,6 @@ import pytest
 
 from sentimetrics.corpus import (
     FirmDictionary,
-    TranscriptFormatError,
     TranscriptRecord,
     build_days,
     extract_mentions,
@@ -13,6 +12,7 @@ from sentimetrics.corpus import (
     load_transcripts,
     tokenize,
 )
+from sentimetrics.tables import PanelFormatError
 
 
 def test_tokenize_splits_and_strips_punctuation():
@@ -74,14 +74,14 @@ def test_load_transcripts_empty_file(tmp_path):
 def test_load_transcripts_bad_date_names_row(tmp_path):
     p = tmp_path / "t.csv"
     _write_transcripts(p, [["c1", "2022-08-02", "x"], ["c2", "2022-13-01", "y"]])
-    with pytest.raises(TranscriptFormatError, match="row 3.*publish_date"):
+    with pytest.raises(PanelFormatError, match="row 3.*publish_date"):
         list(load_transcripts(p))
 
 
 def test_load_transcripts_bad_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("id,when,words\nc1,2022-08-02,x\n", encoding="utf-8")
-    with pytest.raises(TranscriptFormatError, match="header"):
+    with pytest.raises(PanelFormatError, match="header"):
         list(load_transcripts(p))
 
 
@@ -143,7 +143,7 @@ def test_load_firm_dictionary_rejects_names_that_are_not_one_token(tmp_path, nam
     names = tmp_path / "names.csv"
     with names.open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([["firm_id", "name"], ["F1", "acme"], ["F2", name]])
-    with pytest.raises(TranscriptFormatError, match=r"names\.csv: row 3: firm name"):
+    with pytest.raises(PanelFormatError, match=r"names\.csv: row 3: firm name"):
         load_firm_dictionary(names)
 
 

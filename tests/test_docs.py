@@ -29,12 +29,14 @@ def _table_rows(heading: str) -> dict[str, list[str]]:
 def test_readme_input_formats_name_the_schema_columns():
     rows = _table_rows("Input files:")
     for key, schema in [
+        ("transcripts_csv", tables.TRANSCRIPTS),
+        ("firm_names_csv", tables.FIRM_NAMES),
         ("factors_csv", tables.FACTORS),
         ("rf_csv", tables.RF),
         ("nsi_csv", tables.NSI),
         ("short_rate_csv", tables.SHORT_RATE),
     ]:
-        documented = re.findall(r"`(date,[a-z_,]+)`", rows[f"`{key}`"][0])
+        documented = re.findall(r"`([a-z_]+(?:,[a-z_]+)+)`", rows[f"`{key}`"][0])
         assert documented == [",".join(schema.columns)], key
 
 

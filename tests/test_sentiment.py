@@ -2,7 +2,7 @@ from datetime import date
 
 import pytest
 
-from sentimetrics.corpus import MentionSet, TranscriptFormatError, TranscriptRecord, build_days
+from sentimetrics.corpus import MentionSet, TranscriptRecord, build_days
 from sentimetrics.sentiment import (
     Lexicon,
     LexiconConflictError,
@@ -11,7 +11,7 @@ from sentimetrics.sentiment import (
     load_lexicon,
     score_day,
 )
-from sentimetrics.tables import SENTIMENT, read_table, write_items
+from sentimetrics.tables import SENTIMENT, PanelFormatError, read_table, write_items
 
 LEX = Lexicon(positive={"good", "fine"}, negative={"bad", "poor"})
 
@@ -94,7 +94,7 @@ def test_load_lexicon_rejects_words_that_are_not_one_token(tmp_path, word):
     neg = tmp_path / "neg.txt"
     pos.write_text("up\n\nstrong\n", encoding="utf-8")
     neg.write_text(f"down\n{word}\n", encoding="utf-8")
-    with pytest.raises(TranscriptFormatError, match=r"neg\.txt: line 2: lexicon word"):
+    with pytest.raises(PanelFormatError, match=r"neg\.txt: line 2: lexicon word"):
         load_lexicon(pos, neg)
 
 
