@@ -506,13 +506,17 @@ def _write_manifest(cfg: RunConfig, stage_infos: dict[str, dict], reset: bool) -
 def run_stages(cfg: RunConfig, stages: list[str]) -> None:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     infos: dict[str, dict] = {}
+    mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in KiB; bytes on macOS
+    reaped = resource and resource.getrusage(resource.RUSAGE_CHILDREN)[:3]  # times, maxrss
     for name in stages:
         started = time.perf_counter()
         infos[name] = STAGE_FUNCS[name](cfg)
         done = f"{PROG}: {name}: done in {time.perf_counter() - started:.2f} s"
-        if resource is not None:  # the process's high-water mark so far
-            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
-            done += f", peak RSS {peak / (2**20 if sys.platform == 'darwin' else 2**10):.1f} MB"
+        if resource is not None:  # the high-water marks so far: the process's, its children's
+            done += f", peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / mb:.1f} MB"
+            children = resource.getrusage(resource.RUSAGE_CHILDREN)
+            if children[:3] != reaped:  # a child has been reaped during this run
+                done += f", workers {children.ru_maxrss / mb:.1f} MB"
         print(done, file=sys.stderr)
     _write_manifest(cfg, infos, reset=(stages == STAGE_ORDER))
 

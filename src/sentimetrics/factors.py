@@ -25,6 +25,9 @@ Conventions this module pins down (the panel interface leaves them open):
 from __future__ import annotations
 
 import itertools
+import mmap
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -164,39 +167,51 @@ _ROW_DTYPE = np.dtype([(c, "f8" if c in PANEL_FIELDS else "O") for c in PANEL_CO
 _BLOCK_ROWS = 8192  # rows per np.loadtxt call: bounds the parse's transient memory
 
 
-def _plain_layout(path: Path) -> tuple[bool, int]:
-    """(every line has exactly 9 unquoted fields, number of lines after the header).
+def _plain_layout(path: Path, parts: int) -> tuple[bool, int, list[tuple[int, int]]]:
+    """(every line has exactly 9 unquoted fields, number of lines after the header, cuts).
 
     A byte scan: no quote characters and 8 commas per line.  Blank lines,
-    ragged rows and quoted fields make it False."""
+    ragged rows and quoted fields make it False.  The cuts split the rows into
+    at most `parts` line-aligned ranges of about equal bytes: (byte offset,
+    first row) of each range, the first just past the header."""
+    size = path.stat().st_size
+    targets = [size * k // parts for k in range(parts)]
+    cuts = []
     lines = commas = quotes = 0
     last = b"\n"
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
+            base = fh.tell() - len(chunk)
+            while targets and (end := chunk.find(b"\n", max(targets[0] - base, 0)) + 1):
+                cuts.append((base + end, lines + chunk.count(b"\n", 0, end) - 1))
+                targets.pop(0)
             lines += chunk.count(b"\n")
             commas += chunk.count(b",")
             quotes += chunk.count(b'"')
             last = chunk[-1:]
     lines += last != b"\n"
     plain = quotes == 0 and commas == (len(PANEL_COLUMNS) - 1) * lines
-    return plain, lines - 1
+    return plain, lines - 1, cuts or [(size, 0)]  # no cut: the header is the only line
 
 
-def _read_columns_fast(path: Path):
-    """(text columns, 6 x rows floats, None), or None when the file needs the row-by-row reader.
+def _range_count() -> int:
+    """Byte ranges a plain panel of two blocks or more is parsed in at once: one per usable
+    CPU, at most 2.  One without fork, and on Python 3.12+, which warns when a process with
+    threads (numpy's BLAS pool is one) forks, so the parse there is one pass."""
+    usable = hasattr(os, "sched_getaffinity") and hasattr(os, "fork") and sys.version_info < (3, 12)
+    return min(2, len(os.sched_getaffinity(0))) if usable else 1
 
-    One pass over the lines _plain_layout counted (split at line feeds only) in blocks of
-    _BLOCK_ROWS, one structured np.loadtxt call each: text cells get ids from a first-seen
-    dict per column, floats go into one preallocated array; the text is never held whole."""
-    plain, n_rows = _plain_layout(path)
-    if not plain:
-        return None
-    seen = [{} for _ in _TEXT_COLUMNS]  # cell -> id, in first-seen order
-    ids = np.empty((len(_TEXT_COLUMNS), n_rows), dtype=np.int32)
-    values = np.empty((len(_FLOAT_COLUMNS), n_rows))
+
+def _parse_range(path: Path, offset: int, ids: np.ndarray, values: np.ndarray, conn=None):
+    """Parse the ids.shape[1] lines from byte `offset` into `ids` and `values`.
+
+    _BLOCK_ROWS lines a structured np.loadtxt call; text cells get ids from one
+    first-seen dict per column.  Returns the dicts, or None when a block fails;
+    given `conn`, sends their keys down it instead, and nothing on a failure."""
+    seen, n_rows = [{} for _ in _TEXT_COLUMNS], ids.shape[1]
     with path.open(encoding="utf-8", newline="\n") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        next(fh)  # the header
+        fh.buffer.seek(offset)  # before the first read, so the text starts at `offset`
         for start in range(0, n_rows, _BLOCK_ROWS):
             stop = min(start + _BLOCK_ROWS, n_rows)
             lines = itertools.islice(fh, stop - start)
@@ -209,6 +224,57 @@ def _read_columns_fast(path: Path):
             for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
                 row_ids[start:stop] = [s.setdefault(c, len(s)) for c in block[PANEL_COLUMNS[j]]]
             values[:, start:stop] = [block[PANEL_COLUMNS[j]] for j in _FLOAT_COLUMNS]
+    return seen if conn is None else conn.send([list(s) for s in seen])
+
+
+def _read_columns_fast(path: Path):
+    """(text columns, 6 x rows floats, None), or None when the file needs the row-by-row reader.
+
+    This process parses the first range _plain_layout cut and a forked child each
+    other range, into arrays in anonymous shared memory (MAP_SHARED).  The ranges'
+    first-seen cells are merged in file order, so the result is what one pass gives."""
+    plain, n_rows, cuts = _plain_layout(path, _range_count())
+    if not plain:
+        return None
+    if n_rows < 2 * _BLOCK_ROWS:
+        cuts = cuts[:1]
+    if len(cuts) == 1:
+        ids, values = np.empty((3, n_rows), np.int32), np.empty((6, n_rows))
+    else:
+        ids = np.frombuffer(mmap.mmap(-1, 3 * 4 * n_rows), np.int32).reshape(3, n_rows)
+        values = np.frombuffer(mmap.mmap(-1, 6 * 8 * n_rows)).reshape(6, n_rows)
+    spans = [(at, slice(lo, hi)) for (at, lo), (_, hi) in zip(cuts, cuts[1:] + [(0, n_rows)])]
+    if len(spans) > 1:
+        import multiprocessing  # here, not at the top: it adds over 0.6 MB to an importer's RSS
+
+        fork = multiprocessing.get_context("fork")
+    children, keys = [], []
+    try:
+        for at, rows in spans[1:]:
+            recv, send = fork.Pipe(duplex=False)
+            args = (path, at, ids[:, rows], values[:, rows], send)
+            child = fork.Process(target=_parse_range, args=args)
+            child.start()
+            children.append((child, recv))
+            send.close()
+        at, rows = spans[0]
+        keys.append(_parse_range(path, at, ids[:, rows], values[:, rows]))
+        keys += [recv.recv() for _child, recv in children]
+    except EOFError:  # a child ended without a result
+        keys.append(None)
+    finally:
+        for child, recv in children:
+            if len(keys) <= len(children):  # a result went unread: its child may block sending it
+                child.kill()
+            child.join()
+            recv.close()
+    if None in keys:
+        return None
+    seen = [{} for _ in _TEXT_COLUMNS]  # cell -> id, in first-seen order over the file
+    for (_at, rows), range_keys in zip(spans, keys):
+        for s, cells, row_ids in zip(seen, range_keys, ids):
+            to_file = np.array([s.setdefault(c, len(s)) for c in cells], np.int32)
+            row_ids[rows] = to_file[row_ids[rows]]
     return list(zip(map(list, seen), ids)), values, None
 
 
@@ -299,12 +365,16 @@ def load_panel(path: str | Path) -> SecurityPanel:
     nonpositive caps or prior assets and unknown exchanges are errors naming
     the first offending row.  A plain file is parsed in blocks of rows, one
     structured np.loadtxt call a block, so its text is never held whole; one
+    of two blocks or more is cut into two byte ranges parsed at once, the
+    second in a forked child.  With one usable CPU, and on Python 3.12+, which
+    warns when a process with threads forks, the parse is one pass.  A file
     with quoted fields, blank lines or a malformed field goes through the csv
     module, which locates the bad row."""
     path = Path(path)
     next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
     columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
     firms, calendar, firm_idx, date_idx, main = _index_rows(path, columns, values)
+    del columns  # the text ids: not needed past here, so they are freed before the cells exist
     if error is not None:
         raise error
     if not firms:

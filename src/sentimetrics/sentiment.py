@@ -74,7 +74,11 @@ def load_lexicon(positive_path: str | Path, negative_path: str | Path) -> Lexico
 
     Each word must be one token as ``tokenize`` yields it, or it could never score.
     """
-    return Lexicon(positive=_load_wordlist(positive_path), negative=_load_wordlist(negative_path))
+    positive, negative = _load_wordlist(positive_path), _load_wordlist(negative_path)
+    try:
+        return Lexicon(positive=positive, negative=negative)
+    except LexiconConflictError as exc:
+        raise LexiconConflictError(f"{positive_path} and {negative_path}: {exc}") from None
 
 
 def score_day(day: TranscriptDay, polarity: np.ndarray) -> SentimentObservation:

@@ -208,6 +208,19 @@ def test_out_flag_overrides_configured_dir(tmp_path, capsys):
     assert not (cfg_path.parent / "out" / "days.csv").exists()
 
 
+def test_a_stage_after_a_forked_panel_parse_reports_the_childrens_peak(
+    tmp_path, capsys, monkeypatch
+):
+    cfg_path = _make_dataset(tmp_path)
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 64)
+    monkeypatch.setattr(factors, "_range_count", lambda: 2)
+    capsys.readouterr()
+    assert main(["factors", "--config", str(cfg_path)]) == 0
+    err = capsys.readouterr().err
+    peaks = r"peak RSS \d+\.\d MB, workers \d+\.\d MB"
+    assert re.fullmatch(rf"sentimetrics: factors: done in \d+\.\d\d s, {peaks}\n", err), err
+
+
 def test_load_config_defaults(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"out_dir": "results"}), encoding="utf-8")

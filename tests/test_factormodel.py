@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import sys
 import tracemalloc
 from datetime import date
 
@@ -495,7 +498,8 @@ def test_load_panel_long_and_quoted_firm_ids_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The block reader: a plain file is parsed _BLOCK_ROWS rows at a time.
+# The block reader: a plain file is parsed _BLOCK_ROWS rows at a time, in
+# _range_count() byte ranges at once when it holds two blocks or more.
 
 
 def _block_rows(firms="ABCD", days=range(8), seed=4):
@@ -524,6 +528,16 @@ def _padded(row):
     return ",".join(f" {field}  " for field in row.split(","))
 
 
+def _over_ranges(cases):
+    """Each (values, id) case at range counts 1, 2 and 3; at count 1 it keeps its plain id."""
+    cases = list(cases)
+    return [
+        pytest.param(*values, ranges, id=name if ranges == 1 else f"{name}-{ranges}-ranges")
+        for ranges in (1, 2, 3)
+        for values, name in cases
+    ]
+
+
 def _parity_rows():
     """Shuffled clean rows, then a firm first seen late, then a new firm on a new date."""
     rows = _block_rows()
@@ -536,19 +550,33 @@ def _parity_rows():
     [("\n", True, False), ("\r\n", True, False), ("\n", False, False), ("\n", True, True)],
     ids=["lf", "crlf", "no-final-newline", "space-padded"],
 )
-@pytest.mark.parametrize("block", [1, 7, "n", "n-1"])
+@pytest.mark.parametrize(
+    "block, ranges", _over_ranges([((b,), str(b)) for b in (1, 7, "n", "n-1", "cut")])
+)
 def test_block_reader_matches_the_row_by_row_reader_bitwise(
-    tmp_path, monkeypatch, newline, final, pad, block
+    tmp_path, monkeypatch, newline, final, pad, block, ranges
 ):
     rows = _parity_rows()
     if pad:
         rows = [_padded(r) for r in rows]
-    block = {"n": len(rows), "n-1": len(rows) - 1}.get(block, block)
-    monkeypatch.setattr(factors, "_BLOCK_ROWS", block)
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
     for p, lines in ((plain, rows), (quoted, [_quoted(r) for r in rows])):
         p.write_bytes(newline.join([PANEL_HEADER] + lines + [""] * final).encode())
-    assert factors._read_columns_fast(plain) is not None
+    cuts = factors._plain_layout(plain, ranges)[2]
+    data = plain.read_bytes()
+    assert len(cuts) == ranges  # each cut is a line start and the row that begins there
+    assert all(data[at - 1 : at] == b"\n" and data.count(b"\n", 0, at) == row + 1 for at, row in cuts)
+    # "cut": the first range is exactly one block, so the split falls on a block boundary.
+    cut = cuts[1][1] if ranges > 1 else len(rows)
+    block = {"n": len(rows), "n-1": len(rows) - 1, "cut": cut}.get(block, block)
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(factors, "_range_count", lambda: 1)
+    serial = factors._read_columns_fast(plain)
+    monkeypatch.setattr(factors, "_range_count", lambda: ranges)
+    split = factors._read_columns_fast(plain)
+    assert [keys for keys, _ids in split[0]] == [keys for keys, _ids in serial[0]]
+    assert [ids.tobytes() for _keys, ids in split[0]] == [ids.tobytes() for _keys, ids in serial[0]]
+    assert split[1].tobytes() == serial[1].tobytes() and split[2] is None
     assert factors._read_columns_fast(quoted) is None
     got, want = load_panel(plain), load_panel(quoted)
     assert got.firms == want.firms == list("ABCDEF")
@@ -592,46 +620,47 @@ def _lone_carriage_return(rows):
 
 
 # 32 clean rows (4 firms x 8 days, date-major); file row = list index + 2.
-@pytest.mark.parametrize(
-    "edit, block, message",
-    [
-        (
-            lambda rows: rows.insert(23, _with_field(rows[2], "daily_return", "0.5")),
-            7,
-            "row 25: duplicate key (C, 2022-01-03)",
-        ),
-        (_set_field(17, "book_equity", "nan"), 7, "row 19: field 'book_equity': non-finite value"),
-        (
-            _set_field(26, "exchange", "kosdaq2"),
-            7,
-            "row 28: exchange must be 'main' or 'secondary', got 'kosdaq2'",
-        ),
-        (
-            _set_field(15, "date", "2022-02-30"),
-            7,
-            "row 17: field 'date': invalid date '2022-02-30'",
-        ),
-        (
-            _set_field(24, "market_cap", "oops"),
-            7,
-            "row 26: field 'market_cap': not a number: 'oops'",
-        ),
-        (
-            _both(_set_field(9, "daily_return", "-1.5"), _set_field(24, "market_cap", "oops")),
-            7,
-            "row 11: daily_return must be > -1",
-        ),
-        (_blank_line_and_long_row, 1, "row 12: expected 9 fields, got 0"),
-        (_lone_carriage_return, 7, "row 34: expected 9 fields, got 1"),
-    ],
-    ids=[
-        "duplicate", "nan", "exchange", "date", "oops", "fault-before-oops", "blank-line", "lone-cr"
-    ],
-)
+ERRORS = [
+    (
+        lambda rows: rows.insert(23, _with_field(rows[2], "daily_return", "0.5")),
+        7,
+        "row 25: duplicate key (C, 2022-01-03)",
+    ),
+    (_set_field(17, "book_equity", "nan"), 7, "row 19: field 'book_equity': non-finite value"),
+    (
+        _set_field(26, "exchange", "kosdaq2"),
+        7,
+        "row 28: exchange must be 'main' or 'secondary', got 'kosdaq2'",
+    ),
+    (
+        _set_field(15, "date", "2022-02-30"),
+        7,
+        "row 17: field 'date': invalid date '2022-02-30'",
+    ),
+    (
+        _set_field(24, "market_cap", "oops"),
+        7,
+        "row 26: field 'market_cap': not a number: 'oops'",
+    ),
+    (
+        _both(_set_field(9, "daily_return", "-1.5"), _set_field(24, "market_cap", "oops")),
+        7,
+        "row 11: daily_return must be > -1",
+    ),
+    (_blank_line_and_long_row, 1, "row 12: expected 9 fields, got 0"),
+    (_lone_carriage_return, 7, "row 34: expected 9 fields, got 1"),
+]
+ERROR_IDS = [
+    "duplicate", "nan", "exchange", "date", "oops", "fault-before-oops", "blank-line", "lone-cr"
+]
+
+
+@pytest.mark.parametrize("edit, block, message, ranges", _over_ranges(zip(ERRORS, ERROR_IDS)))
 def test_load_panel_errors_past_the_first_block_name_their_row(
-    tmp_path, monkeypatch, edit, block, message
+    tmp_path, monkeypatch, edit, block, message, ranges
 ):
     monkeypatch.setattr(factors, "_BLOCK_ROWS", block)
+    monkeypatch.setattr(factors, "_range_count", lambda: ranges)
     rows = _block_rows()
     edit(rows)
     p = tmp_path / "panel.csv"
@@ -641,7 +670,74 @@ def test_load_panel_errors_past_the_first_block_name_their_row(
     assert str(exc.value) == f"{p}: {message}"
 
 
-def test_load_panel_traced_peak_stays_within_four_panels(tmp_path):
+@pytest.mark.parametrize("ranges", [2, 3])
+def test_a_malformed_float_in_a_childs_range_names_its_row(tmp_path, monkeypatch, ranges):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: ranges)
+    rows = _block_rows()
+    p = tmp_path / "panel.csv"
+    _write_panel(p, rows)
+    index = factors._plain_layout(p, ranges)[2][-1][1] + 1  # inside the last range
+    rows[index] = _with_field(rows[index], "market_cap", "oops")
+    _write_panel(p, rows)
+    assert factors._plain_layout(p, ranges)[2][-1][1] <= index
+    with pytest.raises(PanelFormatError) as exc:
+        load_panel(p)
+    assert str(exc.value) == f"{p}: row {index + 2}: field 'market_cap': not a number: 'oops'"
+
+
+def test_the_split_parse_leaves_no_child_running(tmp_path, monkeypatch):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: 2)
+    rows = _block_rows()
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    _write_panel(good, rows)
+    _write_panel(bad, rows[:-1] + [_with_field(rows[-1], "daily_return", "oops")])
+    assert load_panel(good).present.all()
+    assert multiprocessing.active_children() == []
+    with pytest.raises(PanelFormatError, match="not a number"):
+        load_panel(bad)
+    assert multiprocessing.active_children() == []
+
+    parent, parse = os.getpid(), factors._parse_range
+
+    def fail_in_the_parent(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent's range failed")
+        return parse(*args)
+
+    monkeypatch.setattr(factors, "_parse_range", fail_in_the_parent)
+    with pytest.raises(RuntimeError, match="the parent's range failed"):
+        load_panel(good)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="one usable CPU: the parse is serial",
+)
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="Python 3.12+ parses serially")
+def test_a_panel_of_two_blocks_is_split_on_two_cpus(tmp_path, monkeypatch):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    parsed, parse = [], factors._parse_range
+
+    def spy(path, offset, ids, values):
+        parsed.append(ids.shape[1])  # in a child, this appends to the child's copy
+        return parse(path, offset, ids, values)
+
+    monkeypatch.setattr(factors, "_parse_range", spy)
+    rows = _block_rows()
+    p = tmp_path / "panel.csv"
+    _write_panel(p, rows)
+    assert factors._range_count() == 2
+    assert load_panel(p).present.all()
+    assert len(parsed) == 1 and 0 < parsed[0] < len(rows)  # this process parsed one range
+
+
+def test_load_panel_traced_peak_stays_within_four_panels(tmp_path, monkeypatch):
+    # tracemalloc sees neither the shared-memory arrays nor a child of the split
+    # parse, so the bound is checked on the serial path, where it sees everything.
+    monkeypatch.setattr(factors, "_range_count", lambda: 1)
     rng = np.random.default_rng(12)
     n_firms, calendar = 40, weekdays(date(2018, 1, 1), 1000)
     ret = rng.normal(0.0, 0.02, size=(len(calendar), n_firms)).tolist()

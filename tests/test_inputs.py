@@ -130,6 +130,18 @@ def test_a_mutated_input_loads_or_stops_naming_its_file(demo, tmp_path, capsys, 
     assert rc == 0 or (rc == 1 and err.startswith(f"sentimetrics: error: {path}: ")), err
 
 
+def test_a_word_in_both_lexicons_names_both_files(demo, tmp_path, capsys):
+    data, raw = demo
+    pos, neg = (tmp_path / raw[key] for key in ("lexicon_positive_txt", "lexicon_negative_txt"))
+    shutil.copy(data / raw["lexicon_positive_txt"], pos)
+    word = pos.read_text("utf-8").split()[0]
+    neg.write_text((data / raw["lexicon_negative_txt"]).read_text("utf-8") + word + "\n", "utf-8")
+    cfg = _config(tmp_path, data, raw, lexicon_positive_txt=str(pos), lexicon_negative_txt=str(neg))
+    assert main(["all", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"sentimetrics: error: {pos} and {neg}: words in both polarity lists: {word}"
+
+
 WORD_LISTS = ["exclusions_txt", "lexicon_negative_txt", "lexicon_positive_txt"]
 
 
