@@ -2,7 +2,6 @@
 
 from .corpus import (
     FirmDictionary,
-    MentionSet,
     TranscriptDay,
     TranscriptRecord,
     build_days,
@@ -27,7 +26,6 @@ from .eventstudy import (
     EventStudyRun,
     EventWindowConfig,
     ExposureEstimate,
-    align_event_date,
     compute_ar,
     estimate_exposures,
     pool_aar_caar,
@@ -43,6 +41,7 @@ from .factors import (
     read_controls_csv,
     read_factors_csv,
     read_rf_csv,
+    roll_forward,
 )
 from .sentiment import (
     Lexicon,

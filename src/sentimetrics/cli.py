@@ -273,9 +273,9 @@ def stage_ingest(cfg: RunConfig) -> dict:
     )
     firms = dictionary.index(days.vocab)
     mentions = [
-        (day.date, firm_id, count)
+        (day.date, *mention)
         for day in days
-        for firm_id, count in corpus.extract_mentions(day, firms, cfg.min_mentions).mentions
+        for mention in corpus.extract_mentions(day, firms, cfg.min_mentions)
     ]
     n_days = tables.write_rows(
         cfg.out_path("days"), tables.DAYS, [(d.date, d.source_count, len(d.tokens)) for d in days]
@@ -295,11 +295,9 @@ def stage_sentiment(cfg: RunConfig) -> dict:
     observations = [sentiment.score_day(day, polarity) for day in days]
     n_scores = tables.write_items(cfg.out_path("sentiment"), tables.SENTIMENT, observations)
 
-    by_date: dict[date, list[tuple[str, int]]] = {}
-    for d, firm_id, count in zip(*tables.read_table(mentions_path, tables.MENTIONS).values()):
-        by_date.setdefault(d, []).append((firm_id, count))
-    mention_sets = [corpus.MentionSet(date=d, mentions=by_date[d]) for d in sorted(by_date)]
-    events, skipped = sentiment.build_stock_events(mention_sets, observations)
+    rows = zip(*tables.read_table(mentions_path, tables.MENTIONS).values())
+    mentions = sorted(rows, key=lambda row: row[0])  # stable: a date's rows keep their file order
+    events, skipped = sentiment.build_stock_events(mentions, observations)
     n_events = tables.write_items(cfg.out_path("events"), tables.EVENTS, events)
     n_skips = tables.write_items(cfg.out_path("event_skips"), tables.EVENT_SKIPS, skipped)
     return {
@@ -438,7 +436,21 @@ def stage_regress(cfg: RunConfig) -> dict:
     observations = _timing_observations(cfg)
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
     controls = factormod.read_controls_csv(cfg.require_upstream("controls", "factors"))
-    signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
+    with warnings.catch_warnings():  # an empty signal is reported below, naming its key
+        warnings.simplefilter("ignore")
+        signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
+    if not signal.dates:
+        raise ConfigError(
+            f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but only "
+            f"{len(observations)} sentiment days are usable: the signal is empty"
+        )
+    # The first signal day lands earliest: past the calendar once lagged, so is every day.
+    first = factormod.roll_forward(controls.dates, signal.dates[:1])[0] + cfg.signal_lag
+    if first >= len(controls.dates):
+        raise ConfigError(
+            f"{cfg.config_path}: 'signal_lag' is {cfg.signal_lag}: no signal day lagged by it "
+            f"falls on the {len(controls.dates)} days of {OUT_FILES['controls']}"
+        )
     # A control day not on the factor calendar (index -1) takes the appended NaN.
     rmrf = np.append(series.rmrf, np.nan)[series.indices_of(controls.dates)]
     regset = econometrics.run_timing_regressions(
@@ -528,11 +540,16 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
 def _synth_config(seed: int, overrides_path: str | None) -> synthetic.SynthConfig:
     kinds = typing.get_type_hints(synthetic.SynthConfig)
     del kinds["seed"]  # the --seed flag owns the seed
-    raw = {}
+    raw, where = {}, ""
     if overrides_path is not None:
-        p = Path(overrides_path)
-        raw = _typed(kinds, _json_object(p, "synth config"), f"{p}: ", "synth")
-    return synthetic.SynthConfig(seed=seed, **raw)
+        where = f"{overrides_path}: "
+        raw = _typed(kinds, _json_object(Path(overrides_path), "synth config"), where, "synth")
+    cfg = synthetic.SynthConfig(seed=seed, **raw)
+    try:
+        cfg.validate()
+    except ValueError as exc:  # a value out of range, or values that do not fit together
+        raise ConfigError(f"{where}{exc}") from None
+    return cfg
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

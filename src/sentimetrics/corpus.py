@@ -4,14 +4,14 @@ Raw transcript rows are merged per calendar day as they are read, split into
 tokens held as ids into one vocabulary, and matched against a firm-name
 dictionary mapped onto that vocabulary.  Matching is exact token equality
 after NFC normalization; common-noun-like names can be suppressed through
-an exclusion list.
+an exclusion list when the dictionary is loaded.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -58,10 +58,9 @@ class FirmIndex:
 
 @dataclass
 class FirmDictionary:
-    """Firm aliases plus an exclusion list; excluded names never match."""
+    """Firm aliases, (firm id, names) each; ``load_firm_dictionary`` drops excluded names."""
 
     entries: list[tuple[str, list[str]]]
-    exclusions: set[str] = field(default_factory=set)
 
     def index(self, vocab: dict[str, int]) -> FirmIndex:
         """The entries on one vocabulary; a name two firms share counts for both."""
@@ -73,12 +72,6 @@ class FirmDictionary:
             slot_of[vocab[name]] = slot[name]
         starts = np.cumsum([0] + [len(names) for _, names in entries])[:-1]
         return FirmIndex([fid for fid, _ in entries], slot_of, np.array(slots, np.intp), starts)
-
-
-@dataclass
-class MentionSet:
-    date: date
-    mentions: list[tuple[str, int]]
 
 
 def _norm(s: str) -> str:
@@ -181,13 +174,13 @@ def load_firm_dictionary(
         if name not in firm_names:
             firm_names.append(name)
     entries = [(fid, firm_names) for fid, firm_names in names.items() if firm_names]
-    return FirmDictionary(entries=entries, exclusions=exclusions)
+    return FirmDictionary(entries=entries)
 
 
 def extract_mentions(
     day: TranscriptDay, firms: FirmIndex, min_mentions: int = DEFAULT_MIN_MENTIONS
-) -> MentionSet:
-    """Count per-firm name occurrences in one day's tokens, by ``FirmDictionary.index``.
+) -> list[tuple[str, int]]:
+    """(firm id, count) of each firm named in one day's tokens, by ``FirmDictionary.index``.
 
     Counts sum over all aliases of a firm; firms below ``min_mentions`` are
     dropped.  Dictionary entries already exclude suppressed names.
@@ -196,5 +189,4 @@ def extract_mentions(
         raise ValueError(f"min_mentions must be >= 1, got {min_mentions}")
     counts = np.bincount(firms.slot_of[day.tokens], minlength=len(firms.slots) + 1)
     totals = np.add.reduceat(counts[firms.slots], firms.starts).tolist()
-    mentions = [(fid, n) for fid, n in zip(firms.firm_ids, totals) if n >= min_mentions]
-    return MentionSet(date=day.date, mentions=mentions)
+    return [(fid, n) for fid, n in zip(firms.firm_ids, totals) if n >= min_mentions]

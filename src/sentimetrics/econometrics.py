@@ -59,12 +59,11 @@ class EmptySampleError(ValueError):
 
 @dataclass
 class DesignMatrix:
-    """Named regressor columns plus a response, with incomplete rows dropped."""
+    """Named regressor columns plus a response, incomplete rows dropped; fits add an intercept."""
 
     column_names: list[str]
     x: np.ndarray  # (n, len(column_names)), no intercept column
     y: np.ndarray
-    intercept: bool = True
     n_dropped: int = 0
 
     @property
@@ -73,11 +72,9 @@ class DesignMatrix:
 
     @property
     def terms(self) -> list[str]:
-        return (["intercept"] if self.intercept else []) + list(self.column_names)
+        return ["intercept"] + list(self.column_names)
 
     def full_matrix(self) -> np.ndarray:
-        if not self.intercept:
-            return self.x
         return np.column_stack([np.ones(self.n_obs), self.x])
 
 
@@ -116,13 +113,10 @@ class TimingRegressionSet:
     ols: dict[str, RegressionResult] = field(default_factory=dict)
     signal_n: int = 0
     lag: int = DEFAULT_LAG
-    tie_up: bool = False
 
 
-def build_design(
-    columns: dict[str, np.ndarray], response: np.ndarray, intercept: bool = True
-) -> DesignMatrix:
-    """Assemble a design, dropping every row with any non-finite cell."""
+def build_design(columns: dict[str, np.ndarray], response: np.ndarray) -> DesignMatrix:
+    """Assemble a design (an intercept is implied), dropping every row with any non-finite cell."""
     names = list(columns)
     if len(set(names)) != len(names):
         raise ValueError("duplicate design column names")
@@ -141,13 +135,7 @@ def build_design(
     n_dropped = int(n - keep.sum())
     if keep.sum() == 0:
         raise EmptySampleError("no complete observations after dropping missing rows")
-    return DesignMatrix(
-        column_names=names,
-        x=x[keep],
-        y=response[keep],
-        intercept=intercept,
-        n_dropped=n_dropped,
-    )
+    return DesignMatrix(column_names=names, x=x[keep], y=response[keep], n_dropped=n_dropped)
 
 
 def _check_rank(x: np.ndarray, terms: list[str]) -> None:
@@ -319,13 +307,7 @@ def run_timing_regressions(
         logit_results[spec_id] = fit_logit(design, robust=robust)
         if with_ols:
             ols_results[spec_id] = fit_ols(build_design(cols, market_returns), robust=robust)
-    return TimingRegressionSet(
-        logit=logit_results,
-        ols=ols_results,
-        signal_n=signal.n,
-        lag=lag,
-        tie_up=tie_up,
-    )
+    return TimingRegressionSet(logit_results, ols_results, signal_n=signal.n, lag=lag)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Factor-model event study: exposure estimation, abnormal returns, AAR/CAAR pooling.
 
-Each event is anchored on the trading day of (or next after) the announcement.
+Each event is anchored on the announcement's trading day by ``factors.roll_forward``.
 Exposures come from an OLS of the stock's excess return on an intercept plus
 one lagging, the contemporaneous, and one leading value of each of the five
 factors (16 parameters).  Relative days count trading days on the factor
@@ -15,13 +15,12 @@ same first relative day `t0` and the same length.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
-from .factors import FACTOR_NAMES, FactorSeries, SecurityPanel
+from .factors import FACTOR_NAMES, FactorSeries, SecurityPanel, roll_forward
 from .sentiment import NEGATIVE, POSITIVE, StockSentimentEvent
 
 REGRESSOR_NAMES = tuple(
@@ -31,7 +30,7 @@ N_PARAMS = 1 + len(REGRESSOR_NAMES)  # intercept + 15 slopes
 
 
 class EventAlignmentError(ValueError):
-    """No trading day available on/after the announcement date."""
+    """An event date is not on the factor calendar."""
 
 
 class InsufficientObservationsError(ValueError):
@@ -115,16 +114,6 @@ class EventStudyRun:
     ar_paths: dict[str, list[ArPath]] = field(default_factory=dict)
     exclusions: list[ExcludedEvent] = field(default_factory=list)
     overlap_count: int = 0
-
-
-def align_event_date(announce_date: date, calendar: list[date]) -> date:
-    """The announcement date itself if it trades, else the next trading date."""
-    if not calendar:
-        raise EventAlignmentError("empty trading calendar")
-    lo = bisect_left(calendar, announce_date)
-    if lo == len(calendar):
-        raise EventAlignmentError(f"no trading day on or after {announce_date}")
-    return calendar[lo]
 
 
 def _design_span(factors: FactorSeries, first: int, last: int) -> tuple[int, np.ndarray]:
@@ -293,12 +282,13 @@ def run_event_study(
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
     event_indices: dict[str, list[int]] = {}
 
-    for event in events:
-        try:
-            event_date = align_event_date(event.announce_date, factors.dates)
-        except EventAlignmentError as exc:
-            run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
+    event_t = roll_forward(factors.dates, [event.announce_date for event in events]).tolist()
+    for event, t in zip(events, event_t):
+        if t == len(factors.dates):
+            reason = f"no trading day on or after {event.announce_date}"
+            run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, reason))
             continue
+        event_date = factors.dates[t]
         i = panel.firm_index(event.firm_id)
         if i is None:
             run.exclusions.append(
@@ -312,7 +302,7 @@ def run_event_study(
             continue
         path = compute_ar(estimate, excess[i], factors, window, event_date, event.announce_date)
         grouped[event.polarity].append(path)
-        event_indices.setdefault(event.firm_id, []).append(factors.index_of(event_date))
+        event_indices.setdefault(event.firm_id, []).append(t)
 
     run.overlap_count = _count_overlaps(event_indices, window.evt_len)
     post_available = window.evt_start <= 0 <= window.evt_end

@@ -414,16 +414,20 @@ def _rf_on(calendar: list[date], rf: dict[date, float]) -> np.ndarray:
     return np.array([rf[d] for d in calendar], dtype=float)
 
 
+def roll_forward(calendar: list[date], dates: list[date]) -> np.ndarray:
+    """Per date, its index on the ascending `calendar` if it trades, else the next trading day's.
+
+    A date past the last trading day gets ``len(calendar)``."""
+    ordinals = np.fromiter(map(date.toordinal, calendar), np.int64)
+    return np.searchsorted(ordinals, np.fromiter(map(date.toordinal, dates), np.int64))
+
+
 def rebalance_schedule(calendar: list[date], month: int = 7, day: int = 1) -> list[date]:
     """Initial formation at the first trading day, then the first trading day
     on/after `month`/`day` of each later-or-equal year."""
-    rebalances = [calendar[0]]
-    for year in sorted({d.year for d in calendar}):
-        cutoff = date(year, month, day)
-        nxt = next((d for d in calendar if d >= cutoff), None)
-        if nxt is not None and nxt not in rebalances:
-            rebalances.append(nxt)
-    return sorted(set(rebalances))
+    cutoffs = [date(year, month, day) for year in {d.year for d in calendar}]
+    idx = roll_forward(calendar, cutoffs).tolist()
+    return sorted({calendar[0], *(calendar[i] for i in idx if i < len(calendar))})
 
 
 def _sort_cells(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MentionSet, TranscriptDay, _one_token, _words
+from .corpus import TranscriptDay, _one_token, _words
 from .tables import NEGATIVE, POSITIVE
 
 
@@ -90,9 +90,9 @@ def score_day(day: TranscriptDay, polarity: np.ndarray) -> SentimentObservation:
 
 
 def build_stock_events(
-    mentions: list[MentionSet], scores: list[SentimentObservation]
+    mentions: list[tuple[date, str, int]], scores: list[SentimentObservation]
 ) -> tuple[list[StockSentimentEvent], list[SkippedMention]]:
-    """Tag each mentioned firm with its day's sentiment.
+    """Tag each mention, a ``(date, firm_id, count)`` row, with its day's sentiment.
 
     Days whose score is undefined or exactly zero yield no events; mentions on
     days without any score observation are skipped and reported.
@@ -100,25 +100,17 @@ def build_stock_events(
     score_by_date = {obs.date: obs.score for obs in scores}
     events: list[StockSentimentEvent] = []
     skipped: list[SkippedMention] = []
-    for mset in mentions:
-        if mset.date not in score_by_date:
-            for firm_id, _count in mset.mentions:
-                skipped.append(SkippedMention(firm_id, mset.date, "no sentiment observation"))
+    for d, firm_id, _count in mentions:
+        score = score_by_date.get(d)
+        if d not in score_by_date:
+            reason = "no sentiment observation"
+        elif score is None:
+            reason = "undefined sentiment score"
+        elif score == 0.0:
+            reason = "zero sentiment score"
+        else:
+            polarity = POSITIVE if score > 0 else NEGATIVE
+            events.append(StockSentimentEvent(firm_id, d, score, polarity))
             continue
-        score = score_by_date[mset.date]
-        if score is None:
-            for firm_id, _count in mset.mentions:
-                skipped.append(SkippedMention(firm_id, mset.date, "undefined sentiment score"))
-            continue
-        if score == 0.0:
-            for firm_id, _count in mset.mentions:
-                skipped.append(SkippedMention(firm_id, mset.date, "zero sentiment score"))
-            continue
-        polarity = POSITIVE if score > 0 else NEGATIVE
-        for firm_id, _count in mset.mentions:
-            events.append(
-                StockSentimentEvent(
-                    firm_id=firm_id, announce_date=mset.date, sentiment=score, polarity=polarity
-                )
-            )
+        skipped.append(SkippedMention(firm_id, d, reason))
     return events, skipped

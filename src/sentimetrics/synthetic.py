@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date, timedelta
 from itertools import accumulate
 from pathlib import Path
@@ -220,30 +220,7 @@ class GroundTruth:
     signal_values: list[tuple[date, int]]  # realized planted signal fed to the market sign
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rf_daily": self.rf_daily,
-            "factor_vols": self.factor_vols,
-            "idio_vol": self.idio_vol,
-            "zero_return_rate": self.zero_return_rate,
-            "exposures": self.exposures,
-            "events": [
-                {
-                    "firm_id": e.firm_id,
-                    "announce_date": e.announce_date.isoformat(),
-                    "day_index": e.day_index,
-                    "polarity": e.polarity,
-                    "effect": e.effect,
-                    "window": list(e.window),
-                }
-                for e in self.events
-            ],
-            "signal_strength": self.signal_strength,
-            "signal_intercept": self.signal_intercept,
-            "signal_n": self.signal_n,
-            "signal_lag": self.signal_lag,
-            "signal_values": [[d.isoformat(), v] for d, v in self.signal_values],
-        }
+        return json.loads(json.dumps(asdict(self), default=date.isoformat))
 
 
 @dataclass
@@ -299,9 +276,7 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
     )
     pos_words = sorted(lexicon.positive)
     neg_words = sorted(lexicon.negative)
-    dictionary = FirmDictionary(
-        entries=[(fid, _aliases(i)) for i, fid in enumerate(firm_ids)], exclusions=set()
-    )
+    dictionary = FirmDictionary(entries=[(fid, _aliases(i)) for i, fid in enumerate(firm_ids)])
 
     # Planted events: distinct firms, forced-polarity mention days.
     event_firms = list(firm_ids)

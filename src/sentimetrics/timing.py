@@ -5,18 +5,16 @@ trailing N-observation mean, else 0.  The default mean includes the current
 observation; an "exclusive" mode averages the N observations before it.  Both
 emit nothing until a day has N predecessors.
 
-When signal days are matched to a trading calendar, a day that is not a
-trading day rolls forward to the next trading day; if several signal days roll
-to the same trading day the most recent one wins.  The trading rule holds the
-market when the signal `lag` trading days earlier is 1, shorts it when 0, and
-stays flat where that lagged value is undefined.
+Signal days go onto a trading calendar by ``factors.roll_forward``; if several
+roll to the same trading day the most recent one wins.  The trading rule holds
+the market when the signal `lag` trading days earlier is 1, shorts it when 0,
+and stays flat where that lagged value is undefined.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -25,6 +23,7 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .factors import roll_forward
 from .sentiment import SentimentObservation
 from .tables import BACKTEST, write_table
 
@@ -103,7 +102,7 @@ def lagged_signal_values(
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
     out = np.full(len(calendar), np.nan)
-    idx = np.array([bisect_left(calendar, d) for d in signal.dates], dtype=np.intp) + lag
+    idx = roll_forward(calendar, signal.dates) + lag
     keep = idx < len(calendar)
     keep[:-1] &= idx[:-1] != idx[1:]  # of the days rolled onto one trading day, the latest
     out[idx[keep]] = signal.values[keep]

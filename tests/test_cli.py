@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -286,6 +287,23 @@ def test_synth_override_of_the_wrong_type_names_file_and_key(
     assert rc == 1
     assert f"{overrides}: '{key}' must be {expected}" in capsys.readouterr().err
     assert not (tmp_path / "d" / "run_config.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"n_days": 5}, "need at least 1 firm and 10 days"),
+        ({"n_events": 50}, "planted events must land on distinct firms"),
+        ({"sentiment_draws": 4}, "sentiment_draws must be odd and >= 3"),
+    ],
+)
+def test_synth_override_out_of_range_names_the_file(tmp_path, capsys, overrides, message):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(overrides), encoding="utf-8")
+    rc = main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(p)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"sentimetrics: error: {p}: {message}\n"
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.mark.parametrize(
@@ -817,3 +835,49 @@ def test_regress_aligns_rmrf_to_controls_dates_missing_from_the_factors(demo7, t
     got = (out / "regressions.csv").read_bytes()
     assert got == want.read_bytes()
     assert got != (demo7 / "out" / "regressions.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("regression_n", 5000, r"'regression_n' is 5000, but only \d+ sentiment days are usable"),
+        ("signal_lag", 100000, r"'signal_lag' is 100000: no signal day lagged by it falls on"),
+    ],
+)
+def test_regress_names_the_key_that_left_its_signal_empty(
+    demo7, tmp_path, capsys, key, value, message
+):
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    cfg_path = data / "run_config.json"
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**raw, key: value}), encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
+        warnings.simplefilter("always")
+        assert main(["regress", "--config", str(cfg_path)]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(re.escape(f"sentimetrics: error: {cfg_path}: ") + message + ".*\n", err)
+
+
+def test_lone_sentiment_takes_mention_dates_in_any_order(demo7, tmp_path):
+    """Rows are read by date, stably: reversing the dates (not a date's rows) changes nothing."""
+    built = {}
+    for label in ("ascending", "reversed"):
+
+        def edit(rows):
+            firms = [row[1] for row in rows[1:3]]
+            # Two firms on a day without transcripts, so event_skips.csv has rows.
+            by_date = {"2000-01-03": [["2000-01-03", f, "3"] for f in reversed(firms)]}
+            for row in rows[1:]:
+                by_date.setdefault(row[0], []).append(row)
+            dates = sorted(by_date, reverse=label == "reversed")
+            rows[1:] = [row for d in dates for row in by_date[d]]
+
+        cfg_path, _path = _corrupt(demo7, tmp_path / label, "out/mentions.csv", edit)
+        assert main(["sentiment", "--config", str(cfg_path)]) == 0
+        out = cfg_path.parent / "out"
+        built[label] = {n: (out / n).read_bytes() for n in ("events.csv", "event_skips.csv")}
+    assert built["reversed"] == built["ascending"]
+    assert built["ascending"]["events.csv"] == (demo7 / "out" / "events.csv").read_bytes()
+    assert built["ascending"]["event_skips.csv"].count(b"no sentiment observation") == 2

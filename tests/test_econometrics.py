@@ -305,7 +305,6 @@ def test_run_timing_regressions_five_specs():
         assert res.converged
     assert regset.signal_n == 3
     assert regset.lag == 2
-    assert not regset.tie_up
 
 
 def test_specs_use_their_own_maximal_samples():

@@ -12,13 +12,12 @@ from sentimetrics.eventstudy import (
     RankDeficientDesignError,
     REGRESSOR_NAMES,
     _count_overlaps,
-    align_event_date,
     compute_ar,
     estimate_exposures,
     pool_aar_caar,
     run_event_study,
 )
-from sentimetrics.factors import FACTOR_NAMES, FactorSeries
+from sentimetrics.factors import FACTOR_NAMES, FactorSeries, roll_forward
 from sentimetrics.eventstudy import ArPath
 from sentimetrics.sentiment import StockSentimentEvent
 
@@ -74,24 +73,34 @@ def test_regressor_layout_factor_major():
 
 def test_align_trading_day_is_identity():
     cal = weekdays(date(2022, 1, 3), 10)
-    assert align_event_date(cal[4], cal) == cal[4]
+    assert roll_forward(cal, [cal[4]]).tolist() == [4]
 
 
 def test_align_weekend_rolls_forward():
     cal = weekdays(date(2022, 1, 3), 10)
     sat = date(2022, 1, 8)
-    assert align_event_date(sat, cal) == date(2022, 1, 10)
+    assert cal[roll_forward(cal, [sat])[0]] == date(2022, 1, 10)
 
 
 def test_align_before_start_maps_to_first_day():
     cal = weekdays(date(2022, 1, 3), 10)
-    assert align_event_date(date(2021, 12, 25), cal) == cal[0]
+    assert roll_forward(cal, [date(2021, 12, 25)]).tolist() == [0]
 
 
-def test_align_past_end_errors():
+def test_align_past_end_rolls_off_the_calendar():
     cal = weekdays(date(2022, 1, 3), 10)
-    with pytest.raises(EventAlignmentError):
-        align_event_date(cal[-1] + timedelta(days=3), cal)
+    assert roll_forward(cal, [cal[-1] + timedelta(days=3)]).tolist() == [len(cal)]
+
+
+def test_run_event_study_excludes_every_event_on_an_empty_factor_calendar():
+    empty = FactorSeries([], *([np.zeros(0)] * 6))
+    cal = weekdays(date(2022, 1, 3), 3)
+    panel = _panel_from_returns({"F": dict.fromkeys(cal, 0.0)}, cal, 1e-4)
+    d = cal[1]
+    events = [StockSentimentEvent("F", d, 0.5, "positive")]
+    run = run_event_study(events, panel, empty, SHORT_WINDOW)
+    assert [e.reason for e in run.exclusions] == [f"no trading day on or after {d}"]
+    assert run.results == {}
 
 
 # ---------------------------------------------------------------------------

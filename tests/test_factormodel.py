@@ -1,8 +1,10 @@
 import multiprocessing
 import os
+import random
 import sys
 import tracemalloc
-from datetime import date
+from bisect import bisect_left
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from sentimetrics.factors import (
     load_panel,
     read_factors_csv,
     rebalance_schedule,
+    roll_forward,
 )
 from sentimetrics.tables import FACTORS, dated_columns, write_table
 
@@ -217,6 +220,51 @@ def test_rebalance_schedule_initial_plus_annual_july():
     assert julys[0] == next(d for d in calendar if d >= date(2021, 7, 1))
     assert julys[1] == next(d for d in calendar if d >= date(2022, 7, 1))
     assert len(sched) == 3
+
+
+def _random_calendar(rng: random.Random, n: int) -> list[date]:
+    """`n` weekdays drawn from about four years from 2020 on, ascending: gaps of any length."""
+    days = weekdays(date(2020, 1, 1), 1050)
+    return sorted(rng.sample(days, n))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_roll_forward_matches_bisect_left(seed):
+    rng = random.Random(seed)
+    calendar = _random_calendar(rng, rng.choice([0, 1, 2, 30, 400]))
+    # Any day, weekends included, from before the calendar's start to past its end.
+    dates = [date(2019, 12, 1) + timedelta(days=rng.randrange(1600)) for _ in range(300)]
+    dates += calendar[:3] + calendar[-3:]
+    got = roll_forward(calendar, dates)
+    assert got.dtype == np.intp
+    assert got.tolist() == [bisect_left(calendar, d) for d in dates]
+    assert roll_forward(calendar, []).tolist() == []
+    if calendar:
+        assert {0, len(calendar)} <= set(got.tolist())  # before the first day, after the last
+    if len(calendar) >= 30:  # a weekend inside the calendar rolls onto a later weekday
+        weekend = [t for d, t in zip(dates, got.tolist()) if d.weekday() >= 5]
+        assert any(0 < t < len(calendar) for t in weekend)
+
+
+def _linear_rebalance_schedule(calendar, month, day):
+    """The schedule by a linear scan of the calendar for each year's cutoff."""
+    rebalances = [calendar[0]]
+    for year in sorted({d.year for d in calendar}):
+        cutoff = date(year, month, day)
+        nxt = next((d for d in calendar if d >= cutoff), None)
+        if nxt is not None and nxt not in rebalances:
+            rebalances.append(nxt)
+    return sorted(set(rebalances))
+
+
+@pytest.mark.parametrize("month, day", [(7, 1), (1, 1), (2, 28), (6, 30), (12, 31)])
+@pytest.mark.parametrize("seed", range(6))
+def test_rebalance_schedule_matches_a_linear_scan(seed, month, day):
+    rng = random.Random(seed)
+    for n in (1, 2, 5, 40, 700):
+        calendar = _random_calendar(rng, n)
+        want = _linear_rebalance_schedule(calendar, month, day)
+        assert rebalance_schedule(calendar, month, day) == want
 
 
 def test_membership_refreshes_at_rebalance():

@@ -173,3 +173,13 @@ def test_only_tables_uses_the_csv_module():
         if re.search(r"^\s*(import csv\b|from csv import)", p.read_text("utf-8"), re.M)
     ]
     assert users == ["tables.py"]
+
+
+def test_no_module_bisects_a_calendar():
+    """Rolling dates onto a trading calendar is ``factors.roll_forward`` alone."""
+    users = [
+        p.name
+        for p in sorted(SRC.glob("*.py"))
+        if re.search(r"^\s*(import bisect\b|from bisect import)", p.read_text("utf-8"), re.M)
+    ]
+    assert users == []

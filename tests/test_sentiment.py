@@ -2,7 +2,7 @@ from datetime import date
 
 import pytest
 
-from sentimetrics.corpus import MentionSet, TranscriptRecord, build_days
+from sentimetrics.corpus import TranscriptRecord, build_days
 from sentimetrics.sentiment import (
     Lexicon,
     LexiconConflictError,
@@ -114,10 +114,7 @@ def _obs(d, score, n_pos=1, n_neg=1):
 
 def test_build_stock_events_polarity_split():
     d1, d2 = date(2022, 8, 2), date(2022, 8, 3)
-    mentions = [
-        MentionSet(date=d1, mentions=[("F1", 3)]),
-        MentionSet(date=d2, mentions=[("F2", 5), ("F3", 4)]),
-    ]
+    mentions = [(d1, "F1", 3), (d2, "F2", 5), (d2, "F3", 4)]
     scores = [_obs(d1, 0.4), _obs(d2, -0.2)]
     events, skipped = build_stock_events(mentions, scores)
     assert [(e.firm_id, e.polarity) for e in events] == [
@@ -131,11 +128,7 @@ def test_build_stock_events_polarity_split():
 
 def test_build_stock_events_zero_and_undefined_days_skip():
     d1, d2, d3 = date(2022, 8, 2), date(2022, 8, 3), date(2022, 8, 4)
-    mentions = [
-        MentionSet(date=d1, mentions=[("F1", 3)]),
-        MentionSet(date=d2, mentions=[("F2", 3)]),
-        MentionSet(date=d3, mentions=[("F3", 3)]),
-    ]
+    mentions = [(d1, "F1", 3), (d2, "F2", 3), (d3, "F3", 3)]
     scores = [_obs(d1, 0.0), _obs(d2, None, 0, 0)]
     events, skipped = build_stock_events(mentions, scores)
     assert events == []
@@ -147,10 +140,7 @@ def test_build_stock_events_zero_and_undefined_days_skip():
 
 def test_event_count_bounded_by_defined_mentions():
     d1, d2 = date(2022, 8, 2), date(2022, 8, 3)
-    mentions = [
-        MentionSet(date=d1, mentions=[("F1", 3), ("F2", 3)]),
-        MentionSet(date=d2, mentions=[("F3", 3)]),
-    ]
+    mentions = [(d1, "F1", 3), (d1, "F2", 3), (d2, "F3", 3)]
     scores = [_obs(d1, 0.5), _obs(d2, 0.0)]
     events, _ = build_stock_events(mentions, scores)
     assert len(events) <= 3

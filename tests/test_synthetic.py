@@ -392,7 +392,9 @@ def test_transcripts_reproduce_planted_scores_and_events():
         scores.append(obs)
 
     firms = ds.dictionary.index(days.vocab)
-    mentions = [extract_mentions(day, firms, cfg.min_mentions) for day in days]
+    mentions = [
+        (day.date, *m) for day in days for m in extract_mentions(day, firms, cfg.min_mentions)
+    ]
     events, skipped = build_stock_events(mentions, scores)
     assert skipped == []
     got = {(e.firm_id, e.announce_date, e.polarity) for e in events}
@@ -407,9 +409,9 @@ def test_single_noise_mention_stays_below_threshold():
     event_dates = {e.announce_date for e in ds.truth.events}
     firms = ds.dictionary.index(days.vocab)
     for day in days:
-        mset = extract_mentions(day, firms, cfg.min_mentions)
+        mentions = extract_mentions(day, firms, cfg.min_mentions)
         if day.date not in event_dates:
-            assert mset.mentions == []
+            assert mentions == []
 
 
 # ---------------------------------------------------------------------------

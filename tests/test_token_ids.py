@@ -99,7 +99,7 @@ def test_id_counts_equal_the_string_token_loops(dictionary, seed):
         tokens = by_date[day.date]
         assert len(day.tokens) == len(tokens)
         for min_mentions in range(1, 6):
-            got = extract_mentions(day, firms, min_mentions).mentions
+            got = extract_mentions(day, firms, min_mentions)
             assert got == _reference_extract_mentions(tokens, dictionary, min_mentions)
         obs = score_day(day, polarity)
         n_pos, n_neg, score = _reference_score_day(tokens, LEXICON)
@@ -118,7 +118,7 @@ def test_the_random_days_cover_the_edge_cases(dictionary):
             seen.add("NFD" if HAN_NFD in rec.text else "")
             seen.add("punctuation only" if rec.text.strip() and not tokenize(rec.text) else "")
         for day in days:
-            mentioned = {f for f, _ in extract_mentions(day, firms, 1).mentions}
+            mentioned = {f for f, _ in extract_mentions(day, firms, 1)}
             seen.add("shared alias" if {"F1", "F2"} <= mentioned else "")
             seen.add("empty day" if len(day.tokens) == 0 else "")
             seen.add("undefined score" if score_day(day, polarity).score is None else "")
