@@ -40,6 +40,7 @@ from .factors import (
     load_panel,
     read_controls_csv,
     read_factors_csv,
+    positions,
     read_rf_csv,
     roll_forward,
 )

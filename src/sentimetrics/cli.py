@@ -377,6 +377,16 @@ def _timing_observations(cfg: RunConfig) -> list[sentiment.SentimentObservation]
     return timing.timing_observations([sentiment.SentimentObservation(*row) for row in rows])
 
 
+def _check_signal_lag(cfg: RunConfig, first_day: date, calendar: list[date], name: str) -> None:
+    """Stop naming 'signal_lag' when it lags `first_day`, the earliest signal day, past the
+    calendar of output `name`: every later signal day then lands past it too."""
+    if factormod.roll_forward(calendar, [first_day])[0] + cfg.signal_lag >= len(calendar):
+        raise ConfigError(
+            f"{cfg.config_path}: 'signal_lag' is {cfg.signal_lag}: no signal day lagged by it "
+            f"falls on the {len(calendar)} days of {OUT_FILES[name]}"
+        )
+
+
 def stage_timing(cfg: RunConfig) -> dict:
     observations = _timing_observations(cfg)
     series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
@@ -392,6 +402,8 @@ def stage_timing(cfg: RunConfig) -> dict:
             signals.append(sig)
         else:
             skipped_n.append(n)
+    if signals:
+        _check_signal_lag(cfg, min(sig.dates[0] for sig in signals), calendar, "factors")
     entries = timing.r2_scan(signals, calendar, series.rmrf, lag=cfg.signal_lag)
     rows_by_file = {
         OUT_FILES["signals"]: tables.write_rows(
@@ -444,15 +456,9 @@ def stage_regress(cfg: RunConfig) -> dict:
             f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but only "
             f"{len(observations)} sentiment days are usable: the signal is empty"
         )
-    # The first signal day lands earliest: past the calendar once lagged, so is every day.
-    first = factormod.roll_forward(controls.dates, signal.dates[:1])[0] + cfg.signal_lag
-    if first >= len(controls.dates):
-        raise ConfigError(
-            f"{cfg.config_path}: 'signal_lag' is {cfg.signal_lag}: no signal day lagged by it "
-            f"falls on the {len(controls.dates)} days of {OUT_FILES['controls']}"
-        )
-    # A control day not on the factor calendar (index -1) takes the appended NaN.
-    rmrf = np.append(series.rmrf, np.nan)[series.indices_of(controls.dates)]
+    _check_signal_lag(cfg, signal.dates[0], controls.dates, "controls")
+    # A control day not on the factor calendar (position -1) takes the appended NaN.
+    rmrf = np.append(series.rmrf, np.nan)[factormod.positions(series.dates, controls.dates)]
     regset = econometrics.run_timing_regressions(
         signal,
         controls,

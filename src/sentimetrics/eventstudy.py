@@ -20,17 +20,13 @@ from datetime import date
 
 import numpy as np
 
-from .factors import FACTOR_NAMES, FactorSeries, SecurityPanel, roll_forward
+from .factors import FACTOR_NAMES, FactorSeries, SecurityPanel, positions, roll_forward
 from .sentiment import NEGATIVE, POSITIVE, StockSentimentEvent
 
 REGRESSOR_NAMES = tuple(
     f"{name}{suffix}" for name in FACTOR_NAMES for suffix in ("_lag1", "", "_lead1")
 )
 N_PARAMS = 1 + len(REGRESSOR_NAMES)  # intercept + 15 slopes
-
-
-class EventAlignmentError(ValueError):
-    """An event date is not on the factor calendar."""
 
 
 class InsufficientObservationsError(ValueError):
@@ -138,31 +134,31 @@ def _design_span(factors: FactorSeries, first: int, last: int) -> tuple[int, np.
     return lo, X
 
 
-def _event_index(factors: FactorSeries, event_date: date, excess_returns: np.ndarray) -> int:
-    """The event date's index on the factor calendar, which the returns must align with."""
+def _check_event(factors: FactorSeries, event_idx: int, excess_returns: np.ndarray) -> None:
+    """The returns must align with the factor calendar, and the event must be a day on it."""
     if excess_returns.shape != (len(factors.dates),):
         raise ValueError("excess returns must align one-to-one with the factor calendar")
-    event_idx = factors.index_of(event_date)
-    if event_idx is None:
-        raise EventAlignmentError(f"event date {event_date} not on the factor calendar")
-    return event_idx
+    if not 0 <= event_idx < len(factors.dates):
+        raise ValueError(
+            f"event index {event_idx} is not on the {len(factors.dates)}-day factor calendar"
+        )
 
 
 def estimate_exposures(
     excess_returns: np.ndarray,
     factors: FactorSeries,
     window: EventWindowConfig,
-    event_date: date,
+    event_idx: int,
     firm_id: str = "",
 ) -> ExposureEstimate:
     """OLS of the stock's excess return on the 16-parameter lead/lag factor design.
 
     `excess_returns` is aligned with the factor calendar, NaN where the stock
-    has no return.  Uses only estimation-window days where the return and all
-    regressors exist.  Solved by orthogonalization (lstsq), not by normal
-    equations.
+    has no return; `event_idx` is the event day's position on that calendar.
+    Uses only estimation-window days where the return and all regressors
+    exist.  Solved by orthogonalization (lstsq), not by normal equations.
     """
-    event_idx = _event_index(factors, event_date, excess_returns)
+    _check_event(factors, event_idx, excess_returns)
     lo, design = _design_span(factors, event_idx + window.est_start, event_idx + window.est_end)
     y = excess_returns[lo : lo + len(design)]
     have = ~np.isnan(y)
@@ -191,15 +187,18 @@ def compute_ar(
     excess_returns: np.ndarray,
     factors: FactorSeries,
     window: EventWindowConfig,
-    event_date: date,
+    event_idx: int,
     announce_date: date | None = None,
 ) -> ArPath:
     """Realized minus fitted excess return on each event-window day.
 
     `excess_returns` is aligned with the factor calendar, NaN where the stock
-    has no return.  The path is NaN where the return or a regressor is missing.
+    has no return; `event_idx` is the event day's position on that calendar,
+    and the announcement defaults to that day.  The path is NaN where the
+    return or a regressor is missing.
     """
-    event_idx = _event_index(factors, event_date, excess_returns)
+    _check_event(factors, event_idx, excess_returns)
+    event_date = factors.dates[event_idx]
     first = event_idx + window.evt_start
     lo, design = _design_span(factors, first, event_idx + window.evt_end)
     # vecdot, not design @ slopes: a gemv may round differently from a per-row dot product.
@@ -275,12 +274,13 @@ def run_event_study(
     run = EventStudyRun(results={})
     # One row per panel firm on the factor calendar, NaN where it has no return.
     excess = np.full((len(panel.firms), len(factors.dates)), np.nan)
-    j = factors.indices_of(panel.calendar)
+    j = positions(factors.dates, panel.calendar)
     on = j >= 0
     returns = panel.daily_return[:, on] - factors.rf[j[on]]
     excess[:, j[on]] = np.where(panel.present[:, on], returns, np.nan)
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
     event_indices: dict[str, list[int]] = {}
+    firm_row = {firm_id: i for i, firm_id in enumerate(panel.firms)}
 
     event_t = roll_forward(factors.dates, [event.announce_date for event in events]).tolist()
     for event, t in zip(events, event_t):
@@ -288,19 +288,18 @@ def run_event_study(
             reason = f"no trading day on or after {event.announce_date}"
             run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, reason))
             continue
-        event_date = factors.dates[t]
-        i = panel.firm_index(event.firm_id)
+        i = firm_row.get(event.firm_id)
         if i is None:
             run.exclusions.append(
                 ExcludedEvent(event.firm_id, event.announce_date, "firm not in panel")
             )
             continue
         try:
-            estimate = estimate_exposures(excess[i], factors, window, event_date, event.firm_id)
+            estimate = estimate_exposures(excess[i], factors, window, t, event.firm_id)
         except (InsufficientObservationsError, RankDeficientDesignError) as exc:
             run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
             continue
-        path = compute_ar(estimate, excess[i], factors, window, event_date, event.announce_date)
+        path = compute_ar(estimate, excess[i], factors, window, t, event.announce_date)
         grouped[event.polarity].append(path)
         event_indices.setdefault(event.firm_id, []).append(t)
 

@@ -29,7 +29,7 @@ import mmap
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -80,8 +80,6 @@ class SecurityPanel:
     operating_income: np.ndarray
     total_assets: np.ndarray
     total_assets_prior: np.ndarray
-    _firm_index: dict[str, int] = field(init=False, repr=False)
-    _date_index: dict[date, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.firms != sorted(set(self.firms)):
@@ -93,14 +91,6 @@ class SecurityPanel:
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise ValueError(f"panel array '{name}' has shape {got}, want {shape}")
-        self._firm_index = {f: i for i, f in enumerate(self.firms)}
-        self._date_index = {d: t for t, d in enumerate(self.calendar)}
-
-    def firm_index(self, firm_id: str) -> int | None:
-        return self._firm_index.get(firm_id)
-
-    def date_index(self, d: date) -> int | None:
-        return self._date_index.get(d)
 
 
 @dataclass
@@ -114,7 +104,6 @@ class FactorSeries:
     rmw: np.ndarray
     cma: np.ndarray
     rf: np.ndarray
-    _date_index: dict[date, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.dates)
@@ -129,14 +118,6 @@ class FactorSeries:
             raise ValueError("factor dates must be strictly ascending")
         if np.any(self.rf < -1.0):
             raise ValueError("rf values must be >= -1")
-        self._date_index = {d: i for i, d in enumerate(self.dates)}
-
-    def index_of(self, d: date) -> int | None:
-        return self._date_index.get(d)
-
-    def indices_of(self, dates: list[date]) -> np.ndarray:
-        """Each date's index on the calendar, -1 where it is not on it."""
-        return np.array([self._date_index.get(d, -1) for d in dates], dtype=np.intp)
 
 
 @dataclass
@@ -422,12 +403,18 @@ def roll_forward(calendar: list[date], dates: list[date]) -> np.ndarray:
     return np.searchsorted(ordinals, np.fromiter(map(date.toordinal, dates), np.int64))
 
 
-def rebalance_schedule(calendar: list[date], month: int = 7, day: int = 1) -> list[date]:
-    """Initial formation at the first trading day, then the first trading day
-    on/after `month`/`day` of each later-or-equal year."""
+def positions(calendar: list[date], dates: list[date]) -> np.ndarray:
+    """Per date, its index on the ascending `calendar`, or -1 where it does not trade."""
+    idx = roll_forward(calendar, dates)
+    trades = [i < len(calendar) and calendar[i] == d for i, d in zip(idx.tolist(), dates)]
+    return np.where(np.array(trades, dtype=bool), idx, -1)
+
+
+def rebalance_schedule(calendar: list[date], month: int = 7, day: int = 1) -> list[int]:
+    """Calendar positions of the initial formation at the first trading day, then
+    of the first trading day on/after `month`/`day` of each later-or-equal year."""
     cutoffs = [date(year, month, day) for year in {d.year for d in calendar}]
-    idx = roll_forward(calendar, cutoffs).tolist()
-    return sorted({calendar[0], *(calendar[i] for i in idx if i < len(calendar))})
+    return sorted({0, *(i for i in roll_forward(calendar, cutoffs).tolist() if i < len(calendar))})
 
 
 def _sort_cells(
@@ -481,8 +468,7 @@ def construct_factors(
     """
     calendar = panel.calendar
     rf_arr = _rf_on(calendar, rf)
-    rebalances = rebalance_schedule(calendar, rebalance_month, rebalance_day)
-    starts = [panel.date_index(d) for d in rebalances]
+    starts = rebalance_schedule(calendar, rebalance_month, rebalance_day)
 
     # Cell of each firm per sort dimension and date; -1 = not sorted (entered
     # the panel after the last rebalance).

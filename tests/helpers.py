@@ -1,27 +1,18 @@
-"""Builders the tests share: weekday calendars, returns on a factor calendar,
-security panels from per-firm rows, and single panel cells read back as rows.
+"""Builders the tests share: weekday calendars (the generator's `trading_calendar`,
+as `weekdays`), returns on a factor calendar, security panels from per-firm rows,
+and single panel cells read back as rows.
 
 The library keeps the panel only as dense firm x date arrays; tests that
 state a universe firm by firm, or check one observation, go through here.
 """
 
-from datetime import date, timedelta
+from datetime import date
 from typing import NamedTuple
 
 import numpy as np
 
 from sentimetrics.factors import MAIN, PANEL_FIELDS, SECONDARY, FactorSeries, SecurityPanel
-
-
-def weekdays(start: date, n: int) -> list[date]:
-    """The first `n` Monday-to-Friday dates from `start` on."""
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += timedelta(days=1)
-    return out
+from sentimetrics.synthetic import trading_calendar as weekdays
 
 
 def on_calendar(excess: dict[date, float], factors: FactorSeries) -> np.ndarray:
@@ -63,8 +54,10 @@ def panel_from_rows(rows: dict[str, dict[date, Row]], calendar: list[date]) -> S
 
 def cell(panel: SecurityPanel, firm_id: str, d: date) -> Row | None:
     """The observation of `firm_id` on `d`, or None when the panel has none."""
-    i, t = panel.firm_index(firm_id), panel.date_index(d)
-    if i is None or t is None or not panel.present[i, t]:
+    if firm_id not in panel.firms or d not in panel.calendar:
+        return None
+    i, t = panel.firms.index(firm_id), panel.calendar.index(d)
+    if not panel.present[i, t]:
         return None
     values = {name: float(getattr(panel, name)[i, t]) for name in PANEL_FIELDS}
     return Row(exchange=MAIN if panel.is_main[i, t] else SECONDARY, **values)

@@ -116,8 +116,7 @@ def test_02_ols_oracle_equivalence():
                     + slopes[3 * j + 2] * mats[t + 1, j]
                 )
             excess[factors.dates[t]] = model + rng.normal(0.0, 0.005)
-        anchor = factors.dates[280]
-        est = estimate_exposures(on_calendar(excess, factors), factors, window, anchor)
+        est = estimate_exposures(on_calendar(excess, factors), factors, window, 280)
 
         rows, ys = [], []
         for rel in range(window.est_start, window.est_end + 1):
@@ -337,6 +336,7 @@ def test_06_caar_arithmetic_identities():
 
     # AR identity: value == realized excess minus fitted, recomputed per path.
     for path in paths:
+        idx = ds.factors.dates.index(path.event_date)
         est = estimate_exposures(
             on_calendar(
                 {
@@ -347,10 +347,9 @@ def test_06_caar_arithmetic_identities():
             ),
             ds.factors,
             window,
-            path.event_date,
+            idx,
             path.firm_id,
         )
-        idx = ds.factors.index_of(path.event_date)
         mats = np.column_stack([getattr(ds.factors, f) for f in FACTOR_NAMES])
         for off, rel in enumerate(range(window.evt_start, window.evt_end + 1)):
             t = idx + rel

@@ -860,6 +860,22 @@ def test_regress_names_the_key_that_left_its_signal_empty(
     assert re.fullmatch(re.escape(f"sentimetrics: error: {cfg_path}: ") + message + ".*\n", err)
 
 
+def test_timing_names_a_signal_lag_that_leaves_no_day_on_the_factors(demo7, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    cfg_path = data / "run_config.json"
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**raw, "signal_lag": 100000}), encoding="utf-8")
+    n_days = len(factors.read_factors_csv(data / "out" / "factors.csv").dates)
+    assert main(["timing", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"sentimetrics: error: {cfg_path}: 'signal_lag' is 100000: no signal day lagged by it "
+        f"falls on the {n_days} days of factors.csv\n"
+    )
+    for name in ("r2_scan.csv", "backtest_summary.csv"):
+        assert (data / "out" / name).read_bytes() == (demo7 / "out" / name).read_bytes()
+
+
 def test_lone_sentiment_takes_mention_dates_in_any_order(demo7, tmp_path):
     """Rows are read by date, stably: reversing the dates (not a date's rows) changes nothing."""
     built = {}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sentimetrics.eventstudy import (
-    EventAlignmentError,
     EventWindowConfig,
     ExposureEstimate,
     InsufficientObservationsError,
@@ -113,10 +112,7 @@ def test_exact_recovery_on_noiseless_returns():
     alpha = 0.0004
     slopes = rng.normal(0.0, 0.5, 15)
     excess = _linear_excess(factors, alpha, slopes)
-    event_date = factors.dates[90]
-    est = estimate_exposures(
-        on_calendar(excess, factors), factors, SHORT_WINDOW, event_date, "F0"
-    )
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, 90, "F0")
     assert est.alpha == pytest.approx(alpha, abs=1e-10)
     assert np.allclose(est.slopes, slopes, atol=1e-10)
     assert est.residual_variance == pytest.approx(0.0, abs=1e-18)
@@ -131,11 +127,10 @@ def test_estimates_match_normal_equations_oracle():
         d: v + rng.normal(0.0, 0.002)
         for d, v in _linear_excess(factors, 0.0002, slopes).items()
     }
-    event_date = factors.dates[110]
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    event_idx = 110
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
 
     # Rebuild the design by hand and solve X'X b = X'y.
-    event_idx = factors.dates.index(event_date)
     mats = np.column_stack([getattr(factors, f) for f in FACTOR_NAMES])
     rows, ys = [], []
     for rel in range(SHORT_WINDOW.est_start, SHORT_WINDOW.est_end + 1):
@@ -162,24 +157,22 @@ def test_estimates_match_normal_equations_oracle():
 
 def test_insufficient_observations_raises():
     factors = _factors(120, seed=5)
-    event_date = factors.dates[90]
     sparse = {factors.dates[t]: 0.001 for t in range(40, 55)}  # 15 < 20 required
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(on_calendar(sparse, factors), factors, SHORT_WINDOW, event_date)
+        estimate_exposures(on_calendar(sparse, factors), factors, SHORT_WINDOW, 90)
 
 
 def test_min_obs_floor_is_one_more_than_params():
     # Even with min_est_obs=1 the solver needs 17 usable days.
     window = EventWindowConfig(est_start=-60, est_end=-6, evt_start=-5, evt_len=2, min_est_obs=1)
     factors = _factors(120, seed=6)
-    event_date = factors.dates[90]
+    event_idx = 90
     slopes = np.zeros(15)
     full = _linear_excess(factors, 0.001, slopes)
-    event_idx = factors.dates.index(event_date)
     kept_dates = [factors.dates[event_idx + rel] for rel in range(-22, -6)]  # 16 days
     sparse = {d: full[d] for d in kept_dates}
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(on_calendar(sparse, factors), factors, window, event_date)
+        estimate_exposures(on_calendar(sparse, factors), factors, window, event_idx)
 
 
 def test_duplicated_factor_is_rank_deficient():
@@ -195,13 +188,20 @@ def test_duplicated_factor_is_rank_deficient():
     )
     excess = {d: 0.001 for d in clone.dates}
     with pytest.raises(RankDeficientDesignError):
-        estimate_exposures(on_calendar(excess, clone), clone, SHORT_WINDOW, clone.dates[110])
+        estimate_exposures(on_calendar(excess, clone), clone, SHORT_WINDOW, 110)
 
 
-def test_event_date_off_calendar_errors():
+@pytest.mark.parametrize("event_idx", [-1, 100])
+def test_event_index_off_calendar_errors(event_idx):
+    """A negative index would wrap round to the calendar's end if it were not refused."""
     factors = _factors(100, seed=8)
-    with pytest.raises(EventAlignmentError, match="not on the factor calendar"):
-        estimate_exposures(on_calendar({}, factors), factors, SHORT_WINDOW, date(2019, 1, 1))
+    excess = on_calendar({d: 0.001 for d in factors.dates}, factors)
+    message = rf"event index {event_idx} is not on the 100-day factor calendar"
+    with pytest.raises(ValueError, match=message):
+        estimate_exposures(excess, factors, SHORT_WINDOW, event_idx)
+    est = ExposureEstimate("F", 0.0, np.zeros(15), 0, 0.0)
+    with pytest.raises(ValueError, match=message):
+        compute_ar(est, excess, factors, SHORT_WINDOW, event_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +213,9 @@ def test_ar_zero_for_model_consistent_returns():
     rng = np.random.default_rng(10)
     slopes = rng.normal(0.0, 0.4, 15)
     excess = _linear_excess(factors, 0.0003, slopes)
-    event_date = factors.dates[95]
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, 95)
+    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, 95)
+    assert path.event_date == path.announce_date == factors.dates[95]
     assert path.t0 == SHORT_WINDOW.evt_start
     assert len(path.values) == SHORT_WINDOW.evt_len + 1
     assert np.all(np.isfinite(path.values))
@@ -227,8 +227,7 @@ def test_ar_shifts_one_for_one_with_return_bumps():
     rng = np.random.default_rng(12)
     slopes = rng.normal(0.0, 0.4, 15)
     base = _linear_excess(factors, 0.0003, slopes)
-    event_date = factors.dates[95]
-    event_idx = factors.dates.index(event_date)
+    event_idx = 95
     bumped = dict(base)
     bumps = {}
     for rel in range(SHORT_WINDOW.evt_start, SHORT_WINDOW.evt_end + 1):
@@ -236,8 +235,8 @@ def test_ar_shifts_one_for_one_with_return_bumps():
         bump = 0.001 * (rel + 6)
         bumped[d] = base[d] + bump
         bumps[rel] = bump
-    est = estimate_exposures(on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, on_calendar(bumped, factors), factors, SHORT_WINDOW, event_date)
+    est = estimate_exposures(on_calendar(bumped, factors), factors, SHORT_WINDOW, event_idx)
+    path = compute_ar(est, on_calendar(bumped, factors), factors, SHORT_WINDOW, event_idx)
     for rel, bump in bumps.items():
         assert path.values[rel - path.t0] == pytest.approx(bump, abs=1e-10)
 
@@ -246,9 +245,9 @@ def test_ar_nan_past_calendar_end():
     factors = _factors(100, seed=13)
     rng = np.random.default_rng(14)
     excess = _linear_excess(factors, 0.0, rng.normal(0, 0.3, 15))
-    event_date = factors.dates[96]  # evt window runs past the last date
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
-    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_date)
+    event_idx = 96  # evt window runs past the last date
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
+    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
     # rel +2 is the penultimate calendar day (lead regressor exists), +3 on
     # the last day has no lead, beyond that there is no calendar at all.
     assert np.isfinite(path.values[2 - path.t0])
@@ -450,8 +449,7 @@ def _old_rows(excess, factors, event_idx, first, last):
     return out
 
 
-def _old_estimate(excess, factors, window, event_date):
-    event_idx = factors.index_of(event_date)
+def _old_estimate(excess, factors, window, event_idx):
     rows = _old_rows(excess, factors, event_idx, window.est_start, window.est_end)
     required = max(window.min_est_obs, N_PARAMS + 1)
     if len(rows) < required:
@@ -463,8 +461,7 @@ def _old_estimate(excess, factors, window, event_date):
     return float(beta[0]), beta[1:].copy(), len(rows), float(resid @ resid) / (len(rows) - N_PARAMS)
 
 
-def _old_ar(alpha, slopes, excess, factors, window, event_date):
-    event_idx = factors.index_of(event_date)
+def _old_ar(alpha, slopes, excess, factors, window, event_idx):
     values = np.full(window.evt_len + 1, np.nan)
     for offset, row, ret in _old_rows(excess, factors, event_idx, window.evt_start, window.evt_end):
         values[offset] = ret - (row[0] * alpha + float(row[1:] @ slopes))
@@ -489,22 +486,19 @@ def test_sliced_design_matches_row_by_row_design_bitwise():
         # Windows that hit the first and last calendar days, windows wholly
         # off the calendar, and interior ones.
         for event_idx in (0, 1, 5, 25, 40, 60, 71, 100, 110, n_days - 2, n_days - 1):
-            event_date = factors.dates[event_idx]
-            old = _old_estimate(excess, factors, window, event_date)
+            old = _old_estimate(excess, factors, window, event_idx)
             if old is None:
                 with pytest.raises(InsufficientObservationsError):
-                    estimate_exposures(on_calendar(excess, factors), factors, window, event_date)
+                    estimate_exposures(on_calendar(excess, factors), factors, window, event_idx)
                 excluded += 1
                 continue
-            est = estimate_exposures(
-                on_calendar(excess, factors), factors, window, event_date, "F"
-            )
+            est = estimate_exposures(on_calendar(excess, factors), factors, window, event_idx, "F")
             assert np.float64(est.alpha).tobytes() == np.float64(old[0]).tobytes()
             assert est.slopes.tobytes() == old[1].tobytes()
             assert est.n_obs == old[2]
             assert np.float64(est.residual_variance).tobytes() == np.float64(old[3]).tobytes()
-            ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_date)
-            old_ar = _old_ar(old[0], old[1], excess, factors, window, event_date)
+            ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_idx)
+            old_ar = _old_ar(old[0], old[1], excess, factors, window, event_idx)
             assert ar.values.tobytes() == old_ar.tobytes()
             compared += 1
     assert compared > 50 and excluded > 20
@@ -552,9 +546,9 @@ def test_compute_ar_matches_row_by_row_loop_bitwise():
                 excess[d] = float("nan") if u > 0.95 else float(r)
         est = ExposureEstimate("F", float(rng.normal(0, 1e-3)), rng.normal(0, 0.5, 15), 0, 0.0)
         # Event days anywhere on the calendar: windows clamped at either end.
-        event_date = factors.dates[int(rng.integers(0, n_days))]
-        ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_date)
-        want = _old_ar(est.alpha, est.slopes, excess, factors, window, event_date)
+        event_idx = int(rng.integers(0, n_days))
+        ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_idx)
+        want = _old_ar(est.alpha, est.slopes, excess, factors, window, event_idx)
         assert ar.values.tobytes() == want.tobytes()
 
 
@@ -623,11 +617,9 @@ def test_run_event_study_aligns_a_panel_calendar_that_differs_from_the_factor_ca
     want_excess = on_calendar(kept, factors)
     paths = run.ar_paths["positive"] + run.ar_paths["negative"]
     assert [p.event_date for p in paths] == [factors.dates[100], factors.dates[105]]
-    for path in paths:
-        est = estimate_exposures(want_excess, factors, SHORT_WINDOW, path.event_date, "F")
-        want = compute_ar(
-            est, want_excess, factors, SHORT_WINDOW, path.event_date, path.announce_date
-        )
+    for path, t in zip(paths, (100, 105)):
+        est = estimate_exposures(want_excess, factors, SHORT_WINDOW, t, "F")
+        want = compute_ar(est, want_excess, factors, SHORT_WINDOW, t, path.announce_date)
         assert path.values.tobytes() == want.values.tobytes()
     for path, missing_rel in zip(paths, ([-2, 3, 5], [-2, 0])):
         assert np.flatnonzero(np.isnan(path.values)).tolist() == [r - path.t0 for r in missing_rel]

@@ -20,6 +20,7 @@ from sentimetrics.factors import (
     construct_factors,
     load_controls,
     load_panel,
+    positions,
     read_factors_csv,
     rebalance_schedule,
     roll_forward,
@@ -214,7 +215,7 @@ def test_secondary_exchange_sorted_but_not_in_breakpoints():
 
 def test_rebalance_schedule_initial_plus_annual_july():
     calendar = weekdays(date(2021, 3, 1), 400)  # spans two July firsts
-    sched = rebalance_schedule(calendar)
+    sched = [calendar[t] for t in rebalance_schedule(calendar)]
     assert sched[0] == calendar[0]
     julys = [d for d in sched[1:]]
     assert julys[0] == next(d for d in calendar if d >= date(2021, 7, 1))
@@ -246,6 +247,23 @@ def test_roll_forward_matches_bisect_left(seed):
         assert any(0 < t < len(calendar) for t in weekend)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_positions_matches_a_dict_lookup(seed):
+    rng = random.Random(seed)
+    calendar = _random_calendar(rng, rng.choice([0, 1, 2, 30, 400]))
+    # Days before, between (weekends and gaps included) and after the calendar's trading days.
+    dates = [date(2019, 12, 1) + timedelta(days=rng.randrange(1600)) for _ in range(300)]
+    dates += calendar[:3] + calendar[-3:]
+    got = positions(calendar, dates).tolist()
+    column = {d: t for t, d in enumerate(calendar)}
+    assert got == [column.get(d, -1) for d in dates]
+    rolled = roll_forward(calendar, dates).tolist()
+    assert all(t == r for t, r, d in zip(got, rolled, dates) if d in column)
+    assert positions(calendar, []).tolist() == []
+    if len(calendar) >= 30:  # the draw holds both kinds of date
+        assert -1 in got and any(t >= 0 for t in got)
+
+
 def _linear_rebalance_schedule(calendar, month, day):
     """The schedule by a linear scan of the calendar for each year's cutoff."""
     rebalances = [calendar[0]]
@@ -264,7 +282,7 @@ def test_rebalance_schedule_matches_a_linear_scan(seed, month, day):
     for n in (1, 2, 5, 40, 700):
         calendar = _random_calendar(rng, n)
         want = _linear_rebalance_schedule(calendar, month, day)
-        assert rebalance_schedule(calendar, month, day) == want
+        assert [calendar[t] for t in rebalance_schedule(calendar, month, day)] == want
 
 
 def test_membership_refreshes_at_rebalance():

@@ -344,7 +344,7 @@ def test_exposures_recoverable_when_noise_off():
     )
     ds = gen_dataset(cfg)
     window = EventWindowConfig()
-    anchor = ds.calendar[320]
+    anchor = 320  # the event day's position on the factor calendar
     names = ("rmrf", "smb", "hml", "rmw", "cma")
     for fid in ds.panel.firms:
         excess = {
