@@ -32,26 +32,6 @@ from . import tables, timing
 
 PROG = "sentimetrics"
 
-STAGE_ORDER = ["ingest", "sentiment", "factors", "eventstudy", "timing", "regress"]
-
-OUT_FILES = {
-    "days": "days.csv",
-    "mentions": "mentions.csv",
-    "sentiment": "sentiment.csv",
-    "events": "events.csv",
-    "event_skips": "event_skips.csv",
-    "factors": "factors.csv",
-    "controls": "controls.csv",
-    "event_study": "event_study.csv",
-    "event_exclusions": "event_exclusions.csv",
-    "signals": "signals.csv",
-    "r2_scan": "r2_scan.csv",
-    "backtest_summary": "backtest_summary.csv",
-    "regressions_csv": "regressions.csv",
-    "regressions_txt": "regressions.txt",
-    "manifest": "manifest.json",
-}
-
 INPUT_KEYS = [
     "transcripts_csv",
     "firm_names_csv",
@@ -94,36 +74,24 @@ class RunConfig:
     )
     _days: corpus.Days | None = dc_field(default=None, init=False, repr=False, compare=False)
 
-    def days(self, stage: str, keep: bool = True) -> corpus.Days:
+    def days(self, keep: bool = True) -> corpus.Days:
         """The transcript days, built on first use; kept for a later stage of this run if `keep`."""
         days = self._days
         if days is None:
-            path = self.input_path("transcripts_csv", stage)
-            days = corpus.build_days(corpus.load_transcripts(path))
+            days = corpus.build_days(corpus.load_transcripts(self.inputs["transcripts_csv"]))
         self._days = days if keep else None
         return days
 
-    def panel(self, stage: str) -> factormod.SecurityPanel:
+    def panel(self) -> factormod.SecurityPanel:
         """The security panel, parsed on first use and shared by the later stages of this run."""
         if self._panel is None:
-            self._panel = factormod.load_panel(self.input_path("panel_csv", stage))
+            self._panel = factormod.load_panel(self.inputs["panel_csv"])
         return self._panel
 
     def input_path(self, key: str, stage: str) -> Path:
         p = self.inputs.get(key)
         if p is None:
             raise ConfigError(f"config key '{key}' is required by the {stage} stage")
-        return p
-
-    def out_path(self, key: str) -> Path:
-        return self.out_dir / OUT_FILES[key]
-
-    def require_upstream(self, key: str, producer: str) -> Path:
-        p = self.out_path(key)
-        if not p.exists():
-            raise ConfigError(
-                f"missing {p.name} in {self.out_dir}; run the {producer} stage first"
-            )
         return p
 
 
@@ -267,9 +235,10 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 
 
 def stage_ingest(cfg: RunConfig) -> dict:
-    days = cfg.days("ingest")
+    """Tokenize transcripts and count firm mentions."""
+    days = cfg.days()
     dictionary = corpus.load_firm_dictionary(
-        cfg.input_path("firm_names_csv", "ingest"), cfg.inputs.get("exclusions_txt")
+        cfg.inputs["firm_names_csv"], cfg.inputs["exclusions_txt"]
     )
     firms = dictionary.index(days.vocab)
     mentions = [
@@ -277,46 +246,41 @@ def stage_ingest(cfg: RunConfig) -> dict:
         for day in days
         for mention in corpus.extract_mentions(day, firms, cfg.min_mentions)
     ]
-    n_days = tables.write_rows(
-        cfg.out_path("days"), tables.DAYS, [(d.date, d.source_count, len(d.tokens)) for d in days]
-    )
-    n_mentions = tables.write_rows(cfg.out_path("mentions"), tables.MENTIONS, mentions)
-    return {"rows": {OUT_FILES["days"]: n_days, OUT_FILES["mentions"]: n_mentions}}
+    day_rows = [(d.date, d.source_count, len(d.tokens)) for d in days]
+    n_days = tables.write_rows(cfg.out_dir / "days.csv", tables.DAYS, day_rows)
+    n_mentions = tables.write_rows(cfg.out_dir / "mentions.csv", tables.MENTIONS, mentions)
+    return {"rows": {"days.csv": n_days, "mentions.csv": n_mentions}}
 
 
 def stage_sentiment(cfg: RunConfig) -> dict:
-    mentions_path = cfg.require_upstream("mentions", "ingest")
-    days = cfg.days("sentiment", keep=False)
+    """Score daily sentiment and emit stock mention events."""
+    days = cfg.days(keep=False)
     lexicon = sentiment.load_lexicon(
-        cfg.input_path("lexicon_positive_txt", "sentiment"),
-        cfg.input_path("lexicon_negative_txt", "sentiment"),
+        cfg.inputs["lexicon_positive_txt"], cfg.inputs["lexicon_negative_txt"]
     )
     polarity = lexicon.polarity(days.vocab)
     observations = [sentiment.score_day(day, polarity) for day in days]
-    n_scores = tables.write_items(cfg.out_path("sentiment"), tables.SENTIMENT, observations)
+    n_scores = tables.write_items(cfg.out_dir / "sentiment.csv", tables.SENTIMENT, observations)
 
-    rows = zip(*tables.read_table(mentions_path, tables.MENTIONS).values())
+    rows = zip(*tables.read_table(cfg.out_dir / "mentions.csv", tables.MENTIONS).values())
     mentions = sorted(rows, key=lambda row: row[0])  # stable: a date's rows keep their file order
     events, skipped = sentiment.build_stock_events(mentions, observations)
-    n_events = tables.write_items(cfg.out_path("events"), tables.EVENTS, events)
-    n_skips = tables.write_items(cfg.out_path("event_skips"), tables.EVENT_SKIPS, skipped)
+    n_events = tables.write_items(cfg.out_dir / "events.csv", tables.EVENTS, events)
+    n_skips = tables.write_items(cfg.out_dir / "event_skips.csv", tables.EVENT_SKIPS, skipped)
     return {
-        "rows": {
-            OUT_FILES["sentiment"]: n_scores,
-            OUT_FILES["events"]: n_events,
-            OUT_FILES["event_skips"]: n_skips,
-        }
+        "rows": {"sentiment.csv": n_scores, "events.csv": n_events, "event_skips.csv": n_skips}
     }
 
 
 def stage_factors(cfg: RunConfig) -> dict:
-    panel = cfg.panel("factors")
-    provided = cfg.inputs.get("factors_csv")
+    """Load or construct the factor series and controls."""
+    provided = cfg.inputs["factors_csv"]
+    rf_path = cfg.input_path("rf_csv", "factors") if provided is None else None
+    panel = cfg.panel()
     if provided is not None:
         series = factormod.read_factors_csv(provided)
         source = "file"
     else:
-        rf_path = cfg.input_path("rf_csv", "factors")
         try:
             series = factormod.construct_factors(
                 panel,
@@ -328,51 +292,44 @@ def stage_factors(cfg: RunConfig) -> dict:
         except factormod.CalendarAlignmentError as exc:  # rf misses trading dates
             raise factormod.CalendarAlignmentError(f"{rf_path}: {exc}") from None
         source = "constructed"
+    # Both are built before either is written, so a bad input leaves the two files in step.
+    controls = factormod.load_controls(cfg.inputs["nsi_csv"], cfg.inputs["short_rate_csv"], panel)
     tables.write_table(
-        cfg.out_path("factors"), tables.FACTORS, tables.dated_columns(series, tables.FACTORS)
+        cfg.out_dir / "factors.csv", tables.FACTORS, tables.dated_columns(series, tables.FACTORS)
     )
-
-    controls = factormod.load_controls(
-        cfg.input_path("nsi_csv", "factors"),
-        cfg.input_path("short_rate_csv", "factors"),
-        panel,
-    )
-    n_controls = tables.write_table(
-        cfg.out_path("controls"), tables.CONTROLS, tables.dated_columns(controls, tables.CONTROLS)
-    )
+    columns = tables.dated_columns(controls, tables.CONTROLS)
+    n_controls = tables.write_table(cfg.out_dir / "controls.csv", tables.CONTROLS, columns)
     return {
-        "rows": {OUT_FILES["factors"]: len(series.dates), OUT_FILES["controls"]: n_controls},
+        "rows": {"factors.csv": len(series.dates), "controls.csv": n_controls},
         "factor_source": source,
     }
 
 
 def stage_eventstudy(cfg: RunConfig) -> dict:
-    table = tables.read_table(cfg.require_upstream("events", "sentiment"), tables.EVENTS)
+    """Estimate exposures and pool abnormal returns."""
+    table = tables.read_table(cfg.out_dir / "events.csv", tables.EVENTS)
     events = [sentiment.StockSentimentEvent(*row) for row in zip(*table.values())]
-    series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
-    run = eventstudy.run_event_study(events, cfg.panel("eventstudy"), series, cfg.window)
+    series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
+    run = eventstudy.run_event_study(events, cfg.panel(), series, cfg.window)
 
-    n_rows = tables.write_rows(
-        cfg.out_path("event_study"),
-        tables.EVENT_STUDY,
-        [
-            (group, *day)
-            for group, res in sorted(run.results.items())
-            for day in zip(res.rel_days, res.aar, res.caar, res.n_events_per_day)
-        ],
-    )
+    study_rows = [
+        (group, *day)
+        for group, res in sorted(run.results.items())
+        for day in zip(res.rel_days, res.aar, res.caar, res.n_events_per_day)
+    ]
+    n_rows = tables.write_rows(cfg.out_dir / "event_study.csv", tables.EVENT_STUDY, study_rows)
     n_excl = tables.write_items(
-        cfg.out_path("event_exclusions"), tables.EVENT_EXCLUSIONS, run.exclusions
+        cfg.out_dir / "event_exclusions.csv", tables.EVENT_EXCLUSIONS, run.exclusions
     )
     return {
-        "rows": {OUT_FILES["event_study"]: n_rows, OUT_FILES["event_exclusions"]: n_excl},
+        "rows": {"event_study.csv": n_rows, "event_exclusions.csv": n_excl},
         "n_events": {g: r.n_events for g, r in sorted(run.results.items())},
         "overlapping_event_windows": run.overlap_count,
     }
 
 
 def _timing_observations(cfg: RunConfig) -> list[sentiment.SentimentObservation]:
-    table = tables.read_table(cfg.require_upstream("sentiment", "sentiment"), tables.SENTIMENT)
+    table = tables.read_table(cfg.out_dir / "sentiment.csv", tables.SENTIMENT)
     rows = zip(*table.values())
     return timing.timing_observations([sentiment.SentimentObservation(*row) for row in rows])
 
@@ -383,13 +340,14 @@ def _check_signal_lag(cfg: RunConfig, first_day: date, calendar: list[date], nam
     if factormod.roll_forward(calendar, [first_day])[0] + cfg.signal_lag >= len(calendar):
         raise ConfigError(
             f"{cfg.config_path}: 'signal_lag' is {cfg.signal_lag}: no signal day lagged by it "
-            f"falls on the {len(calendar)} days of {OUT_FILES[name]}"
+            f"falls on the {len(calendar)} days of {name}"
         )
 
 
 def stage_timing(cfg: RunConfig) -> dict:
+    """Build signals, scan correlations, run backtests."""
     observations = _timing_observations(cfg)
-    series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
+    series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
     calendar = series.dates
 
     signals = []
@@ -403,17 +361,14 @@ def stage_timing(cfg: RunConfig) -> dict:
         else:
             skipped_n.append(n)
     if signals:
-        _check_signal_lag(cfg, min(sig.dates[0] for sig in signals), calendar, "factors")
+        _check_signal_lag(cfg, min(sig.dates[0] for sig in signals), calendar, "factors.csv")
     entries = timing.r2_scan(signals, calendar, series.rmrf, lag=cfg.signal_lag)
+    scan_rows = [(e.n, e.lag, e.r2, e.corr_sign) for e in entries]
     rows_by_file = {
-        OUT_FILES["signals"]: tables.write_rows(
-            cfg.out_path("signals"), tables.SIGNALS, timing.signal_rows(signals)
+        "signals.csv": tables.write_rows(
+            cfg.out_dir / "signals.csv", tables.SIGNALS, timing.signal_rows(signals)
         ),
-        OUT_FILES["r2_scan"]: tables.write_rows(
-            cfg.out_path("r2_scan"),
-            tables.R2_SCAN,
-            [(e.n, e.lag, e.r2, e.corr_sign) for e in entries],
-        ),
+        "r2_scan.csv": tables.write_rows(cfg.out_dir / "r2_scan.csv", tables.R2_SCAN, scan_rows),
     }
     summary = []
     for sig in signals:
@@ -435,8 +390,8 @@ def stage_timing(cfg: RunConfig) -> dict:
                 result.outperformance_geometric,
             )
         )
-    rows_by_file[OUT_FILES["backtest_summary"]] = tables.write_rows(
-        cfg.out_path("backtest_summary"), tables.BACKTEST_SUMMARY, summary
+    rows_by_file["backtest_summary.csv"] = tables.write_rows(
+        cfg.out_dir / "backtest_summary.csv", tables.BACKTEST_SUMMARY, summary
     )
     out = {"rows": rows_by_file}
     if skipped_n:
@@ -445,9 +400,10 @@ def stage_timing(cfg: RunConfig) -> dict:
 
 
 def stage_regress(cfg: RunConfig) -> dict:
+    """Fit the five market-direction regressions."""
     observations = _timing_observations(cfg)
-    series = factormod.read_factors_csv(cfg.require_upstream("factors", "factors"))
-    controls = factormod.read_controls_csv(cfg.require_upstream("controls", "factors"))
+    series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
+    controls = factormod.read_controls_csv(cfg.out_dir / "controls.csv")
     with warnings.catch_warnings():  # an empty signal is reported below, naming its key
         warnings.simplefilter("ignore")
         signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
@@ -456,7 +412,7 @@ def stage_regress(cfg: RunConfig) -> dict:
             f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but only "
             f"{len(observations)} sentiment days are usable: the signal is empty"
         )
-    _check_signal_lag(cfg, signal.dates[0], controls.dates, "controls")
+    _check_signal_lag(cfg, signal.dates[0], controls.dates, "controls.csv")
     # A control day not on the factor calendar (position -1) takes the appended NaN.
     rmrf = np.append(series.rmrf, np.nan)[factormod.positions(series.dates, controls.dates)]
     regset = econometrics.run_timing_regressions(
@@ -469,27 +425,69 @@ def stage_regress(cfg: RunConfig) -> dict:
         with_ols=cfg.with_ols,
     )
     tables.write_rows(
-        cfg.out_path("regressions_csv"), tables.REGRESSIONS, econometrics.regression_rows(regset)
+        cfg.out_dir / "regressions.csv", tables.REGRESSIONS, econometrics.regression_rows(regset)
     )
     report = econometrics.render_report(regset)
     if cfg.with_ols:
         report += "\n" + econometrics.render_report(regset, model=econometrics.OLS)
-    cfg.out_path("regressions_txt").write_text(report, encoding="utf-8")
+    (cfg.out_dir / "regressions.txt").write_text(report, encoding="utf-8")
     n_fits = len(regset.logit) + len(regset.ols)
     return {
-        "rows": {OUT_FILES["regressions_csv"]: n_fits},
+        "rows": {"regressions.csv": n_fits},
         "n_obs": {k: r.n_obs for k, r in sorted(regset.logit.items())},
     }
 
 
-STAGE_FUNCS = {
-    "ingest": stage_ingest,
-    "sentiment": stage_sentiment,
-    "factors": stage_factors,
-    "eventstudy": stage_eventstudy,
-    "timing": stage_timing,
-    "regress": stage_regress,
+class Stage(typing.NamedTuple):
+    func: typing.Callable[[RunConfig], dict]
+    needs: tuple[str, ...]  # the config inputs it cannot run without
+    reads: tuple[str, ...]  # files of the output directory
+    writes: tuple[str, ...]
+
+
+# Every stage, in run order: a stage reads only what earlier ones write.
+STAGES = {
+    "ingest": Stage(
+        stage_ingest,
+        needs=("transcripts_csv", "firm_names_csv"),
+        reads=(),
+        writes=("days.csv", "mentions.csv"),
+    ),
+    "sentiment": Stage(
+        stage_sentiment,
+        needs=("transcripts_csv", "lexicon_positive_txt", "lexicon_negative_txt"),
+        reads=("mentions.csv",),
+        writes=("sentiment.csv", "events.csv", "event_skips.csv"),
+    ),
+    "factors": Stage(
+        stage_factors,
+        needs=("panel_csv", "nsi_csv", "short_rate_csv"),  # and rf_csv, without factors_csv
+        reads=(),
+        writes=("factors.csv", "controls.csv"),
+    ),
+    "eventstudy": Stage(
+        stage_eventstudy,
+        needs=("panel_csv",),
+        reads=("events.csv", "factors.csv"),
+        writes=("event_study.csv", "event_exclusions.csv"),
+    ),
+    "timing": Stage(
+        stage_timing,
+        needs=(),
+        reads=("sentiment.csv", "factors.csv"),
+        writes=("signals.csv", "r2_scan.csv", "backtest_summary.csv"),  # and backtest_N*.csv
+    ),
+    "regress": Stage(
+        stage_regress,
+        needs=(),
+        reads=("sentiment.csv", "factors.csv", "controls.csv"),
+        writes=("regressions.csv", "regressions.txt"),
+    ),
 }
+STAGE_ORDER = list(STAGES)
+# run_stages calls each stage through this dict, so wrapping an entry wraps that stage.
+STAGE_FUNCS = {name: stage.func for name, stage in STAGES.items()}
+PRODUCERS = {file: name for name, stage in STAGES.items() for file in stage.writes}
 
 
 def _sha256(path: Path) -> str:
@@ -501,7 +499,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(cfg: RunConfig, stage_infos: dict[str, dict], reset: bool) -> None:
-    manifest_path = cfg.out_path("manifest")
+    manifest_path = cfg.out_dir / "manifest.json"
     stages = {}
     if not reset and manifest_path.exists():
         try:
@@ -527,6 +525,13 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
     mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in KiB; bytes on macOS
     reaped = resource and resource.getrusage(resource.RUSAGE_CHILDREN)[:3]  # times, maxrss
     for name in stages:
+        for file in STAGES[name].reads:
+            if not (cfg.out_dir / file).exists():
+                raise ConfigError(
+                    f"missing {file} in {cfg.out_dir}; run the {PRODUCERS[file]} stage first"
+                )
+        for key in STAGES[name].needs:
+            cfg.input_path(key, name)
         started = time.perf_counter()
         infos[name] = STAGE_FUNCS[name](cfg)
         done = f"{PROG}: {name}: done in {time.perf_counter() - started:.2f} s"
@@ -588,16 +593,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in [
-        ("ingest", "tokenize transcripts and count firm mentions"),
-        ("sentiment", "score daily sentiment and emit stock mention events"),
-        ("factors", "load or construct the factor series and controls"),
-        ("eventstudy", "estimate exposures and pool abnormal returns"),
-        ("timing", "build signals, scan correlations, run backtests"),
-        ("regress", "fit the five market-direction regressions"),
-        ("all", "run every stage in dependency order"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
+    docs = {name: stage.func.__doc__ or "" for name, stage in STAGES.items()}  # None under -OO
+    for name, doc in {**docs, "all": "Run every stage in dependency order."}.items():
+        p = sub.add_parser(name, help=doc[:1].lower() + doc[1:].rstrip("."))
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", default=None, help="override the configured output directory")
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -13,8 +14,8 @@ import pytest
 from sentimetrics import cli, corpus, econometrics, factors, tables, timing
 from sentimetrics.cli import (
     INPUT_KEYS,
-    OUT_FILES,
     STAGE_ORDER,
+    STAGES,
     ConfigError,
     RunConfig,
     load_config,
@@ -88,7 +89,7 @@ def test_synth_emits_all_inputs_and_run_config(tmp_path):
 
 def test_all_produces_every_output(pipeline):
     _cfg, out = pipeline
-    for name in OUT_FILES.values():
+    for name in [*(file for stage in STAGES.values() for file in stage.writes), "manifest.json"]:
         assert (out / name).exists(), name
     # Per-N backtests come on top of the fixed set.
     assert (out / "backtest_N05.csv").exists()
@@ -791,6 +792,9 @@ def test_dated_inputs_take_any_order_but_no_repeated_date(demo7, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"sentimetrics: error: {path}: row 4: "), err
     assert "duplicate date" in err
+    # The passed-through factors.csv stays: none is written out of step with controls.csv.
+    for n in ("factors.csv", "controls.csv"):
+        assert (cfg_path.parent / "out" / n).read_bytes() == (demo7 / "out" / n).read_bytes(), n
 
 
 def test_regress_aligns_rmrf_to_controls_dates_missing_from_the_factors(demo7, tmp_path):
@@ -897,3 +901,111 @@ def test_lone_sentiment_takes_mention_dates_in_any_order(demo7, tmp_path):
     assert built["reversed"] == built["ascending"]
     assert built["ascending"]["events.csv"] == (demo7 / "out" / "events.csv").read_bytes()
     assert built["ascending"]["event_skips.csv"].count(b"no sentiment observation") == 2
+
+
+@pytest.mark.parametrize("key", ["nsi_csv", "short_rate_csv"])
+def test_a_lone_stage_names_a_needed_input_before_it_reads_or_writes(
+    demo7, tmp_path, capsys, key
+):
+    """A null input that `factors` needs is named ahead of a bad panel.csv, and no
+    factors.csv is written out of step with controls.csv."""
+    cfg_path, _path = _corrupt(demo7, tmp_path, "panel.csv", _set(4, 4, "KOSDAK"))
+    out = cfg_path.parent / "out"
+    shutil.rmtree(out)
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**raw, key: None}), encoding="utf-8")
+    assert main(["factors", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"sentimetrics: error: config key '{key}' is required by the factors stage\n"
+    )
+    assert not (out / "factors.csv").exists()
+
+
+# The stage that writes each file a stage reads, as the error for a missing one names it.
+UPSTREAM = {
+    "mentions.csv": "ingest",
+    "sentiment.csv": "sentiment",
+    "events.csv": "sentiment",
+    "factors.csv": "factors",
+    "controls.csv": "factors",
+}
+
+
+def test_each_declared_read_is_written_by_an_earlier_stage():
+    for i, stage in enumerate(STAGE_ORDER):
+        for name in STAGES[stage].reads:
+            assert cli.PRODUCERS[name] == UPSTREAM[name], name
+            assert STAGE_ORDER.index(UPSTREAM[name]) < i, (stage, name)
+
+
+@pytest.mark.parametrize("stage", STAGE_ORDER)
+def test_a_lone_stage_with_only_its_declared_reads_writes_its_declared_files(
+    demo7, tmp_path, stage
+):
+    full = demo7 / "out"
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in STAGES[stage].reads:
+        shutil.copyfile(full / name, out / name)
+    assert main([stage, "--config", str(demo7 / "run_config.json"), "--out", str(out)]) == 0
+    written = set(STAGES[stage].writes)
+    if stage == "timing":
+        written |= {p.name for p in full.glob("backtest_N*.csv")}
+    assert {p.name for p in out.iterdir()} == {*STAGES[stage].reads, *written, "manifest.json"}
+    for name in written:
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+    records = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    full_records = json.loads((full / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert records == {stage: full_records[stage]}
+
+
+@pytest.mark.parametrize(
+    "stage, name", [(stage, name) for stage in STAGE_ORDER for name in STAGES[stage].reads]
+)
+def test_a_lone_stage_missing_a_declared_read_names_its_producer_and_writes_nothing(
+    demo7, tmp_path, capsys, stage, name
+):
+    out = tmp_path / "out"
+    shutil.copytree(demo7 / "out", out)
+    (out / name).unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([stage, "--config", str(demo7 / "run_config.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"sentimetrics: error: missing {name} in {out}; run the {UPSTREAM[name]} stage first\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_run_stages_calls_each_stage_through_stage_funcs(demo7, tmp_path, monkeypatch):
+    """perfbench/tracer.py times a stage by wrapping its STAGE_FUNCS entry, so a stage run
+    that bypassed the dict would read 0 s without an error."""
+    out = tmp_path / "out"
+    shutil.copytree(demo7 / "out", out)
+    cfg = load_config(demo7 / "run_config.json", str(out))
+    calls = []
+    for name in STAGE_ORDER:
+
+        def swapped(cfg, _name=name):
+            calls.append((_name, cfg))
+            return {"rows": {}}
+
+        monkeypatch.setitem(cli.STAGE_FUNCS, name, swapped)
+    run_stages(cfg, STAGE_ORDER)
+    assert calls == [(name, cfg) for name in STAGE_ORDER]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["stages"] == dict.fromkeys(STAGE_ORDER, {"rows": {}})
+
+
+def test_the_parser_offers_each_stage_with_its_help_text():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == STAGE_ORDER + ["all", "synth"]
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        "ingest": "tokenize transcripts and count firm mentions",
+        "sentiment": "score daily sentiment and emit stock mention events",
+        "factors": "load or construct the factor series and controls",
+        "eventstudy": "estimate exposures and pool abnormal returns",
+        "timing": "build signals, scan correlations, run backtests",
+        "regress": "fit the five market-direction regressions",
+        "all": "run every stage in dependency order",
+        "synth": "generate a seeded synthetic dataset",
+    }

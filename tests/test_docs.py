@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from sentimetrics import tables
-from sentimetrics.cli import RunConfig, load_config, main
+from sentimetrics.cli import STAGE_ORDER, STAGES, RunConfig, load_config, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,6 +38,20 @@ def test_readme_input_formats_name_the_schema_columns():
     ]:
         documented = re.findall(r"`([a-z_]+(?:,[a-z_]+)+)`", rows[f"`{key}`"][0])
         assert documented == [",".join(schema.columns)], key
+
+
+def test_readme_output_table_names_each_declared_write_and_its_stage():
+    documented = {}
+    for files, (stage, _contents) in _table_rows("Outputs land in `demo/out/`:").items():
+        documented.update(dict.fromkeys(re.findall(r"`([^`]+)`", files), stage))
+    declared = {file: f"`{name}`" for name, stage in STAGES.items() for file in stage.writes}
+    assert documented == {**declared, "backtest_N*.csv": "`timing`", "manifest.json": "every stage"}
+
+
+def test_readme_stage_order_is_the_run_order():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    order = re.search(r"Stage order is (.*?);", text).group(1)
+    assert re.findall(r"`(\w+)`", order) == STAGE_ORDER
 
 
 def test_readme_parameters_list_every_field_with_its_default(tmp_path):
