@@ -16,7 +16,6 @@ import json
 import sys
 import time
 import typing
-import warnings
 from dataclasses import dataclass, field as dc_field, fields
 from datetime import date
 from pathlib import Path
@@ -291,6 +290,8 @@ def stage_factors(cfg: RunConfig) -> dict:
             )
         except factormod.CalendarAlignmentError as exc:  # rf misses trading dates
             raise factormod.CalendarAlignmentError(f"{rf_path}: {exc}") from None
+        except factormod.DegenerateBreakpointsError as exc:  # a rebalance the panel cannot sort
+            raise type(exc)(f"{cfg.inputs['panel_csv']}: {exc}") from None
         source = "constructed"
     # Both are built before either is written, so a bad input leaves the two files in step.
     controls = factormod.load_controls(cfg.inputs["nsi_csv"], cfg.inputs["short_rate_csv"], panel)
@@ -328,40 +329,32 @@ def stage_eventstudy(cfg: RunConfig) -> dict:
     }
 
 
-def _timing_observations(cfg: RunConfig) -> list[sentiment.SentimentObservation]:
+def _signals(
+    cfg: RunConfig, ns: list[int], calendar: list[date], name: str
+) -> tuple[list[timing.SignalSeries], str]:
+    """The signal of each N in `ns` over the usable days of sentiment.csv, and why an
+    empty one is empty.  Stops naming 'signal_lag' when it lags the earliest signal day
+    past `calendar`, the days of output `name`: every later signal day lands past it too."""
     table = tables.read_table(cfg.out_dir / "sentiment.csv", tables.SENTIMENT)
     rows = zip(*table.values())
-    return timing.timing_observations([sentiment.SentimentObservation(*row) for row in rows])
-
-
-def _check_signal_lag(cfg: RunConfig, first_day: date, calendar: list[date], name: str) -> None:
-    """Stop naming 'signal_lag' when it lags `first_day`, the earliest signal day, past the
-    calendar of output `name`: every later signal day then lands past it too."""
-    if factormod.roll_forward(calendar, [first_day])[0] + cfg.signal_lag >= len(calendar):
+    observations = timing.timing_observations([sentiment.SentimentObservation(*r) for r in rows])
+    signals = [timing.build_signal(observations, n, mode=cfg.signal_mode) for n in ns]
+    first = min((sig.dates[0] for sig in signals if sig.dates), default=None)
+    if first and factormod.roll_forward(calendar, [first])[0] + cfg.signal_lag >= len(calendar):
         raise ConfigError(
             f"{cfg.config_path}: 'signal_lag' is {cfg.signal_lag}: no signal day lagged by it "
             f"falls on the {len(calendar)} days of {name}"
         )
+    return signals, f"only {len(observations)} sentiment days are usable: the signal is empty"
 
 
 def stage_timing(cfg: RunConfig) -> dict:
     """Build signals, scan correlations, run backtests."""
-    observations = _timing_observations(cfg)
     series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
     calendar = series.dates
-
-    signals = []
-    skipped_n = []
-    for n in cfg.signal_n_list:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sig = timing.build_signal(observations, n, mode=cfg.signal_mode)
-        if sig.dates:
-            signals.append(sig)
-        else:
-            skipped_n.append(n)
-    if signals:
-        _check_signal_lag(cfg, min(sig.dates[0] for sig in signals), calendar, "factors.csv")
+    built, why = _signals(cfg, cfg.signal_n_list, calendar, "factors.csv")
+    signals = [sig for sig in built if sig.dates]
+    skipped = {sig.n: why for sig in built if not sig.dates}  # N -> why it has no backtest
     entries = timing.r2_scan(signals, calendar, series.rmrf, lag=cfg.signal_lag)
     scan_rows = [(e.n, e.lag, e.r2, e.corr_sign) for e in entries]
     rows_by_file = {
@@ -375,8 +368,7 @@ def stage_timing(cfg: RunConfig) -> dict:
         try:
             result = timing.backtest_strategy(sig, calendar, series.rmrf, lag=cfg.signal_lag)
         except ValueError as exc:
-            print(f"{PROG}: timing: N={sig.n}: {exc}", file=sys.stderr)
-            skipped_n.append(sig.n)
+            skipped[sig.n] = exc
             continue
         name = f"backtest_N{sig.n:02d}.csv"
         rows_by_file[name] = timing.write_backtest_csv(result, cfg.out_dir / name)
@@ -393,26 +385,24 @@ def stage_timing(cfg: RunConfig) -> dict:
     rows_by_file["backtest_summary.csv"] = tables.write_rows(
         cfg.out_dir / "backtest_summary.csv", tables.BACKTEST_SUMMARY, summary
     )
+    for path in cfg.out_dir.glob("backtest_N*.csv"):  # an earlier run's, for an N not run now
+        if path.name not in rows_by_file:
+            path.unlink()
+    for n, reason in skipped.items():
+        print(f"{PROG}: timing: N={n}: {reason}", file=sys.stderr)
     out = {"rows": rows_by_file}
-    if skipped_n:
-        out["skipped_n"] = sorted(set(skipped_n))
+    if skipped:
+        out["skipped_n"] = sorted(skipped)
     return out
 
 
 def stage_regress(cfg: RunConfig) -> dict:
     """Fit the five market-direction regressions."""
-    observations = _timing_observations(cfg)
     series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
     controls = factormod.read_controls_csv(cfg.out_dir / "controls.csv")
-    with warnings.catch_warnings():  # an empty signal is reported below, naming its key
-        warnings.simplefilter("ignore")
-        signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
+    [signal], why = _signals(cfg, [cfg.regression_n], controls.dates, "controls.csv")
     if not signal.dates:
-        raise ConfigError(
-            f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but only "
-            f"{len(observations)} sentiment days are usable: the signal is empty"
-        )
-    _check_signal_lag(cfg, signal.dates[0], controls.dates, "controls.csv")
+        raise ConfigError(f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but {why}")
     # A control day not on the factor calendar (position -1) takes the appended NaN.
     rmrf = np.append(series.rmrf, np.nan)[factormod.positions(series.dates, controls.dates)]
     regset = econometrics.run_timing_regressions(

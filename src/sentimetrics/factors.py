@@ -435,8 +435,8 @@ def _sort_cells(
     main = panel.is_main[rows, t]
     if main.sum() < min_breakpoint_stocks:
         raise DegenerateBreakpointsError(
-            f"rebalance {d}: only {main.sum()} main-exchange stocks "
-            f"(need >= {min_breakpoint_stocks})"
+            f"rebalance {d}: only {main.sum()} main-exchange stocks, "
+            f"but 'min_breakpoint_stocks' is {min_breakpoint_stocks}"
         )
     size = panel.market_cap[rows, t]
     characteristics = (

@@ -192,6 +192,11 @@ class SynthConfig:
             raise ValueError("zero_return_rate must be in [0, 1)")
         if self.signal_n < 1 or self.signal_lag < 0:
             raise ValueError("signal_n >= 1 and signal_lag >= 0 required")
+        if self.signal_n + self.signal_lag >= self.n_days:
+            raise ValueError(
+                f"signal_n + signal_lag must be below n_days ({self.n_days}), got "
+                f"{self.signal_n} + {self.signal_lag}: the planted signal would be empty"
+            )
 
 
 @dataclass

@@ -14,7 +14,6 @@ and stays flat where that lagged value is undefined.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -73,7 +72,8 @@ def timing_observations(
 def build_signal(
     observations: list[SentimentObservation], n: int, mode: str = INCLUSIVE
 ) -> SignalSeries:
-    """Binary above-trailing-mean signal over the defined-score observations."""
+    """Binary above-trailing-mean signal over the defined-score observations; empty, not an
+    error, when there are `n` or fewer of them."""
     if n < 1:
         raise ValueError(f"window length must be >= 1, got {n}")
     if mode not in (INCLUSIVE, EXCLUSIVE):
@@ -83,10 +83,6 @@ def build_signal(
         if usable[i - 1][0] >= usable[i][0]:
             raise ValueError("sentiment observations must be strictly ascending by date")
     if n >= len(usable):
-        warnings.warn(
-            f"window length {n} >= {len(usable)} usable observations: empty signal",
-            stacklevel=2,
-        )
         return SignalSeries(n=n, mode=mode, dates=[], values=np.zeros(0, dtype=int))
     scores = np.array([s for _d, s in usable])
     windows = sliding_window_view(scores, n)

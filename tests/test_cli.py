@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sentimetrics import cli, corpus, econometrics, factors, tables, timing
+from sentimetrics import cli, corpus, econometrics, factors, sentiment, tables, timing
 from sentimetrics.cli import (
     INPUT_KEYS,
     STAGE_ORDER,
@@ -296,6 +296,11 @@ def test_synth_override_of_the_wrong_type_names_file_and_key(
         ({"n_days": 5}, "need at least 1 firm and 10 days"),
         ({"n_events": 50}, "planted events must land on distinct firms"),
         ({"sentiment_draws": 4}, "sentiment_draws must be odd and >= 3"),
+        (
+            {"signal_n": 400},
+            "signal_n + signal_lag must be below n_days (340), got 400 + 2: "
+            "the planted signal would be empty",
+        ),
     ],
 )
 def test_synth_override_out_of_range_names_the_file(tmp_path, capsys, overrides, message):
@@ -627,6 +632,16 @@ def _corrupt(demo7: Path, tmp_path: Path, name: str, edit) -> tuple[Path, Path]:
     return data / "run_config.json", path
 
 
+def _reconfigured(demo7: Path, tmp_path: Path, **changes) -> Path:
+    """A copy of the demo, outputs included, whose run config takes `changes`; returns it."""
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    cfg_path = data / "run_config.json"
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**raw, **changes}), encoding="utf-8")
+    return cfg_path
+
+
 # Row numbers count the header as row 1, as the error messages do.
 def _set(row, col, value):
     def edit(rows):
@@ -776,6 +791,30 @@ def _constructing_factors(cfg_path: Path) -> Path:
     return cfg_path
 
 
+@pytest.mark.parametrize(
+    "edit, changes, message",
+    [
+        (
+            _set(2, 5, "0.0"),  # book_equity
+            {},
+            "zero book equity for firm F000 at rebalance 2021-01-04: profitability sort undefined",
+        ),
+        (
+            lambda rows: None,
+            {"min_breakpoint_stocks": 500},
+            "rebalance 2021-01-04: only 14 main-exchange stocks, "
+            "but 'min_breakpoint_stocks' is 500",
+        ),
+    ],
+)
+def test_a_factor_sort_error_names_the_panel(demo7, tmp_path, capsys, edit, changes, message):
+    cfg_path, path = _corrupt(demo7, tmp_path, "panel.csv", edit)
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**raw, "factors_csv": None, **changes}), encoding="utf-8")
+    assert main(["factors", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"sentimetrics: error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("name", ["rf.csv", "nsi.csv", "short_rate.csv"])
 def test_dated_inputs_take_any_order_but_no_repeated_date(demo7, tmp_path, capsys, name):
     built = {}
@@ -797,6 +836,30 @@ def test_dated_inputs_take_any_order_but_no_repeated_date(demo7, tmp_path, capsy
         assert (cfg_path.parent / "out" / n).read_bytes() == (demo7 / "out" / n).read_bytes(), n
 
 
+def _regressions(cfg: RunConfig, rmrf_on: dict) -> econometrics.TimingRegressionSet:
+    """The regressions of `cfg`'s outputs, fitted here with the market return `rmrf_on` each
+    control day (NaN where it has none)."""
+    out = cfg.out_dir
+    table = tables.read_table(out / "sentiment.csv", tables.SENTIMENT)
+    rows = zip(*table.values())
+    observations = timing.timing_observations([sentiment.SentimentObservation(*r) for r in rows])
+    controls = factors.read_controls_csv(out / "controls.csv")
+    return econometrics.run_timing_regressions(
+        timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode),
+        controls,
+        np.array([rmrf_on.get(d, np.nan) for d in controls.dates]),
+        lag=cfg.signal_lag,
+        tie_up=cfg.tie_up,
+        robust=cfg.robust_se,
+        with_ols=cfg.with_ols,
+    )
+
+
+def _factor_returns(out: Path) -> dict:
+    series = factors.read_factors_csv(out / "factors.csv")
+    return dict(zip(series.dates, series.rmrf.tolist()))
+
+
 def test_regress_aligns_rmrf_to_controls_dates_missing_from_the_factors(demo7, tmp_path):
     def drop(*rows):
         def edit(table):
@@ -816,29 +879,40 @@ def test_regress_aligns_rmrf_to_controls_dates_missing_from_the_factors(demo7, t
         csv.writer(fh, lineterminator="\n").writerows(rows)
     assert main(["regress", "--config", str(cfg_path)]) == 0
 
-    cfg = load_config(cfg_path)
-    series = factors.read_factors_csv(out / "factors.csv")
+    rmrf_on = _factor_returns(out)
     controls = factors.read_controls_csv(controls_path)
-    rmrf_on = dict(zip(series.dates, series.rmrf.tolist()))
     assert sum(d not in rmrf_on for d in controls.dates) == 3
-    rmrf = np.array([rmrf_on.get(d, np.nan) for d in controls.dates])
-    signal = timing.build_signal(
-        cli._timing_observations(cfg), cfg.regression_n, mode=cfg.signal_mode
-    )
-    regset = econometrics.run_timing_regressions(
-        signal,
-        controls,
-        rmrf,
-        lag=cfg.signal_lag,
-        tie_up=cfg.tie_up,
-        robust=cfg.robust_se,
-        with_ols=cfg.with_ols,
-    )
+    regset = _regressions(load_config(cfg_path), rmrf_on)
     want = tmp_path / "want.csv"
     tables.write_rows(want, tables.REGRESSIONS, econometrics.regression_rows(regset))
     got = (out / "regressions.csv").read_bytes()
     assert got == want.read_bytes()
     assert got != (demo7 / "out" / "regressions.csv").read_bytes()
+
+
+def test_regress_with_ols_and_robust_ses_writes_both_tables(demo7, tmp_path):
+    cfg_path = _reconfigured(demo7, tmp_path, with_ols=True, robust_se=True)
+    out = cfg_path.parent / "out"
+    shutil.rmtree(out)
+    assert main(["all", "--config", str(cfg_path)]) == 0
+
+    regset = _regressions(load_config(cfg_path), _factor_returns(out))
+    assert sorted(regset.ols) == sorted(regset.logit) == ["1", "2", "3", "4", "5"]
+    want = tmp_path / "want.csv"
+    tables.write_rows(want, tables.REGRESSIONS, econometrics.regression_rows(regset))
+    assert (out / "regressions.csv").read_bytes() == want.read_bytes()
+    got = tables.read_table(out / "regressions.csv", tables.REGRESSIONS)
+    demo = tables.read_table(demo7 / "out" / "regressions.csv", tables.REGRESSIONS)
+    n_logit = len(demo["spec"])
+    assert got["spec"][n_logit:] == [f"ols_{spec}" for spec in demo["spec"]]
+    # Robust standard errors leave the logit estimates as they were.
+    assert got["estimate"][:n_logit] == demo["estimate"]
+    assert got["std_err"][:n_logit] != demo["std_err"]
+
+    text = (out / "regressions.txt").read_text(encoding="utf-8")
+    ols_table = econometrics.render_report(regset, model=econometrics.OLS)
+    assert ols_table.startswith("excess-return regressions, signal window N=10, lag 2 ")
+    assert text == econometrics.render_report(regset) + "\n" + ols_table
 
 
 @pytest.mark.parametrize(
@@ -851,11 +925,7 @@ def test_regress_aligns_rmrf_to_controls_dates_missing_from_the_factors(demo7, t
 def test_regress_names_the_key_that_left_its_signal_empty(
     demo7, tmp_path, capsys, key, value, message
 ):
-    data = tmp_path / "data"
-    shutil.copytree(demo7, data)
-    cfg_path = data / "run_config.json"
-    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-    cfg_path.write_text(json.dumps({**raw, key: value}), encoding="utf-8")
+    cfg_path = _reconfigured(demo7, tmp_path, **{key: value})
     with warnings.catch_warnings(record=True) as caught:  # what would reach stderr
         warnings.simplefilter("always")
         assert main(["regress", "--config", str(cfg_path)]) == 1
@@ -865,11 +935,8 @@ def test_regress_names_the_key_that_left_its_signal_empty(
 
 
 def test_timing_names_a_signal_lag_that_leaves_no_day_on_the_factors(demo7, tmp_path, capsys):
-    data = tmp_path / "data"
-    shutil.copytree(demo7, data)
-    cfg_path = data / "run_config.json"
-    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-    cfg_path.write_text(json.dumps({**raw, "signal_lag": 100000}), encoding="utf-8")
+    cfg_path = _reconfigured(demo7, tmp_path, signal_lag=100000)
+    data = cfg_path.parent
     n_days = len(factors.read_factors_csv(data / "out" / "factors.csv").dates)
     assert main(["timing", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == (
@@ -878,6 +945,64 @@ def test_timing_names_a_signal_lag_that_leaves_no_day_on_the_factors(demo7, tmp_
     )
     for name in ("r2_scan.csv", "backtest_summary.csv"):
         assert (data / "out" / name).read_bytes() == (demo7 / "out" / name).read_bytes()
+
+
+def _only_n(path: Path, column: str, ns: set[int]) -> list[str]:
+    """The header and the rows of the table at `path` whose `column` is one of `ns`."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = lines[0].split(",").index(column)
+    return lines[:1] + [line for line in lines[1:] if int(line.split(",")[at]) in ns]
+
+
+def test_timing_skips_an_n_whose_signal_is_empty(demo7, tmp_path, capsys):
+    cfg_path = _reconfigured(demo7, tmp_path, signal_n_list=[5, 400])
+    out = cfg_path.parent / "out"
+    shutil.rmtree(out)
+    assert main(["all", "--config", str(cfg_path)]) == 0
+    err = [line for line in capsys.readouterr().err.splitlines() if " done in " not in line]
+    assert err == [
+        "sentimetrics: timing: N=400: only 340 sentiment days are usable: the signal is empty"
+    ]
+    record = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]["timing"]
+    assert record["skipped_n"] == [400]
+    assert sorted(p.name for p in out.glob("backtest_N*.csv")) == ["backtest_N05.csv"]
+    for name, column in (("signals.csv", "N"), ("r2_scan.csv", "N"), ("backtest_summary.csv", "N")):
+        want = _only_n(demo7 / "out" / name, column, {5})
+        assert (out / name).read_text(encoding="utf-8").splitlines() == want, name
+    for name in ("backtest_N05.csv", "regressions.csv", "regressions.txt"):
+        assert (out / name).read_bytes() == (demo7 / "out" / name).read_bytes(), name
+
+
+def test_timing_skips_an_n_whose_lagged_signal_misses_the_factor_calendar(
+    demo7, tmp_path, capsys
+):
+    def first_days(rows):
+        del rows[1 + 22 :]
+
+    cfg_path, path = _corrupt(demo7, tmp_path, "out/factors.csv", first_days)
+    out = path.parent
+    assert main(["timing", "--config", str(cfg_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[:-1] == [
+        "sentimetrics: timing: N=20: signal and market calendar have no overlapping coverage"
+    ]
+    assert (out / "r2_scan.csv").read_text(encoding="utf-8").splitlines()[-1] == "20,2,,"
+    summary = tables.read_table(out / "backtest_summary.csv", tables.BACKTEST_SUMMARY)
+    assert summary["N"] == list(range(5, 20))
+    assert not (out / "backtest_N20.csv").exists()
+    record = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]["timing"]
+    assert record["skipped_n"] == [20]
+
+
+def test_a_lone_timing_run_leaves_only_its_own_backtests(demo7, tmp_path):
+    cfg_path = _reconfigured(demo7, tmp_path, signal_n_list=[5, 6])
+    out = cfg_path.parent / "out"
+    assert len(list(out.glob("backtest_N*.csv"))) == 16
+    assert main(["timing", "--config", str(cfg_path)]) == 0
+    backtests = ["backtest_N05.csv", "backtest_N06.csv"]
+    assert sorted(p.name for p in out.glob("backtest_N*.csv")) == backtests
+    record = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]["timing"]
+    assert sorted(name for name in record["rows"] if name.startswith("backtest_N")) == backtests
 
 
 def test_lone_sentiment_takes_mention_dates_in_any_order(demo7, tmp_path):

@@ -229,6 +229,42 @@ def test_logit_wald_z_is_estimate_over_se():
     assert np.allclose(res.std_errs, np.sqrt(np.diag(np.linalg.inv(info))), atol=1e-10)
 
 
+def test_robust_logit_ses_are_the_sandwich_of_the_log_likelihood():
+    rng = np.random.default_rng(7)
+    x = rng.normal(0, 1, (120, 2))
+    y = (rng.uniform(0, 1, 120) < 1 / (1 + np.exp(0.2 - x @ [0.8, -0.5]))).astype(float)
+    design = build_design({"a": x[:, 0], "b": x[:, 1]}, y)
+    robust = fit_logit(design, robust=True)
+    assert np.array_equal(robust.estimates, fit_logit(design).estimates)
+
+    # Oracle from the log-likelihood alone, by central differences at the estimate:
+    # H^-1 (sum of outer products of the per-observation scores) H^-1.
+    beta, steps = robust.estimates, np.eye(3)
+
+    def loglik(rows, b):
+        return logit_log_likelihood(build_design({"a": x[rows, 0], "b": x[rows, 1]}, y[rows]), b)
+
+    h = 1e-6
+    scores = np.array(
+        [[loglik([i], beta + h * e) - loglik([i], beta - h * e) for e in steps] for i in range(120)]
+    ) / (2 * h)
+    h, every = 1e-4, list(range(120))
+    hessian = np.array(
+        [
+            [
+                loglik(every, beta + h * (e + f)) - loglik(every, beta + h * (e - f))
+                - loglik(every, beta - h * (e - f)) + loglik(every, beta - h * (e + f))
+                for f in steps
+            ]
+            for e in steps
+        ]
+    ) / (4 * h * h)
+    bread = np.linalg.inv(hessian)
+    cov = bread @ (scores.T @ scores) @ bread
+    assert np.allclose(robust.std_errs, np.sqrt(np.diag(cov)), rtol=1e-6, atol=0)
+    assert not np.allclose(robust.std_errs, fit_logit(design).std_errs, rtol=1e-3, atol=0)
+
+
 def test_logit_perfect_separation_raises():
     x = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
     y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])

@@ -183,3 +183,14 @@ def test_no_module_bisects_a_calendar():
         if re.search(r"^\s*(import bisect\b|from bisect import)", p.read_text("utf-8"), re.M)
     ]
     assert users == []
+
+
+def test_only_factors_imports_warnings():
+    """An empty signal is a result that the caller reports, not a warning to silence;
+    ``factors`` alone silences one, numpy's ``loadtxt`` "input contained no data"."""
+    users = [
+        p.name
+        for p in sorted(SRC.glob("*.py"))
+        if re.search(r"^\s*(import warnings\b|from warnings import)", p.read_text("utf-8"), re.M)
+    ]
+    assert users == ["factors.py"]
