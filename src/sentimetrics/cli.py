@@ -73,6 +73,29 @@ class RunConfig:
     )
     _days: corpus.Days | None = dc_field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.signal_mode not in (timing.INCLUSIVE, timing.EXCLUSIVE):
+            raise ValueError("signal_mode must be inclusive|exclusive")
+        n_list = self.signal_n_list
+        if not n_list or min(n_list) < 1 or len(set(n_list)) < len(n_list):
+            raise ValueError(
+                f"'signal_n_list' must be a non-empty list of distinct integers >= 1, got {n_list}"
+            )
+        lows = {"min_mentions": 1, "signal_lag": 0, "regression_n": 1, "min_breakpoint_stocks": 1}
+        for key, least in lows.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"'{key}' must be >= {least}, got {getattr(self, key)}")
+        # The rebalance date must exist in every year, so a non-leap year decides.
+        if not 1 <= self.rebalance_month <= 12:
+            raise ValueError(f"'rebalance_month' must be in 1..12, got {self.rebalance_month}")
+        try:
+            date(2001, self.rebalance_month, self.rebalance_day)
+        except ValueError:
+            raise ValueError(
+                f"'rebalance_day' must be a day of month {self.rebalance_month} "
+                f"in every year, got {self.rebalance_day}"
+            ) from None
+
     def days(self, keep: bool = True) -> corpus.Days:
         """The transcript days, built on first use; kept for a later stage of this run if `keep`."""
         days = self._days
@@ -138,46 +161,42 @@ def _typed(kinds: dict, raw: dict, where: str, what: str) -> dict:
     return {key: _value(kinds[key], value, f"{where}'{key}'") for key, value in raw.items()}
 
 
+# Each JSON kind of a config value but a date and an event window: how an
+# error words it, whether a JSON value is one, and the value it is kept as.
+_KINDS = {
+    bool: ("true or false", lambda v: isinstance(v, bool), bool),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    str | None: ("a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
+    int: ("an integer", _is_int, int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    tuple[int, int]: (
+        "a pair of integers",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+        tuple,
+    ),
+    list[int]: ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)), list),
+}
+
+
 def _value(kind, value, where: str):
     """`value` as the type `kind`; a ConfigError naming `where` otherwise."""
     if kind is date:
+        expected = "an ISO date string"
         try:
             return date.fromisoformat(value)
         except (TypeError, ValueError):
-            ok = False
+            pass
     elif kind is eventstudy.EventWindowConfig:
-        ok = isinstance(value, dict)
-        if ok:
+        expected = "an object"
+        if isinstance(value, dict):
             try:
-                value = kind(**_typed(typing.get_type_hints(kind), value, "", "window"))
+                return kind(**_typed(typing.get_type_hints(kind), value, "", "window"))
             except ValueError as exc:  # a field of the wrong type, or the windows' order
                 raise ConfigError(f"{where} must be an event window: {exc}") from None
-    elif kind is float:
-        ok = _is_int(value) or isinstance(value, float)
-        value = float(value) if ok else value
-    elif kind == tuple[int, int]:
-        ok = isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
-        value = tuple(value) if ok else value
-    elif kind == list[int]:
-        ok = isinstance(value, list) and all(map(_is_int, value))
-    elif kind == str | None:
-        ok = value is None or isinstance(value, str)
-    elif kind is int:
-        ok = _is_int(value)
-    else:  # bool, str
-        ok = isinstance(value, kind)
-    if ok:
-        return value
-    expected = {
-        bool: "true or false",
-        str: "a string",
-        str | None: "a string or null",
-        int: "an integer",
-        float: "a number",
-        date: "an ISO date string",
-        tuple[int, int]: "a pair of integers",
-        list[int]: "a list of integers",
-    }.get(kind, "an object")
+    else:
+        expected, check, keep = _KINDS[kind]
+        if check(value):
+            return keep(value)
     raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
 
 
@@ -199,34 +218,10 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
     if out_override is not None:
         out_dir = Path(out_override)
 
-    cfg = RunConfig(config_path=path, out_dir=out_dir, inputs=inputs, **raw)
-    if cfg.signal_mode not in (timing.INCLUSIVE, timing.EXCLUSIVE):
-        raise ConfigError(f"{path}: signal_mode must be inclusive|exclusive")
-    n_list = cfg.signal_n_list
-    if not n_list or min(n_list) < 1 or len(set(n_list)) < len(n_list):
-        raise ConfigError(
-            f"{path}: 'signal_n_list' must be a non-empty list of distinct integers >= 1, "
-            f"got {n_list}"
-        )
-    for key, least in (
-        ("min_mentions", 1),
-        ("signal_lag", 0),
-        ("regression_n", 1),
-        ("min_breakpoint_stocks", 1),
-    ):
-        if getattr(cfg, key) < least:
-            raise ConfigError(f"{path}: '{key}' must be >= {least}, got {getattr(cfg, key)}")
-    # The rebalance date must exist in every year, so a non-leap year decides.
-    if not 1 <= cfg.rebalance_month <= 12:
-        raise ConfigError(f"{path}: 'rebalance_month' must be in 1..12, got {cfg.rebalance_month}")
     try:
-        date(2001, cfg.rebalance_month, cfg.rebalance_day)
-    except ValueError:
-        raise ConfigError(
-            f"{path}: 'rebalance_day' must be a day of month {cfg.rebalance_month} "
-            f"in every year, got {cfg.rebalance_day}"
-        ) from None
-    return cfg
+        return RunConfig(config_path=path, out_dir=out_dir, inputs=inputs, **raw)
+    except ValueError as exc:  # a value out of range
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +540,10 @@ def _synth_config(seed: int, overrides_path: str | None) -> synthetic.SynthConfi
     if overrides_path is not None:
         where = f"{overrides_path}: "
         raw = _typed(kinds, _json_object(Path(overrides_path), "synth config"), where, "synth")
-    cfg = synthetic.SynthConfig(seed=seed, **raw)
     try:
-        cfg.validate()
+        return synthetic.SynthConfig(seed=seed, **raw)
     except ValueError as exc:  # a value out of range, or values that do not fit together
         raise ConfigError(f"{where}{exc}") from None
-    return cfg
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

@@ -279,7 +279,8 @@ def run_timing_regressions(
     Response is 1 when the market excess return is positive; an exact zero
     counts as down unless `tie_up`.  Each specification keeps every trading
     day on which all of its own regressors are defined, so samples differ
-    across specifications; n_obs is reported per fit.
+    across specifications; n_obs is reported per fit.  A fit's ValueError
+    starts with ``specification <id>: ``.
     """
     calendar = controls.dates
     market_returns = np.asarray(market_returns, dtype=float)
@@ -301,12 +302,12 @@ def run_timing_regressions(
     for spec_id, terms in SPEC_TERMS.items():
         cols = {t: regressors[t] for t in terms}
         try:
-            design = build_design(cols, up)
-        except EmptySampleError as exc:
-            raise EmptySampleError(f"specification {spec_id}: {exc}") from None
-        logit_results[spec_id] = fit_logit(design, robust=robust)
-        if with_ols:
-            ols_results[spec_id] = fit_ols(build_design(cols, market_returns), robust=robust)
+            logit_results[spec_id] = fit_logit(build_design(cols, up), robust=robust)
+            if with_ols:
+                ols_results[spec_id] = fit_ols(build_design(cols, market_returns), robust=robust)
+        except ValueError as exc:  # an empty sample, or a fit that cannot be made
+            exc.args = (f"specification {spec_id}: {exc}",)
+            raise
     return TimingRegressionSet(logit_results, ols_results, signal_n=signal.n, lag=lag)
 
 

@@ -141,7 +141,7 @@ def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, when built
 class SynthConfig:
     seed: int = 0
     n_firms: int = 20
@@ -167,7 +167,7 @@ class SynthConfig:
     lexicon_negative: int = 40
     factor_construction: bool = False  # dataset must support portfolio-sort factors
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_firms < 1 or self.n_days < 10:
             raise ValueError("need at least 1 firm and 10 days")
         if self.factor_construction and self.n_firms < 12:
@@ -180,14 +180,11 @@ class SynthConfig:
             raise ValueError("planted events must land on distinct firms")
         if self.event_polarity not in (POSITIVE, NEGATIVE):
             raise ValueError(f"event_polarity must be positive|negative, got {self.event_polarity!r}")
-        if self.n_events > 0:
-            first = self.event_history
-            last = self.n_days - 1 - self.event_tail
-            if last < first:
-                raise ValueError(
-                    f"n_days={self.n_days} leaves no room for events "
-                    f"(need > {self.event_history + self.event_tail})"
-                )
+        if self.n_events > 0 and self.n_days - 1 - self.event_tail < self.event_history:
+            raise ValueError(
+                f"n_days={self.n_days} leaves no room for events "
+                f"(need > {self.event_history + self.event_tail})"
+            )
         if not 0.0 <= self.zero_return_rate < 1.0:
             raise ValueError("zero_return_rate must be in [0, 1)")
         if self.signal_n < 1 or self.signal_lag < 0:
@@ -268,7 +265,6 @@ def _aliases(i: int) -> list[str]:
 
 
 def gen_dataset(config: SynthConfig) -> SynthDataset:
-    config.validate()
     rng = DeterministicRng(config.seed)
     calendar = trading_calendar(config.start, config.n_days)
     n_days = config.n_days

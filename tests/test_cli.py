@@ -5,13 +5,13 @@ import json
 import re
 import shutil
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import FrozenInstanceError, asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sentimetrics import cli, corpus, econometrics, factors, sentiment, tables, timing
+from sentimetrics import cli, corpus, econometrics, factors, sentiment, synthetic, tables, timing
 from sentimetrics.cli import (
     INPUT_KEYS,
     STAGE_ORDER,
@@ -468,6 +468,91 @@ def test_out_of_range_setting_stops_all_before_any_stage(tmp_path, capsys, key, 
     assert main(["all", "--config", str(cfg_path)]) == 1
     assert f"{cfg_path}: '{key}' must be" in capsys.readouterr().err
     assert not (cfg_path.parent / cfg["out_dir"]).exists()
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"signal_mode": "sideways"}, "signal_mode must be inclusive|exclusive"),
+        *(
+            (
+                {"signal_n_list": n_list},
+                "'signal_n_list' must be a non-empty list of distinct integers >= 1, "
+                f"got {n_list}",
+            )
+            for n_list in ([], [0], [5, 5])
+        ),
+        ({"min_mentions": 0}, "'min_mentions' must be >= 1, got 0"),
+        ({"signal_lag": -1}, "'signal_lag' must be >= 0, got -1"),
+        ({"regression_n": 0}, "'regression_n' must be >= 1, got 0"),
+        ({"min_breakpoint_stocks": 0}, "'min_breakpoint_stocks' must be >= 1, got 0"),
+        ({"rebalance_month": 13}, "'rebalance_month' must be in 1..12, got 13"),
+        (
+            {"rebalance_month": 2, "rebalance_day": 29},
+            "'rebalance_day' must be a day of month 2 in every year, got 29",
+        ),
+    ],
+)
+def test_a_run_config_checks_its_values_when_built(tmp_path, capsys, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(config_path=tmp_path, out_dir=tmp_path / "out", inputs={}, **values)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(values), encoding="utf-8")
+    assert main(["all", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"sentimetrics: error: {p}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"n_firms": 0}, "need at least 1 firm and 10 days"),
+        ({"n_days": 9}, "need at least 1 firm and 10 days"),
+        (
+            {"n_firms": 8, "n_events": 5, "factor_construction": True},
+            "factor construction requested with 8 firms; need at least 12",
+        ),
+        ({"sentiment_draws": 1}, "sentiment_draws must be odd and >= 3"),
+        ({"sentiment_draws": 4}, "sentiment_draws must be odd and >= 3"),
+        ({"n_events": 21}, "planted events must land on distinct firms"),
+        ({"event_polarity": "mixed"}, "event_polarity must be positive|negative, got 'mixed'"),
+        ({"n_days": 290}, "n_days=290 leaves no room for events (need > 293)"),
+        ({"zero_return_rate": 1.0}, "zero_return_rate must be in [0, 1)"),
+        ({"zero_return_rate": -0.1}, "zero_return_rate must be in [0, 1)"),
+        ({"signal_n": 0}, "signal_n >= 1 and signal_lag >= 0 required"),
+        ({"signal_lag": -1}, "signal_n >= 1 and signal_lag >= 0 required"),
+        (
+            {"signal_n": 338},
+            "signal_n + signal_lag must be below n_days (340), got 338 + 2: "
+            "the planted signal would be empty",
+        ),
+    ],
+)
+def test_a_synth_config_checks_its_values_when_built(tmp_path, capsys, values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        synthetic.SynthConfig(**values)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(values), encoding="utf-8")
+    assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"sentimetrics: error: {p}: {message}\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_a_synth_config_cannot_change_after_its_check():
+    cfg = synthetic.SynthConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.sentiment_draws = 4
+
+
+def test_a_fit_that_fails_in_regress_names_its_specification(tmp_path, capsys):
+    overrides = tmp_path / "s.json"
+    overrides.write_text(json.dumps({"signal_n": 330}), encoding="utf-8")
+    data = tmp_path / "d"
+    assert main(["synth", "--out", str(data), "--seed", "7", "--config", str(overrides)]) == 0
+    assert main(["all", "--config", str(data / "run_config.json")]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == (
+        "sentimetrics: error: specification 5: coefficient norm exceeded 10000; data are separated"
+    )
 
 
 def test_load_config_keeps_exact_json_types(tmp_path):

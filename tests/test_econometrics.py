@@ -386,6 +386,20 @@ def test_all_missing_regressor_names_the_spec():
         run_timing_regressions(signal, controls, market, lag=2)
 
 
+def test_a_fit_error_names_its_specification():
+    signal, controls, market = _harness_inputs(seed=9)
+    with pytest.raises(
+        DegenerateResponseError, match="^specification 1: response has a single class;"
+    ):
+        run_timing_regressions(signal, controls, np.abs(market), lag=2)
+
+
+def test_market_returns_off_the_control_calendar_are_rejected():
+    signal, controls, market = _harness_inputs()
+    with pytest.raises(ValueError, match="market_returns must align one-to-one"):
+        run_timing_regressions(signal, controls, market[:-1], lag=2)
+
+
 def test_with_ols_runs_return_regressions_alongside():
     signal, controls, market = _harness_inputs()
     regset = run_timing_regressions(signal, controls, market, lag=2, with_ols=True)

@@ -412,6 +412,8 @@ def test_window_validation():
         EventWindowConfig(est_start=-10, est_end=-20, evt_start=-5)
     with pytest.raises(ValueError):
         EventWindowConfig(est_start=-30, est_end=-10, evt_start=-5, min_est_obs=200)
+    with pytest.raises(ValueError, match="evt_len must be >= 0"):
+        EventWindowConfig(evt_len=-1)
 
 
 # ---------------------------------------------------------------------------

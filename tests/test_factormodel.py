@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import random
@@ -412,6 +413,51 @@ def test_factors_csv_roundtrip(tmp_path):
     assert back.dates == calendar
     for name in ("rmrf", "smb", "hml", "rmw", "cma", "rf"):
         assert np.array_equal(getattr(back, name), getattr(series, name)), name
+
+
+def _three_days():
+    """The arguments of a valid three-day factor series, and a valid two-firm panel on its days."""
+    calendar = weekdays(date(2022, 1, 3), 3)
+    series = {name: np.zeros(3) for name in ("rmrf", "smb", "hml", "rmw", "cma", "rf")}
+    panel = panel_from_rows({f: {d: _row(0.01, 100.0) for d in calendar} for f in "AB"}, calendar)
+    return {"dates": calendar, **series}, panel
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s.update(smb=np.zeros(2)), r"'smb' length \(2,\) != 3 dates"),
+        (lambda s: s.update(hml=np.array([0.0, np.nan, 0.0])), "'hml' contains non-finite"),
+        (lambda s: s.update(dates=s["dates"][::-1]), "factor dates must be strictly ascending"),
+        (lambda s: s.update(rf=np.array([0.0, -1.5, 0.0])), "rf values must be >= -1"),
+    ],
+    ids=["length", "non-finite", "dates", "rf"],
+)
+def test_a_malformed_factor_series_is_rejected(edit, message):
+    series, _panel = _three_days()
+    FactorSeries(**series)
+    edit(series)
+    with pytest.raises(ValueError, match=message):
+        FactorSeries(**series)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: dict(firms=["B", "A"]), "firms must be unique and sorted"),
+        (lambda p: dict(firms=["A", "A"]), "firms must be unique and sorted"),
+        (lambda p: dict(calendar=p.calendar[::-1]), "calendar must be strictly ascending"),
+        (
+            lambda p: dict(market_cap=p.market_cap[:, :2]),
+            r"'market_cap' has shape \(2, 2\), want \(2, 3\)",
+        ),
+    ],
+    ids=["unsorted", "repeated", "calendar", "shape"],
+)
+def test_a_malformed_panel_is_rejected(edit, message):
+    _series, panel = _three_days()
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(panel, **edit(panel))
 
 
 def _controls_files(tmp_path, calendar, nsi_vals=None):

@@ -130,6 +130,30 @@ def test_a_mutated_input_loads_or_stops_naming_its_file(demo, tmp_path, capsys, 
     assert rc == 0 or (rc == 1 and err.startswith(f"sentimetrics: error: {path}: ")), err
 
 
+@pytest.mark.parametrize(
+    "quoted, message",
+    [
+        (lambda text: '"' + text, "unexpected end of data"),
+        (lambda text: '"' + text + '"x', "',' expected after '\"'"),
+    ],
+    ids=["left-open", "text-after-the-closing-quote"],
+)
+def test_a_bad_quote_in_a_last_field_names_its_row(demo, tmp_path, capsys, quoted, message):
+    """A quote left open would take in the rest of the file; text after a closing one
+    would be glued onto the field."""
+    data, raw = demo
+    path = tmp_path / raw["transcripts_csv"]
+    lines = (data / raw["transcripts_csv"]).read_text("utf-8").split("\n")
+    content_id, day, text = lines[5].split(",")
+    lines[5] = ",".join([content_id, day, quoted(text)])
+    path.write_text("\n".join(lines), "utf-8")
+    shutil.copytree(data / "out", tmp_path / "out")
+    cfg = _config(tmp_path, data, raw, transcripts_csv=str(path))
+    for stage in ("ingest", "sentiment"):
+        assert main([stage, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"sentimetrics: error: {path}: row 6: {message}\n"
+
+
 def test_a_word_in_both_lexicons_names_both_files(demo, tmp_path, capsys):
     data, raw = demo
     pos, neg = (tmp_path / raw[key] for key in ("lexicon_positive_txt", "lexicon_negative_txt"))

@@ -227,22 +227,22 @@ def test_trading_calendar_weekdays_only():
 
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="10 days"):
-        SynthConfig(n_days=5).validate()
+        SynthConfig(n_days=5)
     with pytest.raises(ValueError, match="12"):
-        SynthConfig(n_firms=8, factor_construction=True, n_events=5).validate()
+        SynthConfig(n_firms=8, factor_construction=True, n_events=5)
     with pytest.raises(ValueError, match="odd"):
-        SynthConfig(sentiment_draws=20).validate()
+        SynthConfig(sentiment_draws=20)
     with pytest.raises(ValueError, match="distinct firms"):
-        SynthConfig(n_firms=3, n_events=4).validate()
+        SynthConfig(n_firms=3, n_events=4)
     with pytest.raises(ValueError, match="room"):
-        SynthConfig(n_days=100, n_events=1, event_history=90, event_tail=20).validate()
+        SynthConfig(n_days=100, n_events=1, event_history=90, event_tail=20)
     with pytest.raises(ValueError, match="zero_return_rate"):
-        SynthConfig(zero_return_rate=1.0).validate()
+        SynthConfig(zero_return_rate=1.0)
     with pytest.raises(ValueError, match="signal_n"):
-        SynthConfig(signal_n=0).validate()
+        SynthConfig(signal_n=0)
     with pytest.raises(ValueError, match="event_polarity"):
-        SynthConfig(event_polarity="mixed").validate()
-    SynthConfig().validate()  # defaults are sound
+        SynthConfig(event_polarity="mixed")
+    SynthConfig()  # defaults are sound
 
 
 # ---------------------------------------------------------------------------

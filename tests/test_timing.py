@@ -293,6 +293,14 @@ def test_backtest_without_overlap_errors():
         backtest_strategy(series, cal, np.zeros(5), lag=2)
 
 
+@pytest.mark.parametrize("run", [r2_scan, backtest_strategy], ids=["r2_scan", "backtest"])
+def test_market_returns_off_the_calendar_are_rejected(run):
+    cal = weekdays(date(2022, 1, 3), 5)
+    series = _mk_signal(cal, [1, 0, 1], n=1)
+    with pytest.raises(ValueError, match="market_returns must align one-to-one with the calendar"):
+        run([series] if run is r2_scan else series, cal, np.zeros(4), lag=1)
+
+
 def test_equity_curves_compound():
     cal = weekdays(date(2022, 1, 3), 4)
     market = np.array([0.0, 0.0, 0.1, -0.5])
