@@ -16,7 +16,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field
 from datetime import date
 from pathlib import Path
 try:
@@ -49,7 +49,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     config_path: Path
     out_dir: Path
@@ -68,10 +68,6 @@ class RunConfig:
     rebalance_month: int = 7
     rebalance_day: int = 1
     min_breakpoint_stocks: int = 6
-    _panel: factormod.SecurityPanel | None = dc_field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _days: corpus.Days | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.signal_mode not in (timing.INCLUSIVE, timing.EXCLUSIVE):
@@ -90,25 +86,11 @@ class RunConfig:
             raise ValueError(f"'rebalance_month' must be in 1..12, got {self.rebalance_month}")
         try:
             date(2001, self.rebalance_month, self.rebalance_day)
-        except ValueError:
+        except (ValueError, OverflowError):  # a day past a C int overflows
             raise ValueError(
                 f"'rebalance_day' must be a day of month {self.rebalance_month} "
                 f"in every year, got {self.rebalance_day}"
             ) from None
-
-    def days(self, keep: bool = True) -> corpus.Days:
-        """The transcript days, built on first use; kept for a later stage of this run if `keep`."""
-        days = self._days
-        if days is None:
-            days = corpus.build_days(corpus.load_transcripts(self.inputs["transcripts_csv"]))
-        self._days = days if keep else None
-        return days
-
-    def panel(self) -> factormod.SecurityPanel:
-        """The security panel, parsed on first use and shared by the later stages of this run."""
-        if self._panel is None:
-            self._panel = factormod.load_panel(self.inputs["panel_csv"])
-        return self._panel
 
     def input_path(self, key: str, stage: str) -> Path:
         p = self.inputs.get(key)
@@ -119,16 +101,13 @@ class RunConfig:
 
 # The JSON type of every config key, stated once: the input paths, the output
 # directory and the RunConfig parameters (`window` recurses into the fields of
-# EventWindowConfig); the in-run caches are not __init__ fields, so never keys.
+# EventWindowConfig).
 _CONFIG_KINDS = {
     **dict.fromkeys(INPUT_KEYS, str | None),
+    **typing.get_type_hints(RunConfig),
     "out_dir": str,
-    **{
-        f.name: typing.get_type_hints(RunConfig)[f.name]
-        for f in fields(RunConfig)
-        if f.init and f.name not in ("config_path", "out_dir", "inputs")
-    },
 }
+del _CONFIG_KINDS["config_path"], _CONFIG_KINDS["inputs"]
 
 
 def _is_int(value) -> bool:
@@ -136,10 +115,18 @@ def _is_int(value) -> bool:
 
 
 def _json_object(path: Path, what: str) -> dict:
+    def unique(pairs: list) -> dict:  # json.loads alone keeps the last value of a repeated key
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key '{key}'")
+            obj[key] = value
+        return obj
+
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
     try:
-        raw = json.loads("".join(tables.read_lines(path)))
+        raw = json.loads("".join(tables.read_lines(path)), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
@@ -168,7 +155,8 @@ _KINDS = {
     str: ("a string", lambda v: isinstance(v, str), str),
     str | None: ("a string or null", lambda v: v is None or isinstance(v, str), lambda v: v),
     int: ("an integer", _is_int, int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float), float),
+    # abs(v) <= max turns down NaN, the infinities and an int that no float can hold.
+    float: ("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, float),
     tuple[int, int]: (
         "a pair of integers",
         lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
@@ -228,9 +216,26 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 # Stages.  Each returns {filename: row_count} plus optional notes for the manifest.
 
 
-def stage_ingest(cfg: RunConfig) -> dict:
+class Parses(dict):
+    """One run's parse of each input that two stages read, by config key, made on a
+    stage's first use; run_stages drops it after the run's last stage that needs it."""
+
+    parsers = {  # load_panel and build_days are looked up at each call, so a wrapper runs
+        "panel_csv": lambda path: factormod.load_panel(path),
+        "transcripts_csv": lambda path: corpus.build_days(corpus.load_transcripts(path)),
+    }
+
+    def __init__(self, inputs: dict[str, Path | None]):
+        super().__init__()
+        self.inputs = inputs
+
+    def __missing__(self, key: str):
+        return self.setdefault(key, self.parsers[key](self.inputs[key]))
+
+
+def stage_ingest(cfg: RunConfig, parsed: Parses) -> dict:
     """Tokenize transcripts and count firm mentions."""
-    days = cfg.days()
+    days = parsed["transcripts_csv"]
     dictionary = corpus.load_firm_dictionary(
         cfg.inputs["firm_names_csv"], cfg.inputs["exclusions_txt"]
     )
@@ -246,9 +251,9 @@ def stage_ingest(cfg: RunConfig) -> dict:
     return {"rows": {"days.csv": n_days, "mentions.csv": n_mentions}}
 
 
-def stage_sentiment(cfg: RunConfig) -> dict:
+def stage_sentiment(cfg: RunConfig, parsed: Parses) -> dict:
     """Score daily sentiment and emit stock mention events."""
-    days = cfg.days(keep=False)
+    days = parsed["transcripts_csv"]
     lexicon = sentiment.load_lexicon(
         cfg.inputs["lexicon_positive_txt"], cfg.inputs["lexicon_negative_txt"]
     )
@@ -266,11 +271,11 @@ def stage_sentiment(cfg: RunConfig) -> dict:
     }
 
 
-def stage_factors(cfg: RunConfig) -> dict:
+def stage_factors(cfg: RunConfig, parsed: Parses) -> dict:
     """Load or construct the factor series and controls."""
     provided = cfg.inputs["factors_csv"]
     rf_path = cfg.input_path("rf_csv", "factors") if provided is None else None
-    panel = cfg.panel()
+    panel = parsed["panel_csv"]
     if provided is not None:
         series = factormod.read_factors_csv(provided)
         source = "file"
@@ -301,12 +306,12 @@ def stage_factors(cfg: RunConfig) -> dict:
     }
 
 
-def stage_eventstudy(cfg: RunConfig) -> dict:
+def stage_eventstudy(cfg: RunConfig, parsed: Parses) -> dict:
     """Estimate exposures and pool abnormal returns."""
     table = tables.read_table(cfg.out_dir / "events.csv", tables.EVENTS)
     events = [sentiment.StockSentimentEvent(*row) for row in zip(*table.values())]
     series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
-    run = eventstudy.run_event_study(events, cfg.panel(), series, cfg.window)
+    run = eventstudy.run_event_study(events, parsed["panel_csv"], series, cfg.window)
 
     study_rows = [
         (group, *day)
@@ -335,7 +340,9 @@ def _signals(
     observations = timing.timing_observations([sentiment.SentimentObservation(*r) for r in rows])
     signals = [timing.build_signal(observations, n, mode=cfg.signal_mode) for n in ns]
     first = min((sig.dates[0] for sig in signals if sig.dates), default=None)
-    if first and factormod.roll_forward(calendar, [first])[0] + cfg.signal_lag >= len(calendar):
+    if first and (  # in Python ints: a lag past int64 is this error, not an OverflowError
+        int(factormod.roll_forward(calendar, [first])[0]) + cfg.signal_lag >= len(calendar)
+    ):
         raise ConfigError(
             f"{cfg.config_path}: 'signal_lag' is {cfg.signal_lag}: no signal day lagged by it "
             f"falls on the {len(calendar)} days of {name}"
@@ -343,7 +350,7 @@ def _signals(
     return signals, f"only {len(observations)} sentiment days are usable: the signal is empty"
 
 
-def stage_timing(cfg: RunConfig) -> dict:
+def stage_timing(cfg: RunConfig, parsed: Parses) -> dict:
     """Build signals, scan correlations, run backtests."""
     series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
     calendar = series.dates
@@ -391,7 +398,7 @@ def stage_timing(cfg: RunConfig) -> dict:
     return out
 
 
-def stage_regress(cfg: RunConfig) -> dict:
+def stage_regress(cfg: RunConfig, parsed: Parses) -> dict:
     """Fit the five market-direction regressions."""
     series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
     controls = factormod.read_controls_csv(cfg.out_dir / "controls.csv")
@@ -424,8 +431,8 @@ def stage_regress(cfg: RunConfig) -> dict:
 
 
 class Stage(typing.NamedTuple):
-    func: typing.Callable[[RunConfig], dict]
-    needs: tuple[str, ...]  # the config inputs it cannot run without
+    func: typing.Callable[[RunConfig, Parses], dict]
+    needs: tuple[str, ...]  # the config inputs it cannot run without; the only Parses keys it uses
     reads: tuple[str, ...]  # files of the output directory
     writes: tuple[str, ...]
 
@@ -509,7 +516,8 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
     infos: dict[str, dict] = {}
     mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in KiB; bytes on macOS
     reaped = resource and resource.getrusage(resource.RUSAGE_CHILDREN)[:3]  # times, maxrss
-    for name in stages:
+    parsed = Parses(cfg.inputs)
+    for i, name in enumerate(stages):
         for file in STAGES[name].reads:
             if not (cfg.out_dir / file).exists():
                 raise ConfigError(
@@ -518,7 +526,7 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
         for key in STAGES[name].needs:
             cfg.input_path(key, name)
         started = time.perf_counter()
-        infos[name] = STAGE_FUNCS[name](cfg)
+        infos[name] = STAGE_FUNCS[name](cfg, parsed)
         done = f"{PROG}: {name}: done in {time.perf_counter() - started:.2f} s"
         if resource is not None:  # the high-water marks so far: the process's, its children's
             done += f", peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / mb:.1f} MB"
@@ -526,6 +534,8 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
             if children[:3] != reaped:  # a child has been reaped during this run
                 done += f", workers {children.ru_maxrss / mb:.1f} MB"
         print(done, file=sys.stderr)
+        for key in parsed.keys() - {k for rest in stages[i + 1 :] for k in STAGES[rest].needs}:
+            del parsed[key]  # no later stage of this run needs it
     _write_manifest(cfg, infos, reset=(stages == STAGE_ORDER))
 
 

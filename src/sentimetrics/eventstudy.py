@@ -40,7 +40,7 @@ class RankDeficientDesignError(ValueError):
     """The lead/lag factor design matrix is rank deficient."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventWindowConfig:
     est_start: int = -273
     est_end: int = -21

@@ -5,6 +5,7 @@ import json
 import re
 import shutil
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError, asdict, fields
 from pathlib import Path
 
@@ -324,6 +325,42 @@ def test_synth_override_file_that_is_not_json_names_the_file(tmp_path, capsys, r
     assert capsys.readouterr().err.startswith(f"sentimetrics: error: {overrides}: {message}")
 
 
+@pytest.mark.parametrize(
+    "key, number",
+    [
+        ("signal_strength", "NaN"),
+        ("event_effect", "NaN"),
+        ("market_vol", "Infinity"),
+        pytest.param("market_vol", "1" + "0" * 400, id="market_vol-400-digits"),
+    ],
+)
+def test_a_synth_number_a_float_cannot_hold_names_file_and_key(tmp_path, capsys, key, number):
+    p = tmp_path / "s.json"
+    p.write_text(f'{{"{key}": {number}}}', encoding="utf-8")
+    assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "7", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == (
+        f"sentimetrics: error: {p}: '{key}' must be a number, got {number}\n"
+    )
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("all", '{"signal_lag": 9, "signal_lag": 2}', "signal_lag"),
+        ("all", '{"window": {"evt_len": 30, "evt_len": 20}}', "evt_len"),
+        ("synth", '{"n_events": 3, "n_firms": 6, "n_events": 4}', "n_events"),
+    ],
+)
+def test_a_repeated_json_key_is_an_error(tmp_path, capsys, command, text, key):
+    """json.loads alone would keep the last value without a word."""
+    p = tmp_path / "c.json"
+    p.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(p), "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err == f"sentimetrics: error: {p}: duplicate key '{key}'\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_synth_overrides_accept_ints_for_floats_dates_and_pairs(tmp_path):
     overrides = tmp_path / "s.json"
     overrides.write_text(
@@ -371,7 +408,33 @@ def test_all_reads_and_tokenizes_the_transcripts_once(tmp_path, monkeypatch):
         monkeypatch.setattr(corpus, name, counted)
     run_stages(cfg, STAGE_ORDER)
     assert calls == ["load_transcripts", "build_days"]
-    assert cfg._days is None  # sentiment releases the days
+
+
+def test_all_frees_each_shared_parse_after_the_last_stage_that_needs_it(
+    demo7, tmp_path, monkeypatch
+):
+    refs = {}
+    for module, name in ((factors, "load_panel"), (corpus, "build_days")):
+
+        def kept(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            parse = _fn(*args, **kwargs)
+            refs[_name] = weakref.ref(parse)
+            return parse
+
+        monkeypatch.setattr(module, name, kept)
+    alive = {}
+    for stage, name in [("sentiment", "build_days"), ("factors", "build_days")] + [
+        (stage, "load_panel") for stage in ("eventstudy", "timing")
+    ]:
+
+        def checked(cfg, parsed, _fn=cli.STAGE_FUNCS[stage], _stage=stage, _name=name):
+            alive[_stage] = refs[_name]() is not None
+            return _fn(cfg, parsed)
+
+        monkeypatch.setitem(cli.STAGE_FUNCS, stage, checked)
+    cfg_path = demo7 / "run_config.json"
+    assert main(["all", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert alive == {"sentiment": True, "factors": False, "eventstudy": True, "timing": False}
 
 
 def test_lone_ingest_then_lone_sentiment_write_the_bytes_of_all(pipeline, tmp_path):
@@ -541,6 +604,25 @@ def test_a_synth_config_cannot_change_after_its_check():
     cfg = synthetic.SynthConfig()
     with pytest.raises(FrozenInstanceError):
         cfg.sentiment_draws = 4
+
+
+def test_a_run_config_and_its_window_cannot_change_after_their_checks(tmp_path):
+    cfg = RunConfig(config_path=tmp_path, out_dir=tmp_path / "out", inputs={})
+    with pytest.raises(FrozenInstanceError):
+        cfg.signal_lag = -1
+    with pytest.raises(FrozenInstanceError):
+        cfg.window.evt_len = -5
+
+
+def test_a_rebalance_day_past_a_c_int_is_a_range_error(tmp_path, capsys):
+    day = 10**30
+    message = f"'rebalance_day' must be a day of month 7 in every year, got {day}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(config_path=tmp_path, out_dir=tmp_path / "out", inputs={}, rebalance_day=day)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"rebalance_day": day}), encoding="utf-8")
+    assert main(["all", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == f"sentimetrics: error: {p}: {message}\n"
 
 
 def test_a_fit_that_fails_in_regress_names_its_specification(tmp_path, capsys):
@@ -1032,6 +1114,17 @@ def test_timing_names_a_signal_lag_that_leaves_no_day_on_the_factors(demo7, tmp_
         assert (data / "out" / name).read_bytes() == (demo7 / "out" / name).read_bytes()
 
 
+@pytest.mark.parametrize("stage, name", [("timing", "factors.csv"), ("regress", "controls.csv")])
+def test_a_signal_lag_past_int64_names_the_key(demo7, tmp_path, capsys, stage, name):
+    cfg_path = _reconfigured(demo7, tmp_path, signal_lag=10**30)
+    n_days = len((cfg_path.parent / "out" / name).read_text(encoding="utf-8").splitlines()) - 1
+    assert main([stage, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"sentimetrics: error: {cfg_path}: 'signal_lag' is {10**30}: no signal day lagged by it "
+        f"falls on the {n_days} days of {name}\n"
+    )
+
+
 def _only_n(path: Path, column: str, ns: set[int]) -> list[str]:
     """The header and the rows of the table at `path` whose `column` is one of `ns`."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -1195,7 +1288,7 @@ def test_run_stages_calls_each_stage_through_stage_funcs(demo7, tmp_path, monkey
     calls = []
     for name in STAGE_ORDER:
 
-        def swapped(cfg, _name=name):
+        def swapped(cfg, parsed, _name=name):
             calls.append((_name, cfg))
             return {"rows": {}}
 
@@ -1219,3 +1312,21 @@ def test_the_parser_offers_each_stage_with_its_help_text():
         "all": "run every stage in dependency order",
         "synth": "generate a seeded synthetic dataset",
     }
+
+
+@pytest.mark.parametrize("stage", STAGE_ORDER)
+def test_a_stage_asks_the_run_only_for_the_inputs_it_declares(demo7, tmp_path, stage):
+    """run_stages frees a shared parse after the last stage that declares its input, so an
+    undeclared use would parse the input again or find it gone."""
+    out = tmp_path / "out"
+    shutil.copytree(demo7 / "out", out)
+    cfg = load_config(demo7 / "run_config.json", str(out))
+    asked = set()
+
+    class Recording(cli.Parses):
+        def __getitem__(self, key):
+            asked.add(key)
+            return super().__getitem__(key)
+
+    cli.STAGE_FUNCS[stage](cfg, Recording(cfg.inputs))
+    assert asked <= set(STAGES[stage].needs)
