@@ -311,6 +311,11 @@ def stage_eventstudy(cfg: RunConfig, parsed: Parses) -> dict:
     table = tables.read_table(cfg.out_dir / "events.csv", tables.EVENTS)
     events = [sentiment.StockSentimentEvent(*row) for row in zip(*table.values())]
     series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
+    if cfg.window.evt_len >= len(series.dates):  # more relative days than the calendar has
+        raise ConfigError(
+            f"{cfg.config_path}: 'evt_len' is {cfg.window.evt_len}: no event window that long "
+            f"fits on the {len(series.dates)} days of factors.csv"
+        )
     run = eventstudy.run_event_study(events, parsed["panel_csv"], series, cfg.window)
 
     study_rows = [
@@ -506,9 +511,7 @@ def _write_manifest(cfg: RunConfig, stage_infos: dict[str, dict], reset: bool) -
         "inputs": {key: _sha256(p) for key, p in sorted(cfg.inputs.items()) if p is not None},
         "stages": stages,
     }
-    with manifest_path.open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(manifest_path, manifest)
 
 
 def run_stages(cfg: RunConfig, stages: list[str]) -> None:
@@ -568,9 +571,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         signal_lag=cfg.signal_lag,
         regression_n=cfg.signal_n,
     )
-    with (out / "run_config.json").open("w", encoding="utf-8") as fh:
-        json.dump(run_config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(out / "run_config.json", run_config)
     print(f"{PROG}: synth: dataset written to {out}", file=sys.stderr)
     return 0
 

@@ -138,10 +138,14 @@ def build_design(columns: dict[str, np.ndarray], response: np.ndarray) -> Design
     return DesignMatrix(column_names=names, x=x[keep], y=response[keep], n_dropped=n_dropped)
 
 
-def _check_rank(x: np.ndarray, terms: list[str]) -> None:
-    p = x.shape[1]
+def _full_rank(design: DesignMatrix) -> np.ndarray:
+    """The design with its intercept column, once it has more rows than columns and full rank."""
+    x = design.full_matrix()
+    n, p = x.shape
+    if n <= p:
+        raise EmptySampleError(f"need more than {p} observations, have {n}")
     if np.linalg.matrix_rank(x) == p:
-        return
+        return x
     # Walk the columns; any column not raising the rank is redundant with its
     # predecessors.  p is small here, so repeated rank calls are cheap.
     bad = []
@@ -149,40 +153,42 @@ def _check_rank(x: np.ndarray, terms: list[str]) -> None:
     for j in range(p):
         r = np.linalg.matrix_rank(x[:, : j + 1])
         if r == rank:
-            bad.append(terms[j])
+            bad.append(design.terms[j])
         rank = r
-    raise CollinearityError(bad or terms)
+    raise CollinearityError(bad or design.terms)
 
 
-def fit_ols(design: DesignMatrix, robust: bool = False) -> RegressionResult:
-    """Least-squares fit with classical (or, on request, HC1 sandwich) errors."""
-    x = design.full_matrix()
-    y = design.y
-    n, p = x.shape
-    if n <= p:
-        raise EmptySampleError(f"need more than {p} observations, have {n}")
-    _check_rank(x, design.terms)
-    beta, _res, _rank, _sv = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta
-    dof = n - p
-    sigma2 = float(resid @ resid) / dof
-    xtx_inv = np.linalg.inv(x.T @ x)
-    if robust:
-        meat = (x * (resid**2)[:, None]).T @ x
-        cov = xtx_inv @ meat @ xtx_inv * (n / dof)
-    else:
-        cov = sigma2 * xtx_inv
+def _sandwich(x: np.ndarray, bread: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """The heteroskedasticity-robust covariance bread @ X'diag(resid**2)X @ bread."""
+    return bread @ ((x * (resid**2)[:, None]).T @ x) @ bread
+
+
+def _result(model: str, design: DesignMatrix, beta: np.ndarray, cov: np.ndarray, **fit):
+    """The RegressionResult of estimates `beta` with covariance `cov`; `fit` adds the rest."""
     se = np.sqrt(np.diag(cov))
     return RegressionResult(
-        model=OLS,
+        model=model,
         terms=design.terms,
         estimates=beta,
         std_errs=se,
         t_values=beta / se,
-        n_obs=n,
+        n_obs=design.n_obs,
         n_dropped=design.n_dropped,
-        residual_variance=sigma2,
+        **fit,
     )
+
+
+def fit_ols(design: DesignMatrix, robust: bool = False) -> RegressionResult:
+    """Least-squares fit with classical (or, on request, HC1 sandwich) errors."""
+    x = _full_rank(design)
+    n, p = x.shape
+    beta, _res, _rank, _sv = np.linalg.lstsq(x, design.y, rcond=None)
+    resid = design.y - x @ beta
+    dof = n - p
+    sigma2 = float(resid @ resid) / dof
+    xtx_inv = np.linalg.inv(x.T @ x)
+    cov = _sandwich(x, xtx_inv, resid) * (n / dof) if robust else sigma2 * xtx_inv
+    return _result(OLS, design, beta, cov, residual_variance=sigma2)
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -193,6 +199,11 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     ex = np.exp(eta[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _information(x: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """The logit information X'diag(prob * (1 - prob))X, the IRLS system's matrix."""
+    return (x * (prob * (1.0 - prob))[:, None]).T @ x
 
 
 def logit_log_likelihood(design: DesignMatrix, beta: np.ndarray) -> float:
@@ -207,27 +218,20 @@ def fit_logit(design: DesignMatrix, robust: bool = False) -> RegressionResult:
     after 100 iterations, flagged unconverged).  A coefficient norm above
     1e4 mid-iteration is treated as perfect separation.
     """
-    x = design.full_matrix()
     y = design.y
-    n, p = x.shape
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logit response must be {0,1}")
     if y.min() == y.max():
         raise DegenerateResponseError("response has a single class; logit MLE does not exist")
-    if n <= p:
-        raise EmptySampleError(f"need more than {p} observations, have {n}")
-    _check_rank(x, design.terms)
+    x = _full_rank(design)
 
-    beta = np.zeros(p)
+    beta = np.zeros(x.shape[1])
     converged = False
     n_iter = 0
     for n_iter in range(1, LOGIT_MAX_ITER + 1):
         prob = _sigmoid(x @ beta)
-        w = prob * (1.0 - prob)
-        grad = x.T @ (y - prob)
-        hess = (x * w[:, None]).T @ x
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(_information(x, prob), x.T @ (y - prob))
         except np.linalg.LinAlgError:
             raise PerfectSeparationError(
                 "singular information matrix during iteration; data are separated"
@@ -242,23 +246,13 @@ def fit_logit(design: DesignMatrix, robust: bool = False) -> RegressionResult:
             break
 
     prob = _sigmoid(x @ beta)
-    w = prob * (1.0 - prob)
-    info = (x * w[:, None]).T @ x
-    info_inv = np.linalg.inv(info)
-    if robust:
-        meat = (x * ((y - prob) ** 2)[:, None]).T @ x
-        cov = info_inv @ meat @ info_inv
-    else:
-        cov = info_inv
-    se = np.sqrt(np.diag(cov))
-    return RegressionResult(
-        model=LOGIT,
-        terms=design.terms,
-        estimates=beta,
-        std_errs=se,
-        t_values=beta / se,
-        n_obs=n,
-        n_dropped=design.n_dropped,
+    info_inv = np.linalg.inv(_information(x, prob))
+    cov = _sandwich(x, info_inv, y - prob) if robust else info_inv
+    return _result(
+        LOGIT,
+        design,
+        beta,
+        cov,
         converged=converged,
         n_iter=n_iter,
         log_likelihood=logit_log_likelihood(design, beta),

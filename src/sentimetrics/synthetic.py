@@ -194,6 +194,26 @@ class SynthConfig:
                 f"signal_n + signal_lag must be below n_days ({self.n_days}), got "
                 f"{self.signal_n} + {self.signal_lag}: the planted signal would be empty"
             )
+        lows = {"n_events": 0, "event_history": 0, "event_tail": 0, "lexicon_positive": 1,
+                "lexicon_negative": 1, "market_vol": 0.0, "factor_vol": 0.0, "idio_vol": 0.0}
+        for key, least in lows.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"'{key}' must be >= {least}, got {getattr(self, key)}")
+        if not 1 <= self.min_mentions <= 4:  # a planted event names its firm 4 times
+            raise ValueError(f"'min_mentions' must be in 1..4, got {self.min_mentions}")
+        if self.effect_window[0] > self.effect_window[1]:
+            raise ValueError(f"'effect_window' must be in order, got {list(self.effect_window)}")
+        if not self.rf_daily > -1.0:
+            raise ValueError(f"'rf_daily' must be > -1, got {self.rf_daily}")
+        # trading_calendar's last day is `weeks` weeks and `weekday` days on from the Monday
+        # of start's week; the calendar steps one day past it, so it must precede date.max.
+        monday = self.start.toordinal() - self.start.weekday()
+        weeks, weekday = divmod(min(self.start.weekday(), 5) + self.n_days - 1, 5)
+        if monday + 7 * weeks + weekday >= date.max.toordinal():
+            raise ValueError(
+                f"'start' must leave room for {self.n_days} trading days before {date.max}, "
+                f"got {self.start}"
+            )
 
 
 @dataclass
@@ -539,8 +559,6 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
     for (key, walk), schema in zip(walks.items(), (tables.NSI, tables.SHORT_RATE)):
         tables.write_table(paths[key], schema, {"date": calendar, key: list(walk)[1:]})
 
-    with paths["ground_truth"].open("w", encoding="utf-8") as fh:
-        json.dump(dataset.truth.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tables.write_json(paths["ground_truth"], dataset.truth.to_json_dict())
 
     return paths

@@ -20,12 +20,14 @@ must be finite; BLANK_FLOAT may also be an empty field, which NaN and None
 are written as and which reads back as None; INT, DATE (ISO), TEXT, and
 choice(...) for one of a fixed set of strings.  A fault stops either end
 with a PanelFormatError ``<file>: row N: ...``, the header being row 1, so
-every file the pipeline writes reads back.
+every file the pipeline writes reads back.  write_json writes every JSON file
+the same way: keys sorted, an indent of 2 and a final newline.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 import operator
 from datetime import date
@@ -208,6 +210,13 @@ def write_items(path: str | Path, schema: Schema, items: Sequence) -> int:
     """write_table for a list of objects with one attribute per schema column."""
     columns = {name: [getattr(item, name) for item in items] for name in schema.columns}
     return write_table(path, schema, columns)
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write `obj` as JSON, keys sorted and indented by 2, with a final newline."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_lines(path: str | Path) -> Iterator[str]:

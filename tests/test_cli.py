@@ -7,6 +7,7 @@ import shutil
 import warnings
 import weakref
 from dataclasses import FrozenInstanceError, asdict, fields
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +249,9 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(p)
     p.write_text("not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(p)
+    p.write_text("[]", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}: top-level JSON object expected$"):
         load_config(p)
     p.write_bytes(b'{"min_mentions": 2,\n "signal_mode": "incl\xffusive"}')
     with pytest.raises(ValueError, match=re.escape(f"{p}: line 2: not UTF-8")):
@@ -588,11 +592,29 @@ def test_a_run_config_checks_its_values_when_built(tmp_path, capsys, values, mes
             "signal_n + signal_lag must be below n_days (340), got 338 + 2: "
             "the planted signal would be empty",
         ),
+        ({"n_events": -1}, "'n_events' must be >= 0, got -1"),
+        ({"event_history": -300}, "'event_history' must be >= 0, got -300"),
+        ({"event_tail": -1}, "'event_tail' must be >= 0, got -1"),
+        ({"lexicon_positive": 0}, "'lexicon_positive' must be >= 1, got 0"),
+        ({"lexicon_negative": 0}, "'lexicon_negative' must be >= 1, got 0"),
+        ({"market_vol": -0.01}, "'market_vol' must be >= 0.0, got -0.01"),
+        ({"factor_vol": -0.01}, "'factor_vol' must be >= 0.0, got -0.01"),
+        ({"idio_vol": -0.01}, "'idio_vol' must be >= 0.0, got -0.01"),
+        ({"min_mentions": 5}, "'min_mentions' must be in 1..4, got 5"),
+        ({"min_mentions": 0}, "'min_mentions' must be in 1..4, got 0"),
+        ({"effect_window": [5, 0]}, "'effect_window' must be in order, got [5, 0]"),
+        ({"rf_daily": -2.0}, "'rf_daily' must be > -1, got -2.0"),
+        ({"rf_daily": -1.0}, "'rf_daily' must be > -1, got -1.0"),
+        (
+            {"start": "9999-12-20"},
+            "'start' must leave room for 340 trading days before 9999-12-31, got 9999-12-20",
+        ),
     ],
 )
 def test_a_synth_config_checks_its_values_when_built(tmp_path, capsys, values, message):
+    as_built = {"start": date.fromisoformat, "effect_window": tuple}  # what the JSON is read as
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        synthetic.SynthConfig(**values)
+        synthetic.SynthConfig(**{k: as_built.get(k, lambda v: v)(v) for k, v in values.items()})
     p = tmp_path / "s.json"
     p.write_text(json.dumps(values), encoding="utf-8")
     assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", "--config", str(p)]) == 1
@@ -1123,6 +1145,24 @@ def test_a_signal_lag_past_int64_names_the_key(demo7, tmp_path, capsys, stage, n
         f"sentimetrics: error: {cfg_path}: 'signal_lag' is {10**30}: no signal day lagged by it "
         f"falls on the {n_days} days of {name}\n"
     )
+
+
+@pytest.mark.parametrize("evt_len", [340, 10**30])
+def test_an_event_window_longer_than_the_factor_calendar_names_the_key(
+    demo7, tmp_path, capsys, evt_len
+):
+    cfg_path = _reconfigured(demo7, tmp_path, window={"evt_len": evt_len})
+    out = cfg_path.parent / "out"
+    assert len(factors.read_factors_csv(out / "factors.csv").dates) == 340
+    written = ("event_study.csv", "event_exclusions.csv")
+    for name in written:
+        (out / name).unlink()
+    assert main(["eventstudy", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"sentimetrics: error: {cfg_path}: 'evt_len' is {evt_len}: no event window that long "
+        "fits on the 340 days of factors.csv\n"
+    )
+    assert not any((out / name).exists() for name in written)
 
 
 def _only_n(path: Path, column: str, ns: set[int]) -> list[str]:

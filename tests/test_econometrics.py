@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sentimetrics.econometrics import (
+    OLS,
     CollinearityError,
     DegenerateResponseError,
     EmptySampleError,
@@ -62,6 +63,15 @@ def test_build_design_all_rows_missing_errors():
 def test_build_design_shape_mismatch_errors():
     with pytest.raises(ValueError, match="shape"):
         build_design({"x": np.zeros(3)}, np.zeros(4))
+
+
+def test_build_design_rejects_a_repeated_column_name():
+    class Repeated(dict):  # a mapping whose keys name one column twice
+        def __iter__(self):
+            return iter(["x", "x"])
+
+    with pytest.raises(ValueError, match="^duplicate design column names$"):
+        build_design(Repeated(x=np.zeros(3)), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +147,7 @@ def test_ols_collinear_column_is_named():
 
 
 def test_ols_needs_more_rows_than_params():
-    with pytest.raises(EmptySampleError):
+    with pytest.raises(EmptySampleError, match="^need more than 2 observations, have 2$"):
         fit_ols(build_design({"x": np.array([1.0, 2.0])}, np.array([1.0, 2.0])))
 
 
@@ -280,6 +290,16 @@ def test_logit_single_class_raises():
 def test_logit_rejects_noncoded_response():
     with pytest.raises(ValueError, match="\\{0,1\\}"):
         fit_logit(build_design({"x": np.arange(5.0)}, np.array([0.0, 1.0, 2.0, 1.0, 0.0])))
+
+
+def test_logit_needs_more_rows_than_params_after_its_response_checks():
+    cols = {"x": np.array([1.0, 2.0, 4.0]), "z": np.array([0.5, -1.0, 3.0])}
+    with pytest.raises(EmptySampleError, match="^need more than 3 observations, have 3$"):
+        fit_logit(build_design(cols, np.array([0.0, 1.0, 0.0])))
+    with pytest.raises(DegenerateResponseError):
+        fit_logit(build_design(cols, np.ones(3)))
+    with pytest.raises(ValueError, match="\\{0,1\\}"):
+        fit_logit(build_design(cols, np.array([0.0, 1.0, 2.0])))
 
 
 def test_logit_collinearity_raises():
@@ -505,6 +525,20 @@ def test_render_report_flags_unconverged_fits():
     clean = render_report(TimingRegressionSet(logit=converged, signal_n=10, lag=2))
     assert "converged" not in clean
     assert text.startswith(clean[:-1])
+
+
+def test_render_report_of_a_model_without_fits_errors():
+    regset = TimingRegressionSet(logit={"1": _logit_result(True, 6)}, signal_n=10, lag=2)
+    with pytest.raises(ValueError, match="^no ols results to render$"):
+        render_report(regset, model=OLS)
+
+
+def test_an_unknown_term_is_a_key_error_naming_the_terms():
+    result = _logit_result(True, 6)
+    for lookup in (result.coef, result.t_of):
+        with pytest.raises(KeyError) as exc_info:
+            lookup("d_nsi")
+        assert exc_info.value.args == ("no term 'd_nsi' in result (intercept, signal)",)
 
 
 def test_regressions_csv_roundtrip(tmp_path):

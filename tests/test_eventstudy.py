@@ -204,6 +204,17 @@ def test_event_index_off_calendar_errors(event_idx):
         compute_ar(est, excess, factors, SHORT_WINDOW, event_idx)
 
 
+def test_excess_returns_off_the_factor_calendar_error():
+    factors = _factors(100, seed=8)
+    est = ExposureEstimate("F", 0.0, np.zeros(15), 0, 0.0)
+    message = "^excess returns must align one-to-one with the factor calendar$"
+    for excess in (np.zeros(99), np.zeros(101)):
+        with pytest.raises(ValueError, match=message):
+            estimate_exposures(excess, factors, SHORT_WINDOW, 80)
+        with pytest.raises(ValueError, match=message):
+            compute_ar(est, excess, factors, SHORT_WINDOW, 80)
+
+
 # ---------------------------------------------------------------------------
 # Abnormal returns
 
