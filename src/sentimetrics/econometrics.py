@@ -164,14 +164,18 @@ def _sandwich(x: np.ndarray, bread: np.ndarray, resid: np.ndarray) -> np.ndarray
 
 
 def _result(model: str, design: DesignMatrix, beta: np.ndarray, cov: np.ndarray, **fit):
-    """The RegressionResult of estimates `beta` with covariance `cov`; `fit` adds the rest."""
-    se = np.sqrt(np.diag(cov))
+    """The RegressionResult of estimates `beta` with covariance `cov`; `fit` adds the rest.
+
+    A standard error and t-value whose variance is not positive and finite are NaN."""
+    var = np.diag(cov)
+    defined = np.isfinite(var) & (var > 0.0)
+    se = np.sqrt(var, out=np.full_like(beta, np.nan), where=defined)
     return RegressionResult(
         model=model,
         terms=design.terms,
         estimates=beta,
         std_errs=se,
-        t_values=beta / se,
+        t_values=np.divide(beta, se, out=np.full_like(beta, np.nan), where=defined),
         n_obs=design.n_obs,
         n_dropped=design.n_dropped,
         **fit,
@@ -216,7 +220,8 @@ def fit_logit(design: DesignMatrix, robust: bool = False) -> RegressionResult:
 
     Stops when the max absolute coefficient change drops below 1e-10 (or
     after 100 iterations, flagged unconverged).  A coefficient norm above
-    1e4 mid-iteration is treated as perfect separation.
+    1e4 mid-iteration, or a singular information matrix, is treated as
+    perfect separation.
     """
     y = design.y
     if not np.all((y == 0.0) | (y == 1.0)):
@@ -228,25 +233,22 @@ def fit_logit(design: DesignMatrix, robust: bool = False) -> RegressionResult:
     beta = np.zeros(x.shape[1])
     converged = False
     n_iter = 0
-    for n_iter in range(1, LOGIT_MAX_ITER + 1):
-        prob = _sigmoid(x @ beta)
-        try:
+    try:
+        for n_iter in range(1, LOGIT_MAX_ITER + 1):
+            prob = _sigmoid(x @ beta)
             step = np.linalg.solve(_information(x, prob), x.T @ (y - prob))
-        except np.linalg.LinAlgError:
-            raise PerfectSeparationError(
-                "singular information matrix during iteration; data are separated"
-            ) from None
-        beta = beta + step
-        if np.linalg.norm(beta) > SEPARATION_NORM:
-            raise PerfectSeparationError(
-                f"coefficient norm exceeded {SEPARATION_NORM:g}; data are separated"
-            )
-        if np.max(np.abs(step)) < LOGIT_TOL:
-            converged = True
-            break
-
-    prob = _sigmoid(x @ beta)
-    info_inv = np.linalg.inv(_information(x, prob))
+            beta = beta + step
+            if np.linalg.norm(beta) > SEPARATION_NORM:
+                raise PerfectSeparationError(
+                    f"coefficient norm exceeded {SEPARATION_NORM:g}; data are separated"
+                )
+            if np.max(np.abs(step)) < LOGIT_TOL:
+                converged = True
+                break
+        prob = _sigmoid(x @ beta)
+        info_inv = np.linalg.inv(_information(x, prob))
+    except np.linalg.LinAlgError:
+        raise PerfectSeparationError("singular information matrix; data are separated") from None
     cov = _sandwich(x, info_inv, y - prob) if robust else info_inv
     return _result(
         LOGIT,

@@ -166,9 +166,10 @@ def _plain_layout(path: Path, parts: int) -> tuple[bool, int, list[tuple[int, in
             while targets and (end := chunk.find(b"\n", max(targets[0] - base, 0)) + 1):
                 cuts.append((base + end, lines + chunk.count(b"\n", 0, end) - 1))
                 targets.pop(0)
-            lines += chunk.count(b"\n")
-            commas += chunk.count(b",")
-            quotes += chunk.count(b'"')
+            data = np.frombuffer(chunk, np.uint8)
+            lines += int(np.count_nonzero(data == ord("\n")))
+            commas += int(np.count_nonzero(data == ord(",")))
+            quotes += int(np.count_nonzero(data == ord('"')))
             last = chunk[-1:]
     lines += last != b"\n"
     plain = quotes == 0 and commas == (len(PANEL_COLUMNS) - 1) * lines
@@ -183,13 +184,13 @@ def _range_count() -> int:
     return min(2, len(os.sched_getaffinity(0))) if usable else 1
 
 
-def _parse_range(path: Path, offset: int, ids: np.ndarray, values: np.ndarray, conn=None):
-    """Parse the ids.shape[1] lines from byte `offset` into `ids` and `values`.
+def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=None):
+    """Parse the ids.shape[1] lines from byte `offset` into `ids` and the six 1-D `values`.
 
     _BLOCK_ROWS lines a structured np.loadtxt call; text cells get ids from one
-    first-seen dict per column.  Returns the dicts, or None when a block fails;
-    given `conn`, sends their keys down it instead, and nothing on a failure."""
-    seen, n_rows = [{} for _ in _TEXT_COLUMNS], ids.shape[1]
+    first-seen dict per column.  Stops at the first block that fails and returns
+    (the dicts, the rows parsed); given `conn`, sends (their keys, the rows) down it."""
+    seen, n_rows, done = [{} for _ in _TEXT_COLUMNS], ids.shape[1], 0
     with path.open(encoding="utf-8", newline="\n") as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
         fh.buffer.seek(offset)  # before the first read, so the text starts at `offset`
@@ -199,31 +200,34 @@ def _parse_range(path: Path, offset: int, ids: np.ndarray, values: np.ndarray, c
             try:
                 block = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
             except ValueError:
-                return None
+                break
             if len(block) != stop - start:  # loadtxt skipped a blank line
-                return None
+                break
             for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
                 row_ids[start:stop] = [s.setdefault(c, len(s)) for c in block[PANEL_COLUMNS[j]]]
-            values[:, start:stop] = [block[PANEL_COLUMNS[j]] for j in _FLOAT_COLUMNS]
-    return seen if conn is None else conn.send([list(s) for s in seen])
+            for field, j in zip(values, _FLOAT_COLUMNS):
+                field[start:stop] = block[PANEL_COLUMNS[j]]
+            done = stop
+    return (seen, done) if conn is None else conn.send(([list(s) for s in seen], done))
 
 
 def _read_columns_fast(path: Path):
-    """(text columns, 6 x rows floats, None), or None when the file needs the row-by-row reader.
+    """(text columns, six row floats, error), or None when the file is not plain.
 
     This process parses the first range _plain_layout cut and a forked child each
     other range, into arrays in anonymous shared memory (MAP_SHARED).  The ranges'
-    first-seen cells are merged in file order, so the result is what one pass gives."""
+    first-seen cells are merged in file order, so the result is what one pass gives.
+    From a block that fails on, the row-by-row reader reads the file."""
     plain, n_rows, cuts = _plain_layout(path, _range_count())
     if not plain:
         return None
     if n_rows < 2 * _BLOCK_ROWS:
         cuts = cuts[:1]
     if len(cuts) == 1:
-        ids, values = np.empty((3, n_rows), np.int32), np.empty((6, n_rows))
+        ids, values = np.empty((3, n_rows), np.int32), [np.empty(n_rows) for _ in range(6)]
     else:
         ids = np.frombuffer(mmap.mmap(-1, 3 * 4 * n_rows), np.int32).reshape(3, n_rows)
-        values = np.frombuffer(mmap.mmap(-1, 6 * 8 * n_rows)).reshape(6, n_rows)
+        values = [np.frombuffer(mmap.mmap(-1, 8 * n_rows)) for _ in range(6)]
     spans = [(at, slice(lo, hi)) for (at, lo), (_, hi) in zip(cuts, cuts[1:] + [(0, n_rows)])]
     if len(spans) > 1:
         import multiprocessing  # here, not at the top: it adds over 0.6 MB to an importer's RSS
@@ -233,58 +237,64 @@ def _read_columns_fast(path: Path):
     try:
         for at, rows in spans[1:]:
             recv, send = fork.Pipe(duplex=False)
-            args = (path, at, ids[:, rows], values[:, rows], send)
+            args = (path, at, ids[:, rows], [v[rows] for v in values], send)
             child = fork.Process(target=_parse_range, args=args)
             child.start()
             children.append((child, recv))
             send.close()
         at, rows = spans[0]
-        keys.append(_parse_range(path, at, ids[:, rows], values[:, rows]))
+        keys.append(_parse_range(path, at, ids[:, rows], [v[rows] for v in values]))
         keys += [recv.recv() for _child, recv in children]
-    except EOFError:  # a child ended without a result
-        keys.append(None)
+    except EOFError:  # a child ended without a result: its range parsed no row
+        keys.append(([], 0))
     finally:
         for child, recv in children:
             if len(keys) <= len(children):  # a result went unread: its child may block sending it
                 child.kill()
             child.join()
             recv.close()
-    if None in keys:
-        return None
-    seen = [{} for _ in _TEXT_COLUMNS]  # cell -> id, in first-seen order over the file
-    for (_at, rows), range_keys in zip(spans, keys):
-        for s, cells, row_ids in zip(seen, range_keys, ids):
+    seen, done = [{} for _ in _TEXT_COLUMNS], 0  # cell -> id, in first-seen order over the file
+    for (_at, rows), (range_keys, parsed) in zip(spans, keys):
+        for s, cells, row_ids in zip(seen, range_keys, ids[:, rows.start : rows.start + parsed]):
             to_file = np.array([s.setdefault(c, len(s)) for c in cells], np.int32)
-            row_ids[rows] = to_file[row_ids[rows]]
+            row_ids[:] = to_file[row_ids]
+        done = rows.start + parsed
+        if done < rows.stop:
+            return _read_columns_by_row(path, (seen, ids[:, :done], [v[:done] for v in values]))
     return list(zip(map(list, seen), ids)), values, None
 
 
-def _read_columns_by_row(path: Path):
-    """The row-by-row reader (tables.read_rows) for files the fast path declines.
+def _read_columns_by_row(path: Path, head=None):
+    """The row-by-row reader (tables.read_rows) for the rows the fast path could not read.
 
-    Stops at the first malformed row and returns the columns of the rows
-    before it together with that row's error (None if there is none)."""
-    seen, ids = [{} for _ in _TEXT_COLUMNS], [[] for _ in _TEXT_COLUMNS]
-    values, error = [], None
+    Given `head`, the first-seen dicts, ids and six float arrays of the rows a
+    plain parse read, it reads on from the next row; in a plain file one line
+    is one row.  Stops at the first malformed row and returns the columns of
+    the rows before it together with that row's error (None if there is none)."""
+    seen, head_ids, head_values = head or ([{}, {}, {}], np.empty((3, 0), np.int32), [()] * 6)
+    ids, values, error = [[] for _ in _TEXT_COLUMNS], [[] for _ in _FLOAT_COLUMNS], None
     try:
-        for lineno, row in tables.read_rows(path, PANEL_COLUMNS):
+        for lineno, row in tables.read_rows(path, PANEL_COLUMNS, skip=head_ids.shape[1]):
             _parse_date(row[1], path, lineno, "date")
             parsed = [_parse_float(row[j], path, lineno, PANEL_COLUMNS[j]) for j in _FLOAT_COLUMNS]
             for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
                 row_ids.append(s.setdefault(row[j], len(s)))
-            values.append(parsed)
+            for field, v in zip(values, parsed):
+                field.append(v)
     except PanelFormatError as exc:
         error = exc
-    values_arr = np.array(values, dtype=float).reshape(-1, len(_FLOAT_COLUMNS)).T
-    return list(zip(map(list, seen), np.array(ids, dtype=np.int32))), values_arr, error
+    ids = np.concatenate([head_ids, np.array(ids, np.int32).reshape(3, -1)], axis=1)
+    values = [np.concatenate([h, v]) for h, v in zip(head_values, values)]
+    return list(zip(map(list, seen), ids)), values, error
 
 
-def _index_rows(path: Path, columns: list, values: np.ndarray):
+def _index_rows(path: Path, columns: list, values: list):
     """Validate the parsed rows and map them to (firm, date) cells.
 
     Takes the readers' (distinct cells, each row's index into them) per text
-    column and one row of floats per field.  Returns (firms, calendar, firm_idx,
-    date_idx, main) or raises the PanelFormatError of the first offending row."""
+    column and one array of row floats per field.  Returns (firms, calendar,
+    firm_idx, date_idx, main) or raises the PanelFormatError of the first
+    offending row.  Each check's mask is built and dropped in turn."""
     (firm_keys, firm_inv), (date_keys, date_inv), (exchange_keys, exchange_inv) = columns
     firm_ids = [f.strip() for f in firm_keys]
     firms = sorted(set(firm_ids))
@@ -302,36 +312,43 @@ def _index_rows(path: Path, columns: list, values: np.ndarray):
     # An unparseable date takes the slot past the calendar; a duplicate key
     # there always comes after a row whose date check fails first.
     date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], dtype=np.intp)[date_inv]
-    bad_date = np.array([d is None for d in parsed], dtype=bool)[date_inv]
+    bad_date = np.array([d is None for d in parsed], dtype=bool)
 
     exchanges = [e.strip() for e in exchange_keys]
-    bad_exchange = np.array([e not in (MAIN, SECONDARY) for e in exchanges])[exchange_inv]
+    bad_exchange = np.array([e not in (MAIN, SECONDARY) for e in exchanges], dtype=bool)
     main = np.array([e == MAIN for e in exchanges], dtype=bool)[exchange_inv]
 
-    key = firm_idx * (len(calendar) + 1) + date_idx
-    duplicate = np.zeros(len(key), dtype=bool)
-    if len(key) and np.bincount(key).max() > 1:
-        order = np.argsort(key, kind="stable")
-        duplicate[order[1:][key[order][1:] == key[order][:-1]]] = True
+    def duplicate():
+        key = firm_idx * (len(calendar) + 1) + date_idx
+        taken = np.zeros(len(firms) * (len(calendar) + 1), dtype=bool)
+        taken[key] = True
+        mask = np.zeros(len(key), dtype=bool)
+        if np.count_nonzero(taken) < len(key):
+            order = np.argsort(key, kind="stable")
+            mask[order[1:][key[order][1:] == key[order][:-1]]] = True
+        return mask
 
     ret, cap, _be, _oi, _ta, tap = values
-    checks = [(bad_date, lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}")]
-    for j, name in enumerate(PANEL_FIELDS):
-        checks.append(
-            (~np.isfinite(values[j]), lambda r, name=name: f"field '{name}': non-finite value")
-        )
-    checks += [
-        (ret <= -1.0, lambda r: "daily_return must be > -1"),
-        (cap <= 0.0, lambda r: "market_cap must be positive"),
+    checks = [  # (mask, message): each mask is built when its check runs
         (
-            bad_exchange,
+            lambda: bad_date[date_inv],
+            lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}",
+        ),
+        *[
+            (lambda v=v: ~np.isfinite(v), lambda r, name=name: f"field '{name}': non-finite value")
+            for v, name in zip(values, PANEL_FIELDS)
+        ],
+        (lambda: ret <= -1.0, lambda r: "daily_return must be > -1"),
+        (lambda: cap <= 0.0, lambda r: "market_cap must be positive"),
+        (
+            lambda: bad_exchange[exchange_inv],
             lambda r: f"exchange must be '{MAIN}' or '{SECONDARY}', "
             f"got {exchanges[exchange_inv[r]]!r}",
         ),
-        (tap <= 0.0, lambda r: "total_assets_prior must be positive"),
+        (lambda: tap <= 0.0, lambda r: "total_assets_prior must be positive"),
         (duplicate, lambda r: f"duplicate key ({firms[firm_idx[r]]}, {calendar[date_idx[r]]})"),
     ]
-    hits = [(int(np.argmax(mask)), k) for k, (mask, _msg) in enumerate(checks) if mask.any()]
+    hits = [(int(np.argmax(m)), k) for k, (mask, _msg) in enumerate(checks) if (m := mask()).any()]
     if hits:
         # On a tie the check listed first wins: the order a row-by-row scan meets them in.
         row, k = min(hits)
@@ -349,8 +366,10 @@ def load_panel(path: str | Path) -> SecurityPanel:
     of two blocks or more is cut into two byte ranges parsed at once, the
     second in a forked child.  With one usable CPU, and on Python 3.12+, which
     warns when a process with threads forks, the parse is one pass.  A file
-    with quoted fields, blank lines or a malformed field goes through the csv
-    module, which locates the bad row."""
+    with quoted fields or blank lines goes through the csv module, as do the
+    rows from a block that holds a malformed field on; it locates the bad row.
+    The dense arrays are built one field at a time, so the parsed floats and
+    the panel are not both held whole."""
     path = Path(path)
     next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
     columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
@@ -365,9 +384,10 @@ def load_panel(path: str | Path) -> SecurityPanel:
     present[firm_idx, date_idx] = True
     is_main = np.zeros(shape, dtype=bool)
     is_main[firm_idx, date_idx] = main
-    cells = np.full((len(PANEL_FIELDS),) + shape, np.nan)
-    cells[:, firm_idx, date_idx] = values
-    arrays = dict(zip(PANEL_FIELDS, cells))
+    arrays = {}
+    for name in PANEL_FIELDS:  # one field at a time: its row floats go once it is placed
+        arrays[name] = np.full(shape, np.nan)
+        arrays[name][firm_idx, date_idx] = values.pop(0)
     return SecurityPanel(firms=firms, calendar=calendar, present=present, is_main=is_main, **arrays)
 
 
@@ -478,7 +498,8 @@ def construct_factors(
         cell[:, rows, start:end] = cells.T[:, :, None]
 
     market = _value_weighted(panel, panel.present)
-    member = (cell[:, None] == np.arange(6)[None, :, None, None]) & panel.present
+    member = np.equal(cell[:, None], np.arange(6)[None, :, None, None])
+    member &= panel.present
     # An empty cell on a date is imputed the market return.
     ret = np.where(member.any(axis=-2), _value_weighted(panel, member), market)
 

@@ -203,6 +203,11 @@ class SynthConfig:
             raise ValueError(f"'min_mentions' must be in 1..4, got {self.min_mentions}")
         if self.effect_window[0] > self.effect_window[1]:
             raise ValueError(f"'effect_window' must be in order, got {list(self.effect_window)}")
+        if self.effect_window[0] < -self.event_history or self.effect_window[1] > self.event_tail:
+            raise ValueError(  # past them, days fall off the calendar or into zeroed returns
+                f"'effect_window' must lie within [{-self.event_history}, {self.event_tail}] "
+                f"(-event_history..event_tail), got {list(self.effect_window)}"
+            )
         if not self.rf_daily > -1.0:
             raise ValueError(f"'rf_daily' must be > -1, got {self.rf_daily}")
         # trading_calendar's last day is `weeks` weeks and `weekday` days on from the Monday
@@ -396,8 +401,8 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
         w0, w1 = ev.window
         returns[i, max(0, ev.day_index + w0) : max(0, ev.day_index + w1 + 1)] += ev.effect
         tail = config.event_tail
-        protected[i, max(0, ev.day_index - tail) : ev.day_index + tail + 1] = True
-    # Exact-zero days feed the zero-return share; event windows stay intact.
+        protected[i, max(0, ev.day_index + min(w0, -tail)) : ev.day_index + tail + 1] = True
+    # Exact-zero days feed the zero-return share; event and effect windows stay intact.
     for t in range(n_days):
         hit = rng.uniforms(config.n_firms) < config.zero_return_rate
         returns[hit & ~protected[:, t], t] = 0.0

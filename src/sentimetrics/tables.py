@@ -27,6 +27,7 @@ the same way: keys sorted, an indent of 2 and a final newline.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -234,17 +235,22 @@ def read_lines(path: str | Path) -> Iterator[str]:
         raise
 
 
-def read_rows(path: str | Path, header: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(row number, fields) of each row after a CSV's header, which must be `header`."""
+def read_rows(
+    path: str | Path, header: Iterable[str], skip: int = 0
+) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) of each row after a CSV's header, which must be `header`.
+
+    The `skip` lines after the header are passed over unparsed, each as one row."""
     path, names, lines = Path(path), list(header), read_lines(path)
-    rows, lineno = enumerate(csv.reader(lines, strict=True), start=1), 0
+    reader, lineno = csv.reader(lines, strict=True), 0
     try:
-        lineno, got = next(rows, (1, []))
+        got, lineno = next(reader, []), 1
         if [h.strip() for h in got] != names:
             raise PanelFormatError(
                 f"{path}: expected header {','.join(names)!r}, got {','.join(got)!r}"
             )
-        for lineno, row in rows:
+        lineno += sum(1 for _line in itertools.islice(lines, skip))
+        for lineno, row in enumerate(reader, start=lineno + 1):
             if len(row) != len(names):
                 raise PanelFormatError(
                     f"{path}: row {lineno}: expected {len(names)} fields, got {len(row)}"

@@ -609,6 +609,11 @@ def test_a_run_config_checks_its_values_when_built(tmp_path, capsys, values, mes
             {"start": "9999-12-20"},
             "'start' must leave room for 340 trading days before 9999-12-31, got 9999-12-20",
         ),
+        (
+            {"effect_window": [-274, 5]},
+            "'effect_window' must lie within [-273, 20] (-event_history..event_tail), "
+            "got [-274, 5]",
+        ),
     ],
 )
 def test_a_synth_config_checks_its_values_when_built(tmp_path, capsys, values, message):

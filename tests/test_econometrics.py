@@ -322,6 +322,59 @@ def test_logit_extreme_linear_predictor_is_stable():
     assert np.isfinite(ll)
 
 
+def _random_designs(count):
+    """Seeded 45-row, 4-regressor up-day designs; most are (quasi-)separated."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        x = rng.normal(size=(45, 4))
+        b = rng.normal(size=4) * rng.choice([1, 5, 20])
+        y = x @ b + rng.normal(size=45) * 0.3 > 0
+        yield build_design({f"x{j}": x[:, j] for j in range(4)}, y.astype(float))
+
+
+def _writes(tmp_path, regset):
+    return write_rows(tmp_path / "regressions.csv", REGRESSIONS, regression_rows(regset))
+
+
+@pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
+@pytest.mark.parametrize("draw", [341, 542])
+def test_an_unconverged_fit_with_a_degenerate_covariance_writes_blank_errors(
+    tmp_path, draw, robust
+):
+    # The information matrix is numerically singular at the last iterate, so
+    # some covariance diagonals are negative or zero: no warning, NaN errors.
+    *_, design = _random_designs(draw + 1)
+    res = fit_logit(design, robust=robust)
+    assert not res.converged and res.n_iter == 100
+    assert np.all(np.isfinite(res.estimates))
+    blank = np.isnan(res.std_errs)
+    assert blank.any() and np.array_equal(np.isnan(res.t_values), blank)
+    assert np.all(res.std_errs[~blank] > 0) and np.all(np.isfinite(res.t_values[~blank]))
+    regset = TimingRegressionSet(logit={"1": res}, signal_n=10, lag=2)
+    assert _writes(tmp_path, regset) == 5
+    table = read_table(tmp_path / "regressions.csv", REGRESSIONS)
+    assert np.array_equal(np.isnan(np.array(table["std_err"], float)), blank)
+    assert render_report(regset).endswith("warning: (1) converged=False after n_iter=100\n")
+
+
+def test_random_designs_raise_a_named_error_or_write(tmp_path):
+    outcomes = set()
+    for design in _random_designs(1000):
+        for robust in (False, True):
+            try:
+                regset = TimingRegressionSet(
+                    logit={"1": fit_logit(design, robust=robust)},
+                    ols={"1": fit_ols(design, robust=robust)},
+                )
+            except ValueError as exc:
+                assert type(exc) in (PerfectSeparationError, CollinearityError), exc
+                outcomes.add(type(exc))
+                continue
+            assert _writes(tmp_path, regset) == 10
+            outcomes.add(regset.logit["1"].converged)
+    assert outcomes == {PerfectSeparationError, True, False}
+
+
 # ---------------------------------------------------------------------------
 # Five-spec harness
 

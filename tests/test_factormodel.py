@@ -10,7 +10,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from sentimetrics import factors
+from sentimetrics import factors, tables
 from sentimetrics.factors import (
     PANEL_COLUMNS,
     PANEL_FIELDS,
@@ -688,7 +688,9 @@ def test_block_reader_matches_the_row_by_row_reader_bitwise(
     split = factors._read_columns_fast(plain)
     assert [keys for keys, _ids in split[0]] == [keys for keys, _ids in serial[0]]
     assert [ids.tobytes() for _keys, ids in split[0]] == [ids.tobytes() for _keys, ids in serial[0]]
-    assert split[1].tobytes() == serial[1].tobytes() and split[2] is None
+    assert len(split[1]) == len(serial[1]) == len(PANEL_FIELDS)
+    assert [v.tobytes() for v in split[1]] == [v.tobytes() for v in serial[1]]
+    assert split[2] is None
     assert factors._read_columns_fast(quoted) is None
     got, want = load_panel(plain), load_panel(quoted)
     assert got.firms == want.firms == list("ABCDEF")
@@ -798,6 +800,81 @@ def test_a_malformed_float_in_a_childs_range_names_its_row(tmp_path, monkeypatch
     assert str(exc.value) == f"{p}: row {index + 2}: field 'market_cap': not a number: 'oops'"
 
 
+def _rows_the_csv_reader_reads(monkeypatch):
+    """The list that each row number tables.read_rows yields from now on is appended to."""
+    read, read_rows = [], tables.read_rows
+
+    def spy(*args, **kwargs):
+        for lineno, row in read_rows(*args, **kwargs):
+            read.append(lineno)
+            yield lineno, row
+
+    monkeypatch.setattr(tables, "read_rows", spy)
+    return read
+
+
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_a_late_malformed_field_is_read_row_by_row_from_its_block_only(
+    tmp_path, monkeypatch, ranges
+):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: ranges)
+    rows = _block_rows()
+    index = 24
+    rows[index] = _with_field(rows[index], "market_cap", "oops")
+    p = tmp_path / "panel.csv"
+    _write_panel(p, rows)
+    lo = [row for _at, row in factors._plain_layout(p, ranges)[2] if row <= index][-1]
+    start = lo + (index - lo) // 7 * 7  # the first row of the block that fails
+    read = _rows_the_csv_reader_reads(monkeypatch)
+    with pytest.raises(PanelFormatError) as exc:
+        load_panel(p)
+    assert str(exc.value) == f"{p}: row {index + 2}: field 'market_cap': not a number: 'oops'"
+    # The header check reads row 2; the csv reader then starts at the failing block.
+    assert 0 < start and read == [2] + list(range(start + 2, index + 3))
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+def test_a_field_only_the_csv_reader_reads_gives_the_one_pass_panel(tmp_path, monkeypatch, ranges):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: ranges)
+    rows = _parity_rows()  # firms E and F are first seen after the failing block
+    rows[20] = _with_field(rows[20], "book_equity", "5_000.0")  # float() reads it, loadtxt not
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    _write_panel(plain, rows)
+    _write_panel(quoted, [_quoted(r) for r in rows])
+    got, want = load_panel(plain), load_panel(quoted)
+    assert got.firms == want.firms == list("ABCDEF") and got.calendar == want.calendar
+    for name in ("present", "is_main") + PANEL_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert 5000.0 in got.book_equity
+
+
+def test_the_range_of_a_child_that_ends_without_a_result_is_read_row_by_row(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: 2)
+    p = tmp_path / "panel.csv"
+    _write_panel(p, _block_rows())
+    want = load_panel(p)
+    parent, parse = os.getpid(), factors._parse_range
+
+    def end_in_the_child(*args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return parse(*args)
+
+    monkeypatch.setattr(factors, "_parse_range", end_in_the_child)
+    read = _rows_the_csv_reader_reads(monkeypatch)
+    got = load_panel(p)
+    cut = factors._plain_layout(p, 2)[2][1][1]
+    assert read == [2] + list(range(cut + 2, 34))
+    for name in ("present", "is_main") + PANEL_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert multiprocessing.active_children() == []
+
+
 def test_the_split_parse_leaves_no_child_running(tmp_path, monkeypatch):
     monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(factors, "_range_count", lambda: 2)
@@ -846,12 +923,10 @@ def test_a_panel_of_two_blocks_is_split_on_two_cpus(tmp_path, monkeypatch):
     assert len(parsed) == 1 and 0 < parsed[0] < len(rows)  # this process parsed one range
 
 
-def test_load_panel_traced_peak_stays_within_four_panels(tmp_path, monkeypatch):
-    # tracemalloc sees neither the shared-memory arrays nor a child of the split
-    # parse, so the bound is checked on the serial path, where it sees everything.
-    monkeypatch.setattr(factors, "_range_count", lambda: 1)
+def _traced_load(tmp_path, n_firms, n_days):
+    """(panel, tracemalloc's peak bytes in load_panel) of a full plain panel."""
     rng = np.random.default_rng(12)
-    n_firms, calendar = 40, weekdays(date(2018, 1, 1), 1000)
+    calendar = weekdays(date(2018, 1, 1), n_days)
     ret = rng.normal(0.0, 0.02, size=(len(calendar), n_firms)).tolist()
     cap = rng.uniform(1e9, 9e10, size=(len(calendar), n_firms)).tolist()
     lines = [PANEL_HEADER]
@@ -870,6 +945,26 @@ def test_load_panel_traced_peak_stays_within_four_panels(tmp_path, monkeypatch):
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    nbytes = sum(getattr(panel, name).nbytes for name in ("present", "is_main") + PANEL_FIELDS)
     assert panel.present.all()
+    return panel, peak
+
+
+# tracemalloc sees neither the shared-memory arrays nor a child of the split
+# parse, so the bounds are checked on the serial path, where it sees everything.
+
+
+def test_load_panel_traced_peak_stays_within_four_panels(tmp_path, monkeypatch):
+    monkeypatch.setattr(factors, "_range_count", lambda: 1)
+    panel, peak = _traced_load(tmp_path, 40, 1000)
+    nbytes = sum(getattr(panel, name).nbytes for name in ("present", "is_main") + PANEL_FIELDS)
     assert peak <= 4 * nbytes, peak / nbytes
+
+
+def test_load_panel_holds_the_row_floats_and_the_dense_panel_once(tmp_path, monkeypatch):
+    # 48 bytes a row for the six parsed floats and 50 a cell for the dense
+    # fields and their two masks: the two forms are never both held whole.
+    monkeypatch.setattr(factors, "_range_count", lambda: 1)
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 1024)
+    panel, peak = _traced_load(tmp_path, 100, 500)
+    rows = cells = panel.present.size
+    assert peak < 48 * rows + 50 * cells, peak / 2**20

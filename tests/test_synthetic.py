@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from datetime import date
 
 import numpy as np
@@ -245,6 +246,17 @@ def test_config_validation_errors():
     SynthConfig()  # defaults are sound
 
 
+def test_an_effect_window_the_planted_data_would_cut_is_rejected():
+    # Seed 7 at (0, 40) would plant effect days past the calendar's end and
+    # past event_tail, where exact-zero return days may overwrite them.
+    message = "'effect_window' must lie within [-273, 20] (-event_history..event_tail), got [0, 40]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SynthConfig(seed=7, effect_window=(0, 40), zero_return_rate=0.2)
+    with pytest.raises(ValueError, match=r"within \[-60, 20\] .*, got \[-61, 0\]$"):
+        SynthConfig(**{**FAST, "effect_window": (-61, 0)})
+    SynthConfig(effect_window=(-273, 20))  # the whole span the calendar keeps
+
+
 # ---------------------------------------------------------------------------
 # Generation invariants
 
@@ -321,6 +333,14 @@ def test_zero_returns_appear_but_never_inside_event_windows():
         lo = max(0, ev.day_index - cfg.event_tail)
         hi = min(cfg.n_days - 1, ev.day_index + cfg.event_tail)
         for t in range(lo, hi + 1):
+            assert cell(ds.panel, ev.firm_id, ds.calendar[t]).daily_return != 0.0
+
+
+def test_an_effect_window_that_starts_before_the_tail_keeps_every_effect_day():
+    cfg = SynthConfig(seed=4, zero_return_rate=0.3, **{**FAST, "effect_window": (-50, 0)})
+    ds = gen_dataset(cfg)
+    for ev in ds.truth.events:
+        for t in range(ev.day_index - 50, ev.day_index + 1):
             assert cell(ds.panel, ev.firm_id, ds.calendar[t]).daily_return != 0.0
 
 
