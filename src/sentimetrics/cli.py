@@ -427,7 +427,8 @@ def stage_regress(cfg: RunConfig, parsed: Parses) -> dict:
     report = econometrics.render_report(regset)
     if cfg.with_ols:
         report += "\n" + econometrics.render_report(regset, model=econometrics.OLS)
-    (cfg.out_dir / "regressions.txt").write_text(report, encoding="utf-8")
+    with tables.replacing(cfg.out_dir / "regressions.txt") as fh:
+        fh.write(report)
     n_fits = len(regset.logit) + len(regset.ols)
     return {
         "rows": {"regressions.csv": n_fits},

@@ -244,7 +244,8 @@ def _read_columns_fast(path: Path):
             send.close()
         at, rows = spans[0]
         keys.append(_parse_range(path, at, ids[:, rows], [v[rows] for v in values]))
-        keys += [recv.recv() for _child, recv in children]
+        if keys[0][1] == rows.stop:  # else the rows past the failed one go to the row reader
+            keys += [recv.recv() for _child, recv in children]
     except EOFError:  # a child ended without a result: its range parsed no row
         keys.append(([], 0))
     finally:

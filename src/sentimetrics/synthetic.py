@@ -93,7 +93,7 @@ class DeterministicRng:
     def randints(self, lo: int, hi, n: int) -> np.ndarray:
         """n integers in [lo, hi]; ``hi`` may be an array of n upper bounds."""
         spans = np.asarray(hi, dtype=np.int64) - lo + 1
-        if np.any(spans < 1):
+        if n > 0 and np.any(spans < 1):  # no draw needs no range
             raise ValueError(f"empty range [{lo}, {hi}]")
         return (self._raw(n) % spans.astype(np.uint64)).astype(np.int64) + lo
 
@@ -354,45 +354,29 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
     rf = np.full(n_days, config.rf_daily)
     factors = FactorSeries(dates=list(calendar), rf=rf, **factor_arrays)
 
-    # Firm exposures, then returns linear in the factors plus noise.
-    exposures: dict[str, dict[str, float]] = {}
-    draws = rng.uniforms(5 * config.n_firms).reshape(-1, 5).tolist()
-    for fid, (u_rmrf, u_smb, u_hml, u_rmw, u_cma) in zip(firm_ids, draws):
-        exposures[fid] = {
-            "alpha": 0.0,
-            "rmrf": 0.6 + 0.8 * u_rmrf,
-            "smb": -0.5 + u_smb,
-            "hml": -0.5 + u_hml,
-            "rmw": -0.5 + u_rmw,
-            "cma": -0.5 + u_cma,
-        }
+    # Firm exposures and static fundamentals, one array each in firm_ids order;
+    # market_cap is on math's exp and log, which numpy does not always match.
+    u = rng.uniforms(5 * config.n_firms).reshape(-1, 5)
+    slopes = np.column_stack([0.6 + 0.8 * u[:, 0], -0.5 + u[:, 1:]])  # FACTOR_NAMES order
+    u_cap, u_be, u_oi, u_ta, u_growth = rng.uniforms(5 * config.n_firms).reshape(-1, 5).T
+    log_span = math.log(1e11) - math.log(1e8)
+    cap = np.array([math.exp(math.log(1e8) + x * log_span) for x in u_cap.tolist()])
+    be = cap * (0.3 + 1.2 * u_be)
+    ta = cap * (0.5 + 1.5 * u_ta)
+    fundamentals = {  # the panel's constant fields
+        "is_main": np.arange(config.n_firms) % 3 < 2,
+        "market_cap": cap,
+        "book_equity": be,
+        "operating_income": be * (-0.1 + 0.4 * u_oi),
+        "total_assets": ta,
+        "total_assets_prior": ta / (1.0 + (-0.2 + 0.5 * u_growth)),
+    }
 
-    # Static firm fundamentals; characteristics only matter at rebalance dates.
-    fundamentals = {}
-    draws = rng.uniforms(5 * config.n_firms).reshape(-1, 5).tolist()
-    for i, (fid, (u_cap, u_be, u_oi, u_ta, u_growth)) in enumerate(zip(firm_ids, draws)):
-        cap = math.exp(math.log(1e8) + u_cap * (math.log(1e11) - math.log(1e8)))
-        be = cap * (0.3 + 1.2 * u_be)
-        oi = be * (-0.1 + 0.4 * u_oi)
-        ta = cap * (0.5 + 1.5 * u_ta)
-        growth = -0.2 + 0.5 * u_growth
-        fundamentals[fid] = {
-            "market_cap": cap,
-            "exchange": MAIN if i % 3 < 2 else SECONDARY,
-            "book_equity": be,
-            "operating_income": oi,
-            "total_assets": ta,
-            "total_assets_prior": ta / (1.0 + growth),
-        }
-
-    # Rows in firm_ids order, each term added in the same order for every
-    # cell; the noise is drawn day by day, firm by firm.
-    def exposure(name: str) -> np.ndarray:
-        return np.array([exposures[fid][name] for fid in firm_ids])
-
-    returns = np.repeat((config.rf_daily + exposure("alpha"))[:, None], n_days, axis=1)
-    for name in FACTOR_NAMES:
-        returns += np.outer(exposure(name), factor_arrays[name])
+    # Each term added in the same order for every cell; the noise is drawn day
+    # by day, firm by firm.  Every alpha is 0.0, and + 0.0 turns a -0.0 rate to 0.0.
+    returns = np.full((config.n_firms, n_days), config.rf_daily + 0.0)
+    for name, slope in zip(FACTOR_NAMES, slopes.T):
+        returns += np.outer(slope, factor_arrays[name])
     for t in range(n_days):
         returns[:, t] += rng.normals(config.n_firms) * config.idio_vol
     protected = np.zeros(returns.shape, dtype=bool)
@@ -409,19 +393,12 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
 
     # Every firm trades every day; fundamentals are constant along each row.
     order = sorted(range(config.n_firms), key=firm_ids.__getitem__)
-    shape = (config.n_firms, n_days)
-
-    def constant_rows(key: str) -> np.ndarray:
-        values = np.array([fundamentals[firm_ids[i]][key] for i in order])
-        return np.repeat(values[:, None], n_days, axis=1)
-
     panel = SecurityPanel(
         firms=[firm_ids[i] for i in order],
         calendar=list(calendar),
-        present=np.ones(shape, dtype=bool),
-        is_main=constant_rows("exchange") == MAIN,
+        present=np.ones((config.n_firms, n_days), dtype=bool),
         daily_return=returns[order],
-        **{name: constant_rows(name) for name in PANEL_FIELDS if name != "daily_return"},
+        **{name: np.repeat(v[order, None], n_days, axis=1) for name, v in fundamentals.items()},
     )
 
     # Transcripts: one script per day reproducing the planted counts.  A day
@@ -454,7 +431,10 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
         factor_vols={"rmrf": config.market_vol, "others": config.factor_vol},
         idio_vol=config.idio_vol,
         zero_return_rate=config.zero_return_rate,
-        exposures=exposures,
+        exposures={  # the one per-firm dict: ground_truth.json's form
+            fid: {"alpha": 0.0, **dict(zip(FACTOR_NAMES, row))}
+            for fid, row in zip(firm_ids, slopes.tolist())
+        },
         events=events,
         signal_strength=b1,
         signal_intercept=b0,
@@ -533,7 +513,7 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
             text_of.update(zip(keys, map(repr, values.tolist())))
             return [text_of[k] for k in keys]
 
-    with paths["panel"].open("w", newline="", encoding="utf-8") as fh:
+    with tables.replacing(paths["panel"]) as fh:
         fh.write(",".join(PANEL_COLUMNS) + "\n")
         for t, d in enumerate(panel.calendar):
             day = d.isoformat()

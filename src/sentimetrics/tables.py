@@ -21,7 +21,8 @@ are written as and which reads back as None; INT, DATE (ISO), TEXT, and
 choice(...) for one of a fixed set of strings.  A fault stops either end
 with a PanelFormatError ``<file>: row N: ...``, the header being row 1, so
 every file the pipeline writes reads back.  write_json writes every JSON file
-the same way: keys sorted, an indent of 2 and a final newline.
+the same way: keys sorted, an indent of 2 and a final newline.  Every writer
+here writes through replacing, so a write cut short leaves the old file.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import itertools
 import json
 import math
 import operator
+import os
+from contextlib import contextmanager
 from datetime import date
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -191,11 +194,24 @@ def write_table(path: str | Path, schema: Schema, columns: Mapping[str, Sequence
         for (name, values), (fmt, _parse) in zip(columns.items(), schema.columns.values())
     ]
     _check_dates(path, schema, columns)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(schema.columns)
         writer.writerows(zip(*fields))
     return len(fields[0])
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[TextIO]:
+    """A file open on `<path>.tmp`, moved over `path` once the block ends, removed if it raises."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_rows(path: str | Path, schema: Schema, rows: Iterable[Sequence]) -> int:
@@ -215,7 +231,7 @@ def write_items(path: str | Path, schema: Schema, items: Sequence) -> int:
 
 def write_json(path: str | Path, obj) -> None:
     """Write `obj` as JSON, keys sorted and indented by 2, with a final newline."""
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

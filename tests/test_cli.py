@@ -627,6 +627,16 @@ def test_a_synth_config_checks_its_values_when_built(tmp_path, capsys, values, m
     assert not (tmp_path / "d").exists()
 
 
+def test_a_dataset_without_events_needs_no_room_on_the_calendar(tmp_path):
+    overrides = tmp_path / "s.json"
+    overrides.write_text(json.dumps({"n_events": 0, "n_days": 100}), encoding="utf-8")
+    data = tmp_path / "d"
+    assert main(["synth", "--out", str(data), "--seed", "7", "--config", str(overrides)]) == 0
+    truth = json.loads((data / "ground_truth.json").read_text(encoding="utf-8"))
+    assert truth["events"] == [] and len(truth["signal_values"]) > 0
+    assert main(["all", "--config", str(data / "run_config.json")]) == 0
+
+
 def test_a_synth_config_cannot_change_after_its_check():
     cfg = synthetic.SynthConfig()
     with pytest.raises(FrozenInstanceError):

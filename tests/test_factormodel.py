@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import sys
@@ -898,6 +899,26 @@ def test_the_split_parse_leaves_no_child_running(tmp_path, monkeypatch):
     monkeypatch.setattr(factors, "_parse_range", fail_in_the_parent)
     with pytest.raises(RuntimeError, match="the parent's range failed"):
         load_panel(good)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_first_range_that_fails_does_not_wait_for_the_others(tmp_path, monkeypatch):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: 2)
+    rows = _block_rows()
+    rows[3] = _with_field(rows[3], "market_cap", "oops")  # row 5, the header being row 1
+    p = tmp_path / "panel.csv"
+    _write_panel(p, rows)
+    received, recv = [], multiprocessing.connection.Connection.recv
+
+    def spy(self):
+        received.append(self)
+        return recv(self)
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", spy)
+    with pytest.raises(PanelFormatError, match="row 5: field 'market_cap': not a number: 'oops'"):
+        load_panel(p)
+    assert received == []  # the child's range is of no use past row 5: it is killed unread
     assert multiprocessing.active_children() == []
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -61,8 +62,12 @@ def test_rng_randint_bounds_and_errors():
     draws = rng.randints(3, 7, 200).tolist()
     assert set(draws) == {3, 4, 5, 6, 7}
     assert rng.randints(5, 5, 1).tolist() == [5]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"empty range \[2, 1\]"):
         rng.randints(2, 1, 1)
+    # Zero draws need no range and take no state: no event day on a short calendar.
+    state = rng._state
+    assert rng.randints(273, 79, 0).tolist() == []
+    assert rng._state == state
 
 
 def test_rng_shuffle_is_permutation():
@@ -486,8 +491,11 @@ def test_controls_walks_cover_calendar(tmp_path):
     assert len(set(nsi_vals)) > 1  # a walk, not a constant
 
 
-# The sha256 of every written file, recorded before the generator drew its
-# numbers in blocks: a seed must keep its bytes.
+# The sha256 of every written file: a seed must keep its bytes.  The first two
+# were recorded before the generator drew its numbers in blocks, the last two
+# before it held each firm's exposures and fundamentals as firm-order arrays:
+# 1001 firms sort in another order than they are generated ("F1000" < "F101"),
+# and an effect window reaching back past event_tail widens the protected mask.
 PINNED_DATASETS = [
     (
         dict(seed=0),
@@ -521,6 +529,39 @@ PINNED_DATASETS = [
             "transcripts": "032125028233e865846183bcd82fa35cbb335c3177f99b7b6a8256d95385ef96",
         },
     ),
+    (
+        dict(seed=5, n_firms=1001, n_days=40, n_events=2, event_history=15, event_tail=5,
+             effect_window=(0, 3)),
+        {
+            "exclusions": "e2600c9bf8c348a3ffd1138ae2435673370ea339daa94ca7c7446576fa3e8514",
+            "factors": "d1cbbde96af2418bbdfa7213d62c0f5a98445775a9c7661cfcb2ac49e782c8c1",
+            "firm_names": "63a2011a1958bc287a4589391527ff8018d09bad954012c48a26351b20b956e9",
+            "ground_truth": "8791181ed7c4bb3677cc3acfd0cb92ddc1e4ddb2474947e2c3a50ebd130e1283",
+            "lexicon_negative": "92e8bc982556321cb8a99f5fb3e758d6811834bb07a92976c9c3d093d593546a",
+            "lexicon_positive": "6786138532020ca2563dd067ea6ebd116369fdb7de57341eb1f5b4e359213de3",
+            "nsi": "4c1a23a3aec4e8bbef2b4b2dbf7aa7d0faf61bb8ca7a71aadd13c6a31961838c",
+            "panel": "4dd3e4427fd5e6aa126247ca7141b31fbe391f0d4fa680adeaa7179cf3f00065",
+            "rf": "2162e8b01f8e0ec8992139c768b050ea8689bd5f53c0e2a71536782fa5d22d84",
+            "short_rate": "6c3c06b1cd41f41559c88b6e845694611d58cfcdb85ab417d632d7d359940e3d",
+            "transcripts": "1b3243fb6cdf42e3d85b9421bd61d89e67797121fadd3b609617b904dd453e17",
+        },
+    ),
+    (
+        dict(seed=5, effect_window=(-30, 10), zero_return_rate=0.5),
+        {
+            "exclusions": "e2600c9bf8c348a3ffd1138ae2435673370ea339daa94ca7c7446576fa3e8514",
+            "factors": "aa81e6968d7d7512eaed6d3d2e297ce885213e83c1ea2a797e48e504d0f20e35",
+            "firm_names": "3ff6b6400641a4112a1638f7b9437888ec1abea2581304c3d381d9af6c716ac5",
+            "ground_truth": "60021d294fe2f20138a716de178915df565bd087be0341af9e291834043faf29",
+            "lexicon_negative": "92e8bc982556321cb8a99f5fb3e758d6811834bb07a92976c9c3d093d593546a",
+            "lexicon_positive": "6786138532020ca2563dd067ea6ebd116369fdb7de57341eb1f5b4e359213de3",
+            "nsi": "238a639cd8714624b6ef21e2b5c46708a8f5b4f3da95b47496530b4b5c218953",
+            "panel": "75d499585822ca12db3c7c39feae10b786d0354f26ef9c74647ff15c1c2114eb",
+            "rf": "e0f542d33592f18878ec12957b482521273c4481d02bcce7a6dd0b0e88af7ddb",
+            "short_rate": "3fb3ea272d7800cf372e59fccd6b45ed52f8844d172ec9102146cd4f14c92e6b",
+            "transcripts": "2838664eb49cdb0833bebb52b0f967e9c35da0a7382458c9b31f75e6877a7412",
+        },
+    ),
 ]
 
 
@@ -529,3 +570,16 @@ def test_written_files_keep_their_pinned_bytes(tmp_path, overrides, want):
     paths = write_dataset(gen_dataset(SynthConfig(**overrides)), tmp_path)
     got = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
     assert got == want
+
+
+def test_the_generator_holds_the_noise_of_one_day_at_a_time():
+    # The idiosyncratic noise and the zero-return mask are drawn day by day: a
+    # whole-calendar block doubles the peak, and with it the benchmark's set-up RSS.
+    cfg = SynthConfig(seed=0, n_firms=200, n_days=300)
+    tracemalloc.start()
+    try:
+        gen_dataset(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (cfg.n_firms * cfg.n_days) < 80  # bytes a cell; about 67 today

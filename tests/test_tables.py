@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sentimetrics.tables import (
+    DAYS,
     EVENT_SKIPS,
     RF,
     SENTIMENT,
@@ -89,3 +90,25 @@ def test_writer_rejects_columns_that_do_not_fit_the_schema(tmp_path):
         write_table(tmp_path / "rf.csv", RF, {"rf": [0.1], "date": [date(2022, 1, 3)]})
     with pytest.raises(ValueError, match="are not"):
         write_table(tmp_path / "rf.csv", RF, {"date": [date(2022, 1, 3)], "rf": []})
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    p = tmp_path / "days.csv"
+    write_rows(p, DAYS, [(date(2022, 1, 3), 1, 10), (date(2022, 1, 4), 2, 20)])
+    old, real_writer = p.read_bytes(), csv.writer
+
+    class OneRowThenFull:
+        def __init__(self, fh, **kwargs):
+            self.writer = real_writer(fh, **kwargs)
+
+        def writerow(self, row):
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(csv, "writer", OneRowThenFull)
+    with pytest.raises(OSError, match="No space left"):
+        write_rows(p, DAYS, [(date(2022, 1, 5), 3, 30)])
+    assert p.read_bytes() == old
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["days.csv"]  # no days.csv.tmp
