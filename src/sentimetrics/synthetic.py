@@ -134,11 +134,12 @@ class DeterministicRng:
 
 
 def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Element by element on ``math``, whose results numpy does not always match."""
-    sqrt, log, cos, two_pi = math.sqrt, math.log, math.cos, 2.0 * math.pi
-    return np.array(
-        [sqrt(-2.0 * log(a)) * cos(two_pi * b) for a, b in zip(u1.tolist(), u2.tolist())]
-    )
+    """log and cos element by element on ``math``, whose results numpy does not always match.
+
+    The rest is numpy's: its sqrt, like every IEEE arithmetic operation, is correctly rounded."""
+    logs = np.fromiter(map(math.log, u1.tolist()), np.float64, len(u1))
+    cosines = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), np.float64, len(u2))
+    return np.sqrt(-2.0 * logs) * cosines
 
 
 @dataclass(frozen=True)  # checked once, when built
@@ -490,13 +491,12 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
     aliases = [(fid, name) for fid, names in dataset.dictionary.entries for name in names]
     tables.write_rows(paths["firm_names"], tables.FIRM_NAMES, aliases)
 
-    paths["exclusions"].write_text("commonword\n", encoding="utf-8")
-    paths["lexicon_positive"].write_text(
-        "\n".join(sorted(dataset.lexicon.positive)) + "\n", encoding="utf-8"
-    )
-    paths["lexicon_negative"].write_text(
-        "\n".join(sorted(dataset.lexicon.negative)) + "\n", encoding="utf-8"
-    )
+    lexicon = dataset.lexicon
+    word_lists = {"exclusions": ["commonword"], "lexicon_positive": sorted(lexicon.positive),
+                  "lexicon_negative": sorted(lexicon.negative)}
+    for key, words in word_lists.items():
+        with tables.replacing(paths[key]) as fh:
+            fh.write("\n".join(words) + "\n")
 
     # Every panel field is an id, an ISO date, a float repr or an exchange
     # name, none of which CSV quotes, so each day is joined and written at once.

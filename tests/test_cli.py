@@ -821,6 +821,21 @@ def test_stage_rerun_over_a_manifest_of_another_shape_carries_no_stages(
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_a_firm_id_holding_a_bare_carriage_return_reads_back_from_the_outputs(
+    demo7, tmp_path, capsys
+):
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    names = data / "firm_names.csv"
+    old = names.read_bytes()
+    names.write_bytes(old.replace(b"\nF001,", b'\n"F\r001",'))  # quoted, so a legal input
+    assert names.read_bytes() != old
+    assert main(["all", "--config", str(data / "run_config.json")]) == 0
+    assert "error" not in capsys.readouterr().err
+    mentions = tables.read_table(data / "out" / "mentions.csv", tables.MENTIONS)
+    assert "F\r001" in mentions["firm_id"] and "F001" not in mentions["firm_id"]
+
+
 def _corrupt(demo7: Path, tmp_path: Path, name: str, edit) -> tuple[Path, Path]:
     """A copy of the demo whose input or output file `name` went through `edit`.
 

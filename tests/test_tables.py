@@ -1,17 +1,26 @@
 import csv
 import io
 import math
-from datetime import date
+import random
+from contextlib import contextmanager
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from sentimetrics import tables
 from sentimetrics.tables import (
+    BLANK_FLOAT,
+    DATE,
     DAYS,
     EVENT_SKIPS,
+    FLOAT,
+    INT,
     RF,
     SENTIMENT,
+    TEXT,
     PanelFormatError,
+    Schema,
     read_table,
     write_rows,
     write_table,
@@ -95,20 +104,87 @@ def test_writer_rejects_columns_that_do_not_fit_the_schema(tmp_path):
 def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch):
     p = tmp_path / "days.csv"
     write_rows(p, DAYS, [(date(2022, 1, 3), 1, 10), (date(2022, 1, 4), 2, 20)])
-    old, real_writer = p.read_bytes(), csv.writer
+    old, real_replacing = p.read_bytes(), tables.replacing
 
-    class OneRowThenFull:
-        def __init__(self, fh, **kwargs):
-            self.writer = real_writer(fh, **kwargs)
+    class FullAfterHeader:  # the header goes in, then the disk is full
+        def __init__(self, fh):
+            self.fh = fh
 
-        def writerow(self, row):
-            self.writer.writerow(row)
+        def write(self, text):
+            return self.fh.write(text)
 
-        def writerows(self, rows):
+        def writelines(self, lines):
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(csv, "writer", OneRowThenFull)
+    @contextmanager
+    def replacing(path):
+        with real_replacing(path) as fh:
+            yield FullAfterHeader(fh)
+
+    monkeypatch.setattr(tables, "replacing", replacing)
     with pytest.raises(OSError, match="No space left"):
         write_rows(p, DAYS, [(date(2022, 1, 5), 3, 30)])
     assert p.read_bytes() == old
     assert sorted(f.name for f in tmp_path.iterdir()) == ["days.csv"]  # no days.csv.tmp
+
+
+def test_a_bare_carriage_return_is_quoted_so_the_file_reads_back(tmp_path):
+    p = tmp_path / "skips.csv"
+    rows = [("F001", date(2022, 1, 3), "a\rb"), ("F002", date(2022, 1, 4), "plain")]
+    write_rows(p, EVENT_SKIPS, rows)
+    assert p.read_bytes() == (
+        b'firm_id,date,reason\nF001,2022-01-03,"a\rb"\nF002,2022-01-04,plain\n'
+    )
+    assert read_table(p, EVENT_SKIPS)["reason"] == ["a\rb", "plain"]
+
+
+SCHEMAS = {name: value for name, value in vars(tables).items() if isinstance(value, Schema)}
+AWKWARD_TEXTS = [
+    "plain", "a,b", ",", 'say "hi"', '"', '""', "line\nbreak", "crlf\r\nend", "\n", "bare\rcr",
+    "\r", "", " ", "  edge spaces  ", "Ünïcödé 한국어 €", "\u2028sep", "nul\x00byte", 'mix, "q"\r\n,',
+]
+AWKWARD_1MB = ('x,"y"\r\n\r' * (1 << 17))[: 1 << 20]
+
+
+def _values(kind: tuple, n: int, rng: random.Random) -> list:
+    """n values that `kind` holds, text ones drawn from AWKWARD_TEXTS."""
+    if kind is TEXT:
+        return [rng.choice(AWKWARD_TEXTS) for _ in range(n - 1)] + [AWKWARD_1MB]
+    if kind is INT:
+        return [rng.randrange(-(10**12), 10**12) for _ in range(n)]
+    if kind is FLOAT:
+        return [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randrange(-300, 300) for _ in range(n)]
+    if kind is BLANK_FLOAT:
+        return [None if rng.random() < 0.3 else rng.gauss(0.0, 1.0) for _ in range(n)]
+    if kind is DATE:
+        return [date(2001, 1, 1) + timedelta(days=i * 3 + rng.randrange(3)) for i in range(n)]
+    allowed = []  # a choice(...) kind: the known choice words it accepts
+    for word in ["positive", "negative", "+", "-", "0", ""]:
+        try:
+            allowed.append(kind[0](word))
+        except ValueError:
+            pass
+    return [rng.choice(allowed) for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_every_schema_writes_csv_writers_bytes_and_reads_awkward_values_back(tmp_path, name):
+    schema, rng = SCHEMAS[name], random.Random(f"awkward {name}")
+    columns = {column: _values(kind, 60, rng) for column, kind in schema.columns.items()}
+    p = tmp_path / f"{name}.csv"
+    assert write_table(p, schema, columns) == 60
+    expected = io.StringIO(newline="")
+    csv.writer(expected, lineterminator="\n").writerow(schema.columns)
+    formats = [fmt for fmt, _parse in schema.columns.values()]
+    for row in zip(*columns.values()):
+        fields = [fmt(value) for fmt, value in zip(formats, row)]
+        if any("\r" in f and "\n" not in f for f in fields):
+            # csv.writer with a "\n" terminator leaves a lone "\r" bare, which does
+            # not read back; with "\r\n" it quotes it as the writer does.
+            line = io.StringIO(newline="")
+            csv.writer(line, lineterminator="\r\n").writerow(fields)
+            expected.write(line.getvalue()[:-2] + "\n")
+        else:
+            csv.writer(expected, lineterminator="\n").writerow(fields)
+    assert p.read_bytes() == expected.getvalue().encode("utf-8")
+    assert read_table(p, schema) == columns
