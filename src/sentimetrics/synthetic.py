@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from datetime import date, timedelta
-from itertools import accumulate
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_AHEAD = 4096  # draws mixed at once, 32 KB: a few draws cost a slice, not a numpy pass
 
 
 class DeterministicRng:
@@ -59,11 +60,16 @@ class DeterministicRng:
     ranges used here and keeps the stream arithmetic obvious.
 
     SplitMix64 is counter-based: draw k from the state s is the mix of
-    s + (k + 1) * gamma.  ``_raw(n)`` mixes a whole block of counters in
-    wrapping numpy ``uint64`` arithmetic and advances the state by n * gamma,
-    so the block methods (``uniforms``, ``randints``, ``normals``) return
-    exactly what the same draws taken one at a time would give.  The one
-    scalar method, ``uniform()``, is a one-element block.  The Box-Muller
+    s + (k + 1) * gamma.  So ``_raw`` mixes the counters ahead of need, in
+    wrapping numpy ``uint64`` arithmetic, at least ``_AHEAD`` at a time, and
+    hands out read-only slices of that block; a request longer than what is
+    left mixes a new block from the state.  ``_state`` is always the state
+    after the last draw handed out: n draws advance it by n * gamma, and a
+    call for no draws leaves it and the block as they are.  The block methods
+    (``uniforms``, ``randints``, ``normals``) thus return exactly what the
+    same draws taken one at a time would give, and a few draws cost a slice
+    rather than a mixing pass.  The one scalar method, ``uniform()``, is a
+    one-element block.  The Box-Muller
     transcendentals stay on ``math``, element by element: ``np.log`` differs
     from ``math.log`` in the last bit on about 0.35 % of the uniforms
     (numpy 2.4, x86-64), which would change the bytes of every seed.
@@ -71,17 +77,22 @@ class DeterministicRng:
 
     def __init__(self, seed: int):
         self._state = seed & MASK64
+        self._ahead = np.empty(0, dtype=np.uint64)  # the draws that follow _state, mixed
 
     def _raw(self, n: int) -> np.ndarray:
-        z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        z += np.uint64(self._state)
+        if n > len(self._ahead):
+            z = np.arange(1, max(n, _AHEAD) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+            z += np.uint64(self._state)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+            z.flags.writeable = False  # a view written in place would corrupt a rewound stream
+            self._ahead = z
+        out, self._ahead = self._ahead[:n], self._ahead[n:]
         self._state = (self._state + n * _GAMMA) & MASK64
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(_MIX1)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(_MIX2)
-        z ^= z >> np.uint64(31)
-        return z
+        return out
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each the top 53 bits of a draw (exact)."""
@@ -99,12 +110,12 @@ class DeterministicRng:
 
     def _uniform_rows(self, n: int, width: int) -> np.ndarray:
         """n rows of ``width`` uniforms, each row's first redrawn while it is 0.0."""
-        start = self._state
+        start = self._state, self._ahead
         u = self.uniforms(n * width).reshape(n, width)
         if np.all(u[:, 0] != 0.0):
             return u
         # A redrawn u1 shifts the rest of the stream: rewind and go one by one.
-        self._state = start
+        self._state, self._ahead = start
         rows = []
         for _ in range(n):
             u1 = self.uniform()
@@ -498,39 +509,30 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
         with tables.replacing(paths[key]) as fh:
             fh.write("\n".join(words) + "\n")
 
-    # Every panel field is an id, an ISO date, a float repr or an exchange
-    # name, none of which CSV quotes, so each day is joined and written at once.
+    # A row is its head (the firm id, quoted as write_table quotes it), the day, the
+    # return's repr and its tail: the exchange and the constant fields.  Only a day on
+    # which a presence, exchange or constant field changes, bit for bit (so -0.0 and NaN
+    # keep their own text), rebuilds the heads and tails; each day is written at once.
     panel = dataset.panel
-    exchange = np.where(panel.is_main, MAIN, SECONDARY)
-    text_of: dict[int, str] = {}  # keyed by bit pattern: -0.0 and NaN keep their own text
-
-    def constant_texts(values: np.ndarray) -> list[str]:
-        """The reprs of values that repeat day after day, each made once."""
-        keys = values.view(np.uint64).tolist()
-        try:
-            return [text_of[k] for k in keys]
-        except KeyError:
-            text_of.update(zip(keys, map(repr, values.tolist())))
-            return [text_of[k] for k in keys]
-
+    changed = np.zeros(len(panel.calendar), dtype=bool)
+    changed[0] = True
+    constant = [getattr(panel, name).view(np.uint64) for name in PANEL_FIELDS[1:]]
+    for bits in [panel.present, panel.is_main] + constant:
+        changed[1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     with tables.replacing(paths["panel"]) as fh:
         fh.write(",".join(PANEL_COLUMNS) + "\n")
         for t, d in enumerate(panel.calendar):
-            day = d.isoformat()
-            rows = np.flatnonzero(panel.present[:, t])
+            if changed[t]:
+                rows = np.flatnonzero(panel.present[:, t])
+                heads = [tables._quoted(panel.firms[i]) + "," for i in rows.tolist()]
+                exchange = np.where(panel.is_main[rows, t], MAIN, SECONDARY).tolist()
+                cap, be, oi, ta, tap = (getattr(panel, n)[rows, t].tolist() for n in PANEL_FIELDS[1:])
+                tails = [
+                    f",{c!r},{x},{b!r},{o!r},{a!r},{p!r}\n"
+                    for c, x, b, o, a, p in zip(cap, exchange, be, oi, ta, tap)
+                ]
             ret = map(repr, panel.daily_return[rows, t].tolist())
-            cap, be, oi, ta, tap = (
-                constant_texts(getattr(panel, name)[rows, t]) for name in PANEL_FIELDS[1:]
-            )
-            firms = [panel.firms[i] for i in rows.tolist()]
-            fh.write(
-                "".join(
-                    f"{f},{day},{r},{c},{x},{b},{o},{a},{p}\n"
-                    for f, r, c, x, b, o, a, p in zip(
-                        firms, ret, cap, exchange[rows, t].tolist(), be, oi, ta, tap
-                    )
-                )
-            )
+            fh.write("".join(map("".join, zip(heads, repeat(d.isoformat() + ","), ret, tails))))
 
     factors = tables.dated_columns(dataset.factors, tables.FACTORS)
     tables.write_table(paths["factors"], tables.FACTORS, factors)

@@ -10,9 +10,16 @@ import pytest
 
 from sentimetrics.corpus import build_days, extract_mentions
 from sentimetrics.eventstudy import EventWindowConfig, estimate_exposures
-from sentimetrics.factors import load_panel, read_factors_csv, read_rf_csv
+from sentimetrics.factors import (
+    PANEL_COLUMNS,
+    PANEL_FIELDS,
+    load_panel,
+    read_factors_csv,
+    read_rf_csv,
+)
 from sentimetrics.sentiment import build_stock_events, score_day
 from sentimetrics.synthetic import (
+    _AHEAD,
     DATASET_FILES,
     DeterministicRng,
     SynthConfig,
@@ -218,6 +225,47 @@ def test_block_normals_keep_the_stream_through_a_rejected_u1(raw):
     want = [(ref.normal(), ref.uniform()) for _ in range(8)]
     assert (z.tolist(), u.tolist()) == ([a for a, _ in want], [b for _, b in want])
     assert rng._raw(1).tolist() == [ref.next_u64()]
+
+
+@strict
+def test_the_block_mixed_ahead_keeps_the_stream_and_the_state():
+    seed = 12345
+    ref = ScalarSplitMix64(seed)
+    rng = DeterministicRng(seed)
+    drawn = 0
+    for n in (1, _AHEAD - 1, 2, 3 * _AHEAD + 5, 1):  # in the block, to its end, past it, over it
+        assert rng._raw(n).tolist() == [ref.next_u64() for _ in range(n)]
+        drawn += n
+        assert rng._state == (seed + drawn * GAMMA) & MASK64
+    # No draw takes no state and leaves the block as it is.
+    assert rng.randints(0, 5, 0).tolist() == []
+    assert rng._state == (seed + drawn * GAMMA) & MASK64
+    assert rng._raw(1).tolist() == [ref.next_u64()]
+    # A handed-out block is read-only: writing into it would change a rewound stream.
+    raw = rng._raw(3)
+    with pytest.raises(ValueError, match="read-only"):
+        raw += np.uint64(1)
+
+
+@strict
+def test_a_rejected_u1_just_past_the_block_rewinds_across_the_refill():
+    # The first draw of the second block is a rejected u1.  Each call starts
+    # inside the first block, so its block draw refills and the rewind goes back.
+    draws = ((2, DeterministicRng.normals), (3, DeterministicRng.normal_uniform_pairs))
+    for width, draw_rows in draws:
+        skip = _AHEAD % width + width  # the draw at _AHEAD is the first of a row
+        seed = seed_with_small_draw(_AHEAD, 0)
+        ref = ScalarSplitMix64(seed)
+        rng = DeterministicRng(seed)
+        assert rng._raw(skip).tolist() == [ref.next_u64() for _ in range(skip)]
+        rows = (_AHEAD - skip) // width + 3
+        got = draw_rows(rng, rows)
+        if width == 2:
+            assert got.tolist() == [ref.normal() for _ in range(rows)]
+        else:
+            want = [(ref.normal(), ref.uniform()) for _ in range(rows)]
+            assert (got[0].tolist(), got[1].tolist()) == tuple(map(list, zip(*want)))
+        assert rng._raw(1).tolist() == [ref.next_u64()]
 
 
 def test_trading_calendar_weekdays_only():
@@ -476,6 +524,60 @@ def test_written_files_roundtrip_through_loaders(tmp_path):
     assert paths["ground_truth"].read_text(encoding="utf-8").endswith("\n")
     truth = json.loads(paths["ground_truth"].read_text(encoding="utf-8"))
     assert truth == ds.truth.to_json_dict()
+
+
+def plain_panel_csv(panel) -> bytes:
+    """panel.csv written the plain way: every present cell's fields through repr, row by row."""
+    lines, fields = [",".join(PANEL_COLUMNS)], PANEL_FIELDS
+    for t, d in enumerate(panel.calendar):
+        for i, firm in enumerate(panel.firms):
+            if panel.present[i, t]:
+                ret, cap, be, oi, ta, tap = (repr(getattr(panel, n)[i, t].item()) for n in fields)
+                exchange = "main" if panel.is_main[i, t] else "secondary"
+                lines.append(",".join([firm, d.isoformat(), ret, cap, exchange, be, oi, ta, tap]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_the_panel_writer_sees_every_change_of_a_firms_constant_fields(tmp_path):
+    ds = gen_dataset(SynthConfig(seed=7))
+    p = ds.panel
+    p.present[2, 50:54] = False  # absent for four days
+    for name in PANEL_FIELDS:
+        getattr(p, name)[2, 50:54] = np.nan
+    p.present[3, 120:123] = False  # absent, its fields left as they were
+    p.is_main[5, 170:] = ~p.is_main[5, 170]  # changes exchange mid-calendar
+    p.book_equity[8, 100:] *= 1.5
+    p.operating_income[11, :] = 0.0
+    p.operating_income[11, 250:] = -0.0  # equal as a float, not as text
+    written = write_dataset(ds, tmp_path)["panel"].read_bytes()
+    assert written == plain_panel_csv(p)
+    # Recorded with the day-by-day writer that formatted every field of every row.
+    want = "fbbce7451e7165502f19eaeaa37c8c1b71d87925325cf14ff8b7eadbec33ff48"
+    assert hashlib.sha256(written).hexdigest() == want
+
+
+@pytest.mark.parametrize("firm", ["A,000", '"F000', "A\r000"])
+def test_a_firm_id_that_csv_quotes_reads_back_from_panel_csv(tmp_path, firm):
+    ds = gen_dataset(SynthConfig(seed=7))
+    ds.panel.firms[0] = firm  # still sorts first
+    panel = load_panel(write_dataset(ds, tmp_path)["panel"])
+    assert panel.firms == ds.panel.firms
+    assert np.array_equal(panel.daily_return, ds.panel.daily_return)
+    assert np.array_equal(panel.is_main, ds.panel.is_main)
+
+
+def test_the_panel_writer_holds_one_day_at_a_time(tmp_path):
+    # A writer that joined the whole file before writing it would peak above
+    # 135 B a cell, the size of the file; a whole-panel array of exchange names adds 36.
+    cfg = SynthConfig(seed=0, n_firms=200, n_days=300)
+    ds = gen_dataset(cfg)
+    tracemalloc.start()
+    try:
+        write_dataset(ds, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (cfg.n_firms * cfg.n_days) < 60  # bytes a cell; about 9 today
 
 
 def test_controls_walks_cover_calendar(tmp_path):
