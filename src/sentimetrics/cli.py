@@ -4,13 +4,15 @@ One JSON config file names every input and parameter; subcommands run single
 stages or the whole chain in dependency order.  Stages communicate only
 through CSV files in the output directory, so any stage can be re-run alone
 once its upstream files exist, and re-running with unchanged inputs rewrites
-byte-identical outputs.  A manifest records the config hash, input checksums,
-and per-stage row counts.
+byte-identical outputs.  A stage reaches the output directory only through its
+Outputs, which holds it to the files and schemas STAGES declares for it and counts
+each table's rows for the manifest, beside the config hash and input checksums.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import json
 import sys
@@ -213,7 +215,8 @@ def load_config(path: str | Path, out_override: str | None = None) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stages.  Each returns {filename: row_count} plus optional notes for the manifest.
+# Stages.  Each takes the run's config, its shared Parses and its own Outputs, and
+# returns its notes for the manifest, which also records the rows its Outputs wrote.
 
 
 class Parses(dict):
@@ -233,7 +236,41 @@ class Parses(dict):
         return self.setdefault(key, self.parsers[key](self.inputs[key]))
 
 
-def stage_ingest(cfg: RunConfig, parsed: Parses) -> dict:
+def _declared(name: str, patterns: typing.Iterable[str]) -> str | None:
+    """The pattern among `patterns` (names, or globs such as backtest_N*.csv) `name` matches."""
+    return next((p for p in patterns if fnmatch.fnmatchcase(name, p)), None)
+
+
+class Outputs:
+    """A stage's only way into the output directory.  It names a file only if the stage
+    declares it in STAGES, among its writes or, for a file it only reads, its reads; it
+    writes a table under its declared schema, and `rows` records each table's row count."""
+
+    def __init__(self, out_dir: Path, stage: str):
+        self.out_dir, self.stage, self.rows = out_dir, stage, {}
+
+    def path(self, name: str, writing: bool = False) -> Path:
+        """`name` in the output directory; a ValueError if the stage does not declare it."""
+        declared = STAGES[self.stage].writes if writing else STAGES[self.stage].reads
+        if _declared(name, declared) is None:
+            verb = "wrote" if writing else "read"
+            raise ValueError(f"the {self.stage} stage {verb} {name}, which it does not declare")
+        return self.out_dir / name
+
+    def read_table(self, name: str) -> dict[str, list]:
+        """The columns of a file the stage reads, under the schema its producer declares."""
+        return tables.read_table(self.path(name), STAGES[PRODUCERS[name]].writes[name])
+
+    def write(self, name: str, writer: typing.Callable, data) -> None:
+        """`data` through `writer`, tables.write_rows, write_items, write_table or write_series."""
+        path, writes = self.path(name, writing=True), STAGES[self.stage].writes
+        self.rows[name] = writer(path, writes[_declared(name, writes)], data)
+
+    def glob(self, pattern: str) -> typing.Iterator[Path]:
+        return self.out_dir.glob(self.path(pattern, writing=True).name)
+
+
+def stage_ingest(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Tokenize transcripts and count firm mentions."""
     days = parsed["transcripts_csv"]
     dictionary = corpus.load_firm_dictionary(
@@ -246,12 +283,12 @@ def stage_ingest(cfg: RunConfig, parsed: Parses) -> dict:
         for mention in corpus.extract_mentions(day, firms, cfg.min_mentions)
     ]
     day_rows = [(d.date, d.source_count, len(d.tokens)) for d in days]
-    n_days = tables.write_rows(cfg.out_dir / "days.csv", tables.DAYS, day_rows)
-    n_mentions = tables.write_rows(cfg.out_dir / "mentions.csv", tables.MENTIONS, mentions)
-    return {"rows": {"days.csv": n_days, "mentions.csv": n_mentions}}
+    outputs.write("days.csv", tables.write_rows, day_rows)
+    outputs.write("mentions.csv", tables.write_rows, mentions)
+    return {}
 
 
-def stage_sentiment(cfg: RunConfig, parsed: Parses) -> dict:
+def stage_sentiment(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Score daily sentiment and emit stock mention events."""
     days = parsed["transcripts_csv"]
     lexicon = sentiment.load_lexicon(
@@ -259,19 +296,17 @@ def stage_sentiment(cfg: RunConfig, parsed: Parses) -> dict:
     )
     polarity = lexicon.polarity(days.vocab)
     observations = [sentiment.score_day(day, polarity) for day in days]
-    n_scores = tables.write_items(cfg.out_dir / "sentiment.csv", tables.SENTIMENT, observations)
+    outputs.write("sentiment.csv", tables.write_items, observations)
 
-    rows = zip(*tables.read_table(cfg.out_dir / "mentions.csv", tables.MENTIONS).values())
+    rows = zip(*outputs.read_table("mentions.csv").values())
     mentions = sorted(rows, key=lambda row: row[0])  # stable: a date's rows keep their file order
     events, skipped = sentiment.build_stock_events(mentions, observations)
-    n_events = tables.write_items(cfg.out_dir / "events.csv", tables.EVENTS, events)
-    n_skips = tables.write_items(cfg.out_dir / "event_skips.csv", tables.EVENT_SKIPS, skipped)
-    return {
-        "rows": {"sentiment.csv": n_scores, "events.csv": n_events, "event_skips.csv": n_skips}
-    }
+    outputs.write("events.csv", tables.write_items, events)
+    outputs.write("event_skips.csv", tables.write_items, skipped)
+    return {}
 
 
-def stage_factors(cfg: RunConfig, parsed: Parses) -> dict:
+def stage_factors(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Load or construct the factor series and controls."""
     provided = cfg.inputs["factors_csv"]
     rf_path = cfg.input_path("rf_csv", "factors") if provided is None else None
@@ -295,22 +330,16 @@ def stage_factors(cfg: RunConfig, parsed: Parses) -> dict:
         source = "constructed"
     # Both are built before either is written, so a bad input leaves the two files in step.
     controls = factormod.load_controls(cfg.inputs["nsi_csv"], cfg.inputs["short_rate_csv"], panel)
-    tables.write_table(
-        cfg.out_dir / "factors.csv", tables.FACTORS, tables.dated_columns(series, tables.FACTORS)
-    )
-    columns = tables.dated_columns(controls, tables.CONTROLS)
-    n_controls = tables.write_table(cfg.out_dir / "controls.csv", tables.CONTROLS, columns)
-    return {
-        "rows": {"factors.csv": len(series.dates), "controls.csv": n_controls},
-        "factor_source": source,
-    }
+    outputs.write("factors.csv", tables.write_series, series)
+    outputs.write("controls.csv", tables.write_series, controls)
+    return {"factor_source": source}
 
 
-def stage_eventstudy(cfg: RunConfig, parsed: Parses) -> dict:
+def stage_eventstudy(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Estimate exposures and pool abnormal returns."""
-    table = tables.read_table(cfg.out_dir / "events.csv", tables.EVENTS)
+    table = outputs.read_table("events.csv")
     events = [sentiment.StockSentimentEvent(*row) for row in zip(*table.values())]
-    series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
+    series = factormod.read_factors_csv(outputs.path("factors.csv"))
     if cfg.window.evt_len >= len(series.dates):  # more relative days than the calendar has
         raise ConfigError(
             f"{cfg.config_path}: 'evt_len' is {cfg.window.evt_len}: no event window that long "
@@ -323,25 +352,21 @@ def stage_eventstudy(cfg: RunConfig, parsed: Parses) -> dict:
         for group, res in sorted(run.results.items())
         for day in zip(res.rel_days, res.aar, res.caar, res.n_events_per_day)
     ]
-    n_rows = tables.write_rows(cfg.out_dir / "event_study.csv", tables.EVENT_STUDY, study_rows)
-    n_excl = tables.write_items(
-        cfg.out_dir / "event_exclusions.csv", tables.EVENT_EXCLUSIONS, run.exclusions
-    )
+    outputs.write("event_study.csv", tables.write_rows, study_rows)
+    outputs.write("event_exclusions.csv", tables.write_items, run.exclusions)
     return {
-        "rows": {"event_study.csv": n_rows, "event_exclusions.csv": n_excl},
         "n_events": {g: r.n_events for g, r in sorted(run.results.items())},
         "overlapping_event_windows": run.overlap_count,
     }
 
 
 def _signals(
-    cfg: RunConfig, ns: list[int], calendar: list[date], name: str
+    cfg: RunConfig, outputs: Outputs, ns: list[int], calendar: list[date], name: str
 ) -> tuple[list[timing.SignalSeries], str]:
     """The signal of each N in `ns` over the usable days of sentiment.csv, and why an
     empty one is empty.  Stops naming 'signal_lag' when it lags the earliest signal day
     past `calendar`, the days of output `name`: every later signal day lands past it too."""
-    table = tables.read_table(cfg.out_dir / "sentiment.csv", tables.SENTIMENT)
-    rows = zip(*table.values())
+    rows = zip(*outputs.read_table("sentiment.csv").values())
     observations = timing.timing_observations([sentiment.SentimentObservation(*r) for r in rows])
     signals = [timing.build_signal(observations, n, mode=cfg.signal_mode) for n in ns]
     first = min((sig.dates[0] for sig in signals if sig.dates), default=None)
@@ -355,21 +380,17 @@ def _signals(
     return signals, f"only {len(observations)} sentiment days are usable: the signal is empty"
 
 
-def stage_timing(cfg: RunConfig, parsed: Parses) -> dict:
+def stage_timing(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Build signals, scan correlations, run backtests."""
-    series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
+    series = factormod.read_factors_csv(outputs.path("factors.csv"))
     calendar = series.dates
-    built, why = _signals(cfg, cfg.signal_n_list, calendar, "factors.csv")
+    built, why = _signals(cfg, outputs, cfg.signal_n_list, calendar, "factors.csv")
     signals = [sig for sig in built if sig.dates]
     skipped = {sig.n: why for sig in built if not sig.dates}  # N -> why it has no backtest
     entries = timing.r2_scan(signals, calendar, series.rmrf, lag=cfg.signal_lag)
+    outputs.write("signals.csv", tables.write_rows, timing.signal_rows(signals))
     scan_rows = [(e.n, e.lag, e.r2, e.corr_sign) for e in entries]
-    rows_by_file = {
-        "signals.csv": tables.write_rows(
-            cfg.out_dir / "signals.csv", tables.SIGNALS, timing.signal_rows(signals)
-        ),
-        "r2_scan.csv": tables.write_rows(cfg.out_dir / "r2_scan.csv", tables.R2_SCAN, scan_rows),
-    }
+    outputs.write("r2_scan.csv", tables.write_rows, scan_rows)
     summary = []
     for sig in signals:
         try:
@@ -377,8 +398,14 @@ def stage_timing(cfg: RunConfig, parsed: Parses) -> dict:
         except ValueError as exc:
             skipped[sig.n] = exc
             continue
-        name = f"backtest_N{sig.n:02d}.csv"
-        rows_by_file[name] = timing.write_backtest_csv(result, cfg.out_dir / name)
+        columns = {
+            "date": result.dates,
+            "position": result.positions,
+            "strategy_ret": result.strategy_returns,
+            "strategy_equity": result.strategy_equity,
+            "benchmark_equity": result.benchmark_equity,
+        }
+        outputs.write(f"backtest_N{sig.n:02d}.csv", tables.write_table, columns)
         summary.append(
             (
                 sig.n,
@@ -389,25 +416,20 @@ def stage_timing(cfg: RunConfig, parsed: Parses) -> dict:
                 result.outperformance_geometric,
             )
         )
-    rows_by_file["backtest_summary.csv"] = tables.write_rows(
-        cfg.out_dir / "backtest_summary.csv", tables.BACKTEST_SUMMARY, summary
-    )
-    for path in cfg.out_dir.glob("backtest_N*.csv"):  # an earlier run's, for an N not run now
-        if path.name not in rows_by_file:
+    outputs.write("backtest_summary.csv", tables.write_rows, summary)
+    for path in outputs.glob("backtest_N*.csv"):  # an earlier run's, for an N not run now
+        if path.name not in outputs.rows:
             path.unlink()
     for n, reason in skipped.items():
         print(f"{PROG}: timing: N={n}: {reason}", file=sys.stderr)
-    out = {"rows": rows_by_file}
-    if skipped:
-        out["skipped_n"] = sorted(skipped)
-    return out
+    return {"skipped_n": sorted(skipped)} if skipped else {}
 
 
-def stage_regress(cfg: RunConfig, parsed: Parses) -> dict:
+def stage_regress(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Fit the five market-direction regressions."""
-    series = factormod.read_factors_csv(cfg.out_dir / "factors.csv")
-    controls = factormod.read_controls_csv(cfg.out_dir / "controls.csv")
-    [signal], why = _signals(cfg, [cfg.regression_n], controls.dates, "controls.csv")
+    series = factormod.read_factors_csv(outputs.path("factors.csv"))
+    controls = factormod.read_controls_csv(outputs.path("controls.csv"))
+    [signal], why = _signals(cfg, outputs, [cfg.regression_n], controls.dates, "controls.csv")
     if not signal.dates:
         raise ConfigError(f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but {why}")
     # A control day not on the factor calendar (position -1) takes the appended NaN.
@@ -421,26 +443,23 @@ def stage_regress(cfg: RunConfig, parsed: Parses) -> dict:
         robust=cfg.robust_se,
         with_ols=cfg.with_ols,
     )
-    tables.write_rows(
-        cfg.out_dir / "regressions.csv", tables.REGRESSIONS, econometrics.regression_rows(regset)
-    )
+    outputs.write("regressions.csv", tables.write_rows, econometrics.regression_rows(regset))
+    # The number of fits, not the file's rows (the FOUND: on it in CHANGES.md): the manifest
+    # keeps this figure, and so its bytes, until the benchmark's reference is keyed by code.
+    outputs.rows["regressions.csv"] = len(regset.logit) + len(regset.ols)
     report = econometrics.render_report(regset)
     if cfg.with_ols:
         report += "\n" + econometrics.render_report(regset, model=econometrics.OLS)
-    with tables.replacing(cfg.out_dir / "regressions.txt") as fh:
+    with tables.replacing(outputs.path("regressions.txt", writing=True)) as fh:
         fh.write(report)
-    n_fits = len(regset.logit) + len(regset.ols)
-    return {
-        "rows": {"regressions.csv": n_fits},
-        "n_obs": {k: r.n_obs for k, r in sorted(regset.logit.items())},
-    }
+    return {"n_obs": {k: r.n_obs for k, r in sorted(regset.logit.items())}}
 
 
 class Stage(typing.NamedTuple):
-    func: typing.Callable[[RunConfig, Parses], dict]
+    func: typing.Callable[[RunConfig, Parses, Outputs], dict]
     needs: tuple[str, ...]  # the config inputs it cannot run without; the only Parses keys it uses
     reads: tuple[str, ...]  # files of the output directory
-    writes: tuple[str, ...]
+    writes: dict[str, tables.Schema | None]  # file name or pattern -> its schema; None for text
 
 
 # Every stage, in run order: a stage reads only what earlier ones write.
@@ -449,37 +468,46 @@ STAGES = {
         stage_ingest,
         needs=("transcripts_csv", "firm_names_csv"),
         reads=(),
-        writes=("days.csv", "mentions.csv"),
+        writes={"days.csv": tables.DAYS, "mentions.csv": tables.MENTIONS},
     ),
     "sentiment": Stage(
         stage_sentiment,
         needs=("transcripts_csv", "lexicon_positive_txt", "lexicon_negative_txt"),
         reads=("mentions.csv",),
-        writes=("sentiment.csv", "events.csv", "event_skips.csv"),
+        writes={
+            "sentiment.csv": tables.SENTIMENT, "events.csv": tables.EVENTS,
+            "event_skips.csv": tables.EVENT_SKIPS,
+        },
     ),
     "factors": Stage(
         stage_factors,
         needs=("panel_csv", "nsi_csv", "short_rate_csv"),  # and rf_csv, without factors_csv
         reads=(),
-        writes=("factors.csv", "controls.csv"),
+        writes={"factors.csv": tables.FACTORS, "controls.csv": tables.CONTROLS},
     ),
     "eventstudy": Stage(
         stage_eventstudy,
         needs=("panel_csv",),
         reads=("events.csv", "factors.csv"),
-        writes=("event_study.csv", "event_exclusions.csv"),
+        writes={
+            "event_study.csv": tables.EVENT_STUDY,
+            "event_exclusions.csv": tables.EVENT_EXCLUSIONS,
+        },
     ),
     "timing": Stage(
         stage_timing,
         needs=(),
         reads=("sentiment.csv", "factors.csv"),
-        writes=("signals.csv", "r2_scan.csv", "backtest_summary.csv"),  # and backtest_N*.csv
+        writes={
+            "signals.csv": tables.SIGNALS, "r2_scan.csv": tables.R2_SCAN,
+            "backtest_N*.csv": tables.BACKTEST, "backtest_summary.csv": tables.BACKTEST_SUMMARY,
+        },
     ),
     "regress": Stage(
         stage_regress,
         needs=(),
         reads=("sentiment.csv", "factors.csv", "controls.csv"),
-        writes=("regressions.csv", "regressions.txt"),
+        writes={"regressions.csv": tables.REGRESSIONS, "regressions.txt": None},
     ),
 }
 STAGE_ORDER = list(STAGES)
@@ -521,16 +549,24 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
     mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in KiB; bytes on macOS
     reaped = resource and resource.getrusage(resource.RUSAGE_CHILDREN)[:3]  # times, maxrss
     parsed = Parses(cfg.inputs)
+    out_dir = cfg.out_dir.resolve()
     for i, name in enumerate(stages):
-        for file in STAGES[name].reads:
+        stage = STAGES[name]
+        for file in stage.reads:
             if not (cfg.out_dir / file).exists():
                 raise ConfigError(
                     f"missing {file} in {cfg.out_dir}; run the {PRODUCERS[file]} stage first"
                 )
-        for key in STAGES[name].needs:
+        for key in stage.needs:
             cfg.input_path(key, name)
+        for key, path in cfg.inputs.items():  # the directory entry a write would replace
+            if path and path.parent.resolve() == out_dir and _declared(path.name, stage.writes):
+                raise ConfigError(
+                    f"{cfg.config_path}: {key} is {path}, which the {name} stage writes"
+                )
+        outputs = Outputs(cfg.out_dir, name)
         started = time.perf_counter()
-        infos[name] = STAGE_FUNCS[name](cfg, parsed)
+        infos[name] = {"rows": outputs.rows, **STAGE_FUNCS[name](cfg, parsed, outputs)}
         done = f"{PROG}: {name}: done in {time.perf_counter() - started:.2f} s"
         if resource is not None:  # the high-water marks so far: the process's, its children's
             done += f", peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / mb:.1f} MB"

@@ -534,8 +534,7 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
             ret = map(repr, panel.daily_return[rows, t].tolist())
             fh.write("".join(map("".join, zip(heads, repeat(d.isoformat() + ","), ret, tails))))
 
-    factors = tables.dated_columns(dataset.factors, tables.FACTORS)
-    tables.write_table(paths["factors"], tables.FACTORS, factors)
+    tables.write_series(paths["factors"], tables.FACTORS, dataset.factors)
     tables.write_table(paths["rf"], tables.RF, {"date": calendar, "rf": dataset.factors.rf})
 
     # Random walks, summed in Python floats step by step; the starting level is not a row.

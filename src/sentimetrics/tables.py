@@ -243,6 +243,12 @@ def write_items(path: str | Path, schema: Schema, items: Sequence) -> int:
     return write_table(path, schema, columns)
 
 
+def write_series(path: str | Path, schema: Schema, series) -> int:
+    """write_table for a series with a `dates` list and one array per other schema column."""
+    columns = {name: getattr(series, name) for name in schema.columns if name != "date"}
+    return write_table(path, schema, {"date": series.dates, **columns})
+
+
 def write_json(path: str | Path, obj) -> None:
     """Write `obj` as JSON, keys sorted and indented by 2, with a final newline."""
     with replacing(path) as fh:
@@ -303,9 +309,3 @@ def read_table(path: str | Path, schema: Schema) -> dict[str, list]:
     table = dict(zip(names, columns))
     _check_dates(path, schema, table)
     return table
-
-
-def dated_columns(series, schema: Schema) -> dict[str, Sequence]:
-    """The columns of a series with a `dates` list and one array per other column."""
-    names = [name for name in schema.columns if name != "date"]
-    return {"date": series.dates, **{name: getattr(series, name) for name in names}}

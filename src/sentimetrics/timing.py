@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -24,7 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .factors import roll_forward
 from .sentiment import SentimentObservation
-from .tables import BACKTEST, write_table
 
 INCLUSIVE = "inclusive"
 EXCLUSIVE = "exclusive"
@@ -185,14 +183,3 @@ def backtest_strategy(
 def signal_rows(signals: list[SignalSeries]) -> Iterator[tuple]:
     """The stacked signal panel (tables.SIGNALS): one row per (date, N)."""
     return ((d, s.n, v) for s in signals for d, v in zip(s.dates, s.values.tolist()))
-
-
-def write_backtest_csv(result: BacktestResult, path: str | Path) -> int:
-    columns = {
-        "date": result.dates,
-        "position": result.positions,
-        "strategy_ret": result.strategy_returns,
-        "strategy_equity": result.strategy_equity,
-        "benchmark_equity": result.benchmark_equity,
-    }
-    return write_table(path, BACKTEST, columns)

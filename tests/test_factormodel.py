@@ -27,7 +27,7 @@ from sentimetrics.factors import (
     rebalance_schedule,
     roll_forward,
 )
-from sentimetrics.tables import FACTORS, dated_columns, write_table
+from sentimetrics.tables import FACTORS, write_series
 
 from helpers import Row, cell, panel_from_rows, weekdays
 
@@ -409,7 +409,7 @@ def test_factors_csv_roundtrip(tmp_path):
         rf=np.full(3, RF),
     )
     p = tmp_path / "factors.csv"
-    write_table(p, FACTORS, dated_columns(series, FACTORS))
+    write_series(p, FACTORS, series)
     back = read_factors_csv(p)
     assert back.dates == calendar
     for name in ("rmrf", "smb", "hml", "rmw", "cma", "rf"):

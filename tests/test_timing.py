@@ -16,9 +16,13 @@ from sentimetrics.timing import (
     r2_scan,
     signal_rows,
     timing_observations,
-    write_backtest_csv,
 )
-from sentimetrics.tables import R2_SCAN, SIGNALS, write_rows, write_table
+from sentimetrics import cli
+from sentimetrics.cli import RunConfig
+from sentimetrics.factors import FactorSeries
+from sentimetrics.tables import (
+    FACTORS, R2_SCAN, SENTIMENT, SIGNALS, write_items, write_rows, write_series, write_table,
+)
 
 from helpers import weekdays
 
@@ -343,13 +347,19 @@ def test_scan_csv_blank_r2_for_undefined(tmp_path):
 
 
 def test_backtest_csv_layout(tmp_path):
+    """The timing stage's backtest file, on six days of rising sentiment and a market that
+    gains 1 % a day: N=2 signals 1 from day 3, which a lag of 2 puts on day 5."""
     cal = weekdays(date(2022, 1, 3), 6)
     market = np.full(6, 0.01)
-    series = _mk_signal(cal, [1, 1, 1, 1])
-    res = backtest_strategy(series, cal, market, lag=2)
-    p = tmp_path / "bt.csv"
-    write_backtest_csv(res, p)
-    lines = p.read_text(encoding="utf-8").splitlines()
+    rising = [SentimentObservation(d, 3, 1, s) for d, s in zip(cal, np.linspace(0.1, 0.6, 6))]
+    write_items(tmp_path / "sentiment.csv", SENTIMENT, rising)
+    zeros = [np.zeros(6)] * 5
+    write_series(tmp_path / "factors.csv", FACTORS, FactorSeries(cal, market, *zeros))
+    cfg = RunConfig(tmp_path / "run_config.json", tmp_path, {}, signal_n_list=[2], signal_lag=2)
+    cli.stage_timing(cfg, cli.Parses({}), cli.Outputs(tmp_path, "timing"))
+    res = backtest_strategy(build_signal(rising, 2), cal, market, lag=2)
+    assert res.dates == cal[4:]
+    lines = (tmp_path / "backtest_N02.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "date,position,strategy_ret,strategy_equity,benchmark_equity"
     assert len(lines) == 1 + len(res.dates)
     first = lines[1].split(",")
