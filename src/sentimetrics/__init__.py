@@ -58,6 +58,7 @@ from .timing import (
     SignalSeries,
     backtest_strategy,
     build_signal,
+    lagged_signal_values,
     r2_scan,
     timing_observations,
 )

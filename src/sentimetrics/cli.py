@@ -362,22 +362,21 @@ def stage_eventstudy(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
 
 def _signals(
     cfg: RunConfig, outputs: Outputs, ns: list[int], calendar: list[date], name: str
-) -> tuple[list[timing.SignalSeries], str]:
-    """The signal of each N in `ns` over the usable days of sentiment.csv, and why an
-    empty one is empty.  Stops naming 'signal_lag' when it lags the earliest signal day
-    past `calendar`, the days of output `name`: every later signal day lands past it too."""
+) -> tuple[list[tuple[timing.SignalSeries, np.ndarray]], str]:
+    """The signal of each N in `ns` over the usable days of sentiment.csv with its values
+    lagged onto `calendar`, the days of output `name`, and why an empty signal is empty.
+    Stops naming 'signal_lag' when no signal day lagged by it falls on `calendar`."""
     rows = zip(*outputs.read_table("sentiment.csv").values())
     observations = timing.timing_observations([sentiment.SentimentObservation(*r) for r in rows])
     signals = [timing.build_signal(observations, n, mode=cfg.signal_mode) for n in ns]
-    first = min((sig.dates[0] for sig in signals if sig.dates), default=None)
-    if first and (  # in Python ints: a lag past int64 is this error, not an OverflowError
-        int(factormod.roll_forward(calendar, [first])[0]) + cfg.signal_lag >= len(calendar)
-    ):
+    lagged = [timing.lagged_signal_values(sig, calendar, cfg.signal_lag) for sig in signals]
+    if any(sig.dates for sig in signals) and all(np.isnan(values).all() for values in lagged):
         raise ConfigError(
             f"{cfg.config_path}: 'signal_lag' is {cfg.signal_lag}: no signal day lagged by it "
             f"falls on the {len(calendar)} days of {name}"
         )
-    return signals, f"only {len(observations)} sentiment days are usable: the signal is empty"
+    why = f"only {len(observations)} sentiment days are usable: the signal is empty"
+    return list(zip(signals, lagged)), why
 
 
 def stage_timing(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
@@ -385,16 +384,17 @@ def stage_timing(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     series = factormod.read_factors_csv(outputs.path("factors.csv"))
     calendar = series.dates
     built, why = _signals(cfg, outputs, cfg.signal_n_list, calendar, "factors.csv")
-    signals = [sig for sig in built if sig.dates]
-    skipped = {sig.n: why for sig in built if not sig.dates}  # N -> why it has no backtest
-    entries = timing.r2_scan(signals, calendar, series.rmrf, lag=cfg.signal_lag)
+    kept = [(sig, lagged) for sig, lagged in built if sig.dates]
+    skipped = {sig.n: why for sig, _lagged in built if not sig.dates}  # N -> why it has no backtest
+    signals = [sig for sig, _lagged in kept]
+    scan = timing.r2_scan([lagged for _sig, lagged in kept], series.rmrf)
     outputs.write("signals.csv", tables.write_rows, timing.signal_rows(signals))
-    scan_rows = [(e.n, e.lag, e.r2, e.corr_sign) for e in entries]
+    scan_rows = [(sig.n, cfg.signal_lag, *entry) for sig, entry in zip(signals, scan)]
     outputs.write("r2_scan.csv", tables.write_rows, scan_rows)
     summary = []
-    for sig in signals:
+    for sig, lagged in kept:
         try:
-            result = timing.backtest_strategy(sig, calendar, series.rmrf, lag=cfg.signal_lag)
+            result = timing.backtest_strategy(lagged, calendar, series.rmrf)
         except ValueError as exc:
             skipped[sig.n] = exc
             continue
@@ -429,7 +429,7 @@ def stage_regress(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Fit the five market-direction regressions."""
     series = factormod.read_factors_csv(outputs.path("factors.csv"))
     controls = factormod.read_controls_csv(outputs.path("controls.csv"))
-    [signal], why = _signals(cfg, outputs, [cfg.regression_n], controls.dates, "controls.csv")
+    [(signal, _)], why = _signals(cfg, outputs, [cfg.regression_n], controls.dates, "controls.csv")
     if not signal.dates:
         raise ConfigError(f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but {why}")
     # A control day not on the factor calendar (position -1) takes the appended NaN.

@@ -568,10 +568,16 @@ def load_controls(
 
 
 def read_factors_csv(path: str | Path) -> FactorSeries:
-    """Ingest a pre-computed factor series (``date,rmrf,smb,hml,rmw,cma,rf``)."""
+    """Ingest a pre-computed factor series (``date,rmrf,smb,hml,rmw,cma,rf``) of decimal returns:
+    an rmrf <= -1 (a 100 % loss, or a percent file's -1 %) or an rf < -1 names its row."""
     columns = tables.read_table(path, tables.FACTORS)
     if not columns["date"]:
         raise PanelFormatError(f"{path}: factor file is empty")
+    for row, (rmrf, rf) in enumerate(zip(columns["rmrf"], columns["rf"]), start=2):
+        if rmrf <= -1.0:
+            raise PanelFormatError(f"{path}: row {row}: field 'rmrf': must be > -1, got {rmrf!r}")
+        if rf < -1.0:
+            raise PanelFormatError(f"{path}: row {row}: field 'rf': must be >= -1, got {rf!r}")
     return FactorSeries(dates=columns.pop("date"), **columns)
 
 

@@ -5,10 +5,11 @@ trailing N-observation mean, else 0.  The default mean includes the current
 observation; an "exclusive" mode averages the N observations before it.  Both
 emit nothing until a day has N predecessors.
 
-Signal days go onto a trading calendar by ``factors.roll_forward``; if several
-roll to the same trading day the most recent one wins.  The trading rule holds
-the market when the signal `lag` trading days earlier is 1, shorts it when 0,
-and stays flat where that lagged value is undefined.
+lagged_signal_values, the one place the lag is applied, puts signal days on a
+trading calendar by ``factors.roll_forward`` (of several that roll to one
+trading day the most recent wins) and then `lag` trading days on; r2_scan and
+backtest_strategy read its arrays.  The trading rule holds the market when the
+lagged signal is 1, shorts it when 0, and stays flat where it is undefined.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ class SignalSeries:
     mode: str
     dates: list[date]  # strictly ascending
     values: np.ndarray  # 0/1 ints aligned with dates
-
-
-@dataclass
-class ScanEntry:
-    n: int
-    lag: int
-    r2: float | None
-    corr_sign: str  # "+", "-", "0", or "" when undefined
 
 
 @dataclass
@@ -96,6 +89,8 @@ def lagged_signal_values(
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
     out = np.full(len(calendar), np.nan)
+    if lag >= len(calendar):  # every day lands past the calendar; a lag past int64 stops here
+        return out
     idx = roll_forward(calendar, signal.dates) + lag
     keep = idx < len(calendar)
     keep[:-1] &= idx[:-1] != idx[1:]  # of the days rolled onto one trading day, the latest
@@ -113,38 +108,35 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     return float(xc @ yc) / (sx * sy)
 
 
-def r2_scan(
-    signals: list[SignalSeries],
-    calendar: list[date],
-    market_returns: np.ndarray,
-    lag: int = DEFAULT_LAG,
-) -> list[ScanEntry]:
-    """Squared correlation between each lagged signal and the market return.
+def _aligned(n_days: int, lagged: np.ndarray, market_returns) -> np.ndarray:
+    """market_returns as floats, once it and the lagged signal each hold `n_days` values."""
+    market_returns = np.asarray(market_returns, dtype=float)
+    if market_returns.shape != (n_days,) or np.shape(lagged) != (n_days,):
+        raise ValueError("lagged signal and market_returns must align one-to-one with the calendar")
+    return market_returns
+
+
+def r2_scan(lagged: list[np.ndarray], market_returns: np.ndarray) -> list[tuple[float | None, str]]:
+    """Per lagged signal, its squared correlation with the market return and the
+    correlation's sign ("+", "-" or "0").
 
     A signal that is constant over the overlap (zero variance) gets an
-    undefined r2 rather than a fabricated number.
+    undefined r2 rather than a fabricated number: (None, "").
     """
-    market_returns = np.asarray(market_returns, dtype=float)
-    if market_returns.shape != (len(calendar),):
-        raise ValueError("market_returns must align one-to-one with the calendar")
-    entries = []
-    for signal in signals:
-        lagged = lagged_signal_values(signal, calendar, lag)
-        mask = ~np.isnan(lagged)
-        corr = _pearson(lagged[mask], market_returns[mask]) if mask.sum() >= 2 else None
+    scan = []
+    for values in lagged:
+        market = _aligned(len(values), values, market_returns)
+        mask = ~np.isnan(values)
+        corr = _pearson(values[mask], market[mask]) if mask.sum() >= 2 else None
         if corr is None:
-            entries.append(ScanEntry(n=signal.n, lag=lag, r2=None, corr_sign=""))
+            scan.append((None, ""))
         else:
-            sign = "+" if corr > 0 else ("-" if corr < 0 else "0")
-            entries.append(ScanEntry(n=signal.n, lag=lag, r2=corr * corr, corr_sign=sign))
-    return entries
+            scan.append((corr * corr, "+" if corr > 0 else ("-" if corr < 0 else "0")))
+    return scan
 
 
 def backtest_strategy(
-    signal: SignalSeries,
-    calendar: list[date],
-    market_returns: np.ndarray,
-    lag: int = DEFAULT_LAG,
+    lagged: np.ndarray, calendar: list[date], market_returns: np.ndarray
 ) -> BacktestResult:
     """Daily +/-1 exposure to the market return driven by the lagged signal.
 
@@ -153,10 +145,7 @@ def backtest_strategy(
     undefined lagged value sit flat.  Equity curves compound (1 + r) and are
     reported as cumulative returns starting from 0.
     """
-    market_returns = np.asarray(market_returns, dtype=float)
-    if market_returns.shape != (len(calendar),):
-        raise ValueError("market_returns must align one-to-one with the calendar")
-    lagged = lagged_signal_values(signal, calendar, lag)
+    market_returns = _aligned(len(calendar), lagged, market_returns)
     defined = np.flatnonzero(~np.isnan(lagged))
     if defined.size == 0:
         raise ValueError("signal and market calendar have no overlapping coverage")

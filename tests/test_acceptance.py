@@ -430,20 +430,20 @@ def test_08_backtest_identities():
     lag = 2
 
     ones = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=np.ones(58, dtype=int))
-    res_long = backtest_strategy(ones, cal, market, lag=lag)
+    res_long = backtest_strategy(lagged_signal_values(ones, cal, lag), cal, market)
     assert res_long.outperformance == 0.0
     assert np.array_equal(res_long.strategy_equity, res_long.benchmark_equity)
 
     values = rng.integers(0, 2, 58)
     sig = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=values)
     comp = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=1 - values)
-    res_a = backtest_strategy(sig, cal, market, lag=lag)
-    res_b = backtest_strategy(comp, cal, market, lag=lag)
+    res_a = backtest_strategy(lagged_signal_values(sig, cal, lag), cal, market)
+    res_b = backtest_strategy(lagged_signal_values(comp, cal, lag), cal, market)
     assert np.array_equal(res_b.strategy_returns, -res_a.strategy_returns)  # exact negation
 
     foresight = (market[lag:] > 0).astype(int)
     fs = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=foresight)
-    res_f = backtest_strategy(fs, cal, market, lag=lag)
+    res_f = backtest_strategy(lagged_signal_values(fs, cal, lag), cal, market)
     gross = 1.0
     for r in market[lag:]:
         gross *= 1.0 + abs(r)

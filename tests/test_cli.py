@@ -1176,6 +1176,43 @@ def test_a_signal_lag_past_int64_names_the_key(demo7, tmp_path, capsys, stage, n
     )
 
 
+@pytest.mark.parametrize(
+    "col, value, pattern",
+    [
+        (6, "-1.5", "row 301: field 'rf': must be >= -1, got -1.5$"),
+        (1, "-1.5", "row 301: field 'rmrf': must be > -1, got -1.5$"),
+        (1, "-1", "row 301: field 'rmrf': must be > -1, got -1.0$"),
+    ],
+)
+def test_a_provided_factor_return_out_of_range_names_file_row_and_field(
+    demo7, tmp_path, capsys, col, value, pattern
+):
+    cfg_path, path = _corrupt(demo7, tmp_path, "factors.csv", _set(301, col, value))
+    assert path.read_text(encoding="utf-8").splitlines()[300].startswith("2022-02-25,")
+    _assert_rejected(capsys, cfg_path, "factors", path, pattern)
+
+
+@pytest.mark.parametrize("stage, ns", [("timing", []), ("all", [10, 10])])
+def test_each_signal_is_lagged_once_per_stage_and_once_per_fit(
+    demo7, tmp_path, monkeypatch, stage, ns
+):
+    """timing lags each of its 16 signals once; regress lags its one to check it and to fit."""
+    lagged_ns = []
+
+    def counted(signal, *args, _fn=timing.lagged_signal_values):
+        lagged_ns.append(signal.n)
+        return _fn(signal, *args)
+
+    for module in (timing, econometrics):  # econometrics imports the name
+        monkeypatch.setattr(module, "lagged_signal_values", counted)
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    assert main([stage, "--config", str(data / "run_config.json")]) == 0
+    assert lagged_ns == list(range(5, 21)) + ns
+    for name in ("r2_scan.csv", "backtest_summary.csv", "regressions.csv"):
+        assert (data / "out" / name).read_bytes() == (demo7 / "out" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("evt_len", [340, 10**30])
 def test_an_event_window_longer_than_the_factor_calendar_names_the_key(
     demo7, tmp_path, capsys, evt_len

@@ -459,6 +459,13 @@ def test_all_missing_regressor_names_the_spec():
         run_timing_regressions(signal, controls, market, lag=2)
 
 
+@pytest.mark.parametrize("lag", [240, 10**30])
+def test_a_lag_past_the_calendar_is_the_first_specifications_empty_sample(lag):
+    signal, controls, market = _harness_inputs()
+    with pytest.raises(EmptySampleError, match="^specification 1: "):
+        run_timing_regressions(signal, controls, market, lag=lag)
+
+
 def test_a_fit_error_names_its_specification():
     signal, controls, market = _harness_inputs(seed=9)
     with pytest.raises(

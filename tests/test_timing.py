@@ -167,6 +167,14 @@ def test_lagged_values_shift_by_trading_days():
         lagged_signal_values(series, cal, -1)
 
 
+@pytest.mark.parametrize("lag", [6, 7, 2**63, 10**30])
+def test_a_lag_at_or_past_the_calendar_length_leaves_every_day_undefined(lag):
+    cal = weekdays(date(2022, 1, 3), 6)
+    series = SignalSeries(n=1, mode=INCLUSIVE, dates=cal[:3], values=np.array([1, 0, 1]))
+    lagged = lagged_signal_values(series, cal, lag)
+    assert lagged.shape == (6,) and np.isnan(lagged).all()
+
+
 # ---------------------------------------------------------------------------
 # r2 scan
 
@@ -187,15 +195,14 @@ def test_r2_one_when_market_follows_signal():
     for k in range(3, 12):
         market[k] = 0.01 if values[k - 3] == 1 else -0.01
 
-    entries = r2_scan([build_signal(obs, 1, mode=EXCLUSIVE)], cal, market, lag=lag)
-    assert len(entries) == 1
-    assert entries[0].r2 == pytest.approx(1.0, abs=1e-12)
-    assert entries[0].corr_sign == "+"
-    assert entries[0].lag == lag
+    lagged = lagged_signal_values(build_signal(obs, 1, mode=EXCLUSIVE), cal, lag)
+    [(r2, sign)] = r2_scan([lagged], market)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    assert sign == "+"
 
-    flipped = r2_scan([build_signal(obs, 1, mode=EXCLUSIVE)], cal, -market, lag=lag)
-    assert flipped[0].r2 == pytest.approx(1.0, abs=1e-12)
-    assert flipped[0].corr_sign == "-"
+    [(r2, sign)] = r2_scan([lagged], -market)
+    assert r2 == pytest.approx(1.0, abs=1e-12)
+    assert sign == "-"
 
 
 def test_r2_none_when_signal_constant():
@@ -203,17 +210,14 @@ def test_r2_none_when_signal_constant():
     obs = _obs([0.1 * k for k in range(1, 9)])  # rising -> all-ones signal
     rng = np.random.default_rng(1)
     market = rng.normal(0, 0.01, 10)
-    entries = r2_scan([build_signal(obs, 3)], cal, market, lag=1)
-    assert entries[0].r2 is None
-    assert entries[0].corr_sign == ""
+    assert r2_scan([lagged_signal_values(build_signal(obs, 3), cal, 1)], market) == [(None, "")]
 
 
 def test_r2_none_when_no_overlap():
     cal = weekdays(date(2022, 1, 3), 4)
     obs = _obs([0.3, -0.2, 0.4, -0.1, 0.2, -0.3], start=date(2023, 1, 2))
     market = np.zeros(4)
-    entries = r2_scan([build_signal(obs, 2)], cal, market, lag=0)
-    assert entries[0].r2 is None
+    assert r2_scan([lagged_signal_values(build_signal(obs, 2), cal, 0)], market) == [(None, "")]
 
 
 def test_r2_scan_handles_oversized_windows_quietly():
@@ -222,8 +226,9 @@ def test_r2_scan_handles_oversized_windows_quietly():
     market = np.zeros(6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        entries = r2_scan([SignalSeries(10, INCLUSIVE, [], np.zeros(0, int))], cal, market, lag=1)
-    assert entries[0].r2 is None
+        empty = SignalSeries(10, INCLUSIVE, [], np.zeros(0, int))
+        scan = r2_scan([lagged_signal_values(empty, cal, 1)], market)
+    assert scan == [(None, "")]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def test_always_long_matches_benchmark_exactly():
     rng = np.random.default_rng(2)
     market = rng.normal(0.0005, 0.01, 40)
     series = _mk_signal(cal, np.ones(38, dtype=int))
-    res = backtest_strategy(series, cal, market, lag=2)
+    res = backtest_strategy(lagged_signal_values(series, cal, 2), cal, market)
     assert res.outperformance == 0.0
     assert res.outperformance_geometric == 0.0
     assert np.array_equal(res.strategy_equity, res.benchmark_equity)
@@ -252,7 +257,7 @@ def test_always_short_negates_daily_returns():
     rng = np.random.default_rng(3)
     market = rng.normal(0.0, 0.01, 30)
     series = _mk_signal(cal, np.zeros(28, dtype=int))
-    res = backtest_strategy(series, cal, market, lag=2)
+    res = backtest_strategy(lagged_signal_values(series, cal, 2), cal, market)
     assert np.array_equal(res.strategy_returns, -market[2:])
     assert np.all(res.positions == -1)
 
@@ -264,7 +269,7 @@ def test_perfect_foresight_equity_matches_product_oracle():
     lag = 2
     values = (market[2:] > 0).astype(int)  # value at cal[k] predicts cal[k+2]
     series = _mk_signal(cal, values)
-    res = backtest_strategy(series, cal, market, lag=lag)
+    res = backtest_strategy(lagged_signal_values(series, cal, lag), cal, market)
     gross = 1.0
     for r in market[2:]:
         gross *= 1.0 + abs(r)
@@ -279,7 +284,7 @@ def test_interior_gap_sits_flat():
         n=1, mode=INCLUSIVE, dates=[cal[0], cal[1], cal[3]], values=np.array([1, 1, 1])
     )
     market = np.full(8, 0.01)
-    res = backtest_strategy(series, cal, market, lag=1)
+    res = backtest_strategy(lagged_signal_values(series, cal, 1), cal, market)
     assert res.dates[0] == cal[1]
     k = res.dates.index(cal[3])
     assert res.positions[k] == 0
@@ -294,22 +299,29 @@ def test_backtest_without_overlap_errors():
         n=1, mode=INCLUSIVE, dates=[date(2023, 1, 2)], values=np.array([1])
     )
     with pytest.raises(ValueError, match="overlap"):
-        backtest_strategy(series, cal, np.zeros(5), lag=2)
+        backtest_strategy(lagged_signal_values(series, cal, 2), cal, np.zeros(5))
 
 
 @pytest.mark.parametrize("run", [r2_scan, backtest_strategy], ids=["r2_scan", "backtest"])
 def test_market_returns_off_the_calendar_are_rejected(run):
     cal = weekdays(date(2022, 1, 3), 5)
-    series = _mk_signal(cal, [1, 0, 1], n=1)
+    lagged = lagged_signal_values(_mk_signal(cal, [1, 0, 1], n=1), cal, 1)
     with pytest.raises(ValueError, match="market_returns must align one-to-one with the calendar"):
-        run([series] if run is r2_scan else series, cal, np.zeros(4), lag=1)
+        run([lagged], np.zeros(4)) if run is r2_scan else run(lagged, cal, np.zeros(4))
+
+
+def test_a_backtest_rejects_a_lagged_signal_off_its_calendar():
+    cal = weekdays(date(2022, 1, 3), 5)
+    lagged = lagged_signal_values(_mk_signal(cal, [1, 0, 1], n=1), cal[:4], 1)
+    with pytest.raises(ValueError, match="lagged signal and market_returns must align"):
+        backtest_strategy(lagged, cal, np.zeros(5))
 
 
 def test_equity_curves_compound():
     cal = weekdays(date(2022, 1, 3), 4)
     market = np.array([0.0, 0.0, 0.1, -0.5])
     series = _mk_signal(cal, [1, 0], n=1)
-    res = backtest_strategy(series, cal, market, lag=2)
+    res = backtest_strategy(lagged_signal_values(series, cal, 2), cal, market)
     # positions: long on cal[2] (+10%), short on cal[3] (+50%)
     assert np.allclose(res.strategy_returns, [0.1, 0.5])
     assert res.strategy_equity[-1] == pytest.approx(1.1 * 1.5 - 1.0)
@@ -357,7 +369,7 @@ def test_backtest_csv_layout(tmp_path):
     write_series(tmp_path / "factors.csv", FACTORS, FactorSeries(cal, market, *zeros))
     cfg = RunConfig(tmp_path / "run_config.json", tmp_path, {}, signal_n_list=[2], signal_lag=2)
     cli.stage_timing(cfg, cli.Parses({}), cli.Outputs(tmp_path, "timing"))
-    res = backtest_strategy(build_signal(rising, 2), cal, market, lag=2)
+    res = backtest_strategy(lagged_signal_values(build_signal(rising, 2), cal, 2), cal, market)
     assert res.dates == cal[4:]
     lines = (tmp_path / "backtest_N02.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "date,position,strategy_ret,strategy_equity,benchmark_equity"
@@ -425,10 +437,9 @@ def test_backtest_matches_per_day_loop_bitwise():
     series = SignalSeries(
         n=1, mode=INCLUSIVE, dates=[cal[i] for i in keep], values=values[keep]
     )
-    res = backtest_strategy(series, cal, market, lag=2)
-    positions, strat_ret, strat_eq, bench_eq, geo = _loop_backtest(
-        lagged_signal_values(series, cal, 2), market
-    )
+    lagged = lagged_signal_values(series, cal, 2)
+    res = backtest_strategy(lagged, cal, market)
+    positions, strat_ret, strat_eq, bench_eq, geo = _loop_backtest(lagged, market)
     assert res.positions.tobytes() == positions.tobytes()
     assert res.strategy_returns.tobytes() == strat_ret.tobytes()
     assert res.strategy_equity.tobytes() == strat_eq.tobytes()
