@@ -429,27 +429,24 @@ def stage_regress(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Fit the five market-direction regressions."""
     series = factormod.read_factors_csv(outputs.path("factors.csv"))
     controls = factormod.read_controls_csv(outputs.path("controls.csv"))
-    [(signal, _)], why = _signals(cfg, outputs, [cfg.regression_n], controls.dates, "controls.csv")
+    [(signal, lagged)], why = _signals(
+        cfg, outputs, [cfg.regression_n], controls.dates, "controls.csv"
+    )
     if not signal.dates:
         raise ConfigError(f"{cfg.config_path}: 'regression_n' is {cfg.regression_n}, but {why}")
     # A control day not on the factor calendar (position -1) takes the appended NaN.
     rmrf = np.append(series.rmrf, np.nan)[factormod.positions(series.dates, controls.dates)]
     regset = econometrics.run_timing_regressions(
-        signal,
-        controls,
-        rmrf,
-        lag=cfg.signal_lag,
-        tie_up=cfg.tie_up,
-        robust=cfg.robust_se,
-        with_ols=cfg.with_ols,
+        lagged, controls, rmrf, tie_up=cfg.tie_up, robust=cfg.robust_se, with_ols=cfg.with_ols
     )
     outputs.write("regressions.csv", tables.write_rows, econometrics.regression_rows(regset))
     # The number of fits, not the file's rows (the FOUND: on it in CHANGES.md): the manifest
     # keeps this figure, and so its bytes, until the benchmark's reference is keyed by code.
     outputs.rows["regressions.csv"] = len(regset.logit) + len(regset.ols)
-    report = econometrics.render_report(regset)
+    header = (cfg.regression_n, cfg.signal_lag)
+    report = econometrics.render_report(regset, *header)
     if cfg.with_ols:
-        report += "\n" + econometrics.render_report(regset, model=econometrics.OLS)
+        report += "\n" + econometrics.render_report(regset, *header, model=econometrics.OLS)
     with tables.replacing(outputs.path("regressions.txt", writing=True)) as fh:
         fh.write(report)
     return {"n_obs": {k: r.n_obs for k, r in sorted(regset.logit.items())}}

@@ -5,9 +5,9 @@ least-squares solve (never an explicit normal-equations inverse) and logit
 fits by Newton/IRLS with a numerically safe sigmoid.  Standard errors are
 classical by default; a heteroskedasticity-robust (sandwich) option sits
 behind the `robust` flag.  The harness regresses an up-day indicator of the
-market excess return on the lagged sentiment signal and macro/liquidity
-controls in five fixed variable combinations and renders them side by side,
-point estimates with t-values in parentheses underneath.
+market excess return on the lagged sentiment signal (an array on the control
+calendar) and macro/liquidity controls in five fixed variable combinations and
+renders them side by side, estimates with t-values in parentheses underneath.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factors import ControlSeries
-from .timing import DEFAULT_LAG, SignalSeries, lagged_signal_values
 
 OLS = "ols"
 LOGIT = "logit"
@@ -80,7 +79,6 @@ class DesignMatrix:
 
 @dataclass
 class RegressionResult:
-    model: str  # "ols" or "logit"
     terms: list[str]
     estimates: np.ndarray
     std_errs: np.ndarray
@@ -90,7 +88,6 @@ class RegressionResult:
     converged: bool = True
     n_iter: int = 0
     log_likelihood: float | None = None
-    residual_variance: float | None = None
 
     def _idx(self, term: str) -> int:
         try:
@@ -111,8 +108,6 @@ class TimingRegressionSet:
 
     logit: dict[str, RegressionResult]
     ols: dict[str, RegressionResult] = field(default_factory=dict)
-    signal_n: int = 0
-    lag: int = DEFAULT_LAG
 
 
 def build_design(columns: dict[str, np.ndarray], response: np.ndarray) -> DesignMatrix:
@@ -163,7 +158,7 @@ def _sandwich(x: np.ndarray, bread: np.ndarray, resid: np.ndarray) -> np.ndarray
     return bread @ ((x * (resid**2)[:, None]).T @ x) @ bread
 
 
-def _result(model: str, design: DesignMatrix, beta: np.ndarray, cov: np.ndarray, **fit):
+def _result(design: DesignMatrix, beta: np.ndarray, cov: np.ndarray, **fit):
     """The RegressionResult of estimates `beta` with covariance `cov`; `fit` adds the rest.
 
     A standard error and t-value whose variance is not positive and finite are NaN."""
@@ -171,7 +166,6 @@ def _result(model: str, design: DesignMatrix, beta: np.ndarray, cov: np.ndarray,
     defined = np.isfinite(var) & (var > 0.0)
     se = np.sqrt(var, out=np.full_like(beta, np.nan), where=defined)
     return RegressionResult(
-        model=model,
         terms=design.terms,
         estimates=beta,
         std_errs=se,
@@ -192,7 +186,7 @@ def fit_ols(design: DesignMatrix, robust: bool = False) -> RegressionResult:
     sigma2 = float(resid @ resid) / dof
     xtx_inv = np.linalg.inv(x.T @ x)
     cov = _sandwich(x, xtx_inv, resid) * (n / dof) if robust else sigma2 * xtx_inv
-    return _result(OLS, design, beta, cov, residual_variance=sigma2)
+    return _result(design, beta, cov)
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -251,7 +245,6 @@ def fit_logit(design: DesignMatrix, robust: bool = False) -> RegressionResult:
         raise PerfectSeparationError("singular information matrix; data are separated") from None
     cov = _sandwich(x, info_inv, y - prob) if robust else info_inv
     return _result(
-        LOGIT,
         design,
         beta,
         cov,
@@ -262,28 +255,28 @@ def fit_logit(design: DesignMatrix, robust: bool = False) -> RegressionResult:
 
 
 def run_timing_regressions(
-    signal: SignalSeries,
+    signal: np.ndarray,
     controls: ControlSeries,
     market_returns: np.ndarray,
-    lag: int = DEFAULT_LAG,
     tie_up: bool = False,
     robust: bool = False,
     with_ols: bool = False,
 ) -> TimingRegressionSet:
     """Fit the five up-day specifications on their maximal complete samples.
 
+    `signal` is the lagged signal on the control calendar, NaN where undefined.
     Response is 1 when the market excess return is positive; an exact zero
     counts as down unless `tie_up`.  Each specification keeps every trading
     day on which all of its own regressors are defined, so samples differ
     across specifications; n_obs is reported per fit.  A fit's ValueError
     starts with ``specification <id>: ``.
     """
-    calendar = controls.dates
+    n_days = len(controls.dates)
     market_returns = np.asarray(market_returns, dtype=float)
-    if market_returns.shape != (len(calendar),):
-        raise ValueError("market_returns must align one-to-one with the control calendar")
+    if market_returns.shape != (n_days,) or np.shape(signal) != (n_days,):
+        raise ValueError("lagged signal and market_returns must align one-to-one with controls")
     regressors = {
-        "signal": lagged_signal_values(signal, calendar, lag),
+        "signal": signal,
         "d_nsi": np.asarray(controls.d_nsi, dtype=float),
         "pct_zero": np.asarray(controls.pct_zero, dtype=float),
         "short_rate": np.asarray(controls.short_rate, dtype=float),
@@ -304,7 +297,7 @@ def run_timing_regressions(
         except ValueError as exc:  # an empty sample, or a fit that cannot be made
             exc.args = (f"specification {spec_id}: {exc}",)
             raise
-    return TimingRegressionSet(logit_results, ols_results, signal_n=signal.n, lag=lag)
+    return TimingRegressionSet(logit_results, ols_results)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +312,11 @@ def _fmt_t(v: float) -> str:
     return f"({v:.2f})"
 
 
-def render_report(regset: TimingRegressionSet, model: str = LOGIT) -> str:
+def render_report(regset: TimingRegressionSet, signal_n: int, lag: int, model: str = LOGIT) -> str:
     """Aligned text table: specifications across, terms down, t-values in parentheses.
 
-    A line under the table names each fit that did not converge.
+    The header names the signal window `signal_n` and the `lag` in trading days; a line
+    under the table names each fit that did not converge.
     """
     results = regset.logit if model == LOGIT else regset.ols
     if not results:
@@ -335,7 +329,7 @@ def render_report(regset: TimingRegressionSet, model: str = LOGIT) -> str:
     ]
     header = (
         f"{'up-day' if model == LOGIT else 'excess-return'} regressions, "
-        f"signal window N={regset.signal_n}, lag {regset.lag} trading days"
+        f"signal window N={signal_n}, lag {lag} trading days"
     )
     rows: list[list[str]] = [["term"] + [f"({s})" for s in spec_ids]]
     for term in terms:

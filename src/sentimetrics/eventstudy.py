@@ -71,7 +71,6 @@ class ExposureEstimate:
     alpha: float
     slopes: np.ndarray  # len 15, ordered as REGRESSOR_NAMES
     n_obs: int
-    residual_variance: float
 
 
 @dataclass
@@ -87,9 +86,6 @@ class ArPath:
 
 @dataclass
 class EventStudyResult:
-    group: str
-    t0: int
-    t_end: int
     rel_days: np.ndarray
     aar: np.ndarray
     caar: np.ndarray
@@ -172,13 +168,11 @@ def estimate_exposures(
         raise RankDeficientDesignError(
             f"design rank {rank} < {N_PARAMS} over the estimation window"
         )
-    resid = y - X @ beta
     return ExposureEstimate(
         firm_id=firm_id,
         alpha=float(beta[0]),
         slopes=beta[1:].copy(),
         n_obs=n_obs,
-        residual_variance=float(resid @ resid) / (n_obs - N_PARAMS),
     )
 
 
@@ -214,7 +208,7 @@ def compute_ar(
     )
 
 
-def pool_aar_caar(ar_paths: list[ArPath], t0: int, t_len: int, group: str = "") -> EventStudyResult:
+def pool_aar_caar(ar_paths: list[ArPath], t0: int, t_len: int) -> EventStudyResult:
     """Average AR across events day by day and accumulate the running sum.
 
     The paths share one event window (one `t0`, one length) that holds relative
@@ -237,9 +231,6 @@ def pool_aar_caar(ar_paths: list[ArPath], t0: int, t_len: int, group: str = "") 
     total = np.add.reduce(np.where(have, ar, 0.0), axis=0, initial=0.0)
     aar = np.divide(total, n_per_day, out=np.full(t_len + 1, np.nan), where=n_per_day > 0)
     return EventStudyResult(
-        group=group,
-        t0=t0,
-        t_end=t0 + t_len,
         rel_days=np.arange(t0, t0 + t_len + 1),
         aar=aar,
         caar=np.cumsum(aar),
@@ -310,11 +301,7 @@ def run_event_study(
         run.ar_paths[polarity] = paths
         if not paths:
             continue
-        run.results[f"{polarity}_full"] = pool_aar_caar(
-            paths, window.evt_start, window.evt_len, group=f"{polarity}_full"
-        )
+        run.results[f"{polarity}_full"] = pool_aar_caar(paths, window.evt_start, window.evt_len)
         if post_available:
-            run.results[f"{polarity}_post"] = pool_aar_caar(
-                paths, 0, window.evt_end, group=f"{polarity}_post"
-            )
+            run.results[f"{polarity}_post"] = pool_aar_caar(paths, 0, window.evt_end)
     return run

@@ -528,9 +528,17 @@ def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:
     return dict(zip(*tables.read_table(path, schema).values()))
 
 
+def _check_rf(path: str | Path, row: int, rf: float) -> None:
+    if rf < -1.0:
+        raise PanelFormatError(f"{path}: row {row}: field 'rf': must be >= -1, got {rf!r}")
+
+
 def read_rf_csv(path: str | Path) -> dict[date, float]:
-    """Read a ``date,rf`` series used as the risk-free leg in factor construction."""
-    return _dated_values(path, tables.RF)
+    """Read the ``date,rf`` risk-free leg of factor construction; an rf < -1 names its row."""
+    rates = _dated_values(path, tables.RF)
+    for row, rf in enumerate(rates.values(), start=2):  # one row per date: the dates are unique
+        _check_rf(path, row, rf)
+    return rates
 
 
 def _align_control(path: str | Path, schema: tables.Schema, calendar: list[date]) -> np.ndarray:
@@ -576,8 +584,7 @@ def read_factors_csv(path: str | Path) -> FactorSeries:
     for row, (rmrf, rf) in enumerate(zip(columns["rmrf"], columns["rf"]), start=2):
         if rmrf <= -1.0:
             raise PanelFormatError(f"{path}: row {row}: field 'rmrf': must be > -1, got {rmrf!r}")
-        if rf < -1.0:
-            raise PanelFormatError(f"{path}: row {row}: field 'rf': must be >= -1, got {rf!r}")
+        _check_rf(path, row, rf)
     return FactorSeries(dates=columns.pop("date"), **columns)
 
 

@@ -7,9 +7,9 @@ emit nothing until a day has N predecessors.
 
 lagged_signal_values, the one place the lag is applied, puts signal days on a
 trading calendar by ``factors.roll_forward`` (of several that roll to one
-trading day the most recent wins) and then `lag` trading days on; r2_scan and
-backtest_strategy read its arrays.  The trading rule holds the market when the
-lagged signal is 1, shorts it when 0, and stays flat where it is undefined.
+trading day the most recent wins) and then `lag` trading days on; r2_scan,
+backtest_strategy and ``econometrics.run_timing_regressions`` read its arrays.
+The trading rule is long the market on a lagged 1, short on a 0, flat on NaN.
 """
 
 from __future__ import annotations

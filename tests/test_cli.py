@@ -1062,11 +1062,11 @@ def _regressions(cfg: RunConfig, rmrf_on: dict) -> econometrics.TimingRegression
     rows = zip(*table.values())
     observations = timing.timing_observations([sentiment.SentimentObservation(*r) for r in rows])
     controls = factors.read_controls_csv(out / "controls.csv")
+    signal = timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode)
     return econometrics.run_timing_regressions(
-        timing.build_signal(observations, cfg.regression_n, mode=cfg.signal_mode),
+        timing.lagged_signal_values(signal, controls.dates, cfg.signal_lag),
         controls,
         np.array([rmrf_on.get(d, np.nan) for d in controls.dates]),
-        lag=cfg.signal_lag,
         tie_up=cfg.tie_up,
         robust=cfg.robust_se,
         with_ols=cfg.with_ols,
@@ -1114,7 +1114,8 @@ def test_regress_with_ols_and_robust_ses_writes_both_tables(demo7, tmp_path):
     shutil.rmtree(out)
     assert main(["all", "--config", str(cfg_path)]) == 0
 
-    regset = _regressions(load_config(cfg_path), _factor_returns(out))
+    cfg = load_config(cfg_path)
+    regset = _regressions(cfg, _factor_returns(out))
     assert sorted(regset.ols) == sorted(regset.logit) == ["1", "2", "3", "4", "5"]
     want = tmp_path / "want.csv"
     tables.write_rows(want, tables.REGRESSIONS, econometrics.regression_rows(regset))
@@ -1128,9 +1129,21 @@ def test_regress_with_ols_and_robust_ses_writes_both_tables(demo7, tmp_path):
     assert got["std_err"][:n_logit] != demo["std_err"]
 
     text = (out / "regressions.txt").read_text(encoding="utf-8")
-    ols_table = econometrics.render_report(regset, model=econometrics.OLS)
+    header = (cfg.regression_n, cfg.signal_lag)
+    ols_table = econometrics.render_report(regset, *header, model=econometrics.OLS)
     assert ols_table.startswith("excess-return regressions, signal window N=10, lag 2 ")
-    assert text == econometrics.render_report(regset) + "\n" + ols_table
+    assert text == econometrics.render_report(regset, *header) + "\n" + ols_table
+
+
+def test_a_lone_regress_names_its_configured_window_and_lag_in_both_headers(demo7, tmp_path):
+    cfg_path = _reconfigured(demo7, tmp_path, signal_lag=3, regression_n=7, with_ols=True)
+    assert main(["regress", "--config", str(cfg_path)]) == 0
+    text = (cfg_path.parent / "out" / "regressions.txt").read_text(encoding="utf-8")
+    headers = [line for line in text.splitlines() if "regressions, " in line]
+    assert headers == [
+        "up-day regressions, signal window N=7, lag 3 trading days",
+        "excess-return regressions, signal window N=7, lag 3 trading days",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1192,23 +1205,30 @@ def test_a_provided_factor_return_out_of_range_names_file_row_and_field(
     _assert_rejected(capsys, cfg_path, "factors", path, pattern)
 
 
-@pytest.mark.parametrize("stage, ns", [("timing", []), ("all", [10, 10])])
-def test_each_signal_is_lagged_once_per_stage_and_once_per_fit(
-    demo7, tmp_path, monkeypatch, stage, ns
-):
-    """timing lags each of its 16 signals once; regress lags its one to check it and to fit."""
+def test_an_rf_csv_rate_below_minus_one_names_file_row_and_field(demo7, tmp_path, capsys):
+    cfg_path, path = _corrupt(demo7, tmp_path, "rf.csv", _set(301, 1, "-1.5"))
+    assert path.read_text(encoding="utf-8").splitlines()[300] == "2022-02-25,-1.5"
+    pattern = "row 301: field 'rf': must be >= -1, got -1.5$"
+    _assert_rejected(capsys, _constructing_factors(cfg_path), "factors", path, pattern)
+
+
+@pytest.mark.parametrize(
+    "stage, ns",
+    [("timing", list(range(5, 21))), ("regress", [10]), ("all", list(range(5, 21)) + [10])],
+)
+def test_each_signal_is_lagged_once_per_stage(demo7, tmp_path, monkeypatch, stage, ns):
+    """timing lags each of its 16 signals once; regress lags its one once and fits on that."""
     lagged_ns = []
 
     def counted(signal, *args, _fn=timing.lagged_signal_values):
         lagged_ns.append(signal.n)
         return _fn(signal, *args)
 
-    for module in (timing, econometrics):  # econometrics imports the name
-        monkeypatch.setattr(module, "lagged_signal_values", counted)
+    monkeypatch.setattr(timing, "lagged_signal_values", counted)
     data = tmp_path / "data"
     shutil.copytree(demo7, data)
     assert main([stage, "--config", str(data / "run_config.json")]) == 0
-    assert lagged_ns == list(range(5, 21)) + ns
+    assert lagged_ns == ns
     for name in ("r2_scan.csv", "backtest_summary.csv", "regressions.csv"):
         assert (data / "out" / name).read_bytes() == (demo7 / "out" / name).read_bytes(), name
 

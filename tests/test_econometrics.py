@@ -4,6 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from sentimetrics import econometrics
 from sentimetrics.econometrics import (
     OLS,
     CollinearityError,
@@ -24,7 +25,7 @@ from sentimetrics.econometrics import (
 )
 from sentimetrics.factors import ControlSeries
 from sentimetrics.tables import REGRESSIONS, read_table, write_rows
-from sentimetrics.timing import INCLUSIVE, SignalSeries
+from sentimetrics.timing import INCLUSIVE, SignalSeries, lagged_signal_values
 
 from helpers import weekdays
 
@@ -84,8 +85,6 @@ def test_ols_recovers_exact_line():
     res = fit_ols(build_design({"x": x}, y))
     assert res.coef("intercept") == pytest.approx(1.0, abs=1e-12)
     assert res.coef("x") == pytest.approx(2.0, abs=1e-12)
-    assert res.residual_variance == pytest.approx(0.0, abs=1e-24)
-    assert res.model == "ols"
     assert res.n_obs == 6
 
 
@@ -103,7 +102,6 @@ def test_ols_matches_normal_equations_oracle():
     assert np.allclose(res.estimates, beta, atol=1e-10)
     assert np.allclose(res.std_errs, se, atol=1e-10)
     assert np.allclose(res.t_values, beta / se, atol=1e-10)
-    assert res.residual_variance == pytest.approx(sigma2, rel=1e-12)
 
 
 def test_ols_exact_recovery_multifactor():
@@ -350,11 +348,11 @@ def test_an_unconverged_fit_with_a_degenerate_covariance_writes_blank_errors(
     blank = np.isnan(res.std_errs)
     assert blank.any() and np.array_equal(np.isnan(res.t_values), blank)
     assert np.all(res.std_errs[~blank] > 0) and np.all(np.isfinite(res.t_values[~blank]))
-    regset = TimingRegressionSet(logit={"1": res}, signal_n=10, lag=2)
+    regset = TimingRegressionSet(logit={"1": res})
     assert _writes(tmp_path, regset) == 5
     table = read_table(tmp_path / "regressions.csv", REGRESSIONS)
     assert np.array_equal(np.isnan(np.array(table["std_err"], float)), blank)
-    assert render_report(regset).endswith("warning: (1) converged=False after n_iter=100\n")
+    assert render_report(regset, 10, 2).endswith("warning: (1) converged=False after n_iter=100\n")
 
 
 def test_random_designs_raise_a_named_error_or_write(tmp_path):
@@ -379,7 +377,8 @@ def test_random_designs_raise_a_named_error_or_write(tmp_path):
 # Five-spec harness
 
 
-def _harness_inputs(n_days=240, seed=8, zero_days=(), nan_market=()):
+def _harness_inputs(n_days=240, seed=8, zero_days=(), nan_market=(), lag=2):
+    """A signal lagged `lag` days onto a weekday calendar, its controls and market returns."""
     rng = np.random.default_rng(seed)
     cal = weekdays(date(2021, 1, 4), n_days)
     sig_values = rng.integers(0, 2, n_days - 3)
@@ -399,26 +398,23 @@ def _harness_inputs(n_days=240, seed=8, zero_days=(), nan_market=()):
         short_rate=0.02 + np.cumsum(rng.normal(0, 1e-4, n_days)),
         pct_zero=rng.uniform(0.0, 0.2, n_days),
     )
-    return signal, controls, market
+    return lagged_signal_values(signal, cal, lag), controls, market
 
 
 def test_run_timing_regressions_five_specs():
-    signal, controls, market = _harness_inputs()
-    regset = run_timing_regressions(signal, controls, market, lag=2)
+    lagged, controls, market = _harness_inputs()
+    regset = run_timing_regressions(lagged, controls, market)
     assert set(regset.logit) == {"1", "2", "3", "4", "5"}
     assert regset.ols == {}
     for spec_id, terms in SPEC_TERMS.items():
         res = regset.logit[spec_id]
         assert res.terms == ["intercept"] + list(terms)
-        assert res.model == "logit"
         assert res.converged
-    assert regset.signal_n == 3
-    assert regset.lag == 2
 
 
 def test_specs_use_their_own_maximal_samples():
-    signal, controls, market = _harness_inputs()
-    regset = run_timing_regressions(signal, controls, market, lag=2)
+    lagged, controls, market = _harness_inputs()
+    regset = run_timing_regressions(lagged, controls, market)
     n = len(controls.dates)
     # Signal dates cover indices 0..n-4; lag 2 leaves indices 2..n-2 defined,
     # so the signal column loses 3 days.
@@ -433,8 +429,8 @@ def test_specs_use_their_own_maximal_samples():
 
 
 def test_nan_market_days_drop_from_every_spec():
-    signal, controls, market = _harness_inputs(nan_market=(120, 121))
-    regset = run_timing_regressions(signal, controls, market, lag=2)
+    lagged, controls, market = _harness_inputs(nan_market=(120, 121))
+    regset = run_timing_regressions(lagged, controls, market)
     n = len(controls.dates)
     assert regset.logit["3"].n_obs == n - 2
     assert regset.logit["1"].n_obs == n - 5
@@ -443,49 +439,60 @@ def test_nan_market_days_drop_from_every_spec():
 def test_tie_rule_zeros_count_down_by_default():
     # Make every return either positive or exactly zero: with ties counted
     # as up the response becomes single-class.
-    signal, controls, market = _harness_inputs(seed=9)
+    lagged, controls, market = _harness_inputs(seed=9)
     market = np.abs(market)
     market[::3] = 0.0
-    regset = run_timing_regressions(signal, controls, market, lag=2)
+    regset = run_timing_regressions(lagged, controls, market)
     assert regset.logit["1"].converged
     with pytest.raises(DegenerateResponseError):
-        run_timing_regressions(signal, controls, market, lag=2, tie_up=True)
+        run_timing_regressions(lagged, controls, market, tie_up=True)
 
 
 def test_all_missing_regressor_names_the_spec():
-    signal, controls, market = _harness_inputs()
+    lagged, controls, market = _harness_inputs()
     controls.d_nsi[:] = np.nan
     with pytest.raises(EmptySampleError, match="specification 2"):
-        run_timing_regressions(signal, controls, market, lag=2)
+        run_timing_regressions(lagged, controls, market)
 
 
 @pytest.mark.parametrize("lag", [240, 10**30])
 def test_a_lag_past_the_calendar_is_the_first_specifications_empty_sample(lag):
-    signal, controls, market = _harness_inputs()
+    lagged, controls, market = _harness_inputs(lag=lag)
     with pytest.raises(EmptySampleError, match="^specification 1: "):
-        run_timing_regressions(signal, controls, market, lag=lag)
+        run_timing_regressions(lagged, controls, market)
 
 
 def test_a_fit_error_names_its_specification():
-    signal, controls, market = _harness_inputs(seed=9)
+    lagged, controls, market = _harness_inputs(seed=9)
     with pytest.raises(
         DegenerateResponseError, match="^specification 1: response has a single class;"
     ):
-        run_timing_regressions(signal, controls, np.abs(market), lag=2)
+        run_timing_regressions(lagged, controls, np.abs(market))
 
 
 def test_market_returns_off_the_control_calendar_are_rejected():
-    signal, controls, market = _harness_inputs()
+    lagged, controls, market = _harness_inputs()
     with pytest.raises(ValueError, match="market_returns must align one-to-one"):
-        run_timing_regressions(signal, controls, market[:-1], lag=2)
+        run_timing_regressions(lagged, controls, market[:-1])
+
+
+def test_a_lagged_signal_off_the_control_calendar_is_rejected_before_any_fit(monkeypatch):
+    lagged, controls, market = _harness_inputs()
+    fits = []
+    monkeypatch.setattr(econometrics, "fit_logit", lambda *a, **k: fits.append(a))
+    with pytest.raises(
+        ValueError,
+        match="^lagged signal and market_returns must align one-to-one with controls$",
+    ):
+        run_timing_regressions(lagged[:-1], controls, market)
+    assert fits == []
 
 
 def test_with_ols_runs_return_regressions_alongside():
-    signal, controls, market = _harness_inputs()
-    regset = run_timing_regressions(signal, controls, market, lag=2, with_ols=True)
+    lagged, controls, market = _harness_inputs()
+    regset = run_timing_regressions(lagged, controls, market, with_ols=True)
     assert set(regset.ols) == {"1", "2", "3", "4", "5"}
     for spec_id in SPEC_TERMS:
-        assert regset.ols[spec_id].model == "ols"
         assert regset.ols[spec_id].n_obs == regset.logit[spec_id].n_obs
 
 
@@ -511,7 +518,6 @@ def test_planted_signal_slope_recovered():
     )
     # Only spec 1 is estimable; the others raise on their empty samples.
     from sentimetrics.econometrics import build_design as _bd, fit_logit as _fl
-    from sentimetrics.timing import lagged_signal_values
 
     lagged = lagged_signal_values(signal, cal, lag)
     up = (market > 0).astype(float)
@@ -523,8 +529,8 @@ def test_planted_signal_slope_recovered():
 def test_null_signal_t_values_are_small():
     hits = 0
     for seed in range(12):
-        signal, controls, market = _harness_inputs(seed=100 + seed)
-        regset = run_timing_regressions(signal, controls, market, lag=2)
+        lagged, controls, market = _harness_inputs(seed=100 + seed)
+        regset = run_timing_regressions(lagged, controls, market)
         t = abs(regset.logit["1"].t_of("signal"))
         assert t < 4.0, seed
         if t < 2.0:
@@ -537,9 +543,9 @@ def test_null_signal_t_values_are_small():
 
 
 def test_render_report_layout():
-    signal, controls, market = _harness_inputs()
-    regset = run_timing_regressions(signal, controls, market, lag=2)
-    text = render_report(regset)
+    lagged, controls, market = _harness_inputs()
+    regset = run_timing_regressions(lagged, controls, market)
+    text = render_report(regset, 3, 2)
     lines = text.splitlines()
     assert "N=3" in lines[0]
     assert "lag 2" in lines[0]
@@ -559,7 +565,6 @@ def test_render_report_layout():
 
 def _logit_result(converged, n_iter):
     return RegressionResult(
-        model="logit",
         terms=["intercept", "signal"],
         estimates=np.array([0.1, 0.5]),
         std_errs=np.array([0.05, 0.25]),
@@ -576,21 +581,21 @@ def test_render_report_flags_unconverged_fits():
         "2": _logit_result(False, 100),
         "3": _logit_result(False, 37),
     }
-    text = render_report(TimingRegressionSet(logit=fits, signal_n=10, lag=2))
+    text = render_report(TimingRegressionSet(logit=fits), 10, 2)
     assert text.splitlines()[-2:] == [
         "warning: (2) converged=False after n_iter=100",
         "warning: (3) converged=False after n_iter=37",
     ]
     converged = {k: _logit_result(True, 6) for k in fits}
-    clean = render_report(TimingRegressionSet(logit=converged, signal_n=10, lag=2))
+    clean = render_report(TimingRegressionSet(logit=converged), 10, 2)
     assert "converged" not in clean
     assert text.startswith(clean[:-1])
 
 
 def test_render_report_of_a_model_without_fits_errors():
-    regset = TimingRegressionSet(logit={"1": _logit_result(True, 6)}, signal_n=10, lag=2)
+    regset = TimingRegressionSet(logit={"1": _logit_result(True, 6)})
     with pytest.raises(ValueError, match="^no ols results to render$"):
-        render_report(regset, model=OLS)
+        render_report(regset, 10, 2, model=OLS)
 
 
 def test_an_unknown_term_is_a_key_error_naming_the_terms():
@@ -602,8 +607,8 @@ def test_an_unknown_term_is_a_key_error_naming_the_terms():
 
 
 def test_regressions_csv_roundtrip(tmp_path):
-    signal, controls, market = _harness_inputs()
-    regset = run_timing_regressions(signal, controls, market, lag=2, with_ols=True)
+    lagged, controls, market = _harness_inputs()
+    regset = run_timing_regressions(lagged, controls, market, with_ols=True)
     p = tmp_path / "regressions.csv"
     write_rows(p, REGRESSIONS, regression_rows(regset))
     table = read_table(p, REGRESSIONS)
