@@ -386,11 +386,9 @@ def stage_timing(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     built, why = _signals(cfg, outputs, cfg.signal_n_list, calendar, "factors.csv")
     kept = [(sig, lagged) for sig, lagged in built if sig.dates]
     skipped = {sig.n: why for sig, _lagged in built if not sig.dates}  # N -> why it has no backtest
-    signals = [sig for sig, _lagged in kept]
-    scan = timing.r2_scan([lagged for _sig, lagged in kept], series.rmrf)
-    outputs.write("signals.csv", tables.write_rows, timing.signal_rows(signals))
-    scan_rows = [(sig.n, cfg.signal_lag, *entry) for sig, entry in zip(signals, scan)]
-    outputs.write("r2_scan.csv", tables.write_rows, scan_rows)
+    outputs.write("signals.csv", tables.write_rows, timing.signal_rows([sig for sig, _ in kept]))
+    scan = [(sig.n, cfg.signal_lag, *timing.r2_scan(lagged, series.rmrf)) for sig, lagged in kept]
+    outputs.write("r2_scan.csv", tables.write_rows, scan)
     summary = []
     for sig, lagged in kept:
         try:

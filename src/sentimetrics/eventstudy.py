@@ -9,8 +9,10 @@ intercept included; pooled averages use whichever events have data at each
 relative day, and cumulative averages are exact running sums.
 
 A firm's excess returns are one float array aligned with the factor calendar,
-NaN on the days it has no return.  Pooled paths share one event window: the
-same first relative day `t0` and the same length.
+NaN on the days it has no return.  The estimators return numbers only;
+run_event_study labels each abnormal-return array with its firm, announcement,
+event day and window start as an ArPath.  Pooled paths share one event window:
+the same first relative day `t0` and the same length.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class EventWindowConfig:
 
 @dataclass
 class ExposureEstimate:
-    firm_id: str
     alpha: float
     slopes: np.ndarray  # len 15, ordered as REGRESSOR_NAMES
     n_obs: int
@@ -145,7 +146,6 @@ def estimate_exposures(
     factors: FactorSeries,
     window: EventWindowConfig,
     event_idx: int,
-    firm_id: str = "",
 ) -> ExposureEstimate:
     """OLS of the stock's excess return on the 16-parameter lead/lag factor design.
 
@@ -153,6 +153,7 @@ def estimate_exposures(
     has no return; `event_idx` is the event day's position on that calendar.
     Uses only estimation-window days where the return and all regressors
     exist.  Solved by orthogonalization (lstsq), not by normal equations.
+    Returns the intercept, the 15 slopes and the number of days used.
     """
     _check_event(factors, event_idx, excess_returns)
     lo, design = _design_span(factors, event_idx + window.est_start, event_idx + window.est_end)
@@ -168,12 +169,7 @@ def estimate_exposures(
         raise RankDeficientDesignError(
             f"design rank {rank} < {N_PARAMS} over the estimation window"
         )
-    return ExposureEstimate(
-        firm_id=firm_id,
-        alpha=float(beta[0]),
-        slopes=beta[1:].copy(),
-        n_obs=n_obs,
-    )
+    return ExposureEstimate(alpha=float(beta[0]), slopes=beta[1:].copy(), n_obs=n_obs)
 
 
 def compute_ar(
@@ -182,30 +178,22 @@ def compute_ar(
     factors: FactorSeries,
     window: EventWindowConfig,
     event_idx: int,
-    announce_date: date | None = None,
-) -> ArPath:
+) -> np.ndarray:
     """Realized minus fitted excess return on each event-window day.
 
     `excess_returns` is aligned with the factor calendar, NaN where the stock
-    has no return; `event_idx` is the event day's position on that calendar,
-    and the announcement defaults to that day.  The path is NaN where the
-    return or a regressor is missing.
+    has no return; `event_idx` is the event day's position on that calendar.
+    Returns the window's evt_len + 1 abnormal returns, relative day evt_start
+    first, NaN where the return or a regressor is missing.
     """
     _check_event(factors, event_idx, excess_returns)
-    event_date = factors.dates[event_idx]
     first = event_idx + window.evt_start
     lo, design = _design_span(factors, first, event_idx + window.evt_end)
     # vecdot, not design @ slopes: a gemv may round differently from a per-row dot product.
     expected = design[:, 0] * estimate.alpha + np.vecdot(design[:, 1:], estimate.slopes)
     values = np.full(window.evt_len + 1, np.nan)
     values[lo - first : lo - first + len(design)] = excess_returns[lo : lo + len(design)] - expected
-    return ArPath(
-        firm_id=estimate.firm_id,
-        announce_date=announce_date if announce_date is not None else event_date,
-        event_date=event_date,
-        t0=window.evt_start,
-        values=values,
-    )
+    return values
 
 
 def pool_aar_caar(ar_paths: list[ArPath], t0: int, t_len: int) -> EventStudyResult:
@@ -286,11 +274,12 @@ def run_event_study(
             )
             continue
         try:
-            estimate = estimate_exposures(excess[i], factors, window, t, event.firm_id)
+            estimate = estimate_exposures(excess[i], factors, window, t)
         except (InsufficientObservationsError, RankDeficientDesignError) as exc:
             run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
             continue
-        path = compute_ar(estimate, excess[i], factors, window, t, event.announce_date)
+        ar = compute_ar(estimate, excess[i], factors, window, t)
+        path = ArPath(event.firm_id, event.announce_date, factors.dates[t], window.evt_start, ar)
         grouped[event.polarity].append(path)
         event_indices.setdefault(event.firm_id, []).append(t)
 

@@ -152,7 +152,7 @@ CONTROLS = Schema(
     ASCENDING, date=DATE,
     nsi=BLANK_FLOAT, d_nsi=BLANK_FLOAT, short_rate=BLANK_FLOAT, pct_zero=BLANK_FLOAT,
 )
-# A blank AAR/CAAR: no event has a return on that relative day.
+# A blank AAR: no event has a return that relative day; a CAAR is blank from the first such day on.
 EVENT_STUDY = Schema(group=TEXT, relative_day=INT, aar=BLANK_FLOAT, caar=BLANK_FLOAT, n_events=INT)
 EVENT_EXCLUSIONS = Schema(firm_id=TEXT, announce_date=DATE, reason=TEXT)
 SIGNALS = Schema(date=DATE, N=INT, signal=INT)

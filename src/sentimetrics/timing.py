@@ -7,8 +7,9 @@ emit nothing until a day has N predecessors.
 
 lagged_signal_values, the one place the lag is applied, puts signal days on a
 trading calendar by ``factors.roll_forward`` (of several that roll to one
-trading day the most recent wins) and then `lag` trading days on; r2_scan,
-backtest_strategy and ``econometrics.run_timing_regressions`` read its arrays.
+trading day the most recent wins) and then `lag` trading days on.  r2_scan
+scores one such array as an (r2, sign) pair, backtest_strategy trades one, and
+``econometrics.run_timing_regressions`` fits on one.
 The trading rule is long the market on a lagged 1, short on a 0, flat on NaN.
 """
 
@@ -33,7 +34,6 @@ DEFAULT_LAG = 2
 @dataclass
 class SignalSeries:
     n: int
-    mode: str
     dates: list[date]  # strictly ascending
     values: np.ndarray  # 0/1 ints aligned with dates
 
@@ -74,12 +74,12 @@ def build_signal(
         if usable[i - 1][0] >= usable[i][0]:
             raise ValueError("sentiment observations must be strictly ascending by date")
     if n >= len(usable):
-        return SignalSeries(n=n, mode=mode, dates=[], values=np.zeros(0, dtype=int))
+        return SignalSeries(n=n, dates=[], values=np.zeros(0, dtype=int))
     scores = np.array([s for _d, s in usable])
     windows = sliding_window_view(scores, n)
     windows = windows[1:] if mode == INCLUSIVE else windows[:-1]
     values = (scores[n:] - windows.mean(axis=1) > 0).astype(int)
-    return SignalSeries(n=n, mode=mode, dates=[d for d, _s in usable[n:]], values=values)
+    return SignalSeries(n=n, dates=[d for d, _s in usable[n:]], values=values)
 
 
 def lagged_signal_values(
@@ -116,23 +116,19 @@ def _aligned(n_days: int, lagged: np.ndarray, market_returns) -> np.ndarray:
     return market_returns
 
 
-def r2_scan(lagged: list[np.ndarray], market_returns: np.ndarray) -> list[tuple[float | None, str]]:
-    """Per lagged signal, its squared correlation with the market return and the
+def r2_scan(lagged: np.ndarray, market_returns: np.ndarray) -> tuple[float | None, str]:
+    """The lagged signal's squared correlation with the market return and the
     correlation's sign ("+", "-" or "0").
 
     A signal that is constant over the overlap (zero variance) gets an
     undefined r2 rather than a fabricated number: (None, "").
     """
-    scan = []
-    for values in lagged:
-        market = _aligned(len(values), values, market_returns)
-        mask = ~np.isnan(values)
-        corr = _pearson(values[mask], market[mask]) if mask.sum() >= 2 else None
-        if corr is None:
-            scan.append((None, ""))
-        else:
-            scan.append((corr * corr, "+" if corr > 0 else ("-" if corr < 0 else "0")))
-    return scan
+    market = _aligned(len(lagged), lagged, market_returns)
+    mask = ~np.isnan(lagged)
+    corr = _pearson(lagged[mask], market[mask]) if mask.sum() >= 2 else None
+    if corr is None:
+        return None, ""
+    return corr * corr, "+" if corr > 0 else ("-" if corr < 0 else "0")
 
 
 def backtest_strategy(

@@ -32,7 +32,6 @@ from sentimetrics.sentiment import Lexicon, StockSentimentEvent, score_day
 from sentimetrics.synthetic import SynthConfig, gen_dataset
 from sentimetrics.timing import (
     SignalSeries,
-    INCLUSIVE,
     backtest_strategy,
     build_signal,
     lagged_signal_values,
@@ -348,7 +347,6 @@ def test_06_caar_arithmetic_identities():
             ds.factors,
             window,
             idx,
-            path.firm_id,
         )
         mats = np.column_stack([getattr(ds.factors, f) for f in FACTOR_NAMES])
         for off, rel in enumerate(range(window.evt_start, window.evt_end + 1)):
@@ -429,20 +427,20 @@ def test_08_backtest_identities():
     market = rng.normal(0.0002, 0.011, 60)
     lag = 2
 
-    ones = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=np.ones(58, dtype=int))
+    ones = SignalSeries(n=1, dates=list(cal[:58]), values=np.ones(58, dtype=int))
     res_long = backtest_strategy(lagged_signal_values(ones, cal, lag), cal, market)
     assert res_long.outperformance == 0.0
     assert np.array_equal(res_long.strategy_equity, res_long.benchmark_equity)
 
     values = rng.integers(0, 2, 58)
-    sig = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=values)
-    comp = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=1 - values)
+    sig = SignalSeries(n=1, dates=list(cal[:58]), values=values)
+    comp = SignalSeries(n=1, dates=list(cal[:58]), values=1 - values)
     res_a = backtest_strategy(lagged_signal_values(sig, cal, lag), cal, market)
     res_b = backtest_strategy(lagged_signal_values(comp, cal, lag), cal, market)
     assert np.array_equal(res_b.strategy_returns, -res_a.strategy_returns)  # exact negation
 
     foresight = (market[lag:] > 0).astype(int)
-    fs = SignalSeries(n=1, mode=INCLUSIVE, dates=list(cal[:58]), values=foresight)
+    fs = SignalSeries(n=1, dates=list(cal[:58]), values=foresight)
     res_f = backtest_strategy(lagged_signal_values(fs, cal, lag), cal, market)
     gross = 1.0
     for r in market[lag:]:

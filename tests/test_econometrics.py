@@ -25,7 +25,7 @@ from sentimetrics.econometrics import (
 )
 from sentimetrics.factors import ControlSeries
 from sentimetrics.tables import REGRESSIONS, read_table, write_rows
-from sentimetrics.timing import INCLUSIVE, SignalSeries, lagged_signal_values
+from sentimetrics.timing import SignalSeries, lagged_signal_values
 
 from helpers import weekdays
 
@@ -382,7 +382,7 @@ def _harness_inputs(n_days=240, seed=8, zero_days=(), nan_market=(), lag=2):
     rng = np.random.default_rng(seed)
     cal = weekdays(date(2021, 1, 4), n_days)
     sig_values = rng.integers(0, 2, n_days - 3)
-    signal = SignalSeries(n=3, mode=INCLUSIVE, dates=cal[: n_days - 3], values=sig_values)
+    signal = SignalSeries(n=3, dates=cal[: n_days - 3], values=sig_values)
     market = rng.normal(0.0004, 0.01, n_days)
     for k in zero_days:
         market[k] = 0.0
@@ -501,7 +501,7 @@ def test_planted_signal_slope_recovered():
     n_days = 1200
     cal = weekdays(date(2018, 1, 1), n_days)
     values = rng.integers(0, 2, n_days)
-    signal = SignalSeries(n=3, mode=INCLUSIVE, dates=list(cal), values=values)
+    signal = SignalSeries(n=3, dates=list(cal), values=values)
     lag = 2
     b0, b1 = -0.4, 0.8
     market = np.empty(n_days)

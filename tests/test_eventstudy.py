@@ -19,6 +19,7 @@ from sentimetrics.eventstudy import (
 from sentimetrics.factors import FACTOR_NAMES, FactorSeries, roll_forward
 from sentimetrics.eventstudy import ArPath
 from sentimetrics.sentiment import StockSentimentEvent
+from sentimetrics.synthetic import SynthConfig, gen_dataset
 
 from helpers import Row, on_calendar, panel_from_rows, weekdays
 
@@ -112,10 +113,9 @@ def test_exact_recovery_on_noiseless_returns():
     alpha = 0.0004
     slopes = rng.normal(0.0, 0.5, 15)
     excess = _linear_excess(factors, alpha, slopes)
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, 90, "F0")
+    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, 90)
     assert est.alpha == pytest.approx(alpha, abs=1e-10)
     assert np.allclose(est.slopes, slopes, atol=1e-10)
-    assert est.firm_id == "F0"
 
 
 def test_estimates_match_normal_equations_oracle():
@@ -195,14 +195,14 @@ def test_event_index_off_calendar_errors(event_idx):
     message = rf"event index {event_idx} is not on the 100-day factor calendar"
     with pytest.raises(ValueError, match=message):
         estimate_exposures(excess, factors, SHORT_WINDOW, event_idx)
-    est = ExposureEstimate("F", 0.0, np.zeros(15), 0)
+    est = ExposureEstimate(0.0, np.zeros(15), 0)
     with pytest.raises(ValueError, match=message):
         compute_ar(est, excess, factors, SHORT_WINDOW, event_idx)
 
 
 def test_excess_returns_off_the_factor_calendar_error():
     factors = _factors(100, seed=8)
-    est = ExposureEstimate("F", 0.0, np.zeros(15), 0)
+    est = ExposureEstimate(0.0, np.zeros(15), 0)
     message = "^excess returns must align one-to-one with the factor calendar$"
     for excess in (np.zeros(99), np.zeros(101)):
         with pytest.raises(ValueError, match=message):
@@ -221,12 +221,10 @@ def test_ar_zero_for_model_consistent_returns():
     slopes = rng.normal(0.0, 0.4, 15)
     excess = _linear_excess(factors, 0.0003, slopes)
     est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, 95)
-    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, 95)
-    assert path.event_date == path.announce_date == factors.dates[95]
-    assert path.t0 == SHORT_WINDOW.evt_start
-    assert len(path.values) == SHORT_WINDOW.evt_len + 1
-    assert np.all(np.isfinite(path.values))
-    assert np.max(np.abs(path.values)) < 1e-10
+    ar = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, 95)
+    assert isinstance(ar, np.ndarray) and ar.shape == (SHORT_WINDOW.evt_len + 1,)
+    assert np.all(np.isfinite(ar))
+    assert np.max(np.abs(ar)) < 1e-10
 
 
 def test_ar_shifts_one_for_one_with_return_bumps():
@@ -243,9 +241,9 @@ def test_ar_shifts_one_for_one_with_return_bumps():
         bumped[d] = base[d] + bump
         bumps[rel] = bump
     est = estimate_exposures(on_calendar(bumped, factors), factors, SHORT_WINDOW, event_idx)
-    path = compute_ar(est, on_calendar(bumped, factors), factors, SHORT_WINDOW, event_idx)
+    ar = compute_ar(est, on_calendar(bumped, factors), factors, SHORT_WINDOW, event_idx)
     for rel, bump in bumps.items():
-        assert path.values[rel - path.t0] == pytest.approx(bump, abs=1e-10)
+        assert ar[rel - SHORT_WINDOW.evt_start] == pytest.approx(bump, abs=1e-10)
 
 
 def test_ar_nan_past_calendar_end():
@@ -254,12 +252,13 @@ def test_ar_nan_past_calendar_end():
     excess = _linear_excess(factors, 0.0, rng.normal(0, 0.3, 15))
     event_idx = 96  # evt window runs past the last date
     est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
-    path = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
+    ar = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
     # rel +2 is the penultimate calendar day (lead regressor exists), +3 on
     # the last day has no lead, beyond that there is no calendar at all.
-    assert np.isfinite(path.values[2 - path.t0])
-    assert np.isnan(path.values[3 - path.t0])
-    assert np.isnan(path.values[SHORT_WINDOW.evt_end - path.t0])
+    t0 = SHORT_WINDOW.evt_start
+    assert np.isfinite(ar[2 - t0])
+    assert np.isnan(ar[3 - t0])
+    assert np.isnan(ar[SHORT_WINDOW.evt_end - t0])
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +497,13 @@ def test_sliced_design_matches_row_by_row_design_bitwise():
                     estimate_exposures(on_calendar(excess, factors), factors, window, event_idx)
                 excluded += 1
                 continue
-            est = estimate_exposures(on_calendar(excess, factors), factors, window, event_idx, "F")
+            est = estimate_exposures(on_calendar(excess, factors), factors, window, event_idx)
             assert np.float64(est.alpha).tobytes() == np.float64(old[0]).tobytes()
             assert est.slopes.tobytes() == old[1].tobytes()
             assert est.n_obs == old[2]
             ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_idx)
             old_ar = _old_ar(old[0], old[1], excess, factors, window, event_idx)
-            assert ar.values.tobytes() == old_ar.tobytes()
+            assert ar.tobytes() == old_ar.tobytes()
             compared += 1
     assert compared > 50 and excluded > 20
 
@@ -549,12 +548,12 @@ def test_compute_ar_matches_row_by_row_loop_bitwise():
         for d, r, u in zip(factors.dates, rng.normal(0, 0.02, n_days), rng.random(n_days)):
             if u > 0.1:
                 excess[d] = float("nan") if u > 0.95 else float(r)
-        est = ExposureEstimate("F", float(rng.normal(0, 1e-3)), rng.normal(0, 0.5, 15), 0)
+        est = ExposureEstimate(float(rng.normal(0, 1e-3)), rng.normal(0, 0.5, 15), 0)
         # Event days anywhere on the calendar: windows clamped at either end.
         event_idx = int(rng.integers(0, n_days))
         ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_idx)
         want = _old_ar(est.alpha, est.slopes, excess, factors, window, event_idx)
-        assert ar.values.tobytes() == want.tobytes()
+        assert ar.tobytes() == want.tobytes()
 
 
 def _loop_pool(paths, t0, t_len):
@@ -621,10 +620,40 @@ def test_run_event_study_aligns_a_panel_calendar_that_differs_from_the_factor_ca
     kept = {d: (v + 1e-4) - 1e-4 for d, v in excess.items() if d not in missing}
     want_excess = on_calendar(kept, factors)
     paths = run.ar_paths["positive"] + run.ar_paths["negative"]
+    assert [p.firm_id for p in paths] == ["F", "F"]
+    # A weekend announcement stays the announcement; its event day is the next trading day.
+    assert [p.announce_date for p in paths] == [factors.dates[100], saturday]
     assert [p.event_date for p in paths] == [factors.dates[100], factors.dates[105]]
+    assert all(p.t0 == SHORT_WINDOW.evt_start for p in paths)
     for path, t in zip(paths, (100, 105)):
-        est = estimate_exposures(want_excess, factors, SHORT_WINDOW, t, "F")
-        want = compute_ar(est, want_excess, factors, SHORT_WINDOW, t, path.announce_date)
-        assert path.values.tobytes() == want.values.tobytes()
+        est = estimate_exposures(want_excess, factors, SHORT_WINDOW, t)
+        want = compute_ar(est, want_excess, factors, SHORT_WINDOW, t)
+        assert path.values.tobytes() == want.tobytes()
     for path, missing_rel in zip(paths, ([-2, 3, 5], [-2, 0])):
         assert np.flatnonzero(np.isnan(path.values)).tolist() == [r - path.t0 for r in missing_rel]
+
+
+def test_a_caar_is_blank_from_the_first_relative_day_no_event_has_a_return():
+    """CAAR is a plain running sum: one day without data blanks every later CAAR."""
+    ds = gen_dataset(SynthConfig(seed=7))
+    events = [StockSentimentEvent(e.firm_id, e.announce_date, -0.5, e.polarity)
+              for e in ds.truth.events]
+    f = ds.factors
+    # The factor calendar gains the Saturday after the first Friday on or after the first
+    # event's day; the panel has no return on it.
+    t = f.dates.index(events[0].announce_date)
+    friday = next(d for d in f.dates[t:] if d.weekday() == 4)
+    at = f.dates.index(friday) + 1
+    columns = [np.insert(getattr(f, name), at, 0.0) for name in FACTOR_NAMES + ("rf",)]
+    factors = FactorSeries(f.dates[:at] + [friday + timedelta(days=1)] + f.dates[at:], *columns)
+
+    run = run_event_study(events[:1], ds.panel, factors, EventWindowConfig())
+    [path] = run.ar_paths["negative"]
+    res = run.results["negative_full"]
+    assert res.rel_days[np.isnan(path.values)].tolist() == [4]
+    assert res.rel_days[np.isnan(res.aar)].tolist() == [4]
+    assert res.rel_days[np.isnan(res.caar)].tolist() == list(range(4, 21))
+
+    run = run_event_study(events, ds.panel, factors, EventWindowConfig())
+    assert len(run.ar_paths["negative"]) == 10
+    assert not np.isnan(run.results["negative_full"].caar).any()

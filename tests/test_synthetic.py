@@ -423,9 +423,7 @@ def test_exposures_recoverable_when_noise_off():
         excess = {
             d: cell(ds.panel, fid, d).daily_return - cfg.rf_daily for d in ds.calendar
         }
-        est = estimate_exposures(
-            on_calendar(excess, ds.factors), ds.factors, window, anchor, fid
-        )
+        est = estimate_exposures(on_calendar(excess, ds.factors), ds.factors, window, anchor)
         truth = ds.truth.exposures[fid]
         assert est.alpha == pytest.approx(truth["alpha"], abs=1e-8)
         for j, name in enumerate(names):

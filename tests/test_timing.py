@@ -127,7 +127,7 @@ def test_none_scores_skipped_inside_build_signal():
 def test_signal_maps_to_next_trading_day():
     cal = weekdays(date(2022, 1, 3), 10)
     series = SignalSeries(
-        n=1, mode=INCLUSIVE, dates=[date(2022, 1, 8)], values=np.array([1])
+        n=1, dates=[date(2022, 1, 8)], values=np.array([1])
     )  # Saturday
     lagged = lagged_signal_values(series, cal, 0)
     assert np.flatnonzero(~np.isnan(lagged)).tolist() == [cal.index(date(2022, 1, 10))]
@@ -138,7 +138,6 @@ def test_latest_signal_wins_when_rolling_collides():
     cal = [date(2022, 1, 3), date(2022, 1, 10)]
     series = SignalSeries(
         n=1,
-        mode=INCLUSIVE,
         dates=[date(2022, 1, 5), date(2022, 1, 8)],  # both roll to Jan 10
         values=np.array([1, 0]),
     )
@@ -149,7 +148,7 @@ def test_latest_signal_wins_when_rolling_collides():
 def test_signal_past_calendar_end_dropped():
     cal = weekdays(date(2022, 1, 3), 5)
     series = SignalSeries(
-        n=1, mode=INCLUSIVE, dates=[date(2022, 3, 1)], values=np.array([1])
+        n=1, dates=[date(2022, 3, 1)], values=np.array([1])
     )
     assert np.isnan(lagged_signal_values(series, cal, 0)).all()
 
@@ -157,7 +156,7 @@ def test_signal_past_calendar_end_dropped():
 def test_lagged_values_shift_by_trading_days():
     cal = weekdays(date(2022, 1, 3), 6)
     series = SignalSeries(
-        n=1, mode=INCLUSIVE, dates=[cal[0], cal[1], cal[2]], values=np.array([1, 0, 1])
+        n=1, dates=[cal[0], cal[1], cal[2]], values=np.array([1, 0, 1])
     )
     lagged = lagged_signal_values(series, cal, 2)
     assert np.isnan(lagged[0]) and np.isnan(lagged[1])
@@ -170,7 +169,7 @@ def test_lagged_values_shift_by_trading_days():
 @pytest.mark.parametrize("lag", [6, 7, 2**63, 10**30])
 def test_a_lag_at_or_past_the_calendar_length_leaves_every_day_undefined(lag):
     cal = weekdays(date(2022, 1, 3), 6)
-    series = SignalSeries(n=1, mode=INCLUSIVE, dates=cal[:3], values=np.array([1, 0, 1]))
+    series = SignalSeries(n=1, dates=cal[:3], values=np.array([1, 0, 1]))
     lagged = lagged_signal_values(series, cal, lag)
     assert lagged.shape == (6,) and np.isnan(lagged).all()
 
@@ -196,11 +195,13 @@ def test_r2_one_when_market_follows_signal():
         market[k] = 0.01 if values[k - 3] == 1 else -0.01
 
     lagged = lagged_signal_values(build_signal(obs, 1, mode=EXCLUSIVE), cal, lag)
-    [(r2, sign)] = r2_scan([lagged], market)
+    scan = r2_scan(lagged, market)
+    assert isinstance(scan, tuple) and len(scan) == 2  # one array, one (r2, sign) pair
+    r2, sign = scan
     assert r2 == pytest.approx(1.0, abs=1e-12)
     assert sign == "+"
 
-    [(r2, sign)] = r2_scan([lagged], -market)
+    r2, sign = r2_scan(lagged, -market)
     assert r2 == pytest.approx(1.0, abs=1e-12)
     assert sign == "-"
 
@@ -210,14 +211,14 @@ def test_r2_none_when_signal_constant():
     obs = _obs([0.1 * k for k in range(1, 9)])  # rising -> all-ones signal
     rng = np.random.default_rng(1)
     market = rng.normal(0, 0.01, 10)
-    assert r2_scan([lagged_signal_values(build_signal(obs, 3), cal, 1)], market) == [(None, "")]
+    assert r2_scan(lagged_signal_values(build_signal(obs, 3), cal, 1), market) == (None, "")
 
 
 def test_r2_none_when_no_overlap():
     cal = weekdays(date(2022, 1, 3), 4)
     obs = _obs([0.3, -0.2, 0.4, -0.1, 0.2, -0.3], start=date(2023, 1, 2))
     market = np.zeros(4)
-    assert r2_scan([lagged_signal_values(build_signal(obs, 2), cal, 0)], market) == [(None, "")]
+    assert r2_scan(lagged_signal_values(build_signal(obs, 2), cal, 0), market) == (None, "")
 
 
 def test_r2_scan_handles_oversized_windows_quietly():
@@ -226,9 +227,9 @@ def test_r2_scan_handles_oversized_windows_quietly():
     market = np.zeros(6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        empty = SignalSeries(10, INCLUSIVE, [], np.zeros(0, int))
-        scan = r2_scan([lagged_signal_values(empty, cal, 1)], market)
-    assert scan == [(None, "")]
+        empty = SignalSeries(10, [], np.zeros(0, int))
+        scan = r2_scan(lagged_signal_values(empty, cal, 1), market)
+    assert scan == (None, "")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +237,7 @@ def test_r2_scan_handles_oversized_windows_quietly():
 
 
 def _mk_signal(cal, values, n=1):
-    return SignalSeries(n=n, mode=INCLUSIVE, dates=list(cal[: len(values)]), values=np.asarray(values))
+    return SignalSeries(n=n, dates=list(cal[: len(values)]), values=np.asarray(values))
 
 
 def test_always_long_matches_benchmark_exactly():
@@ -281,7 +282,7 @@ def test_interior_gap_sits_flat():
     cal = weekdays(date(2022, 1, 3), 8)
     # Signal defined on days 0,1,3 only; with lag 1, day 3 has no lagged value.
     series = SignalSeries(
-        n=1, mode=INCLUSIVE, dates=[cal[0], cal[1], cal[3]], values=np.array([1, 1, 1])
+        n=1, dates=[cal[0], cal[1], cal[3]], values=np.array([1, 1, 1])
     )
     market = np.full(8, 0.01)
     res = backtest_strategy(lagged_signal_values(series, cal, 1), cal, market)
@@ -296,7 +297,7 @@ def test_interior_gap_sits_flat():
 def test_backtest_without_overlap_errors():
     cal = weekdays(date(2022, 1, 3), 5)
     series = SignalSeries(
-        n=1, mode=INCLUSIVE, dates=[date(2023, 1, 2)], values=np.array([1])
+        n=1, dates=[date(2023, 1, 2)], values=np.array([1])
     )
     with pytest.raises(ValueError, match="overlap"):
         backtest_strategy(lagged_signal_values(series, cal, 2), cal, np.zeros(5))
@@ -307,7 +308,7 @@ def test_market_returns_off_the_calendar_are_rejected(run):
     cal = weekdays(date(2022, 1, 3), 5)
     lagged = lagged_signal_values(_mk_signal(cal, [1, 0, 1], n=1), cal, 1)
     with pytest.raises(ValueError, match="market_returns must align one-to-one with the calendar"):
-        run([lagged], np.zeros(4)) if run is r2_scan else run(lagged, cal, np.zeros(4))
+        run(lagged, np.zeros(4)) if run is r2_scan else run(lagged, cal, np.zeros(4))
 
 
 def test_a_backtest_rejects_a_lagged_signal_off_its_calendar():
@@ -435,7 +436,7 @@ def test_backtest_matches_per_day_loop_bitwise():
     values[[8, 28]] = 0  # short on the 0.0 returns two days later
     keep = [i for i in range(50) if not 13 <= i < 18]
     series = SignalSeries(
-        n=1, mode=INCLUSIVE, dates=[cal[i] for i in keep], values=values[keep]
+        n=1, dates=[cal[i] for i in keep], values=values[keep]
     )
     lagged = lagged_signal_values(series, cal, 2)
     res = backtest_strategy(lagged, cal, market)
@@ -479,7 +480,7 @@ def test_lagged_values_match_the_dict_loop_bitwise():
         cases.append((days, cal, lag))
     rolled = collided = 0
     for days, cal, lag in cases:
-        series = SignalSeries(1, INCLUSIVE, list(days), rng.integers(0, 2, len(days)))
+        series = SignalSeries(1, list(days), rng.integers(0, 2, len(days)))
         got = lagged_signal_values(series, list(cal), lag)
         assert got.tobytes() == _dict_lagged(series, list(cal), lag).tobytes()
         idx = [bisect_left(cal, d) for d in days]
