@@ -396,14 +396,7 @@ def stage_timing(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
         except ValueError as exc:
             skipped[sig.n] = exc
             continue
-        columns = {
-            "date": result.dates,
-            "position": result.positions,
-            "strategy_ret": result.strategy_returns,
-            "strategy_equity": result.strategy_equity,
-            "benchmark_equity": result.benchmark_equity,
-        }
-        outputs.write(f"backtest_N{sig.n:02d}.csv", tables.write_table, columns)
+        outputs.write(f"backtest_N{sig.n:02d}.csv", tables.write_series, result)
         summary.append(
             (
                 sig.n,
@@ -539,7 +532,6 @@ def _write_manifest(cfg: RunConfig, stage_infos: dict[str, dict], reset: bool) -
 
 
 def run_stages(cfg: RunConfig, stages: list[str]) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     infos: dict[str, dict] = {}
     mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in KiB; bytes on macOS
     reaped = resource and resource.getrusage(resource.RUSAGE_CHILDREN)[:3]  # times, maxrss
@@ -554,11 +546,15 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
                 )
         for key in stage.needs:
             cfg.input_path(key, name)
-        for key, path in cfg.inputs.items():  # the directory entry a write would replace
-            if path and path.parent.resolve() == out_dir and _declared(path.name, stage.writes):
+        writers = dict.fromkeys(stage.writes, f"the {name} stage")
+        writers["manifest.json"] = "every stage"
+        for key, path in cfg.inputs.items():  # the directory entry a write, or its .tmp, replaces
+            inside = path and path.parent.resolve() == out_dir
+            if inside and (written := _declared(path.name.removesuffix(".tmp"), writers)):
                 raise ConfigError(
-                    f"{cfg.config_path}: {key} is {path}, which the {name} stage writes"
+                    f"{cfg.config_path}: {key} is {path}, which {writers[written]} writes"
                 )
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         outputs = Outputs(cfg.out_dir, name)
         started = time.perf_counter()
         infos[name] = {"rows": outputs.rows, **STAGE_FUNCS[name](cfg, parsed, outputs)}

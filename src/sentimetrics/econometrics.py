@@ -6,8 +6,9 @@ fits by Newton/IRLS with a numerically safe sigmoid.  Standard errors are
 classical by default; a heteroskedasticity-robust (sandwich) option sits
 behind the `robust` flag.  The harness regresses an up-day indicator of the
 market excess return on the lagged sentiment signal (an array on the control
-calendar) and macro/liquidity controls in five fixed variable combinations and
-renders them side by side, estimates with t-values in parentheses underneath.
+calendar) and macro/liquidity controls in five fixed variable combinations.  One
+walk of the fits gives their rows (regression_rows, tables.REGRESSIONS), and
+render_report lays the same rows out side by side, t-values in parentheses underneath.
 """
 
 from __future__ import annotations
@@ -304,47 +305,38 @@ def run_timing_regressions(
 # Reporting
 
 
-def _fmt_est(v: float) -> str:
-    return f"{v:.4f}"
-
-
-def _fmt_t(v: float) -> str:
-    return f"({v:.2f})"
+def _rows(label: str, results: dict[str, RegressionResult]) -> list[tuple]:
+    """The tables.REGRESSIONS rows of `results`: one per (spec, term), specs prefixed `label`."""
+    return [
+        (f"{label}{spec_id}", *term, res.n_obs)
+        for spec_id, res in sorted(results.items())
+        for term in zip(res.terms, res.estimates, res.std_errs, res.t_values)
+    ]
 
 
 def render_report(regset: TimingRegressionSet, signal_n: int, lag: int, model: str = LOGIT) -> str:
     """Aligned text table: specifications across, terms down, t-values in parentheses.
 
-    The header names the signal window `signal_n` and the `lag` in trading days; a line
-    under the table names each fit that did not converge.
+    Its cells are the rows regression_rows writes for `model`, estimates rounded to 4
+    decimals and t-values to 2; the header names the signal window `signal_n` and the `lag`
+    in trading days, and a line under the table names each fit that did not converge.
     """
     results = regset.logit if model == LOGIT else regset.ols
     if not results:
         raise ValueError(f"no {model} results to render")
     spec_ids = sorted(results)
-    terms = [
-        t
-        for t in TERM_ORDER
-        if any(t in results[s].terms for s in spec_ids)
-    ]
+    cells = {
+        (spec, term): (f"{est:.4f}", f"({t:.2f})")
+        for spec, term, est, _se, t, _n in _rows("", results)
+    }
     header = (
         f"{'up-day' if model == LOGIT else 'excess-return'} regressions, "
         f"signal window N={signal_n}, lag {lag} trading days"
     )
     rows: list[list[str]] = [["term"] + [f"({s})" for s in spec_ids]]
-    for term in terms:
-        est_row = [term]
-        t_row = [""]
-        for s in spec_ids:
-            res = results[s]
-            if term in res.terms:
-                est_row.append(_fmt_est(res.coef(term)))
-                t_row.append(_fmt_t(res.t_of(term)))
-            else:
-                est_row.append("")
-                t_row.append("")
-        rows.append(est_row)
-        rows.append(t_row)
+    for term in (t for t in TERM_ORDER if any((s, t) in cells for s in spec_ids)):
+        est_row, t_row = zip(*(cells.get((s, term), ("", "")) for s in spec_ids))
+        rows += [[term, *est_row], ["", *t_row]]
     rows.append(["n_obs"] + [str(results[s].n_obs) for s in spec_ids])
 
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
@@ -364,10 +356,5 @@ def render_report(regset: TimingRegressionSet, signal_n: int, lag: int, model: s
 
 
 def regression_rows(regset: TimingRegressionSet) -> list[tuple]:
-    """The long-form table (tables.REGRESSIONS): one row per (spec, term), OLS specs prefixed."""
-    return [
-        (f"{label}{spec_id}", *term, res.n_obs)
-        for label, results in (("", regset.logit), ("ols_", regset.ols))
-        for spec_id, res in sorted(results.items())
-        for term in zip(res.terms, res.estimates, res.std_errs, res.t_values)
-    ]
+    """The long-form table (tables.REGRESSIONS), the logit fits' rows and then the OLS fits'."""
+    return _rows("", regset.logit) + _rows("ols_", regset.ols)

@@ -40,9 +40,11 @@ class SignalSeries:
 
 @dataclass
 class BacktestResult:
+    """An array per tables.BACKTEST column (`dates` for its date), and the two terminal gaps."""
+
     dates: list[date]
-    positions: np.ndarray  # +1 long, -1 short, 0 flat
-    strategy_returns: np.ndarray
+    position: np.ndarray  # +1 long, -1 short, 0 flat
+    strategy_ret: np.ndarray
     strategy_equity: np.ndarray  # cumulative return, 0 before the first row
     benchmark_equity: np.ndarray
     outperformance: float  # terminal strategy minus terminal benchmark cumulative return
@@ -148,16 +150,16 @@ def backtest_strategy(
     start = int(defined[0])
 
     s, r = lagged[start:], market_returns[start:]
-    positions = np.where(np.isnan(s), 0, np.where(s == 1.0, 1, -1))
+    position = np.where(np.isnan(s), 0, np.where(s == 1.0, 1, -1))
     # A flat day earns 0.0, never the -0.0 that 0 * r gives on a negative return.
-    strat_ret = np.where(positions != 0, positions * r, 0.0)
+    strat_ret = np.where(position != 0, position * r, 0.0)
     strat_gross = np.cumprod(1.0 + strat_ret)
     bench_gross = np.cumprod(1.0 + r)
     strat_eq, bench_eq = strat_gross - 1.0, bench_gross - 1.0
     return BacktestResult(
         dates=list(calendar[start:]),
-        positions=positions,
-        strategy_returns=strat_ret,
+        position=position,
+        strategy_ret=strat_ret,
         strategy_equity=strat_eq,
         benchmark_equity=bench_eq,
         outperformance=float(strat_eq[-1] - bench_eq[-1]),

@@ -437,7 +437,7 @@ def test_08_backtest_identities():
     comp = SignalSeries(n=1, dates=list(cal[:58]), values=1 - values)
     res_a = backtest_strategy(lagged_signal_values(sig, cal, lag), cal, market)
     res_b = backtest_strategy(lagged_signal_values(comp, cal, lag), cal, market)
-    assert np.array_equal(res_b.strategy_returns, -res_a.strategy_returns)  # exact negation
+    assert np.array_equal(res_b.strategy_ret, -res_a.strategy_ret)  # exact negation
 
     foresight = (market[lag:] > 0).astype(int)
     fs = SignalSeries(n=1, dates=list(cal[:58]), values=foresight)

@@ -803,6 +803,108 @@ def test_demo_output_tree_keeps_its_pinned_bytes(demo7):
     assert digests == DEMO7_PINS
 
 
+# The options demo: the seed-7 demo run afresh with each option that changes what the
+# timing and regress stages compute or lay out.
+DEMO7_OPTIONS = {
+    "with_ols": True,
+    "robust_se": True,
+    "signal_mode": "exclusive",
+    "signal_lag": 3,
+    "regression_n": 7,
+}
+
+
+@pytest.fixture(scope="module")
+def demo7_options(demo7, tmp_path_factory):
+    data = tmp_path_factory.mktemp("demo7_options") / "data"
+    shutil.copytree(demo7, data, ignore=shutil.ignore_patterns("out"))
+    cfg_path = data / "run_config.json"
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**raw, **DEMO7_OPTIONS}), encoding="utf-8")
+    assert main(["all", "--config", str(cfg_path)]) == 0
+    return data
+
+
+# sha256 of every file of the options demo's output tree, with DEMO7_PINS' caveat: numpy
+# 2.4.6 on x86-64.  The files the options leave alone keep DEMO7_PINS' digests.
+DEMO7_OPTIONS_PINS = {
+    **DEMO7_PINS,
+    "backtest_N05.csv": "f0792725653bca909f96f954b022b08c9fc201622ccffb9a9d9cf87908775741",
+    "backtest_N06.csv": "8f6ded1f4ec6ff7d2e4c8217bb1f0699198cf35cc180cf7ff6ccb5de49fbab52",
+    "backtest_N07.csv": "3a215a13ee0104793931889942136ada7ae93b0f3089a2e568e7d9db70241fe8",
+    "backtest_N08.csv": "0ee075f0264125e9739170ca43353c771362e3c203af7144002dff34da92d68e",
+    "backtest_N09.csv": "faf51f7751e486b8a2aef0fdf5f7c2926e68982f0da9495b007b29be38256227",
+    "backtest_N10.csv": "1e59ab105656e92e8c0b892eb76c8d3eda398d8ef2669e7ce2a1eb094f3344a5",
+    "backtest_N11.csv": "16d402d90ece34685dcf5581121ddef8c60206b7e39389b7c4be5c8827851e43",
+    "backtest_N12.csv": "1a392345acc175db13afb22c686c0d2f5985e66b904ccc3293b2e20f2bf518a5",
+    "backtest_N13.csv": "509da0d86bef752315335959fb761067ff7ffc1ec70b1a33665e6ed2f5857a97",
+    "backtest_N14.csv": "44ed396b70ad47f0d693fce05badda9e83e79037549be759cb300c55ef3302e8",
+    "backtest_N15.csv": "73edbdacf67c8f9dc37e4919e8ebd91742cc59f00a282e2130ca3a65f6394eed",
+    "backtest_N16.csv": "159b47d20763b1617d56abc8e6300bd623a5afa1a4625f96fa118e6ce44d9d16",
+    "backtest_N17.csv": "ed6cdd2d52e47cc5b6e2ef5d67d53ef3d7fc6ba0109426502066ac40003b908c",
+    "backtest_N18.csv": "14af947cae88ef33bdeb69068aca80862f8b68e9904b7a1dabd15d11292745a5",
+    "backtest_N19.csv": "b574c3b0706561ca45e82172d7671117e7187e40eefe5a1268061df7c7cf2890",
+    "backtest_N20.csv": "59550ecb519dcb1b3db16b6b58aa09e2ebb62f4a0b51c2d4cfa0662dd66eddab",
+    "backtest_summary.csv": "69be7c1592c913e653f8d3bd8895baea782dcc951a19c54f7fa9347c48a71f3d",
+    "manifest.json": "47d2360644fe5b79768df141fe18f811a7d6ec068fef60daf14b9bc38e77fbf2",
+    "r2_scan.csv": "5b28224be64c6b8929a2730a6dbf1a97772947bf44b201d404d5a3ba1c4a3da2",
+    "regressions.csv": "32a3c0e3e03927ff2a56a25bd26dcc55e1816544bc72d6bca4842a557ce16b8e",
+    "regressions.txt": "60c843de8c7a280e8b991568fb579371fb3fcf0cbcce202dd5e2e600aefa9f8c",
+    "signals.csv": "1328d70e7c1178536c77c366a403902d06d36bc953c8b26502360ddbaa3d3203",
+}
+
+
+def test_options_demo_output_tree_keeps_its_pinned_bytes(demo7_options):
+    out = demo7_options / "out"
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == DEMO7_OPTIONS_PINS
+
+
+def _report_cells(text: str) -> tuple[dict, dict]:
+    """The cells of each table of a regressions.txt: {(spec, term): (estimate, t-value)}
+    and {spec: n_obs}, an OLS table's specs prefixed ols_ as regressions.csv names them."""
+    cells, n_obs = {}, {}
+    blocks = text.split("\n\n")
+    for title, table in zip(blocks[0::2], blocks[1::2]):
+        prefix = "ols_" if title.startswith("excess-return") else ""
+        head, _rule, *rows = table.splitlines()
+        columns = list(re.finditer(r"\((\w+)\)", head))
+        ends = [m.end() for m in columns]
+        specs = [prefix + m.group(1) for m in columns]
+
+        def split(line: str) -> tuple[str, list[str]]:
+            first = line.split(" ", 1)[0]  # left-justified; "" on a t-value row
+            padded = line.ljust(ends[-1])
+            return first, [padded[a:b].strip() for a, b in zip([len(first), *ends], ends)]
+
+        rows = [row for row in rows if not row.startswith("warning: ")]
+        for est_row, t_row in zip(rows[:-1:2], rows[1::2]):
+            term, estimates = split(est_row)
+            _blank, t_values = split(t_row)
+            for spec, est, t in zip(specs, estimates, t_values):
+                if est:
+                    cells[spec, term] = (est, t)
+        label, counts = split(rows[-1])
+        assert label == "n_obs"
+        n_obs.update(zip(specs, counts))
+    return cells, n_obs
+
+
+def test_the_text_report_prints_the_rows_of_regressions_csv(demo7_options):
+    out = demo7_options / "out"
+    table = tables.read_table(out / "regressions.csv", tables.REGRESSIONS)
+    rows = list(zip(*table.values()))
+    want_cells = {
+        (spec, term): (f"{est:.4f}", f"({np.nan if t is None else t:.2f})")
+        for spec, term, est, _se, t, _n in rows
+    }
+    want_n_obs = {spec: str(n) for spec, _term, _est, _se, _t, n in rows}
+    assert len(want_n_obs) == 10  # both tables, five specifications each
+    cells, n_obs = _report_cells((out / "regressions.txt").read_text(encoding="utf-8"))
+    assert cells == want_cells
+    assert n_obs == want_n_obs
+
+
 @pytest.mark.parametrize(
     "old", [b"[]", b"null", b'{"stages": []}', b'{"stages": "ingest"}', b'\xff{"stages": {}}']
 )
@@ -1529,3 +1631,56 @@ def test_a_stage_that_would_write_over_an_input_stops_before_it_writes(
     assert factors_csv.read_bytes() == before
     assert not (cfg_path.parent / "controls.csv").exists()
     assert not (cfg_path.parent / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, writer",
+    [
+        ("all", "manifest.json", "every stage"),
+        ("timing", "manifest.json", "every stage"),
+        ("regress", "manifest.json.tmp", "every stage"),
+        ("all", "days.csv.tmp", "the ingest stage"),
+        ("timing", "backtest_N05.csv.tmp", "the timing stage"),
+        ("regress", "regressions.txt.tmp", "the regress stage"),
+    ],
+)
+def test_an_input_named_as_the_manifest_or_a_partial_write_stops_the_run_before_it_writes(
+    demo7, tmp_path, capsys, command, name, writer
+):
+    """The manifest, which every run rewrites, and the `<file>.tmp` that a write of <file>
+    moves into place are entries of the output directory that a run replaces too."""
+    data = tmp_path / "data"
+    shutil.copytree(demo7, data)
+    out = data / "out"
+    shutil.copyfile(data / "exclusions.txt", out / name)
+    cfg_path = data / "run_config.json"
+    raw = json.loads(cfg_path.read_text(encoding="utf-8"))
+    cfg_path.write_text(json.dumps({**raw, "exclusions_txt": f"out/{name}"}), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sentimetrics: error: {cfg_path}: exclusions_txt is {out / name}, which {writer} writes"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize(
+    "command, changes, error",
+    [
+        ("timing", {}, "missing sentiment.csv in {out}; run the sentiment stage first"),
+        (
+            "all",
+            {"firm_names_csv": None},
+            "config key 'firm_names_csv' is required by the ingest stage",
+        ),
+    ],
+)
+def test_a_stage_stopped_by_its_checks_makes_no_output_directory(
+    demo7, tmp_path, capsys, command, changes, error
+):
+    cfg_path = _reconfigured(demo7, tmp_path, **changes)
+    out = cfg_path.parent / "out"
+    shutil.rmtree(out)
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"sentimetrics: error: {error.format(out=out)}\n"
+    assert not out.exists()

@@ -249,7 +249,7 @@ def test_always_long_matches_benchmark_exactly():
     assert res.outperformance == 0.0
     assert res.outperformance_geometric == 0.0
     assert np.array_equal(res.strategy_equity, res.benchmark_equity)
-    assert np.all(res.positions == 1)
+    assert np.all(res.position == 1)
     assert res.dates[0] == cal[2]
 
 
@@ -259,8 +259,8 @@ def test_always_short_negates_daily_returns():
     market = rng.normal(0.0, 0.01, 30)
     series = _mk_signal(cal, np.zeros(28, dtype=int))
     res = backtest_strategy(lagged_signal_values(series, cal, 2), cal, market)
-    assert np.array_equal(res.strategy_returns, -market[2:])
-    assert np.all(res.positions == -1)
+    assert np.array_equal(res.strategy_ret, -market[2:])
+    assert np.all(res.position == -1)
 
 
 def test_perfect_foresight_equity_matches_product_oracle():
@@ -288,10 +288,10 @@ def test_interior_gap_sits_flat():
     res = backtest_strategy(lagged_signal_values(series, cal, 1), cal, market)
     assert res.dates[0] == cal[1]
     k = res.dates.index(cal[3])
-    assert res.positions[k] == 0
-    assert res.strategy_returns[k] == 0.0
+    assert res.position[k] == 0
+    assert res.strategy_ret[k] == 0.0
     k4 = res.dates.index(cal[4])
-    assert res.positions[k4] == 1
+    assert res.position[k4] == 1
 
 
 def test_backtest_without_overlap_errors():
@@ -324,7 +324,7 @@ def test_equity_curves_compound():
     series = _mk_signal(cal, [1, 0], n=1)
     res = backtest_strategy(lagged_signal_values(series, cal, 2), cal, market)
     # positions: long on cal[2] (+10%), short on cal[3] (+50%)
-    assert np.allclose(res.strategy_returns, [0.1, 0.5])
+    assert np.allclose(res.strategy_ret, [0.1, 0.5])
     assert res.strategy_equity[-1] == pytest.approx(1.1 * 1.5 - 1.0)
     assert res.benchmark_equity[-1] == pytest.approx(1.1 * 0.5 - 1.0)
     assert res.outperformance == pytest.approx((1.1 * 1.5) - (1.1 * 0.5))
@@ -441,16 +441,16 @@ def test_backtest_matches_per_day_loop_bitwise():
     lagged = lagged_signal_values(series, cal, 2)
     res = backtest_strategy(lagged, cal, market)
     positions, strat_ret, strat_eq, bench_eq, geo = _loop_backtest(lagged, market)
-    assert res.positions.tobytes() == positions.tobytes()
-    assert res.strategy_returns.tobytes() == strat_ret.tobytes()
+    assert res.position.tobytes() == positions.tobytes()
+    assert res.strategy_ret.tobytes() == strat_ret.tobytes()
     assert res.strategy_equity.tobytes() == strat_eq.tobytes()
     assert res.benchmark_equity.tobytes() == bench_eq.tobytes()
     assert res.outperformance == float(strat_eq[-1] - bench_eq[-1])
     assert np.float64(res.outperformance_geometric).tobytes() == np.float64(geo).tobytes()
     flat = [res.dates.index(cal[t]) for t in range(15, 20)]
-    assert not np.any(res.positions[flat]) and not np.any(np.signbit(res.strategy_returns[flat]))
+    assert not np.any(res.position[flat]) and not np.any(np.signbit(res.strategy_ret[flat]))
     short_on_zero = [res.dates.index(cal[t]) for t in (10, 30)]
-    assert np.all(np.signbit(res.strategy_returns[short_on_zero]))
+    assert np.all(np.signbit(res.strategy_ret[short_on_zero]))
 
 
 def _dict_lagged(signal, calendar, lag):
