@@ -315,17 +315,18 @@ def stage_factors(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
         series = factormod.read_factors_csv(provided)
         source = "file"
     else:
+        rf = factormod.read_rf_csv(rf_path)
         try:
             series = factormod.construct_factors(
                 panel,
-                factormod.read_rf_csv(rf_path),
+                rf,
                 rebalance_month=cfg.rebalance_month,
                 rebalance_day=cfg.rebalance_day,
                 min_breakpoint_stocks=cfg.min_breakpoint_stocks,
             )
         except factormod.CalendarAlignmentError as exc:  # rf misses trading dates
             raise factormod.CalendarAlignmentError(f"{rf_path}: {exc}") from None
-        except factormod.DegenerateBreakpointsError as exc:  # a rebalance the panel cannot sort
+        except (factormod.DegenerateBreakpointsError, tables.PanelFormatError) as exc:
             raise type(exc)(f"{cfg.inputs['panel_csv']}: {exc}") from None
         source = "constructed"
     # Both are built before either is written, so a bad input leaves the two files in step.

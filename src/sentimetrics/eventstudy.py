@@ -248,15 +248,16 @@ def run_event_study(
 
     Produces the full-window pooling and, when relative day 0 is inside the
     window, a post-announcement pooling that restarts the running sum at 0.
-    Events that cannot be estimated are excluded with a reason.
+    Events that cannot be estimated are excluded with a reason.  The excess
+    returns are filled in place, one panel date at a time, into one firms x
+    factor-dates array (NaN = no return).
     """
     run = EventStudyRun(results={})
-    # One row per panel firm on the factor calendar, NaN where it has no return.
     excess = np.full((len(panel.firms), len(factors.dates)), np.nan)
-    j = positions(factors.dates, panel.calendar)
-    on = j >= 0
-    returns = panel.daily_return[:, on] - factors.rf[j[on]]
-    excess[:, j[on]] = np.where(panel.present[:, on], returns, np.nan)
+    for t, j in enumerate(positions(factors.dates, panel.calendar).tolist()):
+        if j >= 0:
+            returns, present = panel.daily_return[:, t], panel.present[:, t]
+            np.subtract(returns, factors.rf[j], out=excess[:, j], where=present)
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
     event_indices: dict[str, list[int]] = {}
     firm_row = {firm_id: i for i, firm_id in enumerate(panel.firms)}

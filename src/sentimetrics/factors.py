@@ -294,13 +294,15 @@ def _index_rows(path: Path, columns: list, values: list):
 
     Takes the readers' (distinct cells, each row's index into them) per text
     column and one array of row floats per field.  Returns (firms, calendar,
-    firm_idx, date_idx, main) or raises the PanelFormatError of the first
-    offending row.  Each check's mask is built and dropped in turn."""
+    firm_idx, date_idx, main), the cell indices int32, or raises the
+    PanelFormatError of the first offending row.  Each check's mask is built
+    and dropped in turn, and the checks that read the text ids run first: the
+    ids are then freed (`columns` is emptied) before the row floats are read."""
     (firm_keys, firm_inv), (date_keys, date_inv), (exchange_keys, exchange_inv) = columns
     firm_ids = [f.strip() for f in firm_keys]
     firms = sorted(set(firm_ids))
     firm_pos = {f: i for i, f in enumerate(firms)}
-    firm_idx = np.array([firm_pos[f] for f in firm_ids], dtype=np.intp)[firm_inv]
+    firm_idx = np.array([firm_pos[f] for f in firm_ids], dtype=np.int32)[firm_inv]
 
     parsed: list[date | None] = []
     for s in date_keys:
@@ -312,7 +314,7 @@ def _index_rows(path: Path, columns: list, values: list):
     date_pos = {d: t for t, d in enumerate(calendar)}
     # An unparseable date takes the slot past the calendar; a duplicate key
     # there always comes after a row whose date check fails first.
-    date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], dtype=np.intp)[date_inv]
+    date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], np.int32)[date_inv]
     bad_date = np.array([d is None for d in parsed], dtype=bool)
 
     exchanges = [e.strip() for e in exchange_keys]
@@ -320,40 +322,42 @@ def _index_rows(path: Path, columns: list, values: list):
     main = np.array([e == MAIN for e in exchanges], dtype=bool)[exchange_inv]
 
     def duplicate():
-        key = firm_idx * (len(calendar) + 1) + date_idx
-        taken = np.zeros(len(firms) * (len(calendar) + 1), dtype=bool)
-        taken[key] = True
-        mask = np.zeros(len(key), dtype=bool)
-        if np.count_nonzero(taken) < len(key):
+        taken = np.zeros((len(firms), len(calendar) + 1), dtype=bool)
+        taken[firm_idx, date_idx] = True
+        mask = np.zeros(len(firm_idx), dtype=bool)
+        if np.count_nonzero(taken) < len(mask):  # only then a row key and its sort
+            key = firm_idx.astype(np.int64) * (len(calendar) + 1) + date_idx
             order = np.argsort(key, kind="stable")
             mask[order[1:][key[order][1:] == key[order][:-1]]] = True
         return mask
 
+    hits = []  # (first offending row, the check's place in a row-by-row scan, message)
+
+    def check(k: int, mask: np.ndarray, message) -> None:
+        if mask.any():
+            row = int(np.argmax(mask))
+            hits.append((row, k, message(row)))
+
+    check(0, bad_date[date_inv], lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}")
+    check(
+        9,
+        bad_exchange[exchange_inv],
+        lambda r: f"exchange must be '{MAIN}' or '{SECONDARY}', got {exchanges[exchange_inv[r]]!r}",
+    )
+    columns.clear()
+    del firm_inv, date_inv, exchange_inv
+    for k, (v, name) in enumerate(zip(values, PANEL_FIELDS), start=1):
+        check(k, ~np.isfinite(v), lambda r: f"field '{name}': non-finite value")
     ret, cap, _be, _oi, _ta, tap = values
-    checks = [  # (mask, message): each mask is built when its check runs
-        (
-            lambda: bad_date[date_inv],
-            lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}",
-        ),
-        *[
-            (lambda v=v: ~np.isfinite(v), lambda r, name=name: f"field '{name}': non-finite value")
-            for v, name in zip(values, PANEL_FIELDS)
-        ],
-        (lambda: ret <= -1.0, lambda r: "daily_return must be > -1"),
-        (lambda: cap <= 0.0, lambda r: "market_cap must be positive"),
-        (
-            lambda: bad_exchange[exchange_inv],
-            lambda r: f"exchange must be '{MAIN}' or '{SECONDARY}', "
-            f"got {exchanges[exchange_inv[r]]!r}",
-        ),
-        (lambda: tap <= 0.0, lambda r: "total_assets_prior must be positive"),
-        (duplicate, lambda r: f"duplicate key ({firms[firm_idx[r]]}, {calendar[date_idx[r]]})"),
-    ]
-    hits = [(int(np.argmax(m)), k) for k, (mask, _msg) in enumerate(checks) if (m := mask()).any()]
-    if hits:
-        # On a tie the check listed first wins: the order a row-by-row scan meets them in.
-        row, k = min(hits)
-        raise PanelFormatError(f"{path}: row {row + 2}: {checks[k][1](row)}")
+    check(7, ret <= -1.0, lambda r: "daily_return must be > -1")
+    check(8, cap <= 0.0, lambda r: "market_cap must be positive")
+    check(10, tap <= 0.0, lambda r: "total_assets_prior must be positive")
+    check(
+        11, duplicate(), lambda r: f"duplicate key ({firms[firm_idx[r]]}, {calendar[date_idx[r]]})"
+    )
+    if hits:  # on a tie the check a row-by-row scan meets first wins
+        row, _k, message = min(hits)
+        raise PanelFormatError(f"{path}: row {row + 2}: {message}")
     return firms, calendar, firm_idx, date_idx, main
 
 
@@ -369,13 +373,13 @@ def load_panel(path: str | Path) -> SecurityPanel:
     warns when a process with threads forks, the parse is one pass.  A file
     with quoted fields or blank lines goes through the csv module, as do the
     rows from a block that holds a malformed field on; it locates the bad row.
-    The dense arrays are built one field at a time, so the parsed floats and
-    the panel are not both held whole."""
+    The row checks free the text ids before they read the row floats, and the
+    dense arrays are built one field at a time, so the parsed floats and the
+    panel are not both held whole."""
     path = Path(path)
     next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
     columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
     firms, calendar, firm_idx, date_idx, main = _index_rows(path, columns, values)
-    del columns  # the text ids: not needed past here, so they are freed before the cells exist
     if error is not None:
         raise error
     if not firms:
@@ -397,15 +401,25 @@ def _value_weighted(panel: SecurityPanel, member: np.ndarray) -> np.ndarray:
 
     The sums accumulate one firm at a time in firm order, the same additions
     a loop over each date's cross-section makes, so the result does not
-    depend on numpy's pairwise summation.  Dates with no member give NaN."""
-    shape = member.shape[:-2] + member.shape[-1:]
-    num = np.zeros(shape)
-    den = np.zeros(shape)
-    weighted = panel.daily_return * panel.market_cap
-    for i in range(len(panel.firms)):
-        np.add(num, weighted[i], out=num, where=member[..., i, :])
-        np.add(den, panel.market_cap[i], out=den, where=member[..., i, :])
-    return np.divide(num, den, out=np.full(shape, np.nan), where=member.any(axis=-2))
+    depend on numpy's pairwise summation.  Dates with no member give NaN.  A
+    return x cap or sum that is not finite names its first date and firm."""
+    sums = np.zeros((2, *member.shape[:-2], member.shape[-1]))
+    num, den = sums
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is located below
+        for i in range(len(panel.firms)):  # each firm's return x cap row in its turn
+            cap = panel.market_cap[i]
+            np.add(num, panel.daily_return[i] * cap, out=num, where=member[..., i, :])
+            np.add(den, cap, out=den, where=member[..., i, :])
+        if not np.isfinite(sums).all():  # that date's sums, summed firm by firm again
+            t = int(np.argmax(~np.isfinite(sums).reshape(-1, sums.shape[-1]).all(axis=0)))
+            cap, col = panel.market_cap[:, t], member[..., t].reshape(-1, len(panel.firms))
+            terms = np.where(col, np.stack([panel.daily_return[:, t] * cap, cap])[:, None], 0.0)
+            i = int(np.argmax(~np.isfinite(np.cumsum(terms, axis=-1)).all(axis=(0, 1))))
+            raise PanelFormatError(
+                f"firm {panel.firms[i]}, date {panel.calendar[t]}: "
+                "daily_return x market_cap overflows the value-weighted sums"
+            )
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=member.any(axis=-2))
 
 
 def _rf_on(calendar: list[date], rf: dict[date, float]) -> np.ndarray:
@@ -485,7 +499,7 @@ def construct_factors(
     """Build the daily five-factor series from the panel.
 
     Raises DegenerateBreakpointsError when a rebalance date has fewer than
-    `min_breakpoint_stocks` main-exchange stocks.
+    `min_breakpoint_stocks` main-exchange stocks, PanelFormatError on an overflow.
     """
     calendar = panel.calendar
     rf_arr = _rf_on(calendar, rf)
@@ -499,10 +513,13 @@ def construct_factors(
         cell[:, rows, start:end] = cells.T[:, :, None]
 
     market = _value_weighted(panel, panel.present)
-    member = np.equal(cell[:, None], np.arange(6)[None, :, None, None])
-    member &= panel.present
-    # An empty cell on a date is imputed the market return.
-    ret = np.where(member.any(axis=-2), _value_weighted(panel, member), market)
+    ret = np.empty((3, 6, len(calendar)))
+    member = np.empty((6, *panel.present.shape), dtype=bool)  # one dimension's masks at a time
+    for dim, dim_cell in enumerate(cell):
+        np.equal(dim_cell, np.arange(6)[:, None, None], out=member)
+        member &= panel.present
+        # An empty cell on a date is imputed the market return.
+        ret[dim] = np.where(member.any(axis=-2), _value_weighted(panel, member), market)
 
     small = (ret[:, 0] + ret[:, 1] + ret[:, 2]) / 3.0
     big = (ret[:, 3] + ret[:, 4] + ret[:, 5]) / 3.0

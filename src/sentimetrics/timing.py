@@ -101,13 +101,13 @@ def lagged_signal_values(
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows gives None
+        xc = x - x.mean()
+        yc = y - y.mean()
+        sxx, syy, sxy = float(xc @ xc), float(yc @ yc), float(xc @ yc)
+    if not (math.isfinite(sxx) and math.isfinite(syy)) or sxx == 0.0 or syy == 0.0:
         return None
-    return float(xc @ yc) / (sx * sy)
+    return sxy / (math.sqrt(sxx) * math.sqrt(syy))
 
 
 def _aligned(n_days: int, lagged: np.ndarray, market_returns) -> np.ndarray:
@@ -122,8 +122,9 @@ def r2_scan(lagged: np.ndarray, market_returns: np.ndarray) -> tuple[float | Non
     """The lagged signal's squared correlation with the market return and the
     correlation's sign ("+", "-" or "0").
 
-    A signal that is constant over the overlap (zero variance) gets an
-    undefined r2 rather than a fabricated number: (None, "").
+    A signal that is constant over the overlap (zero variance), or a series
+    whose sum of squares overflows, gets an undefined r2 rather than a
+    fabricated number: (None, "").
     """
     market = _aligned(len(lagged), lagged, market_returns)
     mask = ~np.isnan(lagged)

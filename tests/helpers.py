@@ -1,6 +1,6 @@
 """Builders the tests share: weekday calendars (the generator's `trading_calendar`,
-as `weekdays`), returns on a factor calendar, security panels from per-firm rows,
-and single panel cells read back as rows.
+as `weekdays`), returns on a factor calendar, security panels from per-firm rows
+or of random values, and single panel cells read back as rows.
 
 The library keeps the panel only as dense firm x date arrays; tests that
 state a universe firm by firm, or check one observation, go through here.
@@ -49,6 +49,27 @@ def panel_from_rows(rows: dict[str, dict[date, Row]], calendar: list[date]) -> S
                 values[name][i, t] = getattr(row, name)
     return SecurityPanel(
         firms=firms, calendar=list(calendar), present=present, is_main=is_main, **values
+    )
+
+
+def random_panel(n_firms: int, calendar: list[date], seed: int = 12) -> SecurityPanel:
+    """A full panel of random returns, caps and fundamentals; every third firm trades on
+    the secondary exchange."""
+    rng = np.random.default_rng(seed)
+    shape = (n_firms, len(calendar))
+    cap = rng.uniform(1e9, 9e10, shape)
+    assets = rng.uniform(1e9, 9e10, shape)
+    return SecurityPanel(
+        firms=[f"F{k:03d}" for k in range(n_firms)],
+        calendar=list(calendar),
+        present=np.ones(shape, dtype=bool),
+        is_main=np.broadcast_to(np.arange(n_firms)[:, None] % 3 > 0, shape).copy(),
+        daily_return=rng.normal(0.0, 0.02, shape),
+        market_cap=cap,
+        book_equity=cap * rng.uniform(0.2, 1.5, shape),
+        operating_income=cap * rng.uniform(0.01, 0.2, shape),
+        total_assets=assets,
+        total_assets_prior=assets / rng.uniform(0.8, 1.3, shape),
     )
 
 

@@ -1135,6 +1135,33 @@ def test_a_factor_sort_error_names_the_panel(demo7, tmp_path, capsys, edit, chan
     assert capsys.readouterr().err == f"sentimetrics: error: {path}: {message}\n"
 
 
+def test_a_return_that_overflows_the_value_weighted_sums_names_the_panel(demo7, tmp_path, capsys):
+    # Finite and above -1, so the row checks pass it, but 1e308 x its cap is not finite.
+    # numpy's overflow warning would fail this test: the suite turns warnings into errors.
+    cfg_path, path = _corrupt(demo7, tmp_path, "panel.csv", _set(6, 2, "1e308"))
+    with path.open(newline="", encoding="utf-8") as fh:
+        firm, day = list(csv.reader(fh))[5][:2]
+    assert main(["all", "--config", str(_constructing_factors(cfg_path))]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sentimetrics: error: {path}: firm {firm}, date {day}: "
+        "daily_return x market_cap overflows the value-weighted sums"
+    )
+
+
+def test_a_provided_rmrf_whose_square_overflows_gives_blank_r2s(demo7, tmp_path):
+    # The sum of squares of 1e308 is not finite, so each N's correlation is undefined: its
+    # r2 is blank, as for a constant signal, not 0.0, and no numpy warning escapes.
+    def huge_rmrf(rows):
+        [row] = [row for row in rows if row[0] == "2021-04-19"]
+        row[1] = "1e308"
+
+    cfg_path, path = _corrupt(demo7, tmp_path, "factors.csv", huge_rmrf)
+    assert main(["all", "--config", str(cfg_path)]) == 0
+    scan = tables.read_table(path.parent / "out" / "r2_scan.csv", tables.R2_SCAN)
+    assert len(scan["N"]) == 16
+    assert scan["r2"] == [None] * 16 and scan["corr_sign"] == [""] * 16
+
+
 @pytest.mark.parametrize("name", ["rf.csv", "nsi.csv", "short_rate.csv"])
 def test_dated_inputs_take_any_order_but_no_repeated_date(demo7, tmp_path, capsys, name):
     built = {}

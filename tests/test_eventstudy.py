@@ -1,3 +1,4 @@
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -16,12 +17,12 @@ from sentimetrics.eventstudy import (
     pool_aar_caar,
     run_event_study,
 )
-from sentimetrics.factors import FACTOR_NAMES, FactorSeries, roll_forward
+from sentimetrics.factors import FACTOR_NAMES, PANEL_FIELDS, FactorSeries, positions, roll_forward
 from sentimetrics.eventstudy import ArPath
 from sentimetrics.sentiment import StockSentimentEvent
 from sentimetrics.synthetic import SynthConfig, gen_dataset
 
-from helpers import Row, on_calendar, panel_from_rows, weekdays
+from helpers import Row, on_calendar, panel_from_rows, random_panel, weekdays
 
 
 def _factors(n_days, seed=0, start=date(2020, 1, 6)):
@@ -657,3 +658,79 @@ def test_a_caar_is_blank_from_the_first_relative_day_no_event_has_a_return():
     run = run_event_study(events, ds.panel, factors, EventWindowConfig())
     assert len(run.ar_paths["negative"]) == 10
     assert not np.isnan(run.results["negative_full"].caar).any()
+
+
+def _column_copy_excess(panel, factors):
+    """The excess returns built from whole-panel copies: the panel's returns on the
+    factor calendar, their excess and its masked copy."""
+    excess = np.full((len(panel.firms), len(factors.dates)), np.nan)
+    j = positions(factors.dates, panel.calendar)
+    on = j >= 0
+    returns = panel.daily_return[:, on] - factors.rf[j[on]]
+    excess[:, j[on]] = np.where(panel.present[:, on], returns, np.nan)
+    return excess
+
+
+def test_the_in_place_excess_build_matches_column_copies_when_calendars_differ_both_ways():
+    factors = _factors(200, seed=44)
+    # Factor days 150, 160 and 161 have no panel column (they stay NaN); the Saturday
+    # after day 170 and a day before the factor calendar are panel dates only (skipped).
+    missing = {factors.dates[t] for t in (150, 160, 161)}
+    extra = {factors.dates[170] + timedelta(days=1), factors.dates[0] - timedelta(days=3)}
+    panel = random_panel(6, sorted((set(factors.dates) - missing) | extra), seed=45)
+    rng = np.random.default_rng(46)
+    absent = rng.random(panel.present.shape) < 0.1
+    absent[5, 20:] = True  # F005 keeps too few days to be estimated
+    panel.present[absent] = False
+    for name in PANEL_FIELDS:
+        getattr(panel, name)[absent] = np.nan
+    days = (120, 124, 155, 166, 185, 199)  # only 120 and 124 overlap: 10 is the window
+    events = [
+        StockSentimentEvent(firm, factors.dates[t], 0.5, "positive")
+        for firm in panel.firms
+        for t in days
+    ]
+    run = run_event_study(events, panel, factors, SHORT_WINDOW)
+
+    excess = _column_copy_excess(panel, factors)
+    paths, excluded, event_days = [], [], {}
+    for event in events:
+        t = factors.dates.index(event.announce_date)
+        row = excess[panel.firms.index(event.firm_id)]
+        try:
+            est = estimate_exposures(row, factors, SHORT_WINDOW, t)
+        except InsufficientObservationsError as exc:
+            excluded.append((event.firm_id, event.announce_date, str(exc)))
+            continue
+        ar = compute_ar(est, row, factors, SHORT_WINDOW, t)
+        paths.append((event.firm_id, event.announce_date, ar.tobytes()))
+        event_days.setdefault(event.firm_id, []).append(t)
+    got = [(p.firm_id, p.announce_date, p.values.tobytes()) for p in run.ar_paths["positive"]]
+    assert got == paths
+    assert [(e.firm_id, e.announce_date, e.reason) for e in run.exclusions] == excluded
+    assert [firm for firm, _d, _reason in excluded] == ["F005"] * len(days)
+    assert run.overlap_count == _count_overlaps(event_days, SHORT_WINDOW.evt_len) == 2 * 5
+    assert any(np.isnan(np.frombuffer(values)).any() for _f, _d, values in paths)
+
+
+def test_run_event_study_holds_one_excess_return_array():
+    # Bytes a panel cell, the calendars being equal: 8 for the firms x factor-dates
+    # excess returns, filled in place, and under 1 for the ten events' designs, fits
+    # and paths at 200 x 500.  A build from column copies holds beside those 8 the
+    # returns' excess on the factor calendar, its masked copy and the mask (8 + 8 + 1):
+    # 25, above the bound of 10.
+    factors = _factors(500, seed=47, start=date(2018, 1, 1))
+    panel = random_panel(200, factors.dates, seed=48)
+    events = [
+        StockSentimentEvent(panel.firms[k], factors.dates[300 + k], 0.5, "positive")
+        for k in range(10)
+    ]
+    run_event_study(events[:1], panel, factors, EventWindowConfig())  # first-call imports aside
+    tracemalloc.start()
+    try:
+        run = run_event_study(events, panel, factors, EventWindowConfig())
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(run.ar_paths["positive"]) == 10
+    assert peak < 10 * panel.present.size, peak / panel.present.size

@@ -29,7 +29,7 @@ from sentimetrics.factors import (
 )
 from sentimetrics.tables import FACTORS, write_series
 
-from helpers import Row, cell, panel_from_rows, weekdays
+from helpers import Row, cell, panel_from_rows, random_panel, weekdays
 
 RF = 1e-4
 
@@ -186,6 +186,29 @@ def test_too_few_main_exchange_stocks_is_degenerate():
     panel = _panel(rows_by_firm, calendar)
     with pytest.raises(DegenerateBreakpointsError, match="main-exchange"):
         construct_factors(panel, {d: RF for d in calendar})
+
+
+@pytest.mark.parametrize(
+    "returns, culprit",
+    [
+        ({"S4": 1e300}, "S4"),  # 1e300 x 5e9 overflows by itself
+        # 1.5e308 + 1.5e308 overflows the market's sum at the second firm in firm order.
+        ({"S6": 1.5e297, "S7": 0.75e297}, "S7"),
+        # +1.5e308 - 1e308 + 1e308: the market's sums stay finite, but S0 and S3 share
+        # a sort cell in every dimension, and its sum overflows at S3.
+        ({"S0": 1.5e299, "S1": -5e298, "S3": 2.5e298}, "S3"),
+    ],
+)
+def test_a_return_x_cap_that_overflows_the_sums_names_its_firm_and_date(returns, culprit):
+    panel, _ = _twelve_stock_panel()
+    for firm, ret in returns.items():
+        panel.daily_return[panel.firms.index(firm), 2] = ret
+    with pytest.raises(PanelFormatError) as info:  # no numpy warning either: they are errors here
+        construct_factors(panel, {d: RF for d in panel.calendar})
+    assert str(info.value) == (
+        f"firm {culprit}, date {panel.calendar[2]}: "
+        "daily_return x market_cap overflows the value-weighted sums"
+    )
 
 
 def test_secondary_exchange_sorted_but_not_in_breakpoints():
@@ -989,3 +1012,21 @@ def test_load_panel_holds_the_row_floats_and_the_dense_panel_once(tmp_path, monk
     panel, peak = _traced_load(tmp_path, 100, 500)
     rows = cells = panel.present.size
     assert peak < 48 * rows + 50 * cells, peak / 2**20
+
+
+def test_construct_factors_holds_one_sort_dimensions_masks_at_a_time():
+    # Bytes a panel cell: 3 of int8 sort cells (one per dimension) and 6 of one
+    # dimension's (6, firms, dates) membership masks.  The per-date arrays (the 3 x 6
+    # cell returns, a call's 2 x 6 sums and 6 returns, the market's) are about 45 floats
+    # a date, under 2 bytes a cell at 200 firms: 11 in all, below 12.  All three
+    # dimensions' masks at once (18) or a panel-sized return x cap (8) break the bound.
+    panel = random_panel(200, weekdays(date(2018, 1, 1), 500))
+    rf = {d: RF for d in panel.calendar}
+    construct_factors(random_panel(20, panel.calendar[:30]), rf)  # first-call imports aside
+    tracemalloc.start()
+    try:
+        construct_factors(panel, rf)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * panel.present.size, peak / panel.present.size

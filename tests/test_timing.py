@@ -232,6 +232,15 @@ def test_r2_scan_handles_oversized_windows_quietly():
     assert scan == (None, "")
 
 
+def test_r2_none_when_a_sum_of_squares_overflows():
+    # (1e308 - mean)^2 is not finite: the correlation is undefined, not 0.0, and numpy's
+    # overflow warning, an error in this suite, is not raised.
+    signal = np.array([0.1, 0.4, 0.2, 0.5, 0.3, 0.6])
+    market = np.array([0.01, -0.02, 1e308, 0.0, 0.01, 0.005])
+    assert r2_scan(signal, market) == (None, "")
+    assert r2_scan(market, signal) == (None, "")
+
+
 # ---------------------------------------------------------------------------
 # Backtest
 
