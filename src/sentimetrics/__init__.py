@@ -28,6 +28,7 @@ from .eventstudy import (
     ExposureEstimate,
     compute_ar,
     estimate_exposures,
+    lead_lag_design,
     pool_aar_caar,
     run_event_study,
 )

@@ -94,12 +94,6 @@ class RunConfig:
                 f"in every year, got {self.rebalance_day}"
             ) from None
 
-    def input_path(self, key: str, stage: str) -> Path:
-        p = self.inputs.get(key)
-        if p is None:
-            raise ConfigError(f"config key '{key}' is required by the {stage} stage")
-        return p
-
 
 # The JSON type of every config key, stated once: the input paths, the output
 # directory and the RunConfig parameters (`window` recurses into the fields of
@@ -308,8 +302,7 @@ def stage_sentiment(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
 
 def stage_factors(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
     """Load or construct the factor series and controls."""
-    provided = cfg.inputs["factors_csv"]
-    rf_path = cfg.input_path("rf_csv", "factors") if provided is None else None
+    provided, rf_path = cfg.inputs["factors_csv"], cfg.inputs["rf_csv"]
     panel = parsed["panel_csv"]
     if provided is not None:
         series = factormod.read_factors_csv(provided)
@@ -446,7 +439,9 @@ def stage_regress(cfg: RunConfig, parsed: Parses, outputs: Outputs) -> dict:
 
 class Stage(typing.NamedTuple):
     func: typing.Callable[[RunConfig, Parses, Outputs], dict]
-    needs: tuple[str, ...]  # the config inputs it cannot run without; the only Parses keys it uses
+    # The config inputs it cannot run without, a tuple of keys meaning any one of them (the
+    # last is the one an error names); the only Parses keys it uses.
+    needs: tuple[str | tuple[str, ...], ...]
     reads: tuple[str, ...]  # files of the output directory
     writes: dict[str, tables.Schema | None]  # file name or pattern -> its schema; None for text
 
@@ -470,7 +465,7 @@ STAGES = {
     ),
     "factors": Stage(
         stage_factors,
-        needs=("panel_csv", "nsi_csv", "short_rate_csv"),  # and rf_csv, without factors_csv
+        needs=("panel_csv", "nsi_csv", "short_rate_csv", ("factors_csv", "rf_csv")),
         reads=(),
         writes={"factors.csv": tables.FACTORS, "controls.csv": tables.CONTROLS},
     ),
@@ -537,16 +532,18 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
     mb = 2**20 if sys.platform == "darwin" else 2**10  # ru_maxrss is in KiB; bytes on macOS
     reaped = resource and resource.getrusage(resource.RUSAGE_CHILDREN)[:3]  # times, maxrss
     parsed = Parses(cfg.inputs)
-    out_dir = cfg.out_dir.resolve()
-    for i, name in enumerate(stages):
+    out_dir, produced = cfg.out_dir.resolve(), set()
+    for name in stages:  # every stage's checks, in run order, before any stage runs
         stage = STAGES[name]
         for file in stage.reads:
-            if not (cfg.out_dir / file).exists():
+            if file not in produced and not (cfg.out_dir / file).exists():
                 raise ConfigError(
                     f"missing {file} in {cfg.out_dir}; run the {PRODUCERS[file]} stage first"
                 )
-        for key in stage.needs:
-            cfg.input_path(key, name)
+        for need in stage.needs:
+            keys = (need,) if isinstance(need, str) else need
+            if all(cfg.inputs.get(key) is None for key in keys):
+                raise ConfigError(f"config key '{keys[-1]}' is required by the {name} stage")
         writers = dict.fromkeys(stage.writes, f"the {name} stage")
         writers["manifest.json"] = "every stage"
         for key, path in cfg.inputs.items():  # the directory entry a write, or its .tmp, replaces
@@ -555,7 +552,9 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
                 raise ConfigError(
                     f"{cfg.config_path}: {key} is {path}, which {writers[written]} writes"
                 )
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        produced.update(stage.writes)
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    for i, name in enumerate(stages):
         outputs = Outputs(cfg.out_dir, name)
         started = time.perf_counter()
         infos[name] = {"rows": outputs.rows, **STAGE_FUNCS[name](cfg, parsed, outputs)}

@@ -8,11 +8,13 @@ calendar.  Abnormal return is realized excess return minus the fitted model,
 intercept included; pooled averages use whichever events have data at each
 relative day, and cumulative averages are exact running sums.
 
-A firm's excess returns are one float array aligned with the factor calendar,
-NaN on the days it has no return.  The estimators return numbers only;
-run_event_study labels each abnormal-return array with its firm, announcement,
-event day and window start as an ArPath.  Pooled paths share one event window:
-the same first relative day `t0` and the same length.
+A firm's excess returns are one float array aligned with the factor calendar, NaN on
+the days it has no return, and so is the run's one lead_lag_design, whose first and
+last rows are NaN (no lagging or no leading value).  The estimators slice both on
+rows clipped at day 0, so a NaN design row drops out as a missing return does.  They
+return numbers only; run_event_study labels each abnormal-return array with its
+firm, announcement, event day and window start as an ArPath.  Pooled paths share one
+event window: the same first relative day `t0` and the same length.
 """
 
 from __future__ import annotations
@@ -109,57 +111,46 @@ class EventStudyRun:
     overlap_count: int = 0
 
 
-def _design_span(factors: FactorSeries, first: int, last: int) -> tuple[int, np.ndarray]:
-    """Lead/lag design rows for calendar indices first..last.
-
-    The span is clamped to 1..n-2, the indices that have both a lagging and a
-    leading factor value.  Returns the first kept index and the (rows, 16)
-    design: an intercept column, then each factor's lag, current and lead
-    value, ordered as REGRESSOR_NAMES.
-    """
-    lo = max(first, 1)
-    hi = max(min(last, len(factors.dates) - 2), lo - 1)  # hi = lo - 1: no rows
-    X = np.empty((hi - lo + 1, N_PARAMS))
-    X[:, 0] = 1.0
-    k = 1
-    for name in FACTOR_NAMES:
-        series = getattr(factors, name)
-        X[:, k] = series[lo - 1 : hi]
-        X[:, k + 1] = series[lo : hi + 1]
-        X[:, k + 2] = series[lo + 1 : hi + 2]
-        k += 3
-    return lo, X
+def lead_lag_design(factors: FactorSeries) -> np.ndarray:
+    """The (dates, 16) lead/lag design on the factor calendar: row t holds an intercept,
+    then each factor's value on days t-1, t and t+1, ordered as REGRESSOR_NAMES.  The
+    first and last rows are NaN, as those dates have no lagging or no leading value."""
+    design = np.full((len(factors.dates), N_PARAMS), np.nan)
+    series = np.column_stack([getattr(factors, name) for name in FACTOR_NAMES])
+    design[1:-1, 0] = 1.0
+    for shift in range(3):  # each factor's lag, current and lead: columns 1, 2, 3 (+ 3k)
+        design[1:-1, 1 + shift :: 3] = series[shift : len(series) - 2 + shift]
+    return design
 
 
-def _check_event(factors: FactorSeries, event_idx: int, excess_returns: np.ndarray) -> None:
+def _check_event(design: np.ndarray, event_idx: int, excess_returns: np.ndarray) -> None:
     """The returns must align with the factor calendar, and the event must be a day on it."""
-    if excess_returns.shape != (len(factors.dates),):
+    if excess_returns.shape != (len(design),):
         raise ValueError("excess returns must align one-to-one with the factor calendar")
-    if not 0 <= event_idx < len(factors.dates):
+    if not 0 <= event_idx < len(design):
         raise ValueError(
-            f"event index {event_idx} is not on the {len(factors.dates)}-day factor calendar"
+            f"event index {event_idx} is not on the {len(design)}-day factor calendar"
         )
 
 
 def estimate_exposures(
     excess_returns: np.ndarray,
-    factors: FactorSeries,
+    design: np.ndarray,
     window: EventWindowConfig,
     event_idx: int,
 ) -> ExposureEstimate:
     """OLS of the stock's excess return on the 16-parameter lead/lag factor design.
 
     `excess_returns` is aligned with the factor calendar, NaN where the stock
-    has no return; `event_idx` is the event day's position on that calendar.
-    Uses only estimation-window days where the return and all regressors
-    exist.  Solved by orthogonalization (lstsq), not by normal equations.
-    Returns the intercept, the 15 slopes and the number of days used.
+    has no return; `design` is lead_lag_design of that calendar and `event_idx`
+    the event day's position on it.  Uses the estimation-window days where the
+    return and all regressors exist, so never the design's NaN end rows.  Solved
+    by lstsq, not normal equations; returns the intercept, 15 slopes and days used.
     """
-    _check_event(factors, event_idx, excess_returns)
-    lo, design = _design_span(factors, event_idx + window.est_start, event_idx + window.est_end)
-    y = excess_returns[lo : lo + len(design)]
-    have = ~np.isnan(y)
-    X, y = design[have], y[have]
+    _check_event(design, event_idx, excess_returns)
+    rows = slice(max(event_idx + window.est_start, 0), max(event_idx + window.est_end + 1, 0))
+    have = ~(np.isnan(excess_returns[rows]) | np.isnan(design[rows, 0]))
+    X, y = design[rows][have], excess_returns[rows][have]
     n_obs = len(y)
     required = max(window.min_est_obs, N_PARAMS + 1)
     if n_obs < required:
@@ -175,24 +166,26 @@ def estimate_exposures(
 def compute_ar(
     estimate: ExposureEstimate,
     excess_returns: np.ndarray,
-    factors: FactorSeries,
+    design: np.ndarray,
     window: EventWindowConfig,
     event_idx: int,
 ) -> np.ndarray:
     """Realized minus fitted excess return on each event-window day.
 
     `excess_returns` is aligned with the factor calendar, NaN where the stock
-    has no return; `event_idx` is the event day's position on that calendar.
-    Returns the window's evt_len + 1 abnormal returns, relative day evt_start
-    first, NaN where the return or a regressor is missing.
+    has no return; `design` is lead_lag_design of that calendar and `event_idx`
+    the event day's position on it.  Returns the window's evt_len + 1 abnormal
+    returns, relative day evt_start first, NaN off the calendar and where the
+    return or a regressor is missing, as on the design's NaN end rows.
     """
-    _check_event(factors, event_idx, excess_returns)
+    _check_event(design, event_idx, excess_returns)
     first = event_idx + window.evt_start
-    lo, design = _design_span(factors, first, event_idx + window.evt_end)
-    # vecdot, not design @ slopes: a gemv may round differently from a per-row dot product.
-    expected = design[:, 0] * estimate.alpha + np.vecdot(design[:, 1:], estimate.slopes)
+    rows = slice(max(first, 0), max(event_idx + window.evt_end + 1, 0))  # a stop < 0 would wrap
+    X = design[rows]
+    # vecdot, not X @ slopes: a gemv may round differently from a per-row dot product.
+    expected = X[:, 0] * estimate.alpha + np.vecdot(X[:, 1:], estimate.slopes)
     values = np.full(window.evt_len + 1, np.nan)
-    values[lo - first : lo - first + len(design)] = excess_returns[lo : lo + len(design)] - expected
+    values[rows.start - first : rows.start - first + len(X)] = excess_returns[rows] - expected
     return values
 
 
@@ -258,6 +251,7 @@ def run_event_study(
         if j >= 0:
             returns, present = panel.daily_return[:, t], panel.present[:, t]
             np.subtract(returns, factors.rf[j], out=excess[:, j], where=present)
+    design = lead_lag_design(factors)
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
     event_indices: dict[str, list[int]] = {}
     firm_row = {firm_id: i for i, firm_id in enumerate(panel.firms)}
@@ -275,11 +269,11 @@ def run_event_study(
             )
             continue
         try:
-            estimate = estimate_exposures(excess[i], factors, window, t)
+            estimate = estimate_exposures(excess[i], design, window, t)
         except (InsufficientObservationsError, RankDeficientDesignError) as exc:
             run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
             continue
-        ar = compute_ar(estimate, excess[i], factors, window, t)
+        ar = compute_ar(estimate, excess[i], design, window, t)
         path = ArPath(event.firm_id, event.announce_date, factors.dates[t], window.evt_start, ar)
         grouped[event.polarity].append(path)
         event_indices.setdefault(event.firm_id, []).append(t)

@@ -545,16 +545,23 @@ def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:
     return dict(zip(*tables.read_table(path, schema).values()))
 
 
-def _check_rf(path: str | Path, row: int, rf: float) -> None:
-    if rf < -1.0:
-        raise PanelFormatError(f"{path}: row {row}: field 'rf': must be >= -1, got {rf!r}")
+def _check_return(path: str | Path, row: int, name: str, value: float) -> None:
+    """A decimal daily return lies strictly inside ±1, an rf within -1..1: a factor's 100 % move
+    in a day is a unit error, such as a percent.  rmrf is bounded only below, as r2_scan gives a
+    blank r2 for a market series whose sum of squares overflows."""
+    rf = name == "rf"
+    low = value < -1.0 if rf else value <= -1.0
+    high = name != "rmrf" and (value > 1.0 if rf else value >= 1.0)
+    if low or high:
+        bound = (">= -1" if low else "<= 1") if rf else ("> -1" if low else "< 1")
+        raise PanelFormatError(f"{path}: row {row}: field '{name}': must be {bound}, got {value!r}")
 
 
 def read_rf_csv(path: str | Path) -> dict[date, float]:
-    """Read the ``date,rf`` risk-free leg of factor construction; an rf < -1 names its row."""
+    """Read the ``date,rf`` risk-free leg of factor construction; an rf beyond ±1 names its row."""
     rates = _dated_values(path, tables.RF)
     for row, rf in enumerate(rates.values(), start=2):  # one row per date: the dates are unique
-        _check_rf(path, row, rf)
+        _check_return(path, row, "rf", rf)
     return rates
 
 
@@ -594,14 +601,14 @@ def load_controls(
 
 def read_factors_csv(path: str | Path) -> FactorSeries:
     """Ingest a pre-computed factor series (``date,rmrf,smb,hml,rmw,cma,rf``) of decimal returns:
-    an rmrf <= -1 (a 100 % loss, or a percent file's -1 %) or an rf < -1 names its row."""
+    a value that _check_return refuses names its row."""
     columns = tables.read_table(path, tables.FACTORS)
     if not columns["date"]:
         raise PanelFormatError(f"{path}: factor file is empty")
-    for row, (rmrf, rf) in enumerate(zip(columns["rmrf"], columns["rf"]), start=2):
-        if rmrf <= -1.0:
-            raise PanelFormatError(f"{path}: row {row}: field 'rmrf': must be > -1, got {rmrf!r}")
-        _check_rf(path, row, rf)
+    fields = FACTOR_NAMES + ("rf",)
+    for row, values in enumerate(zip(*(columns[name] for name in fields)), start=2):
+        for name, value in zip(fields, values):
+            _check_return(path, row, name, value)
     return FactorSeries(dates=columns.pop("date"), **columns)
 
 

@@ -25,6 +25,7 @@ from sentimetrics.econometrics import (
 from sentimetrics.eventstudy import (
     EventWindowConfig,
     estimate_exposures,
+    lead_lag_design,
     run_event_study,
 )
 from sentimetrics.factors import FACTOR_NAMES, FactorSeries, construct_factors
@@ -115,7 +116,9 @@ def test_02_ols_oracle_equivalence():
                     + slopes[3 * j + 2] * mats[t + 1, j]
                 )
             excess[factors.dates[t]] = model + rng.normal(0.0, 0.005)
-        est = estimate_exposures(on_calendar(excess, factors), factors, window, 280)
+        est = estimate_exposures(
+            on_calendar(excess, factors), lead_lag_design(factors), window, 280
+        )
 
         rows, ys = [], []
         for rel in range(window.est_start, window.est_end + 1):
@@ -344,7 +347,7 @@ def test_06_caar_arithmetic_identities():
                 },
                 ds.factors,
             ),
-            ds.factors,
+            lead_lag_design(ds.factors),
             window,
             idx,
         )

@@ -1341,6 +1341,52 @@ def test_an_rf_csv_rate_below_minus_one_names_file_row_and_field(demo7, tmp_path
     _assert_rejected(capsys, _constructing_factors(cfg_path), "factors", path, pattern)
 
 
+def _on_2021_04_19(col, value):
+    def edit(rows):
+        [row] = [row for row in rows if row[0] == "2021-04-19"]
+        row[col] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "col, value, pattern",
+    [
+        (6, "1e308", r"field 'rf': must be <= 1, got 1e\+308"),
+        (6, "2.5", r"field 'rf': must be <= 1, got 2.5"),  # a percent
+        (2, "1", r"field 'smb': must be < 1, got 1.0"),
+        (3, "-1", r"field 'hml': must be > -1, got -1.0"),
+        (4, "1e308", r"field 'rmw': must be < 1, got 1e\+308"),
+        (5, "-3.5", r"field 'cma': must be > -1, got -3.5"),
+    ],
+)
+def test_an_absurd_provided_rf_or_factor_stops_the_run_naming_file_row_and_field(
+    demo7, tmp_path, capsys, col, value, pattern
+):
+    """A daily return at or beyond 100 % is a unit error. Read as it stands, `rf` 1e308 on
+    row 77 gives AARs near 1e306 and no warning, so the run must stop on the value itself."""
+    cfg_path, path = _corrupt(demo7, tmp_path, "factors.csv", _on_2021_04_19(col, value))
+    assert path.read_text(encoding="utf-8").splitlines()[76].startswith("2021-04-19,")
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(re.escape(f"sentimetrics: error: {path}: row 77: ") + pattern, last), last
+
+
+def test_an_rf_csv_rate_above_one_names_file_row_and_field(demo7, tmp_path, capsys):
+    cfg_path, path = _corrupt(demo7, tmp_path, "rf.csv", _set(77, 1, "1e308"))
+    assert path.read_text(encoding="utf-8").splitlines()[76] == "2021-04-19,1e308"
+    assert main(["all", "--config", str(_constructing_factors(cfg_path))]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sentimetrics: error: {path}: row 77: field 'rf': must be <= 1, got 1e+308"
+    )
+
+
+@pytest.mark.parametrize("col, value", [(6, "1"), (6, "-1"), (2, "0.999"), (5, "-0.999")])
+def test_a_provided_rf_on_its_ends_and_a_factor_inside_them_pass(demo7, tmp_path, col, value):
+    cfg_path, _path = _corrupt(demo7, tmp_path, "factors.csv", _on_2021_04_19(col, value))
+    assert main(["factors", "--config", str(cfg_path)]) == 0
+
+
 @pytest.mark.parametrize(
     "stage, ns",
     [("timing", list(range(5, 21))), ("regress", [10]), ("all", list(range(5, 21)) + [10])],
@@ -1711,3 +1757,38 @@ def test_a_stage_stopped_by_its_checks_makes_no_output_directory(
     assert main([command, "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == f"sentimetrics: error: {error.format(out=out)}\n"
     assert not out.exists()
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "changes, error",
+    [
+        ({"nsi_csv": None}, "config key 'nsi_csv' is required by the factors stage"),
+        (
+            {"factors_csv": None, "rf_csv": None},
+            "config key 'rf_csv' is required by the factors stage",
+        ),
+        (
+            {"nsi_csv": None, "lexicon_negative_txt": None},  # the first stage's check wins
+            "config key 'lexicon_negative_txt' is required by the sentiment stage",
+        ),
+        ({"out_dir": "."}, "{cfg}: factors_csv is {data}/factors.csv, which the factors stage writes"),
+    ],
+    ids=["nsi_csv", "rf_csv", "first_stage_wins", "out_dir"],
+)
+def test_all_checks_every_stage_before_the_first_one_runs(demo7, tmp_path, capsys, changes, error):
+    """A check of the factors stage needs none of ingest's and sentiment's work, so it stops
+    `all` before they write days.csv, mentions.csv, sentiment.csv, events.csv and
+    event_skips.csv (into the data directory, for an out_dir of ".")."""
+    cfg_path = _reconfigured(demo7, tmp_path, **changes)
+    data = cfg_path.parent
+    for path in (data / "out").iterdir():  # an earlier run's files, unlike what a rerun writes
+        path.write_bytes(b"earlier\n" + path.read_bytes())
+    before = _files(data)
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    want = error.format(cfg=cfg_path, data=data)
+    assert capsys.readouterr().err == f"sentimetrics: error: {want}\n"
+    assert _files(data) == before

@@ -14,6 +14,7 @@ from sentimetrics.eventstudy import (
     _count_overlaps,
     compute_ar,
     estimate_exposures,
+    lead_lag_design,
     pool_aar_caar,
     run_event_study,
 )
@@ -114,7 +115,9 @@ def test_exact_recovery_on_noiseless_returns():
     alpha = 0.0004
     slopes = rng.normal(0.0, 0.5, 15)
     excess = _linear_excess(factors, alpha, slopes)
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, 90)
+    est = estimate_exposures(
+        on_calendar(excess, factors), lead_lag_design(factors), SHORT_WINDOW, 90
+    )
     assert est.alpha == pytest.approx(alpha, abs=1e-10)
     assert np.allclose(est.slopes, slopes, atol=1e-10)
 
@@ -128,7 +131,9 @@ def test_estimates_match_normal_equations_oracle():
         for d, v in _linear_excess(factors, 0.0002, slopes).items()
     }
     event_idx = 110
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
+    est = estimate_exposures(
+        on_calendar(excess, factors), lead_lag_design(factors), SHORT_WINDOW, event_idx
+    )
 
     # Rebuild the design by hand and solve X'X b = X'y.
     mats = np.column_stack([getattr(factors, f) for f in FACTOR_NAMES])
@@ -156,7 +161,7 @@ def test_insufficient_observations_raises():
     factors = _factors(120, seed=5)
     sparse = {factors.dates[t]: 0.001 for t in range(40, 55)}  # 15 < 20 required
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(on_calendar(sparse, factors), factors, SHORT_WINDOW, 90)
+        estimate_exposures(on_calendar(sparse, factors), lead_lag_design(factors), SHORT_WINDOW, 90)
 
 
 def test_min_obs_floor_is_one_more_than_params():
@@ -169,7 +174,9 @@ def test_min_obs_floor_is_one_more_than_params():
     kept_dates = [factors.dates[event_idx + rel] for rel in range(-22, -6)]  # 16 days
     sparse = {d: full[d] for d in kept_dates}
     with pytest.raises(InsufficientObservationsError):
-        estimate_exposures(on_calendar(sparse, factors), factors, window, event_idx)
+        estimate_exposures(
+            on_calendar(sparse, factors), lead_lag_design(factors), window, event_idx
+        )
 
 
 def test_duplicated_factor_is_rank_deficient():
@@ -185,7 +192,7 @@ def test_duplicated_factor_is_rank_deficient():
     )
     excess = {d: 0.001 for d in clone.dates}
     with pytest.raises(RankDeficientDesignError):
-        estimate_exposures(on_calendar(excess, clone), clone, SHORT_WINDOW, 110)
+        estimate_exposures(on_calendar(excess, clone), lead_lag_design(clone), SHORT_WINDOW, 110)
 
 
 @pytest.mark.parametrize("event_idx", [-1, 100])
@@ -195,10 +202,10 @@ def test_event_index_off_calendar_errors(event_idx):
     excess = on_calendar({d: 0.001 for d in factors.dates}, factors)
     message = rf"event index {event_idx} is not on the 100-day factor calendar"
     with pytest.raises(ValueError, match=message):
-        estimate_exposures(excess, factors, SHORT_WINDOW, event_idx)
+        estimate_exposures(excess, lead_lag_design(factors), SHORT_WINDOW, event_idx)
     est = ExposureEstimate(0.0, np.zeros(15), 0)
     with pytest.raises(ValueError, match=message):
-        compute_ar(est, excess, factors, SHORT_WINDOW, event_idx)
+        compute_ar(est, excess, lead_lag_design(factors), SHORT_WINDOW, event_idx)
 
 
 def test_excess_returns_off_the_factor_calendar_error():
@@ -207,9 +214,9 @@ def test_excess_returns_off_the_factor_calendar_error():
     message = "^excess returns must align one-to-one with the factor calendar$"
     for excess in (np.zeros(99), np.zeros(101)):
         with pytest.raises(ValueError, match=message):
-            estimate_exposures(excess, factors, SHORT_WINDOW, 80)
+            estimate_exposures(excess, lead_lag_design(factors), SHORT_WINDOW, 80)
         with pytest.raises(ValueError, match=message):
-            compute_ar(est, excess, factors, SHORT_WINDOW, 80)
+            compute_ar(est, excess, lead_lag_design(factors), SHORT_WINDOW, 80)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +228,10 @@ def test_ar_zero_for_model_consistent_returns():
     rng = np.random.default_rng(10)
     slopes = rng.normal(0.0, 0.4, 15)
     excess = _linear_excess(factors, 0.0003, slopes)
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, 95)
-    ar = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, 95)
+    est = estimate_exposures(
+        on_calendar(excess, factors), lead_lag_design(factors), SHORT_WINDOW, 95
+    )
+    ar = compute_ar(est, on_calendar(excess, factors), lead_lag_design(factors), SHORT_WINDOW, 95)
     assert isinstance(ar, np.ndarray) and ar.shape == (SHORT_WINDOW.evt_len + 1,)
     assert np.all(np.isfinite(ar))
     assert np.max(np.abs(ar)) < 1e-10
@@ -241,8 +250,12 @@ def test_ar_shifts_one_for_one_with_return_bumps():
         bump = 0.001 * (rel + 6)
         bumped[d] = base[d] + bump
         bumps[rel] = bump
-    est = estimate_exposures(on_calendar(bumped, factors), factors, SHORT_WINDOW, event_idx)
-    ar = compute_ar(est, on_calendar(bumped, factors), factors, SHORT_WINDOW, event_idx)
+    est = estimate_exposures(
+        on_calendar(bumped, factors), lead_lag_design(factors), SHORT_WINDOW, event_idx
+    )
+    ar = compute_ar(
+        est, on_calendar(bumped, factors), lead_lag_design(factors), SHORT_WINDOW, event_idx
+    )
     for rel, bump in bumps.items():
         assert ar[rel - SHORT_WINDOW.evt_start] == pytest.approx(bump, abs=1e-10)
 
@@ -252,8 +265,12 @@ def test_ar_nan_past_calendar_end():
     rng = np.random.default_rng(14)
     excess = _linear_excess(factors, 0.0, rng.normal(0, 0.3, 15))
     event_idx = 96  # evt window runs past the last date
-    est = estimate_exposures(on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
-    ar = compute_ar(est, on_calendar(excess, factors), factors, SHORT_WINDOW, event_idx)
+    est = estimate_exposures(
+        on_calendar(excess, factors), lead_lag_design(factors), SHORT_WINDOW, event_idx
+    )
+    ar = compute_ar(
+        est, on_calendar(excess, factors), lead_lag_design(factors), SHORT_WINDOW, event_idx
+    )
     # rel +2 is the penultimate calendar day (lead regressor exists), +3 on
     # the last day has no lead, beyond that there is no calendar at all.
     t0 = SHORT_WINDOW.evt_start
@@ -495,18 +512,94 @@ def test_sliced_design_matches_row_by_row_design_bitwise():
             old = _old_estimate(excess, factors, window, event_idx)
             if old is None:
                 with pytest.raises(InsufficientObservationsError):
-                    estimate_exposures(on_calendar(excess, factors), factors, window, event_idx)
+                    estimate_exposures(
+                        on_calendar(excess, factors), lead_lag_design(factors), window, event_idx
+                    )
                 excluded += 1
                 continue
-            est = estimate_exposures(on_calendar(excess, factors), factors, window, event_idx)
+            est = estimate_exposures(
+                on_calendar(excess, factors), lead_lag_design(factors), window, event_idx
+            )
             assert np.float64(est.alpha).tobytes() == np.float64(old[0]).tobytes()
             assert est.slopes.tobytes() == old[1].tobytes()
             assert est.n_obs == old[2]
-            ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_idx)
+            ar = compute_ar(
+                est, on_calendar(excess, factors), lead_lag_design(factors), window, event_idx
+            )
             old_ar = _old_ar(old[0], old[1], excess, factors, window, event_idx)
             assert ar.tobytes() == old_ar.tobytes()
             compared += 1
     assert compared > 50 and excluded > 20
+
+
+@pytest.mark.parametrize("n_days", [1, 2, 3, 40])
+def test_lead_lag_design_has_nan_end_rows_and_the_row_by_row_design_between(n_days):
+    factors = _factors(n_days, seed=50)
+    design = lead_lag_design(factors)
+    assert design.shape == (n_days, N_PARAMS) and design.flags.c_contiguous
+    assert np.isnan(design[[0, -1]]).all()  # no lagging value on day 0, no leading one last
+    for t in range(1, n_days - 1):
+        assert design[t].tobytes() == _old_design_row(factors, t).tobytes()
+
+
+def _clamped_span(factors, first, last):
+    """(lo, X): design rows for calendar days first..last clamped to 1..n-2, the days with
+    both a lagging and a leading value, built one row at a time."""
+    lo, hi = max(first, 1), min(last, len(factors.dates) - 2)
+    rows = [_old_design_row(factors, t) for t in range(lo, hi + 1)]
+    return lo, np.array(rows).reshape(len(rows), N_PARAMS)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [
+        EventWindowConfig(est_start=-25, est_end=-6, evt_start=-5, evt_len=12, min_est_obs=17),
+        # Event windows of the first 15 days end before the calendar starts.
+        EventWindowConfig(est_start=-40, est_end=-21, evt_start=-20, evt_len=5, min_est_obs=17),
+    ],
+    ids=["past_the_last_day", "before_day_0"],
+)
+def test_windows_cut_by_the_calendar_ends_match_the_clamped_span_bitwise(window):
+    """Each event day of a 60-day calendar, so windows start before day 0, run past the last
+    day or lie wholly off the calendar: the fit, n_obs and every AR bit are those of a design
+    clamped to the days that have a lag and a lead, and a window off the calendar is all NaN,
+    not rows counted back from the calendar's end."""
+    n_days = 60
+    factors = _factors(n_days, seed=51)
+    design = lead_lag_design(factors)
+    rng = np.random.default_rng(52)
+    excess = rng.normal(0.0, 0.02, n_days)
+    excess[rng.random(n_days) < 0.1] = np.nan
+    fixed = ExposureEstimate(float(rng.normal(0, 1e-3)), rng.normal(0, 0.5, 15), 0)
+    fitted = off_calendar = 0
+    for event_idx in range(n_days):
+        lo, X = _clamped_span(factors, event_idx + window.est_start, event_idx + window.est_end)
+        y = excess[lo : lo + len(X)]
+        have = ~np.isnan(y)
+        if have.sum() < window.min_est_obs:
+            with pytest.raises(InsufficientObservationsError) as caught:
+                estimate_exposures(excess, design, window, event_idx)
+            assert caught.value.n_obs == have.sum()
+        else:
+            beta = np.linalg.lstsq(X[have], y[have], rcond=None)[0]
+            est = estimate_exposures(excess, design, window, event_idx)
+            assert np.float64(est.alpha).tobytes() == beta[0].tobytes()
+            assert est.slopes.tobytes() == beta[1:].tobytes()
+            assert est.n_obs == have.sum()
+            fitted += 1
+
+        first = event_idx + window.evt_start
+        lo, X = _clamped_span(factors, first, event_idx + window.evt_end)
+        want = np.full(window.evt_len + 1, np.nan)
+        expected = X[:, 0] * fixed.alpha + np.vecdot(X[:, 1:], fixed.slopes)
+        want[lo - first : lo - first + len(X)] = excess[lo : lo + len(X)] - expected
+        ar = compute_ar(fixed, excess, design, window, event_idx)
+        assert ar.tobytes() == want.tobytes(), event_idx
+        if event_idx + window.evt_end < 0:
+            assert np.isnan(ar).all()
+            off_calendar += 1
+    assert fitted >= 20
+    assert off_calendar == (15 if window.evt_end < 0 else 0)
 
 
 def _old_count_overlaps(event_indices, evt_len):
@@ -552,7 +645,9 @@ def test_compute_ar_matches_row_by_row_loop_bitwise():
         est = ExposureEstimate(float(rng.normal(0, 1e-3)), rng.normal(0, 0.5, 15), 0)
         # Event days anywhere on the calendar: windows clamped at either end.
         event_idx = int(rng.integers(0, n_days))
-        ar = compute_ar(est, on_calendar(excess, factors), factors, window, event_idx)
+        ar = compute_ar(
+            est, on_calendar(excess, factors), lead_lag_design(factors), window, event_idx
+        )
         want = _old_ar(est.alpha, est.slopes, excess, factors, window, event_idx)
         assert ar.tobytes() == want.tobytes()
 
@@ -627,8 +722,8 @@ def test_run_event_study_aligns_a_panel_calendar_that_differs_from_the_factor_ca
     assert [p.event_date for p in paths] == [factors.dates[100], factors.dates[105]]
     assert all(p.t0 == SHORT_WINDOW.evt_start for p in paths)
     for path, t in zip(paths, (100, 105)):
-        est = estimate_exposures(want_excess, factors, SHORT_WINDOW, t)
-        want = compute_ar(est, want_excess, factors, SHORT_WINDOW, t)
+        est = estimate_exposures(want_excess, lead_lag_design(factors), SHORT_WINDOW, t)
+        want = compute_ar(est, want_excess, lead_lag_design(factors), SHORT_WINDOW, t)
         assert path.values.tobytes() == want.tobytes()
     for path, missing_rel in zip(paths, ([-2, 3, 5], [-2, 0])):
         assert np.flatnonzero(np.isnan(path.values)).tolist() == [r - path.t0 for r in missing_rel]
@@ -698,11 +793,11 @@ def test_the_in_place_excess_build_matches_column_copies_when_calendars_differ_b
         t = factors.dates.index(event.announce_date)
         row = excess[panel.firms.index(event.firm_id)]
         try:
-            est = estimate_exposures(row, factors, SHORT_WINDOW, t)
+            est = estimate_exposures(row, lead_lag_design(factors), SHORT_WINDOW, t)
         except InsufficientObservationsError as exc:
             excluded.append((event.firm_id, event.announce_date, str(exc)))
             continue
-        ar = compute_ar(est, row, factors, SHORT_WINDOW, t)
+        ar = compute_ar(est, row, lead_lag_design(factors), SHORT_WINDOW, t)
         paths.append((event.firm_id, event.announce_date, ar.tobytes()))
         event_days.setdefault(event.firm_id, []).append(t)
     got = [(p.firm_id, p.announce_date, p.values.tobytes()) for p in run.ar_paths["positive"]]

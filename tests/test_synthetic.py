@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sentimetrics.corpus import build_days, extract_mentions
-from sentimetrics.eventstudy import EventWindowConfig, estimate_exposures
+from sentimetrics.eventstudy import EventWindowConfig, estimate_exposures, lead_lag_design
 from sentimetrics.factors import (
     PANEL_COLUMNS,
     PANEL_FIELDS,
@@ -423,7 +423,9 @@ def test_exposures_recoverable_when_noise_off():
         excess = {
             d: cell(ds.panel, fid, d).daily_return - cfg.rf_daily for d in ds.calendar
         }
-        est = estimate_exposures(on_calendar(excess, ds.factors), ds.factors, window, anchor)
+        est = estimate_exposures(
+            on_calendar(excess, ds.factors), lead_lag_design(ds.factors), window, anchor
+        )
         truth = ds.truth.exposures[fid]
         assert est.alpha == pytest.approx(truth["alpha"], abs=1e-8)
         for j, name in enumerate(names):
