@@ -28,7 +28,6 @@ import itertools
 import mmap
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -144,21 +143,24 @@ PANEL_COLUMNS = [
 ]
 _TEXT_COLUMNS = (0, 1, 4)  # firm_id, date, exchange
 _FLOAT_COLUMNS = (2, 3, 5, 6, 7, 8)  # PANEL_FIELDS, in file order
-_ROW_DTYPE = np.dtype([(c, "f8" if c in PANEL_FIELDS else "O") for c in PANEL_COLUMNS])
-_BLOCK_ROWS = 8192  # rows per np.loadtxt call: bounds the parse's transient memory
+_TAIL_DTYPE = np.dtype([("exchange", "O")] + [(name, "f8") for name in PANEL_FIELDS[2:]])
+_BLANK_TAILS = {"", "\n", "\r\n"}  # np.loadtxt skips such a line where it should refuse it
+_BLOCK_ROWS = 4096  # rows a block; its texts are held at once, so it bounds the parse's memory
 
 
 def _plain_layout(path: Path, parts: int) -> tuple[bool, int, list[tuple[int, int]]]:
     """(every line has exactly 9 unquoted fields, number of lines after the header, cuts).
 
-    A byte scan: no quote characters and 8 commas per line.  Blank lines,
-    ragged rows and quoted fields make it False.  The cuts split the rows into
-    at most `parts` line-aligned ranges of about equal bytes: (byte offset,
-    first row) of each range, the first just past the header."""
+    A byte scan: no quote characters, no CR but one that ends a line, and 8
+    commas per line.  Blank lines, ragged rows, quoted fields and a CR inside
+    a line, which the csv module reads as a line end, make it False.  The cuts
+    split the rows into at most `parts` line-aligned ranges of about equal
+    bytes: (byte offset, first row) of each range, the first just past the
+    header."""
     size = path.stat().st_size
     targets = [size * k // parts for k in range(parts)]
     cuts = []
-    lines = commas = quotes = 0
+    lines = commas = quotes = lone_crs = 0
     last = b"\n"
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -170,9 +172,13 @@ def _plain_layout(path: Path, parts: int) -> tuple[bool, int, list[tuple[int, in
             lines += int(np.count_nonzero(data == ord("\n")))
             commas += int(np.count_nonzero(data == ord(",")))
             quotes += int(np.count_nonzero(data == ord('"')))
+            crs = int(np.count_nonzero(data == ord("\r")))
+            # Each CR must start a CRLF, one split across two chunks too; count CRLFs, the slow
+            # scan, only in a chunk that holds a CR.
+            lone_crs += (crs and crs - chunk.count(b"\r\n")) - (last + chunk[:1] == b"\r\n")
             last = chunk[-1:]
     lines += last != b"\n"
-    plain = quotes == 0 and commas == (len(PANEL_COLUMNS) - 1) * lines
+    plain = quotes == lone_crs == 0 and commas == (len(PANEL_COLUMNS) - 1) * lines
     return plain, lines - 1, cuts or [(size, 0)]  # no cut: the header is the only line
 
 
@@ -187,26 +193,38 @@ def _range_count() -> int:
 def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=None):
     """Parse the ids.shape[1] lines from byte `offset` into `ids` and the six 1-D `values`.
 
-    _BLOCK_ROWS lines a structured np.loadtxt call; text cells get ids from one
-    first-seen dict per column.  Stops at the first block that fails and returns
-    (the dicts, the rows parsed); given `conn`, sends (their keys, the rows) down it."""
+    A line splits once into firm, date, return, cap and a tail: exchange and the four
+    fundamentals, which change only when a firm files.  Text cells get ids from one
+    first-seen dict per column, return and cap go through float(), the row reader's
+    parser, and each block of _BLOCK_ROWS lines parses its distinct tails in one
+    np.loadtxt call.  Stops at the first block that fails, before its cells join the
+    dicts, and returns (the dicts, the rows parsed); given `conn`, sends (their keys,
+    the rows) down it."""
     seen, n_rows, done = [{} for _ in _TEXT_COLUMNS], ids.shape[1], 0
-    with path.open(encoding="utf-8", newline="\n") as fh, warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+    with path.open(encoding="utf-8", newline="\n") as fh:
         fh.buffer.seek(offset)  # before the first read, so the text starts at `offset`
         for start in range(0, n_rows, _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, n_rows)
+            stop, tails = min(start + _BLOCK_ROWS, n_rows), {}
             lines = itertools.islice(fh, stop - start)
             try:
-                block = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+                cells = list(itertools.chain.from_iterable(line.split(",", 4) for line in lines))
+                if len(cells) != 5 * (stop - start):  # a line of fewer fields, or too few lines
+                    break
+                for field, k in zip(values, (2, 3)):
+                    field[start:stop] = list(map(float, cells[k::5]))
+                at = np.array([tails.setdefault(t, len(tails)) for t in cells[4::5]])
+                if tails.keys() & _BLANK_TAILS:
+                    break
+                table = np.loadtxt(list(tails), _TAIL_DTYPE, delimiter=",", comments=None, ndmin=1)
             except ValueError:
                 break
-            if len(block) != stop - start:  # loadtxt skipped a blank line
-                break
-            for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
-                row_ids[start:stop] = [s.setdefault(c, len(s)) for c in block[PANEL_COLUMNS[j]]]
-            for field, j in zip(values, _FLOAT_COLUMNS):
-                field[start:stop] = block[PANEL_COLUMNS[j]]
+            for s, k, row_ids in zip(seen, (0, 1), ids):
+                row_ids[start:stop] = [s.setdefault(c, len(s)) for c in cells[k::5]]
+            exchange = [seen[2].setdefault(c, len(seen[2])) for c in table["exchange"]]
+            ids[2, start:stop] = np.array(exchange)[at]
+            for field, name in zip(values[2:], PANEL_FIELDS[2:]):
+                field[start:stop] = table[name][at]
+            del cells, table  # before the next block's texts are read
             done = stop
     return (seen, done) if conn is None else conn.send(([list(s) for s in seen], done))
 
@@ -366,16 +384,17 @@ def load_panel(path: str | Path) -> SecurityPanel:
 
     Duplicate (firm, date) keys, non-finite values, returns <= -1,
     nonpositive caps or prior assets and unknown exchanges are errors naming
-    the first offending row.  A plain file is parsed in blocks of rows, one
-    structured np.loadtxt call a block, so its text is never held whole; one
-    of two blocks or more is cut into two byte ranges parsed at once, the
+    the first offending row.  A plain file is parsed in blocks of rows, so its
+    text is never held whole: each line split once, its return and cap parsed
+    with float() and a block's distinct fundamentals in one np.loadtxt call.
+    One of two blocks or more is cut into two byte ranges parsed at once, the
     second in a forked child.  With one usable CPU, and on Python 3.12+, which
     warns when a process with threads forks, the parse is one pass.  A file
-    with quoted fields or blank lines goes through the csv module, as do the
-    rows from a block that holds a malformed field on; it locates the bad row.
-    The row checks free the text ids before they read the row floats, and the
-    dense arrays are built one field at a time, so the parsed floats and the
-    panel are not both held whole."""
+    with quoted fields, blank lines or a CR inside a line goes through the csv
+    module, as do the rows from a block that holds a malformed field on; it
+    locates the bad row.  The row checks free the text ids before they read
+    the row floats, and the dense arrays are built one field at a time, so the
+    parsed floats and the panel are not both held whole."""
     path = Path(path)
     next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
     columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
@@ -546,12 +565,11 @@ def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:
 
 
 def _check_return(path: str | Path, row: int, name: str, value: float) -> None:
-    """A decimal daily return lies strictly inside ±1, an rf within -1..1: a factor's 100 % move
-    in a day is a unit error, such as a percent.  rmrf is bounded only below, as r2_scan gives a
-    blank r2 for a market series whose sum of squares overflows."""
+    """A decimal daily return, each of the five factors' included, lies strictly inside ±1, an rf
+    within -1..1: a factor's 100 % move in a day is a unit error, such as a percent."""
     rf = name == "rf"
     low = value < -1.0 if rf else value <= -1.0
-    high = name != "rmrf" and (value > 1.0 if rf else value >= 1.0)
+    high = value > 1.0 if rf else value >= 1.0
     if low or high:
         bound = (">= -1" if low else "<= 1") if rf else ("> -1" if low else "< 1")
         raise PanelFormatError(f"{path}: row {row}: field '{name}': must be {bound}, got {value!r}")

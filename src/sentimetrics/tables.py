@@ -1,11 +1,13 @@
 """The reader and writer of every CSV but panel.csv, and the one line source of every input.
 
 panel.csv, by far the largest file, takes its own paths for speed: factors'
-block reader parses it with np.loadtxt (handing a file it declines to
-read_rows), and synthetic.write_dataset joins each day's fields itself,
-quoting a firm id with _quoted.  On the seed-61 big_panel panel (200 firms x
-1500 days, 2-vCPU Xeon), writing it through write_table took 2.5-2.7 s
-against 0.38-0.42 s for all of write_dataset, with the same bytes.
+block reader splits each line once, parses its return and cap with float(),
+as _float does, and each block's distinct fundamentals with one np.loadtxt
+call (handing a file it declines to read_rows), and synthetic.write_dataset joins
+each day's fields itself, quoting a firm id with _quoted.  On the seed-61
+big_panel panel (200 firms x 1500 days, 2-vCPU Xeon), writing it through
+write_table took 2.5-2.7 s against 0.38-0.42 s for all of write_dataset, with
+the same bytes.
 
 write_table writes row by row, each row its fields joined by commas.  A TEXT
 field is quoted, its quotes doubled, when it holds a comma, a quote, LF or CR;

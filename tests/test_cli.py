@@ -1148,18 +1148,17 @@ def test_a_return_that_overflows_the_value_weighted_sums_names_the_panel(demo7, 
     )
 
 
-def test_a_provided_rmrf_whose_square_overflows_gives_blank_r2s(demo7, tmp_path):
-    # The sum of squares of 1e308 is not finite, so each N's correlation is undefined: its
-    # r2 is blank, as for a constant signal, not 0.0, and no numpy warning escapes.
-    def huge_rmrf(rows):
-        [row] = [row for row in rows if row[0] == "2021-04-19"]
-        row[1] = "1e308"
-
-    cfg_path, path = _corrupt(demo7, tmp_path, "factors.csv", huge_rmrf)
-    assert main(["all", "--config", str(cfg_path)]) == 0
-    scan = tables.read_table(path.parent / "out" / "r2_scan.csv", tables.R2_SCAN)
-    assert len(scan["N"]) == 16
-    assert scan["r2"] == [None] * 16 and scan["corr_sign"] == [""] * 16
+def test_a_provided_rmrf_of_1e308_stops_the_run_before_the_event_study(demo7, tmp_path, capsys):
+    # Read as it stands, 1e308 excluded every event as "design rank 3 < 16" and left each N's
+    # r2 blank, with exit 0.  The factors stage now stops on the value, so no stage after it
+    # rewrites its output.
+    cfg_path, path = _corrupt(demo7, tmp_path, "factors.csv", _on_2021_04_19(1, "1e308"))
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"sentimetrics: error: {path}: row 77: field 'rmrf': must be < 1, got 1e+308"
+    )
+    for name in ("event_study.csv", "r2_scan.csv"):
+        assert (path.parent / "out" / name).read_bytes() == (demo7 / "out" / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", ["rf.csv", "nsi.csv", "short_rate.csv"])
@@ -1354,6 +1353,7 @@ def _on_2021_04_19(col, value):
     [
         (6, "1e308", r"field 'rf': must be <= 1, got 1e\+308"),
         (6, "2.5", r"field 'rf': must be <= 1, got 2.5"),  # a percent
+        (1, "1e308", r"field 'rmrf': must be < 1, got 1e\+308"),
         (2, "1", r"field 'smb': must be < 1, got 1.0"),
         (3, "-1", r"field 'hml': must be > -1, got -1.0"),
         (4, "1e308", r"field 'rmw': must be < 1, got 1e\+308"),

@@ -681,20 +681,32 @@ def _parity_rows():
     return rows + _block_rows(firms="E", days=range(1, 4)) + _block_rows(firms="F", days=[10])
 
 
+def _distinct_fundamentals(rows):
+    """The rows with every row's four fundamentals its own."""
+    return [
+        ",".join(f[:5] + [repr(float(x) * (1 + i / 1000)) for x in f[5:]])
+        for i, f in enumerate(row.split(",") for row in rows)
+    ]
+
+
 @pytest.mark.parametrize(
-    "newline, final, pad",
-    [("\n", True, False), ("\r\n", True, False), ("\n", False, False), ("\n", True, True)],
-    ids=["lf", "crlf", "no-final-newline", "space-padded"],
+    "newline, final, edit",
+    [
+        ("\n", True, list),
+        ("\r\n", True, list),
+        ("\n", False, list),
+        ("\n", True, lambda rows: list(map(_padded, rows))),
+        ("\n", True, _distinct_fundamentals),
+    ],
+    ids=["lf", "crlf", "no-final-newline", "space-padded", "distinct-fundamentals"],
 )
 @pytest.mark.parametrize(
     "block, ranges", _over_ranges([((b,), str(b)) for b in (1, 7, "n", "n-1", "cut")])
 )
 def test_block_reader_matches_the_row_by_row_reader_bitwise(
-    tmp_path, monkeypatch, newline, final, pad, block, ranges
+    tmp_path, monkeypatch, newline, final, edit, block, ranges
 ):
-    rows = _parity_rows()
-    if pad:
-        rows = [_padded(r) for r in rows]
+    rows = edit(_parity_rows())
     plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
     for p, lines in ((plain, rows), (quoted, [_quoted(r) for r in rows])):
         p.write_bytes(newline.join([PANEL_HEADER] + lines + [""] * final).encode())
@@ -716,7 +728,11 @@ def test_block_reader_matches_the_row_by_row_reader_bitwise(
     assert [v.tobytes() for v in split[1]] == [v.tobytes() for v in serial[1]]
     assert split[2] is None
     assert factors._read_columns_fast(quoted) is None
-    got, want = load_panel(plain), load_panel(quoted)
+    read = _rows_the_csv_reader_reads(monkeypatch)
+    got = load_panel(plain)
+    # The row reader gives the same bytes, so only this shows the block reader parsed them.
+    assert read == [2]  # the header check's row 2 only
+    want = load_panel(quoted)
     assert got.firms == want.firms == list("ABCDEF")
     assert got.calendar == want.calendar and len(got.calendar) == 9
     for name in ("present", "is_main") + PANEL_FIELDS:
@@ -745,10 +761,16 @@ def _both(*edits):
     return edit
 
 
-def _blank_line_and_long_row(rows):
+def _blank_line_and_long_row(rows, at=10):
     # A blank line and a 17-field row keep 8 commas a line, so the file looks plain.
-    rows.insert(10, "")
+    rows.insert(at, "")
     rows.insert(20, rows[5] + "," + ",".join(rows[6].split(",")[:8]))
+
+
+def _blank_tail_and_long_row(rows):
+    # A row of 5 fields, the last one empty, and a row of 13 keep 8 commas a line.
+    rows[10] = ",".join(rows[10].split(",")[:4]) + ","
+    rows[20] += ",1,2,3,4"
 
 
 def _lone_carriage_return(rows):
@@ -786,10 +808,17 @@ ERRORS = [
         "row 11: daily_return must be > -1",
     ),
     (_blank_line_and_long_row, 1, "row 12: expected 9 fields, got 0"),
+    # Last in a block of two, the blank line leaves one value a column, which fills both rows.
+    (lambda rows: _blank_line_and_long_row(rows, at=11), 2, "row 13: expected 9 fields, got 0"),
     (_lone_carriage_return, 7, "row 34: expected 9 fields, got 1"),
+    (_blank_tail_and_long_row, 1, "row 12: expected 9 fields, got 5"),
+    (_blank_tail_and_long_row, 7, "row 12: expected 9 fields, got 5"),
+    # The csv module reads a lone CR as a line end, which float() would take for a space.
+    (_set_field(12, "market_cap", "1e9\r"), 7, "row 14: expected 9 fields, got 4"),
 ]
 ERROR_IDS = [
-    "duplicate", "nan", "exchange", "date", "oops", "fault-before-oops", "blank-line", "lone-cr"
+    "duplicate", "nan", "exchange", "date", "oops", "fault-before-oops", "blank-line",
+    "blank-line-ends-block", "lone-cr", "blank-tail-alone", "blank-tail", "cr-in-cap",
 ]
 
 
@@ -872,6 +901,87 @@ def test_a_field_only_the_csv_reader_reads_gives_the_one_pass_panel(tmp_path, mo
     for name in ("present", "is_main") + PANEL_FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert 5000.0 in got.book_equity
+
+
+def _panel_or_error(path):
+    """The loaded panel's bytes, or its error's text with the file's name taken out."""
+    try:
+        panel = load_panel(path)
+    except PanelFormatError as exc:
+        return str(exc).replace(str(path), "<panel>")
+    arrays = [getattr(panel, name).tobytes() for name in ("present", "is_main") + PANEL_FIELDS]
+    return panel.firms, panel.calendar, arrays
+
+
+# Spellings that float() and np.loadtxt may read differently, or not at all.
+FUZZ_NUMBERS = [
+    "5_000.0", "１", " 1.5", "+1", "1e-400", "1e400", "nan", "-0.0", "0x10", "", "1.5\t", "1.5\r"
+]
+
+
+def _fuzzed_cell(rng, row):
+    """The row with one cell replaced: a padded firm id, a bad date, a padded or unknown
+    exchange, or one of FUZZ_NUMBERS in a float column."""
+    column = rng.choice(PANEL_COLUMNS)
+    old = row.split(",")[PANEL_COLUMNS.index(column)]
+    texts = {
+        "firm_id": [f" {old}  "],
+        "date": ["2022-02-30", "2022-1-05", f" {old}"],
+        "exchange": [f" {old}", "kosdaq"],
+    }
+    return _with_field(row, column, rng.choice(texts.get(column, FUZZ_NUMBERS)))
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+def test_fuzzed_cells_give_the_csv_readers_panel_or_error(tmp_path, monkeypatch, ranges):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: ranges)
+    rng = random.Random(ranges)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    for _case in range(100):
+        rows = _parity_rows()
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randrange(len(rows))
+            rows[i] = _fuzzed_cell(rng, rows[i])
+        _write_panel(plain, rows)
+        _write_panel(quoted, [_quoted(r) for r in rows])
+        assert _panel_or_error(plain) == _panel_or_error(quoted), rows
+
+
+def test_a_crlf_across_the_layout_scans_chunk_boundary_keeps_the_file_plain(tmp_path):
+    # _plain_layout reads 1 MiB chunks; the first row's firm id is padded so that the CR of
+    # a CRLF is a chunk's last byte and its LF the next chunk's first.
+    rows = _block_rows(days=range(12)) * 600
+    text = "\r\n".join([PANEL_HEADER] + rows + [""])
+    pad = (1 << 20) - 1 - text.rindex("\r", 0, 1 << 20)
+    p = tmp_path / "panel.csv"
+    p.write_bytes(text.replace("A,", "A" + " " * pad + ",", 1).encode())
+    assert p.read_bytes()[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
+    assert factors._plain_layout(p, 1)[:2] == (True, len(rows))
+
+
+@pytest.mark.parametrize(
+    "edit, n_tails", [(list, 16), (_distinct_fundamentals, 36)], ids=["repeated", "distinct"]
+)
+def test_each_block_parses_each_of_its_distinct_tails_once(tmp_path, monkeypatch, edit, n_tails):
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(factors, "_range_count", lambda: 1)
+    rows = edit(_parity_rows())
+    p = tmp_path / "panel.csv"
+    _write_panel(p, rows)
+    parsed, loadtxt = [], np.loadtxt
+
+    def spy(lines, *args, **kwargs):
+        parsed.append(list(lines))
+        return loadtxt(parsed[-1], *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    load_panel(p)
+    blocks = [rows[i : i + 7] for i in range(0, len(rows), 7)]
+    want = [list(dict.fromkeys(r.split(",", 4)[4] + "\n" for r in block)) for block in blocks]
+    assert parsed == want
+    # Firms A-D keep their fundamentals every day: 16 tails for the 36 rows, as blocks go.
+    assert sum(map(len, want)) == n_tails
 
 
 def test_the_range_of_a_child_that_ends_without_a_result_is_read_row_by_row(

@@ -209,12 +209,12 @@ def test_no_module_bisects_a_calendar():
     assert users == []
 
 
-def test_only_factors_imports_warnings():
-    """An empty signal is a result that the caller reports, not a warning to silence;
-    ``factors`` alone silences one, numpy's ``loadtxt`` "input contained no data"."""
+def test_no_module_imports_warnings():
+    """An empty signal is a result that the caller reports, not a warning to silence; the
+    panel parser never hands ``np.loadtxt`` an input it would warn about."""
     users = [
         p.name
         for p in sorted(SRC.glob("*.py"))
         if re.search(r"^\s*(import warnings\b|from warnings import)", p.read_text("utf-8"), re.M)
     ]
-    assert users == ["factors.py"]
+    assert users == []
