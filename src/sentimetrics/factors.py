@@ -197,10 +197,9 @@ def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=No
     fundamentals, which change only when a firm files.  Text cells get ids from one
     first-seen dict per column, return and cap go through float(), the row reader's
     parser, and each block of _BLOCK_ROWS lines parses its distinct tails in one
-    np.loadtxt call.  Stops at the first block that fails, before its cells join the
-    dicts, and returns (the dicts, the rows parsed); given `conn`, sends (their keys,
-    the rows) down it."""
-    seen, n_rows, done = [{} for _ in _TEXT_COLUMNS], ids.shape[1], 0
+    np.loadtxt call.  Returns the dicts, or None once a block fails; given `conn`,
+    sends their keys, or None, down it."""
+    seen, n_rows, keys = [{} for _ in _TEXT_COLUMNS], ids.shape[1], None
     with path.open(encoding="utf-8", newline="\n") as fh:
         fh.buffer.seek(offset)  # before the first read, so the text starts at `offset`
         for start in range(0, n_rows, _BLOCK_ROWS):
@@ -225,17 +224,17 @@ def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=No
             for field, name in zip(values[2:], PANEL_FIELDS[2:]):
                 field[start:stop] = table[name][at]
             del cells, table  # before the next block's texts are read
-            done = stop
-    return (seen, done) if conn is None else conn.send(([list(s) for s in seen], done))
+        else:  # every block parsed
+            keys = seen
+    return keys if conn is None else conn.send(keys and [list(s) for s in keys])
 
 
 def _read_columns_fast(path: Path):
-    """(text columns, six row floats, error), or None when the file is not plain.
+    """(text columns, six row floats, None), or None when the file is not plain or a block fails.
 
     This process parses the first range _plain_layout cut and a forked child each
     other range, into arrays in anonymous shared memory (MAP_SHARED).  The ranges'
-    first-seen cells are merged in file order, so the result is what one pass gives.
-    From a block that fails on, the row-by-row reader reads the file."""
+    first-seen cells are merged in file order, so the result is what one pass gives."""
     plain, n_rows, cuts = _plain_layout(path, _range_count())
     if not plain:
         return None
@@ -262,38 +261,35 @@ def _read_columns_fast(path: Path):
             send.close()
         at, rows = spans[0]
         keys.append(_parse_range(path, at, ids[:, rows], [v[rows] for v in values]))
-        if keys[0][1] == rows.stop:  # else the rows past the failed one go to the row reader
+        if keys[0] is not None:  # else the whole file goes to the row reader
             keys += [recv.recv() for _child, recv in children]
-    except EOFError:  # a child ended without a result: its range parsed no row
-        keys.append(([], 0))
+    except EOFError:  # a child ended without a result
+        keys.append(None)
     finally:
         for child, recv in children:
             if len(keys) <= len(children):  # a result went unread: its child may block sending it
                 child.kill()
             child.join()
             recv.close()
-    seen, done = [{} for _ in _TEXT_COLUMNS], 0  # cell -> id, in first-seen order over the file
-    for (_at, rows), (range_keys, parsed) in zip(spans, keys):
-        for s, cells, row_ids in zip(seen, range_keys, ids[:, rows.start : rows.start + parsed]):
+    if None in keys:
+        return None
+    seen = [{} for _ in _TEXT_COLUMNS]  # cell -> id, in first-seen order over the file
+    for (_at, rows), range_keys in zip(spans, keys):
+        for s, cells, row_ids in zip(seen, range_keys, ids[:, rows]):
             to_file = np.array([s.setdefault(c, len(s)) for c in cells], np.int32)
             row_ids[:] = to_file[row_ids]
-        done = rows.start + parsed
-        if done < rows.stop:
-            return _read_columns_by_row(path, (seen, ids[:, :done], [v[:done] for v in values]))
     return list(zip(map(list, seen), ids)), values, None
 
 
-def _read_columns_by_row(path: Path, head=None):
-    """The row-by-row reader (tables.read_rows) for the rows the fast path could not read.
+def _read_columns_by_row(path: Path):
+    """The row-by-row reader (tables.read_rows), for a file the block parse does not read.
 
-    Given `head`, the first-seen dicts, ids and six float arrays of the rows a
-    plain parse read, it reads on from the next row; in a plain file one line
-    is one row.  Stops at the first malformed row and returns the columns of
-    the rows before it together with that row's error (None if there is none)."""
-    seen, head_ids, head_values = head or ([{}, {}, {}], np.empty((3, 0), np.int32), [()] * 6)
+    Stops at the first malformed row and returns the columns of the rows before
+    it together with that row's error (None if there is none)."""
+    seen = [{} for _ in _TEXT_COLUMNS]
     ids, values, error = [[] for _ in _TEXT_COLUMNS], [[] for _ in _FLOAT_COLUMNS], None
     try:
-        for lineno, row in tables.read_rows(path, PANEL_COLUMNS, skip=head_ids.shape[1]):
+        for lineno, row in tables.read_rows(path, PANEL_COLUMNS):
             _parse_date(row[1], path, lineno, "date")
             parsed = [_parse_float(row[j], path, lineno, PANEL_COLUMNS[j]) for j in _FLOAT_COLUMNS]
             for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
@@ -302,9 +298,8 @@ def _read_columns_by_row(path: Path, head=None):
                 field.append(v)
     except PanelFormatError as exc:
         error = exc
-    ids = np.concatenate([head_ids, np.array(ids, np.int32).reshape(3, -1)], axis=1)
-    values = [np.concatenate([h, v]) for h, v in zip(head_values, values)]
-    return list(zip(map(list, seen), ids)), values, error
+    ids = np.array(ids, np.int32).reshape(3, -1)
+    return list(zip(map(list, seen), ids)), [np.array(v, float) for v in values], error
 
 
 def _index_rows(path: Path, columns: list, values: list):
@@ -391,10 +386,10 @@ def load_panel(path: str | Path) -> SecurityPanel:
     second in a forked child.  With one usable CPU, and on Python 3.12+, which
     warns when a process with threads forks, the parse is one pass.  A file
     with quoted fields, blank lines or a CR inside a line goes through the csv
-    module, as do the rows from a block that holds a malformed field on; it
-    locates the bad row.  The row checks free the text ids before they read
-    the row floats, and the dense arrays are built one field at a time, so the
-    parsed floats and the panel are not both held whole."""
+    module, as does the whole of a file in which a block fails; it locates the
+    bad row.  The row checks free the text ids before they read the row floats,
+    and the dense arrays are built one field at a time, so the parsed floats
+    and the panel are not both held whole."""
     path = Path(path)
     next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
     columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)

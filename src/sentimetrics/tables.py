@@ -36,7 +36,6 @@ here writes through replacing, so a write cut short leaves the old file.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import operator
@@ -273,12 +272,8 @@ def read_lines(path: str | Path) -> Iterator[str]:
         raise
 
 
-def read_rows(
-    path: str | Path, header: Iterable[str], skip: int = 0
-) -> Iterator[tuple[int, list[str]]]:
-    """(row number, fields) of each row after a CSV's header, which must be `header`.
-
-    The `skip` lines after the header are passed over unparsed, each as one row."""
+def read_rows(path: str | Path, header: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(row number, fields) of each row after a CSV's header, which must be `header`."""
     path, names, lines = Path(path), list(header), read_lines(path)
     reader, lineno = csv.reader(lines, strict=True), 0
     try:
@@ -287,8 +282,7 @@ def read_rows(
             raise PanelFormatError(
                 f"{path}: expected header {','.join(names)!r}, got {','.join(got)!r}"
             )
-        lineno += sum(1 for _line in itertools.islice(lines, skip))
-        for lineno, row in enumerate(reader, start=lineno + 1):
+        for lineno, row in enumerate(reader, start=2):
             if len(row) != len(names):
                 raise PanelFormatError(
                     f"{path}: row {lineno}: expected {len(names)} fields, got {len(row)}"

@@ -808,7 +808,7 @@ ERRORS = [
         "row 11: daily_return must be > -1",
     ),
     (_blank_line_and_long_row, 1, "row 12: expected 9 fields, got 0"),
-    # Last in a block of two, the blank line leaves one value a column, which fills both rows.
+    # A blank line that ends a block of two leaves that block 6 cells where two rows have 10.
     (lambda rows: _blank_line_and_long_row(rows, at=11), 2, "row 13: expected 9 fields, got 0"),
     (_lone_carriage_return, 7, "row 34: expected 9 fields, got 1"),
     (_blank_tail_and_long_row, 1, "row 12: expected 9 fields, got 5"),
@@ -867,7 +867,7 @@ def _rows_the_csv_reader_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("ranges", [1, 2])
-def test_a_late_malformed_field_is_read_row_by_row_from_its_block_only(
+def test_a_late_malformed_field_sends_the_whole_file_to_the_csv_reader(
     tmp_path, monkeypatch, ranges
 ):
     monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
@@ -878,13 +878,13 @@ def test_a_late_malformed_field_is_read_row_by_row_from_its_block_only(
     p = tmp_path / "panel.csv"
     _write_panel(p, rows)
     lo = [row for _at, row in factors._plain_layout(p, ranges)[2] if row <= index][-1]
-    start = lo + (index - lo) // 7 * 7  # the first row of the block that fails
+    assert lo + 7 <= index  # a block of the failing range parses before the one that fails
     read = _rows_the_csv_reader_reads(monkeypatch)
     with pytest.raises(PanelFormatError) as exc:
         load_panel(p)
     assert str(exc.value) == f"{p}: row {index + 2}: field 'market_cap': not a number: 'oops'"
-    # The header check reads row 2; the csv reader then starts at the failing block.
-    assert 0 < start and read == [2] + list(range(start + 2, index + 3))
+    # The header check reads row 2; the csv reader then reads the file from row 2 on.
+    assert read == [2] + list(range(2, index + 3))
 
 
 @pytest.mark.parametrize("ranges", [1, 2, 3])
@@ -984,7 +984,7 @@ def test_each_block_parses_each_of_its_distinct_tails_once(tmp_path, monkeypatch
     assert sum(map(len, want)) == n_tails
 
 
-def test_the_range_of_a_child_that_ends_without_a_result_is_read_row_by_row(
+def test_a_child_that_ends_without_a_result_sends_the_whole_file_to_the_csv_reader(
     tmp_path, monkeypatch
 ):
     monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
@@ -1002,8 +1002,7 @@ def test_the_range_of_a_child_that_ends_without_a_result_is_read_row_by_row(
     monkeypatch.setattr(factors, "_parse_range", end_in_the_child)
     read = _rows_the_csv_reader_reads(monkeypatch)
     got = load_panel(p)
-    cut = factors._plain_layout(p, 2)[2][1][1]
-    assert read == [2] + list(range(cut + 2, 34))
+    assert read == [2] + list(range(2, 34))  # the header check, then every row from row 2
     for name in ("present", "is_main") + PANEL_FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert multiprocessing.active_children() == []
@@ -1064,17 +1063,19 @@ def test_a_panel_of_two_blocks_is_split_on_two_cpus(tmp_path, monkeypatch):
     monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
     parsed, parse = [], factors._parse_range
 
-    def spy(path, offset, ids, values):
-        parsed.append(ids.shape[1])  # in a child, this appends to the child's copy
-        return parse(path, offset, ids, values)
+    def spy(*args):
+        parsed.append(args[2].shape[1])  # in a child, this appends to the child's copy
+        return parse(*args)
 
     monkeypatch.setattr(factors, "_parse_range", spy)
     rows = _block_rows()
     p = tmp_path / "panel.csv"
     _write_panel(p, rows)
     assert factors._range_count() == 2
+    read = _rows_the_csv_reader_reads(monkeypatch)
     assert load_panel(p).present.all()
     assert len(parsed) == 1 and 0 < parsed[0] < len(rows)  # this process parsed one range
+    assert read == [2]  # the header check's row only: the child's range parsed in blocks too
 
 
 def _traced_load(tmp_path, n_firms, n_days):

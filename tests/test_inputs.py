@@ -2,9 +2,12 @@
 of each input of the seed-7 demo, a BOM on every input, and the one CSV module."""
 
 import json
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -218,3 +221,13 @@ def test_no_module_imports_warnings():
         if re.search(r"^\s*(import warnings\b|from warnings import)", p.read_text("utf-8"), re.M)
     ]
     assert users == []
+
+
+def test_importing_the_cli_does_not_load_multiprocessing():
+    """Only the split panel parse uses multiprocessing, and it imports it there: loaded with
+    the CLI, it would add over 0.6 MB to the peak RSS of every run."""
+    code = "import sys, sentimetrics.cli; print([m for m in sys.modules if 'multiprocessing' in m])"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
