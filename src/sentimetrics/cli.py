@@ -11,6 +11,14 @@ each table's rows for the manifest, beside the config hash and input checksums.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller chose, set before numpy loads: no BLAS call of
+# the pipeline gains from OpenBLAS's pool (the largest is a 253 x 16 lstsq), and the
+# pool cost the dense_text benchmark's `all` 7-10 % of its wall time (2-vCPU Xeon).
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import argparse
 import fnmatch
 import hashlib
@@ -28,8 +36,10 @@ except ImportError:  # Windows
 
 import numpy as np
 
-from . import corpus, econometrics, eventstudy, factors as factormod, sentiment, synthetic
-from . import tables, timing
+from . import corpus, econometrics, eventstudy, factors as factormod, sentiment, tables, timing
+
+if typing.TYPE_CHECKING:  # synth imports it where it runs
+    from . import synthetic
 
 PROG = "sentimetrics"
 
@@ -575,6 +585,7 @@ def run_stages(cfg: RunConfig, stages: list[str]) -> None:
 
 
 def _synth_config(seed: int, overrides_path: str | None) -> synthetic.SynthConfig:
+    from . import synthetic  # here, not at the top: only synth needs it; it takes 12-14 ms
     kinds = typing.get_type_hints(synthetic.SynthConfig)
     del kinds["seed"]  # the --seed flag owns the seed
     raw, where = {}, ""
@@ -588,6 +599,7 @@ def _synth_config(seed: int, overrides_path: str | None) -> synthetic.SynthConfi
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from . import synthetic  # as in _synth_config
     cfg = _synth_config(args.seed, args.config)
     dataset = synthetic.gen_dataset(cfg)
     out = Path(args.out)

@@ -40,6 +40,7 @@ from .tables import PanelFormatError, _parse_date, _parse_float
 MAIN = "main"
 SECONDARY = "secondary"
 FACTOR_NAMES = ("rmrf", "smb", "hml", "rmw", "cma")
+_RATES = ("rf", "short_rate")  # decimal rates: each lies within -1..1
 
 
 class DegenerateBreakpointsError(ValueError):
@@ -556,26 +557,28 @@ def _zero_share(present: np.ndarray, returns: np.ndarray) -> np.ndarray:
 
 
 def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:
-    return dict(zip(*tables.read_table(path, schema).values()))
+    """A dated series by date; a decimal rate (rf, short_rate) beyond ±1 names its row."""
+    dates, values = tables.read_table(path, schema).values()
+    if (name := list(schema.columns)[1]) in _RATES:
+        for row, value in enumerate(values, start=2):  # one row per date: the dates are unique
+            _check_return(path, row, name, value)
+    return dict(zip(dates, values))
 
 
 def _check_return(path: str | Path, row: int, name: str, value: float) -> None:
-    """A decimal daily return, each of the five factors' included, lies strictly inside ±1, an rf
-    within -1..1: a factor's 100 % move in a day is a unit error, such as a percent."""
-    rf = name == "rf"
-    low = value < -1.0 if rf else value <= -1.0
-    high = value > 1.0 if rf else value >= 1.0
+    """A decimal daily return, each of the five factors' included, lies strictly inside ±1, a
+    rate (rf, short_rate) within -1..1: a 100 % move in a day is a unit error, such as a percent."""
+    rate = name in _RATES
+    low = value < -1.0 if rate else value <= -1.0
+    high = value > 1.0 if rate else value >= 1.0
     if low or high:
-        bound = (">= -1" if low else "<= 1") if rf else ("> -1" if low else "< 1")
+        bound = (">= -1" if low else "<= 1") if rate else ("> -1" if low else "< 1")
         raise PanelFormatError(f"{path}: row {row}: field '{name}': must be {bound}, got {value!r}")
 
 
 def read_rf_csv(path: str | Path) -> dict[date, float]:
     """Read the ``date,rf`` risk-free leg of factor construction; an rf beyond ±1 names its row."""
-    rates = _dated_values(path, tables.RF)
-    for row, rf in enumerate(rates.values(), start=2):  # one row per date: the dates are unique
-        _check_return(path, row, "rf", rf)
-    return rates
+    return _dated_values(path, tables.RF)
 
 
 def _align_control(path: str | Path, schema: tables.Schema, calendar: list[date]) -> np.ndarray:
@@ -619,9 +622,10 @@ def read_factors_csv(path: str | Path) -> FactorSeries:
     if not columns["date"]:
         raise PanelFormatError(f"{path}: factor file is empty")
     fields = FACTOR_NAMES + ("rf",)
-    for row, values in enumerate(zip(*(columns[name] for name in fields)), start=2):
-        for name, value in zip(fields, values):
-            _check_return(path, row, name, value)
+    values = np.abs(np.array([columns[name] for name in fields]).T)  # rows x fields
+    bad = np.hstack([values[:, :-1] >= 1.0, values[:, -1:] > 1.0])  # an rf may be ±1
+    for row, col in np.argwhere(bad)[:1].tolist():  # the first in row-major order
+        _check_return(path, row + 2, fields[col], columns[fields[col]][row])
     return FactorSeries(dates=columns.pop("date"), **columns)
 
 

@@ -16,10 +16,17 @@ no other kind writes any of those.  These are the bytes of csv.writer with a
 bare and so unreadable.
 
 read_lines decodes a file as UTF-8, dropping a leading BOM; a byte that is
-not UTF-8 stops it with ``<file>: line N: not UTF-8 (...)``.  read_rows runs
-the csv module over those lines in strict mode, so a quote left open or text
-after a closing quote is an error, and checks the header and each row's field
-count; a field may be of any practical size, so a transcript is one field.
+not UTF-8 stops it with ``<file>: line N: not UTF-8 (...)``.  read_rows gives
+the rows of the csv module in strict mode over those lines, so a quote left
+open or text after a closing quote is an error, and checks the header and
+each row's field count; a field may be of any practical size, so a transcript
+is one field.  A line with no quote and no NUL is split on commas; one csv
+reader reads any other line, with the lines a quoted field spans.  On the
+seed-61 dense_text transcripts.csv (16 MB, 2-vCPU Xeon) that read took 25-27
+ms against 76-82 ms through the csv module alone.  read_table and the writers
+work a column at a time: each column is parsed with one map and FLOAT written
+with float.__repr__, and only a column that fails goes again field by field,
+so an error names the first bad field in file order.
 Each table has one Schema, declared here and used by both ends: its columns
 in file order with their kinds, and the rule on its 'date' column (ASCENDING
 strictly for the pipeline's own dated tables; UNIQUE, any order and no date
@@ -181,11 +188,14 @@ def _check_dates(path: Path, schema: Schema, columns: Mapping[str, Sequence]) ->
     if schema.dates is None:
         return
     dates, seen = list(columns["date"]), set()
+    ascending = schema.dates == ASCENDING
+    if all(map(operator.lt, dates, dates[1:])) if ascending else len(set(dates)) == len(dates):
+        return  # the rule holds: the loop below only finds the row that breaks it
     for lineno, (prev, d) in enumerate(zip([None, *dates], dates), start=2):
-        if schema.dates == ASCENDING and prev is not None and d <= prev:
+        if ascending and prev is not None and d <= prev:
             message = f"{d} is not after {prev}; dates must be strictly ascending"
             raise PanelFormatError(f"{path}: row {lineno}: field 'date': {message}")
-        if schema.dates == UNIQUE and d in seen:
+        if not ascending and d in seen:
             raise PanelFormatError(f"{path}: row {lineno}: field 'date': duplicate date {d}")
         seen.add(d)
 
@@ -193,6 +203,8 @@ def _check_dates(path: Path, schema: Schema, columns: Mapping[str, Sequence]) ->
 def _format_column(path: Path, name: str, fmt: Callable, values: Sequence) -> list[str]:
     values = values.tolist() if hasattr(values, "tolist") else values  # numpy to Python scalars
     try:
+        if fmt is FLOAT[0] and all(map(math.isfinite, values)):  # a float's field is its repr
+            return list(map(float.__repr__, values))  # TypeError for any other value
         return list(map(fmt, values))
     except (TypeError, ValueError):  # again field by field, to name the first bad one
         return [_field(fmt, value, path, n, name) for n, value in enumerate(values, start=2)]
@@ -231,11 +243,9 @@ def replacing(path: str | Path) -> Iterator[TextIO]:
 
 def write_rows(path: str | Path, schema: Schema, rows: Iterable[Sequence]) -> int:
     """write_table for rows, each one value per schema column; an iterator is read once."""
-    columns: dict[str, list] = {name: [] for name in schema.columns}
-    for row in rows:
-        for column, value in zip(columns.values(), row, strict=True):
-            column.append(value)
-    return write_table(path, schema, columns)
+    rows = list(rows)
+    columns = zip(*rows, strict=True) if rows else [()] * len(schema.columns)
+    return write_table(path, schema, dict(zip(schema.columns, columns, strict=True)))
 
 
 def write_items(path: str | Path, schema: Schema, items: Sequence) -> int:
@@ -272,10 +282,24 @@ def read_lines(path: str | Path) -> Iterator[str]:
         raise
 
 
+def _records(lines: Iterator[str]) -> Iterator[list[str]]:
+    """The rows csv.reader(lines, strict=True) gives: a line with no quote and no NUL is split
+    on commas, and one csv reader reads any other, with its continuation lines."""
+    held: list[str] = []
+    reader = csv.reader(iter(lambda: held.pop() if held else next(lines, None), None), strict=True)
+    for line in lines:
+        if '"' in line or "\0" in line:
+            held.append(line)
+            yield next(reader)
+        else:
+            text = line.rstrip("\r\n")  # a line ends at its line ending: read_lines splits there
+            yield text.split(",") if text else []
+
+
 def read_rows(path: str | Path, header: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """(row number, fields) of each row after a CSV's header, which must be `header`."""
     path, names, lines = Path(path), list(header), read_lines(path)
-    reader, lineno = csv.reader(lines, strict=True), 0
+    reader, lineno = _records(lines), 0
     try:
         got, lineno = next(reader, []), 1
         if [h.strip() for h in got] != names:
@@ -298,10 +322,15 @@ def read_table(path: str | Path, schema: Schema) -> dict[str, list]:
     """The columns of a file written under `schema`, one list per column, in schema order."""
     path, names = Path(path), list(schema.columns)
     parsers = [parse for _format, parse in schema.columns.values()]
-    columns: list[list] = [[] for _ in names]
-    for lineno, row in read_rows(path, names):
-        for column, parse, name, value in zip(columns, parsers, names, row):
-            column.append(_field(parse, value, path, lineno, name))
-    table = dict(zip(names, columns))
+    rows: list[list[str]] = []
+    try:
+        rows.extend(row for _lineno, row in read_rows(path, names))
+        columns = [list(map(parse, fields)) for parse, fields in zip(parsers, zip(*rows))]
+        table = dict(zip(names, columns if rows else [[] for _ in names]))
+    except (TypeError, ValueError):  # the rows read, field by field: the first bad field wins
+        for lineno, row in enumerate(rows, start=2):
+            for parse, name, value in zip(parsers, names, row):
+                _field(parse, value, path, lineno, name)
+        raise
     _check_dates(path, schema, table)
     return table

@@ -1381,6 +1381,29 @@ def test_an_rf_csv_rate_above_one_names_file_row_and_field(demo7, tmp_path, caps
     )
 
 
+def test_a_huge_short_rate_stops_factors_naming_file_row_and_field(demo7, tmp_path, capsys):
+    """A decimal rate, as rf is. Read as it stands, `short_rate` 1e20 ran five stages, then
+    stopped regress with "collinear design columns: intercept, pct_zero, short_rate"."""
+    cfg_path, path = _corrupt(demo7, tmp_path, "short_rate.csv", _set(299, 1, "1e20"))
+    assert path.read_text(encoding="utf-8").splitlines()[298] == "2022-02-23,1e20"
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in err[:-1]] == [" ingest", " sentiment"]
+    assert err[-1] == (
+        f"sentimetrics: error: {path}: row 299: field 'short_rate': must be <= 1, got 1e+20"
+    )
+
+
+@pytest.mark.parametrize("value, passes", [("1", True), ("-1", True), ("-1.5", False)])
+def test_a_short_rate_within_minus_one_to_one_passes(demo7, tmp_path, capsys, value, passes):
+    cfg_path, path = _corrupt(demo7, tmp_path, "short_rate.csv", _set(299, 1, value))
+    if passes:
+        assert main(["factors", "--config", str(cfg_path)]) == 0
+    else:
+        pattern = "row 299: field 'short_rate': must be >= -1, got -1.5$"
+        _assert_rejected(capsys, cfg_path, "factors", path, pattern)
+
+
 @pytest.mark.parametrize("col, value", [(6, "1"), (6, "-1"), (2, "0.999"), (5, "-0.999")])
 def test_a_provided_rf_on_its_ends_and_a_factor_inside_them_pass(demo7, tmp_path, col, value):
     cfg_path, _path = _corrupt(demo7, tmp_path, "factors.csv", _on_2021_04_19(col, value))

@@ -1,6 +1,7 @@
 """Every input either loads or stops its stage naming the file: seeded byte mutations
 of each input of the seed-7 demo, a BOM on every input, and the one CSV module."""
 
+import importlib
 import json
 import os
 import random
@@ -223,11 +224,67 @@ def test_no_module_imports_warnings():
     assert users == []
 
 
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _fresh(code: str, **thread_env: str) -> str:
+    """The standard output of `code` in a fresh interpreter, no BLAS thread variable set but
+    `thread_env`; its standard error must be empty."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env.update(thread_env, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    return run.stdout
+
+
 def test_importing_the_cli_does_not_load_multiprocessing():
     """Only the split panel parse uses multiprocessing, and it imports it there: loaded with
-    the CLI, it would add over 0.6 MB to the peak RSS of every run."""
-    code = "import sys, sentimetrics.cli; print([m for m in sys.modules if 'multiprocessing' in m])"
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    the CLI, it would add over 0.6 MB to the peak RSS of every run.  Only synth uses the
+    generator, whose import costs every other command 12-14 ms."""
+    code = (
+        "import sys, sentimetrics.cli; "
+        "print([m for m in sys.modules if 'multiprocessing' in m or m.endswith('synthetic')])"
+    )
+    assert _fresh(code) == "[]\n"
+
+
+def test_importing_the_package_loads_no_module_and_sets_no_thread_variable():
+    """Each public name loads its module on first use, so `python -m sentimetrics.cli` reaches
+    the CLI's BLAS default before anything has loaded numpy."""
+    code = (
+        "import os, sys, sentimetrics; "
+        "print([m for m in sys.modules if m == 'numpy' or m.startswith('sentimetrics.')], "
+        "os.environ.get('OPENBLAS_NUM_THREADS'))"
+    )
+    assert _fresh(code) == "[] None\n"
+
+
+def test_every_public_name_of_the_package_is_its_modules():
+    import sentimetrics
+
+    for name in sentimetrics.__all__:
+        module = importlib.import_module(f"sentimetrics.{sentimetrics._MODULE_OF[name]}")
+        assert getattr(sentimetrics, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'fit'"):
+        sentimetrics.fit
+
+
+@pytest.mark.parametrize(
+    "thread_env, blas",
+    [({}, "1"), ({"OMP_NUM_THREADS": "2"}, None), ({"GOTO_NUM_THREADS": "3"}, None),
+     ({"OPENBLAS_NUM_THREADS": "4"}, "4")],
+)
+def test_the_cli_runs_blas_on_one_thread_unless_the_caller_chose(thread_env, blas):
+    """The largest BLAS call of a run is a 253 x 16 lstsq: a thread pool only slows the run."""
+    code = (
+        "import os, sentimetrics.cli; "
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))"
+    )
+    assert _fresh(code, **thread_env) == f"{blas} {thread_env.get('OMP_NUM_THREADS')}\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_the_cli_process_has_one_thread_once_numpy_is_loaded():
+    code = "import os, sentimetrics.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh(code) == "1\n"

@@ -188,3 +188,136 @@ def test_every_schema_writes_csv_writers_bytes_and_reads_awkward_values_back(tmp
             csv.writer(expected, lineterminator="\n").writerow(fields)
     assert p.read_bytes() == expected.getvalue().encode("utf-8")
     assert read_table(p, schema) == columns
+
+
+def _csv_module_rows(path, names: list[str]) -> tuple[list, str | None]:
+    """What read_rows gives, (row number, fields) and any error text, when csv.reader in
+    strict mode reads every line: the reader's own rows, checked as read_rows checks them."""
+    reader, rows, lineno = csv.reader(tables.read_lines(path), strict=True), [], 0
+    try:
+        got, lineno = next(reader, []), 1
+        if [h.strip() for h in got] != names:
+            return rows, f"{path}: expected header {','.join(names)!r}, got {','.join(got)!r}"
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(names):
+                return rows, f"{path}: row {lineno}: expected {len(names)} fields, got {len(row)}"
+            rows.append((lineno, row))
+    except csv.Error as exc:
+        return rows, f"{path}: row {lineno + 1}: {exc}"
+    return rows, None
+
+
+def _read_rows(path, names: list[str]) -> tuple[list, str | None]:
+    rows = []
+    try:
+        rows.extend(tables.read_rows(path, names))
+    except PanelFormatError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+ENDINGS = ["\n", "\r\n", "\r"]
+# Unquoted field text, quoted field text (quotes doubled, line endings inside), and the
+# faults: a quote left open, text after a closing quote, a quote inside a bare field.
+BARE = ["a", "b c", " ", "", "\x00", "é", "x\x00y"]
+QUOTED = ["q", ",", '""', " ", "\n", "\r\n", "\r", "\x00", ""]
+FAULTS = ['"open', '"closed"after', 'in"side', '"', "\x00"]
+
+
+def _line(rng: random.Random, n_fields: int) -> str:
+    fields = []
+    for _ in range(n_fields):
+        if rng.random() < 0.3:
+            fields.append('"' + "".join(rng.choices(QUOTED, k=rng.randrange(4))) + '"')
+        elif rng.random() < 0.04:
+            fields.append(rng.choice(FAULTS))
+        else:
+            fields.append("".join(rng.choices(BARE, k=rng.randrange(3))))
+    return ",".join(fields)
+
+
+def _text(rng: random.Random) -> str:
+    """A three-column CSV of a few rows: blank lines, ragged rows, faults and mixed endings."""
+    lines = ["h1,h2,h3" if rng.random() < 0.9 else _line(rng, 3)]
+    for _ in range(rng.randrange(6)):
+        roll = rng.random()
+        lines.append("" if roll < 0.08 else _line(rng, 3 if roll < 0.85 else rng.randrange(1, 6)))
+    text = "".join(line + rng.choice(ENDINGS) for line in lines)
+    return text if rng.random() < 0.8 else text[:-1]  # at times no final line ending
+
+
+def test_the_split_reader_gives_the_csv_modules_rows_and_errors(tmp_path):
+    rng, path, outcomes = random.Random("read_rows parity"), tmp_path / "fuzz.csv", set()
+    for case in range(1500):
+        text = _text(rng)
+        path.write_bytes(text.encode("utf-8"))
+        want = _csv_module_rows(path, ["h1", "h2", "h3"])
+        assert _read_rows(path, ["h1", "h2", "h3"]) == want, (case, text)
+        outcomes.add(want[1] and want[1].split(": ")[-1].split(" got")[0])
+    # Every kind of outcome came up: whole files, each csv error, bad headers, ragged rows.
+    assert {
+        None, "unexpected end of data", "',' expected after '\"'", "expected header 'h1,h2,h3',",
+        "expected 3 fields,",
+    } <= outcomes, outcomes
+
+
+def test_a_bad_field_is_the_error_before_a_ragged_row_or_a_later_bad_field(tmp_path):
+    p = tmp_path / "rf.csv"
+    p.write_text("date,rf\n2022-01-03,x\n2022-01-04,0.1,9\n", encoding="utf-8")
+    with pytest.raises(PanelFormatError) as exc:
+        read_table(p, RF)
+    assert str(exc.value) == f"{p}: row 2: field 'rf': not a number: 'x'"
+    # In file order, not column order: row 2's rf comes before row 3's date.
+    p.write_text('date,rf\n2022-01-03,x\n2022-13-04,0.1\n2022-01-05,"0.2\n', encoding="utf-8")
+    with pytest.raises(PanelFormatError) as exc:
+        read_table(p, RF)
+    assert str(exc.value) == f"{p}: row 2: field 'rf': not a number: 'x'"
+    p.write_text('date,rf\n2022-01-03,0.1\n2022-01-04,"0.2\n', encoding="utf-8")
+    with pytest.raises(PanelFormatError) as exc:
+        read_table(p, RF)
+    assert str(exc.value) == f"{p}: row 3: unexpected end of data"
+
+
+def test_the_float_writer_writes_what_the_field_formatter_writes(tmp_path):
+    p = tmp_path / "rf.csv"
+    values = [0.1, 5, True, np.float64(0.2), "1.5", -0.0, 1e300, 5e-324, 10**20]
+    days = [date(2022, 1, 3) + timedelta(days=i) for i in range(len(values))]
+    write_table(p, RF, {"date": days, "rf": values})
+    assert p.read_text(encoding="utf-8").splitlines()[1:] == [
+        f"{d.isoformat()},{FLOAT[0](v)}" for d, v in zip(days, values)
+    ]
+    write_table(p, RF, {"date": days[:3], "rf": np.array([0.1, 0.2, 0.3])})
+    assert read_table(p, RF)["rf"] == [0.1, 0.2, 0.3]
+    for bad, message in [(math.nan, "non-finite value"), (-math.inf, "non-finite value")]:
+        with pytest.raises(PanelFormatError) as exc:
+            write_table(p, RF, {"date": days[:3], "rf": [0.1, bad, "x"]})
+        assert str(exc.value) == f"{p}: row 3: field 'rf': {message}"
+
+
+ASC = "dates must be strictly ascending"
+
+
+@pytest.mark.parametrize(
+    "schema, days, message",
+    [
+        (DAYS, [3, 4, 6, 5, 5], "row 5: field 'date': 2022-01-05 is not after 2022-01-06; " + ASC),
+        (DAYS, [3, 4, 4], "row 4: field 'date': 2022-01-04 is not after 2022-01-04; " + ASC),
+        (RF, [5, 3, 4, 3, 5], "row 5: field 'date': duplicate date 2022-01-03"),
+    ],
+)
+def test_a_date_rule_broken_names_the_first_row_that_breaks_it(tmp_path, schema, days, message):
+    p = tmp_path / "dated.csv"
+    columns = {name: [1] * len(days) for name in schema.columns}
+    columns["date"] = [date(2022, 1, d) for d in days]
+    with pytest.raises(PanelFormatError) as exc:
+        write_table(p, schema, columns)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_write_rows_takes_no_row_of_another_width(tmp_path):
+    p = tmp_path / "days.csv"
+    assert write_rows(p, DAYS, iter([])) == 0
+    assert p.read_text(encoding="utf-8") == "date,source_count,n_tokens\n"
+    for rows in ([(date(2022, 1, 3), 1, 10), (date(2022, 1, 4), 2)], [(date(2022, 1, 3), 1)], [()]):
+        with pytest.raises(ValueError):
+            write_rows(p, DAYS, rows)
