@@ -40,7 +40,7 @@ from .tables import PanelFormatError, _parse_date, _parse_float
 MAIN = "main"
 SECONDARY = "secondary"
 FACTOR_NAMES = ("rmrf", "smb", "hml", "rmw", "cma")
-_RATES = ("rf", "short_rate")  # decimal rates: each lies within -1..1
+_BOUNDS = {"rf": 1.0, "short_rate": 1.0, "nsi": 1e6}  # |value| <= bound: rates, an index level
 
 
 class DegenerateBreakpointsError(ValueError):
@@ -59,27 +59,25 @@ PANEL_FIELDS = (
     "total_assets",
     "total_assets_prior",
 )
+FILING_FIELDS = ("is_main",) + PANEL_FIELDS[2:]  # a filing: its exchange and four fundamentals
 
 
 @dataclass
 class SecurityPanel:
-    """Dense daily panel: one row per firm (sorted ids), one column per calendar date.
+    """Daily panel: one row per firm (sorted ids), one column per calendar date.
 
-    ``present`` marks the (firm, date) cells that have an observation;
-    ``is_main`` marks those listed on the main exchange.  The float arrays
-    hold the panel columns and are NaN where a cell is absent.
+    ``present`` marks the (firm, date) cells that have an observation, the dense
+    ``daily_return`` and ``market_cap`` NaN where absent.  ``filings`` holds each filing
+    once, an array per FILING_FIELDS name; ``filing`` is each cell's int32 row, -1 if absent.
     """
 
     firms: list[str]
     calendar: list[date]
     present: np.ndarray
-    is_main: np.ndarray
     daily_return: np.ndarray
     market_cap: np.ndarray
-    book_equity: np.ndarray
-    operating_income: np.ndarray
-    total_assets: np.ndarray
-    total_assets_prior: np.ndarray
+    filing: np.ndarray
+    filings: dict[str, np.ndarray]
 
     def __post_init__(self):
         if self.firms != sorted(set(self.firms)):
@@ -87,10 +85,12 @@ class SecurityPanel:
         if any(a >= b for a, b in zip(self.calendar, self.calendar[1:])):
             raise ValueError("panel calendar must be strictly ascending")
         shape = (len(self.firms), len(self.calendar))
-        for name in ("present", "is_main") + PANEL_FIELDS:
+        for name in ("present", "daily_return", "market_cap", "filing"):
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise ValueError(f"panel array '{name}' has shape {got}, want {shape}")
+        if tuple(self.filings) != FILING_FIELDS:
+            raise ValueError(f"panel filings have {list(self.filings)}, want {FILING_FIELDS}")
 
 
 @dataclass
@@ -142,9 +142,8 @@ PANEL_COLUMNS = [
     "total_assets",
     "total_assets_prior",
 ]
-_TEXT_COLUMNS = (0, 1, 4)  # firm_id, date, exchange
 _FLOAT_COLUMNS = (2, 3, 5, 6, 7, 8)  # PANEL_FIELDS, in file order
-_TAIL_DTYPE = np.dtype([("exchange", "O")] + [(name, "f8") for name in PANEL_FIELDS[2:]])
+_TAIL_DTYPE = np.dtype([("exchange", "i4")] + [(name, "f8") for name in PANEL_FIELDS[2:]])
 _BLANK_TAILS = {"", "\n", "\r\n"}  # np.loadtxt skips such a line where it should refuse it
 _BLOCK_ROWS = 4096  # rows a block; its texts are held at once, so it bounds the parse's memory
 
@@ -192,19 +191,24 @@ def _range_count() -> int:
 
 
 def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=None):
-    """Parse the ids.shape[1] lines from byte `offset` into `ids` and the six 1-D `values`.
+    """Parse the ids.shape[1] lines from byte `offset` into `ids` and the 1-D return and cap.
 
-    A line splits once into firm, date, return, cap and a tail: exchange and the four
-    fundamentals, which change only when a firm files.  Text cells get ids from one
-    first-seen dict per column, return and cap go through float(), the row reader's
-    parser, and each block of _BLOCK_ROWS lines parses its distinct tails in one
-    np.loadtxt call.  Returns the dicts, or None once a block fails; given `conn`,
-    sends their keys, or None, down it."""
-    seen, n_rows, keys = [{} for _ in _TEXT_COLUMNS], ids.shape[1], None
+    A line splits once into firm, date, return, cap and a tail, its filing: exchange and
+    the four fundamentals.  Texts get ids from one first-seen dict per column, return and
+    cap go through float(), the row reader's parser, and each block of _BLOCK_ROWS lines
+    parses the tails that the range's tails dict has not seen, in one np.loadtxt call; a
+    dict past _BLOCK_ROWS tails gives way to a fresh one.  Returns (the three dicts, the
+    blocks' filing columns), or None once a block fails; given `conn`, sends it down it."""
+    seen, n_rows, result = [{} for _ in range(3)], ids.shape[1], None
+    tails, first, filed = {}, 0, []  # tail -> filing, the filings before this dict, blocks
+    args = dict(delimiter=",", comments=None, ndmin=1)  # np.loadtxt's; the exchange as an id
+    args["converters"] = {0: lambda text: seen[2].setdefault(text, len(seen[2]))}
     with path.open(encoding="utf-8", newline="\n") as fh:
         fh.buffer.seek(offset)  # before the first read, so the text starts at `offset`
         for start in range(0, n_rows, _BLOCK_ROWS):
-            stop, tails = min(start + _BLOCK_ROWS, n_rows), {}
+            stop, known = min(start + _BLOCK_ROWS, n_rows), len(tails)
+            if known > _BLOCK_ROWS:
+                tails, first, known = {}, first + known, 0
             lines = itertools.islice(fh, stop - start)
             try:
                 cells = list(itertools.chain.from_iterable(line.split(",", 4) for line in lines))
@@ -212,46 +216,47 @@ def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=No
                     break
                 for field, k in zip(values, (2, 3)):
                     field[start:stop] = list(map(float, cells[k::5]))
-                at = np.array([tails.setdefault(t, len(tails)) for t in cells[4::5]])
-                if tails.keys() & _BLANK_TAILS:
+                ids[2, start:stop] = [tails.setdefault(t, first + len(tails)) for t in cells[4::5]]
+                new = list(itertools.islice(tails, known, None))
+                if _BLANK_TAILS.intersection(new):
                     break
-                table = np.loadtxt(list(tails), _TAIL_DTYPE, delimiter=",", comments=None, ndmin=1)
+                if new:
+                    table = np.loadtxt(new, _TAIL_DTYPE, **args)
+                    filed.append([table[name].copy() for name in _TAIL_DTYPE.names])
             except ValueError:
                 break
             for s, k, row_ids in zip(seen, (0, 1), ids):
                 row_ids[start:stop] = [s.setdefault(c, len(s)) for c in cells[k::5]]
-            exchange = [seen[2].setdefault(c, len(seen[2])) for c in table["exchange"]]
-            ids[2, start:stop] = np.array(exchange)[at]
-            for field, name in zip(values[2:], PANEL_FIELDS[2:]):
-                field[start:stop] = table[name][at]
-            del cells, table  # before the next block's texts are read
+            del cells, new  # before the next block's texts are read
         else:  # every block parsed
-            keys = seen
-    return keys if conn is None else conn.send(keys and [list(s) for s in keys])
+            result = seen, filed
+    return result if conn is None else conn.send(result)
 
 
 def _read_columns_fast(path: Path):
-    """(text columns, six row floats, None), or None when the file is not plain or a block fails.
+    """(text columns, filings, return and cap, None), or None: the file is not plain or
+    has no row, or a block fails.
 
     This process parses the first range _plain_layout cut and a forked child each
     other range, into arrays in anonymous shared memory (MAP_SHARED).  The ranges'
-    first-seen cells are merged in file order, so the result is what one pass gives."""
+    first-seen cells are merged in file order and their filings appended, so each
+    row's cells and filing fields are what one pass gives."""
     plain, n_rows, cuts = _plain_layout(path, _range_count())
-    if not plain:
+    if not plain or not n_rows:
         return None
     if n_rows < 2 * _BLOCK_ROWS:
         cuts = cuts[:1]
     if len(cuts) == 1:
-        ids, values = np.empty((3, n_rows), np.int32), [np.empty(n_rows) for _ in range(6)]
+        ids, values = np.empty((3, n_rows), np.int32), [np.empty(n_rows) for _ in range(2)]
     else:
         ids = np.frombuffer(mmap.mmap(-1, 3 * 4 * n_rows), np.int32).reshape(3, n_rows)
-        values = [np.frombuffer(mmap.mmap(-1, 8 * n_rows)) for _ in range(6)]
+        values = [np.frombuffer(mmap.mmap(-1, 8 * n_rows)) for _ in range(2)]
     spans = [(at, slice(lo, hi)) for (at, lo), (_, hi) in zip(cuts, cuts[1:] + [(0, n_rows)])]
     if len(spans) > 1:
         import multiprocessing  # here, not at the top: it adds over 0.6 MB to an importer's RSS
 
         fork = multiprocessing.get_context("fork")
-    children, keys = [], []
+    children, got = [], []
     try:
         for at, rows in spans[1:]:
             recv, send = fork.Pipe(duplex=False)
@@ -261,25 +266,32 @@ def _read_columns_fast(path: Path):
             children.append((child, recv))
             send.close()
         at, rows = spans[0]
-        keys.append(_parse_range(path, at, ids[:, rows], [v[rows] for v in values]))
-        if keys[0] is not None:  # else the whole file goes to the row reader
-            keys += [recv.recv() for _child, recv in children]
+        got.append(_parse_range(path, at, ids[:, rows], [v[rows] for v in values]))
+        if got[0] is not None:  # else the whole file goes to the row reader
+            got += [recv.recv() for _child, recv in children]
     except EOFError:  # a child ended without a result
-        keys.append(None)
+        got.append(None)
     finally:
         for child, recv in children:
-            if len(keys) <= len(children):  # a result went unread: its child may block sending it
+            if len(got) <= len(children):  # a result went unread: its child may block sending it
                 child.kill()
             child.join()
             recv.close()
-    if None in keys:
+    if None in got:
         return None
-    seen = [{} for _ in _TEXT_COLUMNS]  # cell -> id, in first-seen order over the file
-    for (_at, rows), range_keys in zip(spans, keys):
-        for s, cells, row_ids in zip(seen, range_keys, ids[:, rows]):
-            to_file = np.array([s.setdefault(c, len(s)) for c in cells], np.int32)
-            row_ids[:] = to_file[row_ids]
-    return list(zip(map(list, seen), ids)), values, None
+    seen, filed = [{} for _ in range(3)], []  # cell -> id, in first-seen order over the file
+    for (_at, rows), (range_seen, range_filed) in zip(spans, got):
+        to_file = [np.array([s.setdefault(c, len(s)) for c in cells], np.int32)
+                   for s, cells in zip(seen, range_seen)]
+        for row_ids, row_to_file in zip(ids[:2, rows], to_file):
+            row_ids[:] = row_to_file[row_ids]
+        ids[2, rows] += sum(len(block[0]) for block in filed)
+        for block in range_filed:
+            block[0] = to_file[2][block[0]]
+        filed += range_filed
+    # A column at a time, each block's piece dropped once it is copied.
+    filings = {name: np.concatenate([b.pop(0) for b in filed]) for name in _TAIL_DTYPE.names}
+    return list(zip(map(list, seen), ids)), filings, values, None
 
 
 def _read_columns_by_row(path: Path):
@@ -287,32 +299,36 @@ def _read_columns_by_row(path: Path):
 
     Stops at the first malformed row and returns the columns of the rows before
     it together with that row's error (None if there is none)."""
-    seen = [{} for _ in _TEXT_COLUMNS]
-    ids, values, error = [[] for _ in _TEXT_COLUMNS], [[] for _ in _FLOAT_COLUMNS], None
+    seen, tails, filed = [{} for _ in range(3)], {}, []
+    ids, values, error = [[] for _ in range(3)], [[], []], None
     try:
         for lineno, row in tables.read_rows(path, PANEL_COLUMNS):
             _parse_date(row[1], path, lineno, "date")
             parsed = [_parse_float(row[j], path, lineno, PANEL_COLUMNS[j]) for j in _FLOAT_COLUMNS]
-            for s, j, row_ids in zip(seen, _TEXT_COLUMNS, ids):
+            for s, j, row_ids in zip(seen, (0, 1), ids):
                 row_ids.append(s.setdefault(row[j], len(s)))
-            for field, v in zip(values, parsed):
+            for field, v in zip(values, parsed):  # return and cap
                 field.append(v)
+            ids[2].append(tails.setdefault(tuple(row[4:]), len(tails)))
+            if len(tails) > len(filed):  # a new tail: a filing
+                filed.append((seen[2].setdefault(row[4], len(seen[2])), *parsed[2:]))
     except PanelFormatError as exc:
         error = exc
-    ids = np.array(ids, np.int32).reshape(3, -1)
-    return list(zip(map(list, seen), ids)), [np.array(v, float) for v in values], error
+    ids, filed = np.array(ids, np.int32).reshape(3, -1), np.array(filed, _TAIL_DTYPE)
+    filings = {name: filed[name] for name in _TAIL_DTYPE.names}
+    return list(zip(map(list, seen), ids)), filings, [np.array(v, float) for v in values], error
 
 
-def _index_rows(path: Path, columns: list, values: list):
+def _index_rows(path: Path, columns: list, filed: dict, values: list):
     """Validate the parsed rows and map them to (firm, date) cells.
 
-    Takes the readers' (distinct cells, each row's index into them) per text
-    column and one array of row floats per field.  Returns (firms, calendar,
-    firm_idx, date_idx, main), the cell indices int32, or raises the
-    PanelFormatError of the first offending row.  Each check's mask is built
-    and dropped in turn, and the checks that read the text ids run first: the
-    ids are then freed (`columns` is emptied) before the row floats are read."""
-    (firm_keys, firm_inv), (date_keys, date_inv), (exchange_keys, exchange_inv) = columns
+    Takes the readers' (distinct cells, each row's index into them) per text column
+    (for the exchange, each row's filing, whose 'exchange' indexes the cells), filing
+    columns, and return and cap.  Returns (firms, calendar, firm_idx, date_idx, filing,
+    filings), indices int32, or raises the PanelFormatError of the first offending row.
+    Each check's mask is built and dropped in turn, and the checks that read the text
+    ids run first: the ids are then freed (`columns` is emptied) before the floats are."""
+    (firm_keys, firm_inv), (date_keys, date_inv), (exchange_keys, filing) = columns
     firm_ids = [f.strip() for f in firm_keys]
     firms = sorted(set(firm_ids))
     firm_pos = {f: i for i, f in enumerate(firms)}
@@ -331,9 +347,9 @@ def _index_rows(path: Path, columns: list, values: list):
     date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], np.int32)[date_inv]
     bad_date = np.array([d is None for d in parsed], dtype=bool)
 
-    exchanges = [e.strip() for e in exchange_keys]
+    exchanges, exchange = [e.strip() for e in exchange_keys], filed.pop("exchange")
     bad_exchange = np.array([e not in (MAIN, SECONDARY) for e in exchanges], dtype=bool)
-    main = np.array([e == MAIN for e in exchanges], dtype=bool)[exchange_inv]
+    filings = {"is_main": np.array([e == MAIN for e in exchanges], dtype=bool)[exchange], **filed}
 
     def duplicate():
         taken = np.zeros((len(firms), len(calendar) + 1), dtype=bool)
@@ -355,46 +371,50 @@ def _index_rows(path: Path, columns: list, values: list):
     check(0, bad_date[date_inv], lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}")
     check(
         9,
-        bad_exchange[exchange_inv],
-        lambda r: f"exchange must be '{MAIN}' or '{SECONDARY}', got {exchanges[exchange_inv[r]]!r}",
+        bad_exchange[exchange][filing],
+        lambda r: f"exchange must be '{MAIN}' or '{SECONDARY}', "
+        f"got {exchanges[exchange[filing[r]]]!r}",
     )
+    filing = filing.copy()  # its own array: the text ids it was cut from go now
     columns.clear()
-    del firm_inv, date_inv, exchange_inv
-    for k, (v, name) in enumerate(zip(values, PANEL_FIELDS), start=1):
-        check(k, ~np.isfinite(v), lambda r: f"field '{name}': non-finite value")
-    ret, cap, _be, _oi, _ta, tap = values
+    del firm_inv, date_inv, exchange
+    for k, name in enumerate(PANEL_FIELDS, start=1):
+        finite = np.isfinite(values[k - 1]) if k < 3 else np.isfinite(filed[name])[filing]
+        check(k, ~finite, lambda r: f"field '{name}': non-finite value")
+    ret, cap, tap = *values, filed["total_assets_prior"]
     check(7, ret <= -1.0, lambda r: "daily_return must be > -1")
     check(8, cap <= 0.0, lambda r: "market_cap must be positive")
-    check(10, tap <= 0.0, lambda r: "total_assets_prior must be positive")
+    check(10, (tap <= 0.0)[filing], lambda r: "total_assets_prior must be positive")
     check(
         11, duplicate(), lambda r: f"duplicate key ({firms[firm_idx[r]]}, {calendar[date_idx[r]]})"
     )
     if hits:  # on a tie the check a row-by-row scan meets first wins
         row, _k, message = min(hits)
         raise PanelFormatError(f"{path}: row {row + 2}: {message}")
-    return firms, calendar, firm_idx, date_idx, main
+    return firms, calendar, firm_idx, date_idx, filing, filings
 
 
 def load_panel(path: str | Path) -> SecurityPanel:
-    """Read the security panel CSV into dense firm x date arrays.
+    """Read the security panel CSV into dense firm x date return and cap and a filings table.
 
     Duplicate (firm, date) keys, non-finite values, returns <= -1,
     nonpositive caps or prior assets and unknown exchanges are errors naming
     the first offending row.  A plain file is parsed in blocks of rows, so its
     text is never held whole: each line split once, its return and cap parsed
-    with float() and a block's distinct fundamentals in one np.loadtxt call.
+    with float(), and its tail, a filing (exchange and fundamentals), keyed in one
+    dict a range, the tails a block is first to see parsed in one np.loadtxt call.
     One of two blocks or more is cut into two byte ranges parsed at once, the
     second in a forked child.  With one usable CPU, and on Python 3.12+, which
     warns when a process with threads forks, the parse is one pass.  A file
     with quoted fields, blank lines or a CR inside a line goes through the csv
     module, as does the whole of a file in which a block fails; it locates the
-    bad row.  The row checks free the text ids before they read the row floats,
-    and the dense arrays are built one field at a time, so the parsed floats
-    and the panel are not both held whole."""
+    bad row.  The row checks free the text ids before they read the floats, and
+    the dense arrays are built one field at a time, so the parsed floats and the
+    panel are not both held whole."""
     path = Path(path)
     next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
-    columns, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
-    firms, calendar, firm_idx, date_idx, main = _index_rows(path, columns, values)
+    columns, filed, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
+    firms, calendar, firm_idx, date_idx, filing, filings = _index_rows(path, columns, filed, values)
     if error is not None:
         raise error
     if not firms:
@@ -402,13 +422,13 @@ def load_panel(path: str | Path) -> SecurityPanel:
     shape = (len(firms), len(calendar))
     present = np.zeros(shape, dtype=bool)
     present[firm_idx, date_idx] = True
-    is_main = np.zeros(shape, dtype=bool)
-    is_main[firm_idx, date_idx] = main
+    cells = np.full(shape, -1, np.int32)
+    cells[firm_idx, date_idx] = filing
     arrays = {}
-    for name in PANEL_FIELDS:  # one field at a time: its row floats go once it is placed
+    for name in PANEL_FIELDS[:2]:  # one field at a time: its row floats go once it is placed
         arrays[name] = np.full(shape, np.nan)
         arrays[name][firm_idx, date_idx] = values.pop(0)
-    return SecurityPanel(firms=firms, calendar=calendar, present=present, is_main=is_main, **arrays)
+    return SecurityPanel(firms, calendar, present, filing=cells, filings=filings, **arrays)
 
 
 def _value_weighted(panel: SecurityPanel, member: np.ndarray) -> np.ndarray:
@@ -476,13 +496,14 @@ def _sort_cells(
     value, profitability, investment."""
     d = panel.calendar[t]
     rows = np.flatnonzero(panel.present[:, t])
-    be = panel.book_equity[rows, t]
+    filed = {name: column[panel.filing[rows, t]] for name, column in panel.filings.items()}
+    be = filed["book_equity"]
     if np.any(be == 0.0):
         firm_id = panel.firms[rows[np.argmax(be == 0.0)]]
         raise DegenerateBreakpointsError(
             f"zero book equity for firm {firm_id} at rebalance {d}: profitability sort undefined"
         )
-    main = panel.is_main[rows, t]
+    main = filed["is_main"]
     if main.sum() < min_breakpoint_stocks:
         raise DegenerateBreakpointsError(
             f"rebalance {d}: only {main.sum()} main-exchange stocks, "
@@ -491,8 +512,8 @@ def _sort_cells(
     size = panel.market_cap[rows, t]
     characteristics = (
         be / size,
-        panel.operating_income[rows, t] / be,
-        panel.total_assets[rows, t] / panel.total_assets_prior[rows, t] - 1.0,
+        filed["operating_income"] / be,
+        filed["total_assets"] / filed["total_assets_prior"] - 1.0,
     )
     size_bp = float(np.median(size[main]))
     size_bucket = np.where(size <= size_bp, 0, 1)  # 0 small, 1 big
@@ -557,23 +578,23 @@ def _zero_share(present: np.ndarray, returns: np.ndarray) -> np.ndarray:
 
 
 def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:
-    """A dated series by date; a decimal rate (rf, short_rate) beyond ±1 names its row."""
+    """A dated series by date; a value past its _BOUNDS (rf, short_rate, nsi) names its row."""
     dates, values = tables.read_table(path, schema).values()
-    if (name := list(schema.columns)[1]) in _RATES:
+    if (name := list(schema.columns)[1]) in _BOUNDS:
         for row, value in enumerate(values, start=2):  # one row per date: the dates are unique
             _check_return(path, row, name, value)
     return dict(zip(dates, values))
 
 
 def _check_return(path: str | Path, row: int, name: str, value: float) -> None:
-    """A decimal daily return, each of the five factors' included, lies strictly inside ±1, a
-    rate (rf, short_rate) within -1..1: a 100 % move in a day is a unit error, such as a percent."""
-    rate = name in _RATES
-    low = value < -1.0 if rate else value <= -1.0
-    high = value > 1.0 if rate else value >= 1.0
+    """A decimal daily return, each of the five factors' included, lies strictly inside ±1: a
+    100 % move in a day is a unit error, such as a percent.  A rate or nsi is within _BOUNDS."""
+    bound = _BOUNDS.get(name)
+    low, high = (value <= -1.0, value >= 1.0) if bound is None else (value < -bound, value > bound)
     if low or high:
-        bound = (">= -1" if low else "<= 1") if rate else ("> -1" if low else "< 1")
-        raise PanelFormatError(f"{path}: row {row}: field '{name}': must be {bound}, got {value!r}")
+        rules = ("> -1", "< 1") if bound is None else (f">= {-bound:g}", f"<= {bound:g}")
+        message = f"must be {rules[high]}, got {value!r}"
+        raise PanelFormatError(f"{path}: row {row}: field '{name}': {message}")
 
 
 def read_rf_csv(path: str | Path) -> dict[date, float]:

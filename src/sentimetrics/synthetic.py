@@ -375,9 +375,8 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
     cap = np.array([math.exp(math.log(1e8) + x * log_span) for x in u_cap.tolist()])
     be = cap * (0.3 + 1.2 * u_be)
     ta = cap * (0.5 + 1.5 * u_ta)
-    fundamentals = {  # the panel's constant fields
+    filings = {  # one filing a firm: its exchange and fundamentals are constant
         "is_main": np.arange(config.n_firms) % 3 < 2,
-        "market_cap": cap,
         "book_equity": be,
         "operating_income": be * (-0.1 + 0.4 * u_oi),
         "total_assets": ta,
@@ -403,14 +402,16 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
         hit = rng.uniforms(config.n_firms) < config.zero_return_rate
         returns[hit & ~protected[:, t], t] = 0.0
 
-    # Every firm trades every day; fundamentals are constant along each row.
+    # Every firm trades every day at a constant cap; the panel's row i files as filings row i.
     order = sorted(range(config.n_firms), key=firm_ids.__getitem__)
     panel = SecurityPanel(
         firms=[firm_ids[i] for i in order],
         calendar=list(calendar),
         present=np.ones((config.n_firms, n_days), dtype=bool),
         daily_return=returns[order],
-        **{name: np.repeat(v[order, None], n_days, axis=1) for name, v in fundamentals.items()},
+        market_cap=np.repeat(cap[order, None], n_days, axis=1),
+        filing=np.repeat(np.arange(config.n_firms, dtype=np.int32)[:, None], n_days, axis=1),
+        filings={name: v[order] for name, v in filings.items()},
     )
 
     # Transcripts: one script per day reproducing the planted counts.  A day
@@ -510,27 +511,25 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
             fh.write("\n".join(words) + "\n")
 
     # A row is its head (the firm id, quoted as write_table quotes it), the day, the
-    # return's repr and its tail: the exchange and the constant fields.  Only a day on
-    # which a presence, exchange or constant field changes, bit for bit (so -0.0 and NaN
+    # return's repr and its tail: the cap and its filing's text, made once a filing.  Only a
+    # day on which a presence, filing or cap changes, the cap bit for bit (so -0.0 and NaN
     # keep their own text), rebuilds the heads and tails; each day is written at once.
-    panel = dataset.panel
+    panel, filings = dataset.panel, dataset.panel.filings
     changed = np.zeros(len(panel.calendar), dtype=bool)
     changed[0] = True
-    constant = [getattr(panel, name).view(np.uint64) for name in PANEL_FIELDS[1:]]
-    for bits in [panel.present, panel.is_main] + constant:
+    for bits in (panel.present, panel.filing, panel.market_cap.view(np.uint64)):
         changed[1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    exchange = np.where(filings["is_main"], MAIN, SECONDARY).tolist()
+    fields = zip(exchange, *(filings[n].tolist() for n in PANEL_FIELDS[2:]))
+    filed = [f"{x},{b!r},{o!r},{a!r},{p!r}\n" for x, b, o, a, p in fields]
     with tables.replacing(paths["panel"]) as fh:
         fh.write(",".join(PANEL_COLUMNS) + "\n")
         for t, d in enumerate(panel.calendar):
             if changed[t]:
                 rows = np.flatnonzero(panel.present[:, t])
                 heads = [tables._quoted(panel.firms[i]) + "," for i in rows.tolist()]
-                exchange = np.where(panel.is_main[rows, t], MAIN, SECONDARY).tolist()
-                cap, be, oi, ta, tap = (getattr(panel, n)[rows, t].tolist() for n in PANEL_FIELDS[1:])
-                tails = [
-                    f",{c!r},{x},{b!r},{o!r},{a!r},{p!r}\n"
-                    for c, x, b, o, a, p in zip(cap, exchange, be, oi, ta, tap)
-                ]
+                cap, filing = panel.market_cap[rows, t].tolist(), panel.filing[rows, t].tolist()
+                tails = [f",{c!r},{filed[f]}" for c, f in zip(cap, filing)]
             ret = map(repr, panel.daily_return[rows, t].tolist())
             fh.write("".join(map("".join, zip(heads, repeat(d.isoformat() + ","), ret, tails))))
 

@@ -2,12 +2,12 @@
 
 panel.csv, by far the largest file, takes its own paths for speed: factors'
 block reader splits each line once, parses its return and cap with float(),
-as _float does, and each block's distinct fundamentals with one np.loadtxt
-call (handing a file it declines to read_rows), and synthetic.write_dataset joins
-each day's fields itself, quoting a firm id with _quoted.  On the seed-61
-big_panel panel (200 firms x 1500 days, 2-vCPU Xeon), writing it through
-write_table took 2.5-2.7 s against 0.38-0.42 s for all of write_dataset, with
-the same bytes.
+as _float does, and each distinct filing (exchange and fundamentals) in the
+np.loadtxt call of the block that first sees it, handing a file it declines to
+read_rows; synthetic.write_dataset joins each day's fields, quoting with
+_quoted.  On the seed-61 big_panel panel (200 firms x 1500 days, 2-vCPU Xeon),
+writing it through write_table took 2.5-2.7 s against 0.38-0.42 s for all of
+write_dataset, with the same bytes.
 
 write_table writes row by row, each row its fields joined by commas.  A TEXT
 field is quoted, its quotes doubled, when it holds a comma, a quote, LF or CR;

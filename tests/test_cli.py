@@ -1404,6 +1404,29 @@ def test_a_short_rate_within_minus_one_to_one_passes(demo7, tmp_path, capsys, va
         _assert_rejected(capsys, cfg_path, "factors", path, pattern)
 
 
+@pytest.mark.parametrize("value, bound", [("-1e308", ">= -1e+06"), ("1e20", "<= 1e+06")])
+def test_a_huge_nsi_stops_factors_naming_file_row_and_field(demo7, tmp_path, capsys, value, bound):
+    """Read as it stands, `nsi` -1e308 or 1e20 ran five stages, then stopped regress with
+    "specification 2: collinear design columns: d_nsi", naming neither file nor row."""
+    cfg_path, path = _corrupt(demo7, tmp_path, "nsi.csv", _set(111, 1, value))
+    assert path.read_text(encoding="utf-8").splitlines()[110] == f"2021-06-04,{value}"
+    assert main(["all", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[1] for line in err[:-1]] == [" ingest", " sentiment"]
+    got = repr(float(value))
+    assert err[-1] == f"sentimetrics: error: {path}: row 111: field 'nsi': must be {bound}, got {got}"
+
+
+@pytest.mark.parametrize("value, passes", [("1e6", True), ("-1e6", True), ("1000000.5", False)])
+def test_an_nsi_within_a_million_either_way_passes(demo7, tmp_path, capsys, value, passes):
+    cfg_path, path = _corrupt(demo7, tmp_path, "nsi.csv", _set(111, 1, value))
+    if passes:  # through regress: the bound keeps d_nsi from swamping the design's rank test
+        assert main(["all", "--config", str(cfg_path)]) == 0
+    else:
+        pattern = "row 111: field 'nsi': must be <= 1e\\+06, got 1000000.5$"
+        _assert_rejected(capsys, cfg_path, "factors", path, pattern)
+
+
 @pytest.mark.parametrize("col, value", [(6, "1"), (6, "-1"), (2, "0.999"), (5, "-0.999")])
 def test_a_provided_rf_on_its_ends_and_a_factor_inside_them_pass(demo7, tmp_path, col, value):
     cfg_path, _path = _corrupt(demo7, tmp_path, "factors.csv", _on_2021_04_19(col, value))

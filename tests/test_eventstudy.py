@@ -18,7 +18,7 @@ from sentimetrics.eventstudy import (
     pool_aar_caar,
     run_event_study,
 )
-from sentimetrics.factors import FACTOR_NAMES, PANEL_FIELDS, FactorSeries, positions, roll_forward
+from sentimetrics.factors import FACTOR_NAMES, FactorSeries, positions, roll_forward
 from sentimetrics.eventstudy import ArPath
 from sentimetrics.sentiment import StockSentimentEvent
 from sentimetrics.synthetic import SynthConfig, gen_dataset
@@ -777,8 +777,8 @@ def test_the_in_place_excess_build_matches_column_copies_when_calendars_differ_b
     absent = rng.random(panel.present.shape) < 0.1
     absent[5, 20:] = True  # F005 keeps too few days to be estimated
     panel.present[absent] = False
-    for name in PANEL_FIELDS:
-        getattr(panel, name)[absent] = np.nan
+    panel.daily_return[absent] = panel.market_cap[absent] = np.nan
+    panel.filing[absent] = -1
     days = (120, 124, 155, 166, 185, 199)  # only 120 and 124 overlap: 10 is the window
     events = [
         StockSentimentEvent(firm, factors.dates[t], 0.5, "positive")

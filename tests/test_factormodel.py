@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from bisect import bisect_left
 from datetime import date, timedelta
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from sentimetrics.factors import (
 )
 from sentimetrics.tables import FACTORS, write_series
 
-from helpers import Row, cell, panel_from_rows, random_panel, weekdays
+from helpers import Row, cell, panel_arrays, panel_from_rows, random_panel, weekdays
 
 RF = 1e-4
 
@@ -723,10 +724,18 @@ def test_block_reader_matches_the_row_by_row_reader_bitwise(
     monkeypatch.setattr(factors, "_range_count", lambda: ranges)
     split = factors._read_columns_fast(plain)
     assert [keys for keys, _ids in split[0]] == [keys for keys, _ids in serial[0]]
-    assert [ids.tobytes() for _keys, ids in split[0]] == [ids.tobytes() for _keys, ids in serial[0]]
-    assert len(split[1]) == len(serial[1]) == len(PANEL_FIELDS)
-    assert [v.tobytes() for v in split[1]] == [v.tobytes() for v in serial[1]]
-    assert split[2] is None
+    ids = [[ids.tobytes() for _keys, ids in result[0][:2]] for result in (split, serial)]
+    assert ids[0] == ids[1]
+    # Each range holds its own filings, so the split may hold a filing twice: each row's
+    # filing fields, the exchange's id among them, are what one pass gives.
+    filed = [
+        [column[result[0][2][1]].tobytes() for column in result[1].values()]
+        for result in (split, serial)
+    ]
+    assert list(split[1]) == list(serial[1]) and len(filed[0]) == len(PANEL_FIELDS) - 1
+    assert filed[0] == filed[1]
+    assert [v.tobytes() for v in split[2]] == [v.tobytes() for v in serial[2]]
+    assert split[3] is None
     assert factors._read_columns_fast(quoted) is None
     read = _rows_the_csv_reader_reads(monkeypatch)
     got = load_panel(plain)
@@ -735,9 +744,9 @@ def test_block_reader_matches_the_row_by_row_reader_bitwise(
     want = load_panel(quoted)
     assert got.firms == want.firms == list("ABCDEF")
     assert got.calendar == want.calendar and len(got.calendar) == 9
-    for name in ("present", "is_main") + PANEL_FIELDS:
-        assert getattr(got, name).dtype == getattr(want, name).dtype
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name, array in panel_arrays(got).items():
+        assert array.dtype == panel_arrays(want)[name].dtype
+        assert array.tobytes() == panel_arrays(want)[name].tobytes(), name
 
 
 def _with_field(row, column, value):
@@ -898,9 +907,9 @@ def test_a_field_only_the_csv_reader_reads_gives_the_one_pass_panel(tmp_path, mo
     _write_panel(quoted, [_quoted(r) for r in rows])
     got, want = load_panel(plain), load_panel(quoted)
     assert got.firms == want.firms == list("ABCDEF") and got.calendar == want.calendar
-    for name in ("present", "is_main") + PANEL_FIELDS:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert 5000.0 in got.book_equity
+    for name, array in panel_arrays(got).items():
+        assert array.tobytes() == panel_arrays(want)[name].tobytes(), name
+    assert 5000.0 in got.filings["book_equity"]
 
 
 def _panel_or_error(path):
@@ -909,7 +918,7 @@ def _panel_or_error(path):
         panel = load_panel(path)
     except PanelFormatError as exc:
         return str(exc).replace(str(path), "<panel>")
-    arrays = [getattr(panel, name).tobytes() for name in ("present", "is_main") + PANEL_FIELDS]
+    arrays = [array.tobytes() for array in panel_arrays(panel).values()]
     return panel.firms, panel.calendar, arrays
 
 
@@ -960,15 +969,41 @@ def test_a_crlf_across_the_layout_scans_chunk_boundary_keeps_the_file_plain(tmp_
     assert factors._plain_layout(p, 1)[:2] == (True, len(rows))
 
 
+def _past_the_cap(rows):
+    """14 rows, each its own filing but the last, which files as the first; then 7 rows of
+    firm G, one a day, filing as the first 7 rows."""
+    rows = _distinct_fundamentals(rows)[:14]
+    fields = [row.split(",", 4) for row in rows]  # firm, date, return, cap and the filing
+    rows[13] = ",".join(fields[13][:4] + fields[0][4:])
+    days = weekdays(date(2022, 1, 3), 7)
+    return rows + [",".join(["G", str(d)] + f[2:]) for d, f in zip(days, fields)]
+
+
+def _first_seen_by_block(tails, block):
+    """Per block of `block` tails, the tails first seen in it; blocks that see none left out."""
+    seen, parsed = set(), []
+    for i in range(0, len(tails), block):
+        new = [t for t in dict.fromkeys(tails[i : i + block]) if t not in seen]
+        seen.update(new)
+        if new:
+            parsed.append(new)
+    return parsed
+
+
 @pytest.mark.parametrize(
-    "edit, n_tails", [(list, 16), (_distinct_fundamentals, 36)], ids=["repeated", "distinct"]
+    "edit, n_tails, reset",
+    [(list, 4, None), (_distinct_fundamentals, 36, None), (_past_the_cap, 20, 14)],
+    ids=["repeated", "distinct", "past-the-cap"],
 )
-def test_each_block_parses_each_of_its_distinct_tails_once(tmp_path, monkeypatch, edit, n_tails):
+def test_each_distinct_tail_is_parsed_once_a_range_until_the_cap(
+    tmp_path, monkeypatch, edit, n_tails, reset
+):
     monkeypatch.setattr(factors, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(factors, "_range_count", lambda: 1)
     rows = edit(_parity_rows())
-    p = tmp_path / "panel.csv"
-    _write_panel(p, rows)
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    _write_panel(plain, rows)
+    _write_panel(quoted, [_quoted(r) for r in rows])
     parsed, loadtxt = [], np.loadtxt
 
     def spy(lines, *args, **kwargs):
@@ -976,12 +1011,22 @@ def test_each_block_parses_each_of_its_distinct_tails_once(tmp_path, monkeypatch
         return loadtxt(parsed[-1], *args, **kwargs)
 
     monkeypatch.setattr(np, "loadtxt", spy)
-    load_panel(p)
-    blocks = [rows[i : i + 7] for i in range(0, len(rows), 7)]
-    want = [list(dict.fromkeys(r.split(",", 4)[4] + "\n" for r in block)) for block in blocks]
+    got = load_panel(plain)
+    tails = [r.split(",", 4)[4] + "\n" for r in rows]
+    # One tails dict for the range: a block parses only the tails no block before it saw.
+    # past-the-cap: its first two blocks leave 13 tails in the dict, more than the 7 of a
+    # block, so the third starts a fresh dict and parses firm G's 7 tails again.
+    want = _first_seen_by_block(tails[:reset], 7)
+    want += _first_seen_by_block(tails[reset:], 7) if reset else []
     assert parsed == want
-    # Firms A-D keep their fundamentals every day: 16 tails for the 36 rows, as blocks go.
+    # Firms A-D keep their fundamentals every day: 4 tails for the 36 rows, not the 16 that
+    # a dict a block parsed.
     assert sum(map(len, want)) == n_tails
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    want = load_panel(quoted)  # the csv reader's
+    assert got.firms == want.firms and got.calendar == want.calendar
+    for name, array in panel_arrays(got).items():
+        assert array.tobytes() == panel_arrays(want)[name].tobytes(), name
 
 
 def test_a_child_that_ends_without_a_result_sends_the_whole_file_to_the_csv_reader(
@@ -1003,8 +1048,8 @@ def test_a_child_that_ends_without_a_result_sends_the_whole_file_to_the_csv_read
     read = _rows_the_csv_reader_reads(monkeypatch)
     got = load_panel(p)
     assert read == [2] + list(range(2, 34))  # the header check, then every row from row 2
-    for name in ("present", "is_main") + PANEL_FIELDS:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name, array in panel_arrays(got).items():
+        assert array.tobytes() == panel_arrays(want)[name].tobytes(), name
     assert multiprocessing.active_children() == []
 
 
@@ -1078,28 +1123,44 @@ def test_a_panel_of_two_blocks_is_split_on_two_cpus(tmp_path, monkeypatch):
     assert read == [2]  # the header check's row only: the child's range parsed in blocks too
 
 
-def _traced_load(tmp_path, n_firms, n_days):
-    """(panel, tracemalloc's peak bytes in load_panel) of a full plain panel."""
+def _full_panel(tmp_path, n_firms, n_days, yearly=False):
+    """A full plain panel: each row its own filing, its fundamentals drawn from its cap, or
+    with `yearly` each firm's fundamentals drawn once a calendar year."""
     rng = np.random.default_rng(12)
     calendar = weekdays(date(2018, 1, 1), n_days)
     ret = rng.normal(0.0, 0.02, size=(len(calendar), n_firms)).tolist()
     cap = rng.uniform(1e9, 9e10, size=(len(calendar), n_firms)).tolist()
+    first = calendar[0].year
+    years = rng.uniform(1e9, 9e10, size=(calendar[-1].year - first + 1, n_firms)).tolist()
     lines = [PANEL_HEADER]
     for t, d in enumerate(calendar):
         for k in range(n_firms):
             exchange = "main" if k % 3 else "secondary"
+            base = years[d.year - first][k] if yearly else cap[t][k]
             lines.append(
                 f"F{k:03d},{d},{ret[t][k]!r},{cap[t][k]!r},{exchange},"
-                f"{cap[t][k] * 0.6!r},{cap[t][k] * 0.05!r},{cap[t][k] * 1.1!r},{cap[t][k]!r}"
+                f"{base * 0.6!r},{base * 0.05!r},{base * 1.1!r},{base!r}"
             )
     p = tmp_path / "panel.csv"
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return p, calendar
+
+
+def _traced(work):
+    """(work(), tracemalloc's peak bytes in it)."""
     tracemalloc.start()
     try:
-        panel = load_panel(p)
+        result = work()
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def _traced_load(tmp_path, n_firms, n_days):
+    """(panel, tracemalloc's peak bytes in load_panel) of a full plain panel, each row its
+    own filing."""
+    panel, peak = _traced(partial(load_panel, _full_panel(tmp_path, n_firms, n_days)[0]))
     assert panel.present.all()
     return panel, peak
 
@@ -1109,20 +1170,42 @@ def _traced_load(tmp_path, n_firms, n_days):
 
 
 def test_load_panel_traced_peak_stays_within_four_panels(tmp_path, monkeypatch):
+    # A panel counted as dense firm x date arrays, 50 bytes a cell: six float fields and two
+    # masks.  Here every row is its own filing: the peak is about 135 bytes a cell, 125 when
+    # the fundamentals were held as dense arrays.
     monkeypatch.setattr(factors, "_range_count", lambda: 1)
     panel, peak = _traced_load(tmp_path, 40, 1000)
-    nbytes = sum(getattr(panel, name).nbytes for name in ("present", "is_main") + PANEL_FIELDS)
+    nbytes = 50 * panel.present.size
     assert peak <= 4 * nbytes, peak / nbytes
 
 
 def test_load_panel_holds_the_row_floats_and_the_dense_panel_once(tmp_path, monkeypatch):
-    # 48 bytes a row for the six parsed floats and 50 a cell for the dense
-    # fields and their two masks: the two forms are never both held whole.
+    # 48 bytes a row for six parsed floats and 50 a cell for six dense fields and two masks:
+    # the bound of a parse that never holds both forms whole.  Every row is its own filing
+    # here, the worst case for the filings: the peak is about 80 bytes a cell, 74 when the
+    # parse made a float a row of each fundamental.
     monkeypatch.setattr(factors, "_range_count", lambda: 1)
     monkeypatch.setattr(factors, "_BLOCK_ROWS", 1024)
     panel, peak = _traced_load(tmp_path, 100, 500)
     rows = cells = panel.present.size
     assert peak < 48 * rows + 50 * cells, peak / 2**20
+
+
+def test_a_panel_of_yearly_filings_holds_each_filing_once(tmp_path, monkeypatch):
+    # Peak bytes a cell of load_panel then construct_factors, 100 firms x 750 days that
+    # file once a year: about 55 with each filing held once, and 87 with the fundamentals
+    # as four dense float arrays and the parse's four floats a row.
+    monkeypatch.setattr(factors, "_range_count", lambda: 1)
+    p, calendar = _full_panel(tmp_path, 100, 750, yearly=True)
+    rf = {d: RF for d in calendar}
+
+    def load_and_construct():
+        panel = load_panel(p)
+        return panel, construct_factors(panel, rf)
+
+    load_and_construct()  # first-call imports aside
+    (panel, _factors), peak = _traced(load_and_construct)
+    assert peak / panel.present.size < 70, peak / panel.present.size
 
 
 def test_construct_factors_holds_one_sort_dimensions_masks_at_a_time():

@@ -28,7 +28,7 @@ from sentimetrics.synthetic import (
     write_dataset,
 )
 
-from helpers import cell, on_calendar
+from helpers import cell, on_calendar, panel_arrays, refile
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +528,12 @@ def test_written_files_roundtrip_through_loaders(tmp_path):
 
 def plain_panel_csv(panel) -> bytes:
     """panel.csv written the plain way: every present cell's fields through repr, row by row."""
-    lines, fields = [",".join(PANEL_COLUMNS)], PANEL_FIELDS
+    lines, arrays = [",".join(PANEL_COLUMNS)], panel_arrays(panel)
     for t, d in enumerate(panel.calendar):
         for i, firm in enumerate(panel.firms):
             if panel.present[i, t]:
-                ret, cap, be, oi, ta, tap = (repr(getattr(panel, n)[i, t].item()) for n in fields)
-                exchange = "main" if panel.is_main[i, t] else "secondary"
+                ret, cap, be, oi, ta, tap = (repr(arrays[n][i, t].item()) for n in PANEL_FIELDS)
+                exchange = "main" if arrays["is_main"][i, t] else "secondary"
                 lines.append(",".join([firm, d.isoformat(), ret, cap, exchange, be, oi, ta, tap]))
     return ("\n".join(lines) + "\n").encode()
 
@@ -542,13 +542,13 @@ def test_the_panel_writer_sees_every_change_of_a_firms_constant_fields(tmp_path)
     ds = gen_dataset(SynthConfig(seed=7))
     p = ds.panel
     p.present[2, 50:54] = False  # absent for four days
-    for name in PANEL_FIELDS:
-        getattr(p, name)[2, 50:54] = np.nan
+    p.daily_return[2, 50:54] = p.market_cap[2, 50:54] = np.nan
+    p.filing[2, 50:54] = -1
     p.present[3, 120:123] = False  # absent, its fields left as they were
-    p.is_main[5, 170:] = ~p.is_main[5, 170]  # changes exchange mid-calendar
-    p.book_equity[8, 100:] *= 1.5
-    p.operating_income[11, :] = 0.0
-    p.operating_income[11, 250:] = -0.0  # equal as a float, not as text
+    refile(p, p.firms[5], slice(170, None), is_main=not p.filings["is_main"][5])  # changes exchange
+    refile(p, p.firms[8], slice(100, None), book_equity=p.filings["book_equity"][8] * 1.5)
+    refile(p, p.firms[11], slice(None), operating_income=0.0)
+    refile(p, p.firms[11], slice(250, None), operating_income=-0.0)  # equal as a float, not as text
     written = write_dataset(ds, tmp_path)["panel"].read_bytes()
     assert written == plain_panel_csv(p)
     # Recorded with the day-by-day writer that formatted every field of every row.
@@ -563,7 +563,7 @@ def test_a_firm_id_that_csv_quotes_reads_back_from_panel_csv(tmp_path, firm):
     panel = load_panel(write_dataset(ds, tmp_path)["panel"])
     assert panel.firms == ds.panel.firms
     assert np.array_equal(panel.daily_return, ds.panel.daily_return)
-    assert np.array_equal(panel.is_main, ds.panel.is_main)
+    assert np.array_equal(panel_arrays(panel)["is_main"], panel_arrays(ds.panel)["is_main"])
 
 
 def test_the_panel_writer_holds_one_day_at_a_time(tmp_path):
@@ -684,4 +684,18 @@ def test_the_generator_holds_the_noise_of_one_day_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (cfg.n_firms * cfg.n_days) < 80  # bytes a cell; about 67 today
+    assert peak / (cfg.n_firms * cfg.n_days) < 80  # bytes a cell; about 39 today
+
+
+def test_the_generator_holds_each_firms_fundamentals_once():
+    # Bytes a cell that the dataset holds: about 28 with one filing a firm, and 57 when
+    # is_main and the four fundamentals were repeated over every day.
+    cfg = SynthConfig(seed=0, n_firms=200, n_days=300)
+    tracemalloc.start()
+    try:
+        dataset = gen_dataset(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held / (cfg.n_firms * cfg.n_days) < 40, held / (cfg.n_firms * cfg.n_days)
+    assert dataset.panel.filings["book_equity"].shape == (cfg.n_firms,)
