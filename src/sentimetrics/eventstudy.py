@@ -249,7 +249,7 @@ def run_event_study(
     excess = np.full((len(panel.firms), len(factors.dates)), np.nan)
     for t, j in enumerate(positions(factors.dates, panel.calendar).tolist()):
         if j >= 0:
-            returns, present = panel.daily_return[:, t], panel.present[:, t]
+            returns, present = panel.daily_return[:, t], panel.filing[:, t] >= 0
             np.subtract(returns, factors.rf[j], out=excess[:, j], where=present)
     design = lead_lag_design(factors)
     grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}

@@ -40,7 +40,6 @@ from .tables import PanelFormatError, _parse_date, _parse_float
 MAIN = "main"
 SECONDARY = "secondary"
 FACTOR_NAMES = ("rmrf", "smb", "hml", "rmw", "cma")
-_BOUNDS = {"rf": 1.0, "short_rate": 1.0, "nsi": 1e6}  # |value| <= bound: rates, an index level
 
 
 class DegenerateBreakpointsError(ValueError):
@@ -66,14 +65,14 @@ FILING_FIELDS = ("is_main",) + PANEL_FIELDS[2:]  # a filing: its exchange and fo
 class SecurityPanel:
     """Daily panel: one row per firm (sorted ids), one column per calendar date.
 
-    ``present`` marks the (firm, date) cells that have an observation, the dense
-    ``daily_return`` and ``market_cap`` NaN where absent.  ``filings`` holds each filing
-    once, an array per FILING_FIELDS name; ``filing`` is each cell's int32 row, -1 if absent.
+    ``filings`` holds each filing once, an array per FILING_FIELDS name; ``filing`` is
+    each cell's int32 row in it, -1 where the firm has no observation that date, and
+    so the one mark of presence: the dense ``daily_return`` and ``market_cap`` of an
+    absent cell are read by no one (the loader leaves them NaN).
     """
 
     firms: list[str]
     calendar: list[date]
-    present: np.ndarray
     daily_return: np.ndarray
     market_cap: np.ndarray
     filing: np.ndarray
@@ -85,7 +84,7 @@ class SecurityPanel:
         if any(a >= b for a, b in zip(self.calendar, self.calendar[1:])):
             raise ValueError("panel calendar must be strictly ascending")
         shape = (len(self.firms), len(self.calendar))
-        for name in ("present", "daily_return", "market_cap", "filing"):
+        for name in ("daily_return", "market_cap", "filing"):
             got = np.shape(getattr(self, name))
             if got != shape:
                 raise ValueError(f"panel array '{name}' has shape {got}, want {shape}")
@@ -395,7 +394,7 @@ def _index_rows(path: Path, columns: list, filed: dict, values: list):
 
 
 def load_panel(path: str | Path) -> SecurityPanel:
-    """Read the security panel CSV into dense firm x date return and cap and a filings table.
+    """Read the security panel CSV: dense firm x date return, cap and filing, and the filings.
 
     Duplicate (firm, date) keys, non-finite values, returns <= -1,
     nonpositive caps or prior assets and unknown exchanges are errors naming
@@ -420,15 +419,13 @@ def load_panel(path: str | Path) -> SecurityPanel:
     if not firms:
         raise PanelFormatError(f"{path}: panel is empty")
     shape = (len(firms), len(calendar))
-    present = np.zeros(shape, dtype=bool)
-    present[firm_idx, date_idx] = True
     cells = np.full(shape, -1, np.int32)
     cells[firm_idx, date_idx] = filing
     arrays = {}
     for name in PANEL_FIELDS[:2]:  # one field at a time: its row floats go once it is placed
         arrays[name] = np.full(shape, np.nan)
         arrays[name][firm_idx, date_idx] = values.pop(0)
-    return SecurityPanel(firms, calendar, present, filing=cells, filings=filings, **arrays)
+    return SecurityPanel(firms, calendar, filing=cells, filings=filings, **arrays)
 
 
 def _value_weighted(panel: SecurityPanel, member: np.ndarray) -> np.ndarray:
@@ -495,7 +492,7 @@ def _sort_cells(
     Returns (firm rows, cells) with one cell column per sort dimension:
     value, profitability, investment."""
     d = panel.calendar[t]
-    rows = np.flatnonzero(panel.present[:, t])
+    rows = np.flatnonzero(panel.filing[:, t] >= 0)
     filed = {name: column[panel.filing[rows, t]] for name, column in panel.filings.items()}
     be = filed["book_equity"]
     if np.any(be == 0.0):
@@ -542,18 +539,20 @@ def construct_factors(
     starts = rebalance_schedule(calendar, rebalance_month, rebalance_day)
 
     # Cell of each firm per sort dimension and date; -1 = not sorted (entered
-    # the panel after the last rebalance).
+    # the panel after the last rebalance) or absent that date.
     cell = np.full((3, len(panel.firms), len(calendar)), -1, dtype=np.int8)
     for start, end in zip(starts, starts[1:] + [len(calendar)]):
         rows, cells = _sort_cells(panel, start, min_breakpoint_stocks)
         cell[:, rows, start:end] = cells.T[:, :, None]
+    present = panel.filing >= 0
+    market = _value_weighted(panel, present)
+    cell[:, ~present] = -1
+    del present  # the cells mark it now
 
-    market = _value_weighted(panel, panel.present)
     ret = np.empty((3, 6, len(calendar)))
-    member = np.empty((6, *panel.present.shape), dtype=bool)  # one dimension's masks at a time
+    member = np.empty((6, *cell.shape[1:]), dtype=bool)  # one dimension's masks at a time
     for dim, dim_cell in enumerate(cell):
         np.equal(dim_cell, np.arange(6)[:, None, None], out=member)
-        member &= panel.present
         # An empty cell on a date is imputed the market return.
         ret[dim] = np.where(member.any(axis=-2), _value_weighted(panel, member), market)
 
@@ -577,35 +576,16 @@ def _zero_share(present: np.ndarray, returns: np.ndarray) -> np.ndarray:
     return (present & (returns == 0.0)).sum(axis=0) / present.sum(axis=0)
 
 
-def _dated_values(path: str | Path, schema: tables.Schema) -> dict[date, float]:
-    """A dated series by date; a value past its _BOUNDS (rf, short_rate, nsi) names its row."""
-    dates, values = tables.read_table(path, schema).values()
-    if (name := list(schema.columns)[1]) in _BOUNDS:
-        for row, value in enumerate(values, start=2):  # one row per date: the dates are unique
-            _check_return(path, row, name, value)
-    return dict(zip(dates, values))
-
-
-def _check_return(path: str | Path, row: int, name: str, value: float) -> None:
-    """A decimal daily return, each of the five factors' included, lies strictly inside ±1: a
-    100 % move in a day is a unit error, such as a percent.  A rate or nsi is within _BOUNDS."""
-    bound = _BOUNDS.get(name)
-    low, high = (value <= -1.0, value >= 1.0) if bound is None else (value < -bound, value > bound)
-    if low or high:
-        rules = ("> -1", "< 1") if bound is None else (f">= {-bound:g}", f"<= {bound:g}")
-        message = f"must be {rules[high]}, got {value!r}"
-        raise PanelFormatError(f"{path}: row {row}: field '{name}': {message}")
-
-
 def read_rf_csv(path: str | Path) -> dict[date, float]:
     """Read the ``date,rf`` risk-free leg of factor construction; an rf beyond ±1 names its row."""
-    return _dated_values(path, tables.RF)
+    return dict(zip(*tables.read_table(path, tables.RF).values()))
 
 
 def _align_control(path: str | Path, schema: tables.Schema, calendar: list[date]) -> np.ndarray:
     """Read a dated series and place it onto the calendar; its covered span must have no gaps."""
     trading = set(calendar)
-    on_calendar = {d: v for d, v in _dated_values(path, schema).items() if d in trading}
+    dates, values = tables.read_table(path, schema).values()
+    on_calendar = {d: v for d, v in zip(dates, values) if d in trading}
     if not on_calendar:
         raise CalendarAlignmentError(f"{path}: series has no observations on trading dates")
     lo, hi = min(on_calendar), max(on_calendar)
@@ -632,21 +612,17 @@ def load_controls(
         nsi=nsi,
         d_nsi=d_nsi,
         short_rate=short_rate,
-        pct_zero=_zero_share(panel.present, panel.daily_return),
+        pct_zero=_zero_share(panel.filing >= 0, panel.daily_return),
     )
 
 
 def read_factors_csv(path: str | Path) -> FactorSeries:
     """Ingest a pre-computed factor series (``date,rmrf,smb,hml,rmw,cma,rf``) of decimal returns:
-    a value that _check_return refuses names its row."""
+    a value outside the ranges of tables.FACTORS (a factor strictly inside ±1, an rf within
+    ±1) names its row."""
     columns = tables.read_table(path, tables.FACTORS)
     if not columns["date"]:
         raise PanelFormatError(f"{path}: factor file is empty")
-    fields = FACTOR_NAMES + ("rf",)
-    values = np.abs(np.array([columns[name] for name in fields]).T)  # rows x fields
-    bad = np.hstack([values[:, :-1] >= 1.0, values[:, -1:] > 1.0])  # an rf may be ±1
-    for row, col in np.argwhere(bad)[:1].tolist():  # the first in row-major order
-        _check_return(path, row + 2, fields[col], columns[fields[col]][row])
     return FactorSeries(dates=columns.pop("date"), **columns)
 
 

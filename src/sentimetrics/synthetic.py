@@ -407,7 +407,6 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
     panel = SecurityPanel(
         firms=[firm_ids[i] for i in order],
         calendar=list(calendar),
-        present=np.ones((config.n_firms, n_days), dtype=bool),
         daily_return=returns[order],
         market_cap=np.repeat(cap[order, None], n_days, axis=1),
         filing=np.repeat(np.arange(config.n_firms, dtype=np.int32)[:, None], n_days, axis=1),
@@ -512,12 +511,12 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
 
     # A row is its head (the firm id, quoted as write_table quotes it), the day, the
     # return's repr and its tail: the cap and its filing's text, made once a filing.  Only a
-    # day on which a presence, filing or cap changes, the cap bit for bit (so -0.0 and NaN
-    # keep their own text), rebuilds the heads and tails; each day is written at once.
+    # day on which a filing (-1 where absent) or cap changes, the cap bit for bit (so -0.0 and
+    # NaN keep their own text), rebuilds the heads and tails; each day is written at once.
     panel, filings = dataset.panel, dataset.panel.filings
     changed = np.zeros(len(panel.calendar), dtype=bool)
     changed[0] = True
-    for bits in (panel.present, panel.filing, panel.market_cap.view(np.uint64)):
+    for bits in (panel.filing, panel.market_cap.view(np.uint64)):
         changed[1:] |= (bits[:, 1:] != bits[:, :-1]).any(axis=0)
     exchange = np.where(filings["is_main"], MAIN, SECONDARY).tolist()
     fields = zip(exchange, *(filings[n].tolist() for n in PANEL_FIELDS[2:]))
@@ -526,7 +525,7 @@ def write_dataset(dataset: SynthDataset, out_dir: str | Path) -> dict[str, Path]
         fh.write(",".join(PANEL_COLUMNS) + "\n")
         for t, d in enumerate(panel.calendar):
             if changed[t]:
-                rows = np.flatnonzero(panel.present[:, t])
+                rows = np.flatnonzero(panel.filing[:, t] >= 0)
                 heads = [tables._quoted(panel.firms[i]) + "," for i in rows.tolist()]
                 cap, filing = panel.market_cap[rows, t].tolist(), panel.filing[rows, t].tolist()
                 tails = [f",{c!r},{filed[f]}" for c, f in zip(cap, filing)]

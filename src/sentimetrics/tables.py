@@ -31,11 +31,13 @@ Each table has one Schema, declared here and used by both ends: its columns
 in file order with their kinds, and the rule on its 'date' column (ASCENDING
 strictly for the pipeline's own dated tables; UNIQUE, any order and no date
 twice, for the dated input series).  Kinds: FLOAT is written with repr and
-must be finite; BLANK_FLOAT may also be an empty field, which NaN and None
-are written as and which reads back as None; INT, DATE (ISO), TEXT, and
-choice(...) for one of a fixed set of strings.  A fault stops either end
-with a PanelFormatError ``<file>: row N: ...``, the header being row 1, so
-every file the pipeline writes reads back.  write_json writes every JSON file
+must be finite; within(...) is a FLOAT that the reader also holds to a range,
+so a factor, rate or index level in the wrong unit is a fault of its field;
+BLANK_FLOAT may also be an empty field, which NaN and None are written as and
+which reads back as None; INT, DATE (ISO), TEXT, and choice(...) for one of a
+fixed set of strings.  A fault stops either end with a PanelFormatError
+``<file>: row N: ...``, the header being row 1, so every file the pipeline
+writes reads back.  write_json writes every JSON file
 the same way: keys sorted, an indent of 2 and a final newline.  Every writer
 here writes through replacing, so a write cut short leaves the old file.
 """
@@ -123,6 +125,19 @@ def _quoted(text: str) -> str:
     return text
 
 
+def _within(bound: float, ends: bool, text: str) -> float:
+    x = _float(text)
+    if abs(x) > bound or abs(x) == bound and not ends:
+        rule = (">" if x < 0 else "<") + ("=" if ends else "")
+        raise ValueError(f"must be {rule} {math.copysign(bound, x):g}, got {x!r}")
+    return x
+
+
+def within(bound: float, ends: bool = True) -> tuple:
+    """A FLOAT column within ±`bound`, the ends included unless `ends` is False."""
+    return FLOAT[0], partial(_within, bound, ends)
+
+
 def choice(*allowed: str) -> tuple:
     """A text column holding one of `allowed`."""
 
@@ -152,8 +167,10 @@ EVENTS = Schema(
     firm_id=TEXT, announce_date=DATE, sentiment=FLOAT, polarity=choice(POSITIVE, NEGATIVE)
 )
 EVENT_SKIPS = Schema(firm_id=TEXT, date=DATE, reason=TEXT)
+# Decimal daily returns: a 100 % move in a day is a unit error, such as a percent.
+_RETURN, _RATE = within(1.0, ends=False), within(1.0)
 FACTORS = Schema(
-    ASCENDING, date=DATE, rmrf=FLOAT, smb=FLOAT, hml=FLOAT, rmw=FLOAT, cma=FLOAT, rf=FLOAT
+    ASCENDING, date=DATE, rmrf=_RETURN, smb=_RETURN, hml=_RETURN, rmw=_RETURN, cma=_RETURN, rf=_RATE
 )
 # A blank control: the series does not cover that trading day.
 CONTROLS = Schema(
@@ -177,9 +194,9 @@ BACKTEST_SUMMARY = Schema(
 REGRESSIONS = Schema(
     spec=TEXT, term=TEXT, estimate=FLOAT, std_err=BLANK_FLOAT, t_value=BLANK_FLOAT, n_obs=INT
 )
-RF = Schema(UNIQUE, date=DATE, rf=FLOAT)
-NSI = Schema(UNIQUE, date=DATE, nsi=FLOAT)
-SHORT_RATE = Schema(UNIQUE, date=DATE, short_rate=FLOAT)
+RF = Schema(UNIQUE, date=DATE, rf=_RATE)
+NSI = Schema(UNIQUE, date=DATE, nsi=within(1e6))  # an index level
+SHORT_RATE = Schema(UNIQUE, date=DATE, short_rate=_RATE)
 TRANSCRIPTS = Schema(content_id=TEXT, publish_date=DATE, text=TEXT)
 FIRM_NAMES = Schema(firm_id=TEXT, name=TEXT)
 

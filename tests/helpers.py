@@ -43,14 +43,13 @@ class Row(NamedTuple):
 
 def panel_of(dense: dict[str, np.ndarray], firms: list[str], calendar: list[date]):
     """The panel of firm x date arrays, one per `panel_arrays` name, each present cell
-    its own filing."""
+    its own filing and each other cell's filing -1."""
     present = dense["present"]
     filing = np.full(present.shape, -1, np.int32)
     filing[present] = np.arange(np.count_nonzero(present))
     return SecurityPanel(
         firms=firms,
         calendar=list(calendar),
-        present=present,
         daily_return=dense["daily_return"],
         market_cap=dense["market_cap"],
         filing=filing,
@@ -96,13 +95,14 @@ def random_panel(n_firms: int, calendar: list[date], seed: int = 12) -> Security
 
 
 def panel_arrays(panel: SecurityPanel) -> dict[str, np.ndarray]:
-    """`present`, then each filing field and panel field as a firm x date array: a filing
-    field read through each cell's filing, False (is_main) or NaN where a cell is absent."""
-    arrays = {"present": panel.present}
+    """`present` (filing >= 0), then each filing field and panel field as a firm x date
+    array: a filing field read through each cell's filing, False (is_main) or NaN where a
+    cell is absent."""
+    arrays = {"present": panel.filing >= 0}
     for name in ("is_main",) + PANEL_FIELDS:
         if name in panel.filings:
             blank = False if name == "is_main" else np.nan
-            arrays[name] = np.where(panel.present, panel.filings[name][panel.filing], blank)
+            arrays[name] = np.where(arrays["present"], panel.filings[name][panel.filing], blank)
         else:
             arrays[name] = getattr(panel, name)
     return arrays
@@ -123,9 +123,9 @@ def cell(panel: SecurityPanel, firm_id: str, d: date) -> Row | None:
     if firm_id not in panel.firms or d not in panel.calendar:
         return None
     i, t = panel.firms.index(firm_id), panel.calendar.index(d)
-    if not panel.present[i, t]:
-        return None
     f = panel.filing[i, t]
+    if f < 0:
+        return None
     values = {name: float(panel.filings[name][f]) for name in PANEL_FIELDS[2:]}
     exchange = MAIN if panel.filings["is_main"][f] else SECONDARY
     return Row(float(panel.daily_return[i, t]), float(panel.market_cap[i, t]), exchange, **values)

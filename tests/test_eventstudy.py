@@ -762,7 +762,7 @@ def _column_copy_excess(panel, factors):
     j = positions(factors.dates, panel.calendar)
     on = j >= 0
     returns = panel.daily_return[:, on] - factors.rf[j[on]]
-    excess[:, j[on]] = np.where(panel.present[:, on], returns, np.nan)
+    excess[:, j[on]] = np.where(panel.filing[:, on] >= 0, returns, np.nan)
     return excess
 
 
@@ -774,9 +774,8 @@ def test_the_in_place_excess_build_matches_column_copies_when_calendars_differ_b
     extra = {factors.dates[170] + timedelta(days=1), factors.dates[0] - timedelta(days=3)}
     panel = random_panel(6, sorted((set(factors.dates) - missing) | extra), seed=45)
     rng = np.random.default_rng(46)
-    absent = rng.random(panel.present.shape) < 0.1
+    absent = rng.random(panel.filing.shape) < 0.1
     absent[5, 20:] = True  # F005 keeps too few days to be estimated
-    panel.present[absent] = False
     panel.daily_return[absent] = panel.market_cap[absent] = np.nan
     panel.filing[absent] = -1
     days = (120, 124, 155, 166, 185, 199)  # only 120 and 124 overlap: 10 is the window
@@ -828,4 +827,4 @@ def test_run_event_study_holds_one_excess_return_array():
     finally:
         tracemalloc.stop()
     assert len(run.ar_paths["positive"]) == 10
-    assert peak < 10 * panel.present.size, peak / panel.present.size
+    assert peak < 10 * panel.filing.size, peak / panel.filing.size

@@ -28,6 +28,8 @@ from sentimetrics.factors import (
     rebalance_schedule,
     roll_forward,
 )
+from sentimetrics.eventstudy import EventWindowConfig, run_event_study
+from sentimetrics.sentiment import StockSentimentEvent
 from sentimetrics.tables import FACTORS, write_series
 
 from helpers import Row, cell, panel_arrays, panel_from_rows, random_panel, weekdays
@@ -631,7 +633,7 @@ def test_load_panel_long_and_quoted_firm_ids_roundtrip(tmp_path):
         assert panel.firms == ["B", long_id]
         assert cell(panel, long_id, date(2022, 1, 4)).daily_return == -0.02
         assert cell(panel, "B", date(2022, 1, 4)) is None
-        assert panel.present.tolist() == [[True, False], [True, True]]
+        assert (panel.filing >= 0).tolist() == [[True, False], [True, True]]
 
 
 # ---------------------------------------------------------------------------
@@ -1060,7 +1062,7 @@ def test_the_split_parse_leaves_no_child_running(tmp_path, monkeypatch):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     _write_panel(good, rows)
     _write_panel(bad, rows[:-1] + [_with_field(rows[-1], "daily_return", "oops")])
-    assert load_panel(good).present.all()
+    assert (load_panel(good).filing >= 0).all()
     assert multiprocessing.active_children() == []
     with pytest.raises(PanelFormatError, match="not a number"):
         load_panel(bad)
@@ -1118,7 +1120,7 @@ def test_a_panel_of_two_blocks_is_split_on_two_cpus(tmp_path, monkeypatch):
     _write_panel(p, rows)
     assert factors._range_count() == 2
     read = _rows_the_csv_reader_reads(monkeypatch)
-    assert load_panel(p).present.all()
+    assert (load_panel(p).filing >= 0).all()
     assert len(parsed) == 1 and 0 < parsed[0] < len(rows)  # this process parsed one range
     assert read == [2]  # the header check's row only: the child's range parsed in blocks too
 
@@ -1161,7 +1163,7 @@ def _traced_load(tmp_path, n_firms, n_days):
     """(panel, tracemalloc's peak bytes in load_panel) of a full plain panel, each row its
     own filing."""
     panel, peak = _traced(partial(load_panel, _full_panel(tmp_path, n_firms, n_days)[0]))
-    assert panel.present.all()
+    assert (panel.filing >= 0).all()
     return panel, peak
 
 
@@ -1175,7 +1177,7 @@ def test_load_panel_traced_peak_stays_within_four_panels(tmp_path, monkeypatch):
     # the fundamentals were held as dense arrays.
     monkeypatch.setattr(factors, "_range_count", lambda: 1)
     panel, peak = _traced_load(tmp_path, 40, 1000)
-    nbytes = 50 * panel.present.size
+    nbytes = 50 * panel.filing.size
     assert peak <= 4 * nbytes, peak / nbytes
 
 
@@ -1187,7 +1189,7 @@ def test_load_panel_holds_the_row_floats_and_the_dense_panel_once(tmp_path, monk
     monkeypatch.setattr(factors, "_range_count", lambda: 1)
     monkeypatch.setattr(factors, "_BLOCK_ROWS", 1024)
     panel, peak = _traced_load(tmp_path, 100, 500)
-    rows = cells = panel.present.size
+    rows = cells = panel.filing.size
     assert peak < 48 * rows + 50 * cells, peak / 2**20
 
 
@@ -1205,7 +1207,7 @@ def test_a_panel_of_yearly_filings_holds_each_filing_once(tmp_path, monkeypatch)
 
     load_and_construct()  # first-call imports aside
     (panel, _factors), peak = _traced(load_and_construct)
-    assert peak / panel.present.size < 70, peak / panel.present.size
+    assert peak / panel.filing.size < 70, peak / panel.filing.size
 
 
 def test_construct_factors_holds_one_sort_dimensions_masks_at_a_time():
@@ -1223,4 +1225,61 @@ def test_construct_factors_holds_one_sort_dimensions_masks_at_a_time():
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * panel.present.size, peak / panel.present.size
+    assert peak < 12 * panel.filing.size, peak / panel.filing.size
+
+
+def _marked_absent(panel, absent, stale: bool):
+    """A copy of `panel` with the `absent` cells' filing -1; unless `stale`, also their
+    return and cap NaN, and their former filings' fundamentals NaN."""
+    panel = dataclasses.replace(
+        panel,
+        daily_return=panel.daily_return.copy(),
+        market_cap=panel.market_cap.copy(),
+        filing=panel.filing.copy(),
+        filings={name: column.copy() for name, column in panel.filings.items()},
+    )
+    if not stale:
+        panel.daily_return[absent] = panel.market_cap[absent] = np.nan
+        for name in PANEL_FIELDS[2:]:
+            panel.filings[name][panel.filing[absent]] = np.nan
+    panel.filing[absent] = -1
+    return panel
+
+
+def test_a_cell_is_absent_by_its_filing_alone_whatever_its_stale_fields_hold(tmp_path):
+    # Every reader of presence (the sort, the value weights, the zero share and the
+    # event study's excess returns) goes by filing >= 0: stale fields behind a -1,
+    # zero returns among them, give what NaN fields give, bit for bit.
+    calendar = weekdays(date(2019, 1, 1), 400)
+    full = random_panel(30, calendar, seed=51)
+    rng = np.random.default_rng(52)
+    full.daily_return[rng.random(full.daily_return.shape) < 0.2] = 0.0
+    absent = rng.random(full.filing.shape) < 0.15
+    absent[:4, 0] = True  # out of the first sort
+    absent[5, 200:] = True  # too few days for its events' estimation
+    rf = {d: RF for d in calendar}
+    for name, schema in (("nsi", tables.NSI), ("short_rate", tables.SHORT_RATE)):
+        tables.write_table(tmp_path / f"{name}.csv", schema, {"date": calendar, name: [0.01] * 400})
+    events = [
+        StockSentimentEvent(firm, calendar[t], 0.5, polarity)
+        for firm in full.firms[:8]
+        for t, polarity in ((150, "positive"), (260, "negative"), (330, "positive"))
+    ]
+    window = EventWindowConfig(est_start=-60, est_end=-6, evt_start=-5, evt_len=10, min_est_obs=20)
+    outputs = []
+    for stale in (True, False):
+        panel = _marked_absent(full, absent, stale)
+        series = construct_factors(panel, rf)
+        controls = load_controls(tmp_path / "nsi.csv", tmp_path / "short_rate.csv", panel)
+        run = run_event_study(events, panel, series, window)
+        outputs.append((
+            [getattr(series, name).tobytes() for name in ("rmrf", "smb", "hml", "rmw", "cma")],
+            controls.pct_zero.tobytes(),
+            {k: (r.aar.tobytes(), r.caar.tobytes(), r.n_events) for k, r in run.results.items()},
+            [(p.firm_id, p.announce_date, p.values.tobytes()) for p in run.ar_paths["positive"]],
+            [(e.firm_id, e.announce_date, e.reason) for e in run.exclusions],
+        ))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][4] and all(firm == full.firms[5] for firm, _d, _r in outputs[0][4])
+    # The stale fields differ from a full panel's only in presence: that changes the output.
+    assert construct_factors(full, rf).smb.tobytes() != outputs[0][0][1]

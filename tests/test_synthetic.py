@@ -531,7 +531,7 @@ def plain_panel_csv(panel) -> bytes:
     lines, arrays = [",".join(PANEL_COLUMNS)], panel_arrays(panel)
     for t, d in enumerate(panel.calendar):
         for i, firm in enumerate(panel.firms):
-            if panel.present[i, t]:
+            if panel.filing[i, t] >= 0:
                 ret, cap, be, oi, ta, tap = (repr(arrays[n][i, t].item()) for n in PANEL_FIELDS)
                 exchange = "main" if arrays["is_main"][i, t] else "secondary"
                 lines.append(",".join([firm, d.isoformat(), ret, cap, exchange, be, oi, ta, tap]))
@@ -541,10 +541,9 @@ def plain_panel_csv(panel) -> bytes:
 def test_the_panel_writer_sees_every_change_of_a_firms_constant_fields(tmp_path):
     ds = gen_dataset(SynthConfig(seed=7))
     p = ds.panel
-    p.present[2, 50:54] = False  # absent for four days
+    p.filing[2, 50:54] = -1  # absent for four days
     p.daily_return[2, 50:54] = p.market_cap[2, 50:54] = np.nan
-    p.filing[2, 50:54] = -1
-    p.present[3, 120:123] = False  # absent, its fields left as they were
+    p.filing[3, 120:123] = -1  # absent, its return and cap left as they were
     refile(p, p.firms[5], slice(170, None), is_main=not p.filings["is_main"][5])  # changes exchange
     refile(p, p.firms[8], slice(100, None), book_equity=p.filings["book_equity"][8] * 1.5)
     refile(p, p.firms[11], slice(None), operating_income=0.0)

@@ -14,10 +14,13 @@ from sentimetrics.tables import (
     DATE,
     DAYS,
     EVENT_SKIPS,
+    FACTORS,
     FLOAT,
     INT,
+    NSI,
     RF,
     SENTIMENT,
+    SHORT_RATE,
     TEXT,
     PanelFormatError,
     Schema,
@@ -154,6 +157,11 @@ def _values(kind: tuple, n: int, rng: random.Random) -> list:
         return [rng.randrange(-(10**12), 10**12) for _ in range(n)]
     if kind is FLOAT:
         return [rng.uniform(-1e3, 1e3) * 10.0 ** rng.randrange(-300, 300) for _ in range(n)]
+    if kind[0] is FLOAT[0]:  # a within(...) kind: values in its range, its allowed ends among them
+        bound, ends = kind[1].args
+        edge = bound if ends else math.nextafter(bound, 0.0)
+        inside = [rng.uniform(-edge, edge) * 10.0 ** -rng.randrange(0, 300) for _ in range(n - 2)]
+        return [edge, -edge, *inside]
     if kind is BLANK_FLOAT:
         return [None if rng.random() < 0.3 else rng.gauss(0.0, 1.0) for _ in range(n)]
     if kind is DATE:
@@ -321,3 +329,60 @@ def test_write_rows_takes_no_row_of_another_width(tmp_path):
     for rows in ([(date(2022, 1, 3), 1, 10), (date(2022, 1, 4), 2)], [(date(2022, 1, 3), 1)], [()]):
         with pytest.raises(ValueError):
             write_rows(p, DAYS, rows)
+
+
+@pytest.mark.parametrize(
+    "schema, name, inside, outside, message",
+    [
+        (FACTORS, "rmrf", 0.9999999999999999, 1.0, "must be < 1, got 1.0"),
+        (FACTORS, "cma", -0.9999999999999999, -1.0, "must be > -1, got -1.0"),
+        (FACTORS, "rf", 1.0, 1.0000000000000002, "must be <= 1, got 1.0000000000000002"),
+        (RF, "rf", -1.0, -1.0000000000000002, "must be >= -1, got -1.0000000000000002"),
+        (SHORT_RATE, "short_rate", 1.0, 1.0000000000000002, "must be <= 1, got 1.0000000000000002"),
+        (NSI, "nsi", 1e6, 1000000.0000000001, "must be <= 1e+06, got 1000000.0000000001"),
+        (NSI, "nsi", -1e6, -1000000.0000000001, "must be >= -1e+06, got -1000000.0000000001"),
+    ],
+)
+def test_a_range_kind_reads_its_ends_and_names_the_rule_a_value_breaks(
+    tmp_path, schema, name, inside, outside, message
+):
+    assert schema.columns[name][0] is FLOAT[0]  # written as any float is
+    p = tmp_path / "dated.csv"
+    columns = {column: [0.0, 0.0] for column in schema.columns}
+    columns["date"] = [date(2022, 1, 3), date(2022, 1, 4)]
+    columns[name] = [inside, outside]
+    write_table(p, schema, columns)
+    with pytest.raises(PanelFormatError) as exc:
+        read_table(p, schema)
+    assert str(exc.value) == f"{p}: row 3: field '{name}': {message}"
+    columns[name] = [inside, inside]
+    write_table(p, schema, columns)
+    assert read_table(p, schema)[name] == [inside, inside]
+
+
+FACTOR_ROWS = ["2022-01-03,0.01,0,0,0,0,0", "2022-01-04,0.02,0,0,0,1.5,0", "2022-01-05,0,0,0,0,0,0"]
+CMA = "row 3: field 'cma': must be < 1, got 1.5"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A range fault at row 3 before a non-finite value, a short row or a date out of order.
+        (FACTOR_ROWS + ["2022-01-06,nan,0,0,0,0,0"], CMA),
+        (FACTOR_ROWS + ["2022-01-06,0,0"], CMA),
+        (FACTOR_ROWS + ["2022-01-04,0,0,0,0,0,0"], CMA),
+        (FACTOR_ROWS[:1] + ["2022-01-03,0,0,0,0,0,0"] + FACTOR_ROWS[1:],
+         "row 4: field 'cma': must be < 1, got 1.5"),  # a date rule waits for every field
+        # A field fault is reported in file order, so one before the range fault wins.
+        (["2022-01-02,inf,0,0,0,0,0"] + FACTOR_ROWS, "row 2: field 'rmrf': non-finite value"),
+        (FACTOR_ROWS[:1] + ["2022-01-04,0.02,0,0,0,0,2"] + FACTOR_ROWS[1:],
+         "row 3: field 'rf': must be <= 1, got 2.0"),
+        (["2022-01-02,0,0"] + FACTOR_ROWS, "row 2: expected 7 fields, got 3"),
+    ],
+)
+def test_the_first_field_fault_in_file_order_wins_a_range_fault_among_them(tmp_path, rows, message):
+    p = tmp_path / "factors.csv"
+    p.write_text("\n".join(["date,rmrf,smb,hml,rmw,cma,rf", *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(PanelFormatError) as exc:
+        read_table(p, FACTORS)
+    assert str(exc.value) == f"{p}: {message}"
