@@ -241,42 +241,46 @@ def run_event_study(
 
     Produces the full-window pooling and, when relative day 0 is inside the
     window, a post-announcement pooling that restarts the running sum at 0.
-    Events that cannot be estimated are excluded with a reason.  The excess
-    returns are filled in place, one panel date at a time, into one firms x
-    factor-dates array (NaN = no return).
+    Events that cannot be estimated are excluded with a reason.  They are estimated a
+    firm at a time, on that firm's excess returns alone, and kept in event order.
     """
     run = EventStudyRun(results={})
-    excess = np.full((len(panel.firms), len(factors.dates)), np.nan)
-    for t, j in enumerate(positions(factors.dates, panel.calendar).tolist()):
-        if j >= 0:
-            returns, present = panel.daily_return[:, t], panel.filing[:, t] >= 0
-            np.subtract(returns, factors.rf[j], out=excess[:, j], where=present)
     design = lead_lag_design(factors)
-    grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
-    event_indices: dict[str, list[int]] = {}
+    on_factors = positions(factors.dates, panel.calendar)  # each panel date's factor day, or -1
     firm_row = {firm_id: i for i, firm_id in enumerate(panel.firms)}
-
     event_t = roll_forward(factors.dates, [event.announce_date for event in events]).tolist()
-    for event, t in zip(events, event_t):
+    outcomes: dict[int, ArPath | ExcludedEvent] = {}  # by event number
+    excess_of = None  # the firm row that `excess` is of
+    for k in sorted(range(len(events)), key=lambda k: events[k].firm_id):  # a firm's in a row
+        event, t, i = events[k], event_t[k], firm_row.get(events[k].firm_id)
         if t == len(factors.dates):
             reason = f"no trading day on or after {event.announce_date}"
-            run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, reason))
+            outcomes[k] = ExcludedEvent(event.firm_id, event.announce_date, reason)
             continue
-        i = firm_row.get(event.firm_id)
         if i is None:
-            run.exclusions.append(
-                ExcludedEvent(event.firm_id, event.announce_date, "firm not in panel")
-            )
+            outcomes[k] = ExcludedEvent(event.firm_id, event.announce_date, "firm not in panel")
             continue
+        if i != excess_of:  # firm i's excess returns on the factor calendar (NaN = no return)
+            on, excess_of = (on_factors >= 0) & (panel.filing[i] >= 0), i
+            excess = np.full(len(factors.dates), np.nan)
+            excess[on_factors[on]] = panel.daily_return[i, on] - factors.rf[on_factors[on]]
         try:
-            estimate = estimate_exposures(excess[i], design, window, t)
+            estimate = estimate_exposures(excess, design, window, t)
         except (InsufficientObservationsError, RankDeficientDesignError) as exc:
-            run.exclusions.append(ExcludedEvent(event.firm_id, event.announce_date, str(exc)))
+            outcomes[k] = ExcludedEvent(event.firm_id, event.announce_date, str(exc))
             continue
-        ar = compute_ar(estimate, excess[i], design, window, t)
+        ar = compute_ar(estimate, excess, design, window, t)
         path = ArPath(event.firm_id, event.announce_date, factors.dates[t], window.evt_start, ar)
-        grouped[event.polarity].append(path)
-        event_indices.setdefault(event.firm_id, []).append(t)
+        outcomes[k] = path
+
+    grouped: dict[str, list[ArPath]] = {POSITIVE: [], NEGATIVE: []}
+    event_indices: dict[str, list[int]] = {}
+    for k, (event, t) in enumerate(zip(events, event_t)):  # in event order
+        if isinstance(outcomes[k], ExcludedEvent):
+            run.exclusions.append(outcomes[k])
+        else:
+            grouped[event.polarity].append(outcomes[k])
+            event_indices.setdefault(event.firm_id, []).append(t)
 
     run.overlap_count = _count_overlaps(event_indices, window.evt_len)
     post_available = window.evt_start <= 0 <= window.evt_end

@@ -68,7 +68,8 @@ class SecurityPanel:
     ``filings`` holds each filing once, an array per FILING_FIELDS name; ``filing`` is
     each cell's int32 row in it, -1 where the firm has no observation that date, and
     so the one mark of presence: the dense ``daily_return`` and ``market_cap`` of an
-    absent cell are read by no one (the loader leaves them NaN).
+    absent cell are read by no one (the loader leaves them NaN).  The arrays may be views
+    in either memory order, and may be read-only (the generator's cap): copy before writing.
     """
 
     firms: list[str]
@@ -189,8 +190,8 @@ def _range_count() -> int:
     return min(2, len(os.sched_getaffinity(0))) if usable else 1
 
 
-def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=None):
-    """Parse the ids.shape[1] lines from byte `offset` into `ids` and the 1-D return and cap.
+def _parse_range(path: Path, offset: int, ids: list, values: list, conn=None):
+    """Parse the len(ids[0]) lines from byte `offset` into the three id rows, return and cap.
 
     A line splits once into firm, date, return, cap and a tail, its filing: exchange and
     the four fundamentals.  Texts get ids from one first-seen dict per column, return and
@@ -198,7 +199,7 @@ def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=No
     parses the tails that the range's tails dict has not seen, in one np.loadtxt call; a
     dict past _BLOCK_ROWS tails gives way to a fresh one.  Returns (the three dicts, the
     blocks' filing columns), or None once a block fails; given `conn`, sends it down it."""
-    seen, n_rows, result = [{} for _ in range(3)], ids.shape[1], None
+    seen, n_rows, result = [{} for _ in range(3)], len(ids[0]), None
     tails, first, filed = {}, 0, []  # tail -> filing, the filings before this dict, blocks
     args = dict(delimiter=",", comments=None, ndmin=1)  # np.loadtxt's; the exchange as an id
     args["converters"] = {0: lambda text: seen[2].setdefault(text, len(seen[2]))}
@@ -215,7 +216,7 @@ def _parse_range(path: Path, offset: int, ids: np.ndarray, values: list, conn=No
                     break
                 for field, k in zip(values, (2, 3)):
                     field[start:stop] = list(map(float, cells[k::5]))
-                ids[2, start:stop] = [tails.setdefault(t, first + len(tails)) for t in cells[4::5]]
+                ids[2][start:stop] = [tails.setdefault(t, first + len(tails)) for t in cells[4::5]]
                 new = list(itertools.islice(tails, known, None))
                 if _BLANK_TAILS.intersection(new):
                     break
@@ -245,11 +246,13 @@ def _read_columns_fast(path: Path):
         return None
     if n_rows < 2 * _BLOCK_ROWS:
         cuts = cuts[:1]
-    if len(cuts) == 1:
-        ids, values = np.empty((3, n_rows), np.int32), [np.empty(n_rows) for _ in range(2)]
-    else:
-        ids = np.frombuffer(mmap.mmap(-1, 3 * 4 * n_rows), np.int32).reshape(3, n_rows)
-        values = [np.frombuffer(mmap.mmap(-1, 8 * n_rows)) for _ in range(2)]
+
+    def row(dtype):  # each row its own buffer, so the firm and date ids can go alone
+        if len(cuts) == 1:
+            return np.empty(n_rows, dtype)
+        return np.frombuffer(mmap.mmap(-1, np.dtype(dtype).itemsize * n_rows), dtype)
+
+    ids, values = [row(np.int32) for _ in range(3)], [row(float) for _ in range(2)]
     spans = [(at, slice(lo, hi)) for (at, lo), (_, hi) in zip(cuts, cuts[1:] + [(0, n_rows)])]
     if len(spans) > 1:
         import multiprocessing  # here, not at the top: it adds over 0.6 MB to an importer's RSS
@@ -259,13 +262,13 @@ def _read_columns_fast(path: Path):
     try:
         for at, rows in spans[1:]:
             recv, send = fork.Pipe(duplex=False)
-            args = (path, at, ids[:, rows], [v[rows] for v in values], send)
+            args = (path, at, [i[rows] for i in ids], [v[rows] for v in values], send)
             child = fork.Process(target=_parse_range, args=args)
             child.start()
             children.append((child, recv))
             send.close()
         at, rows = spans[0]
-        got.append(_parse_range(path, at, ids[:, rows], [v[rows] for v in values]))
+        got.append(_parse_range(path, at, [i[rows] for i in ids], [v[rows] for v in values]))
         if got[0] is not None:  # else the whole file goes to the row reader
             got += [recv.recv() for _child, recv in children]
     except EOFError:  # a child ended without a result
@@ -282,9 +285,10 @@ def _read_columns_fast(path: Path):
     for (_at, rows), (range_seen, range_filed) in zip(spans, got):
         to_file = [np.array([s.setdefault(c, len(s)) for c in cells], np.int32)
                    for s, cells in zip(seen, range_seen)]
-        for row_ids, row_to_file in zip(ids[:2, rows], to_file):
-            row_ids[:] = row_to_file[row_ids]
-        ids[2, rows] += sum(len(block[0]) for block in filed)
+        for row_ids, row_to_file in zip(ids[:2], to_file):
+            if rows.start:  # the first range's first-seen ids are the file's already
+                row_ids[rows] = row_to_file[row_ids[rows]]
+        ids[2][rows] += sum(len(block[0]) for block in filed)
         for block in range_filed:
             block[0] = to_file[2][block[0]]
         filed += range_filed
@@ -313,9 +317,20 @@ def _read_columns_by_row(path: Path):
                 filed.append((seen[2].setdefault(row[4], len(seen[2])), *parsed[2:]))
     except PanelFormatError as exc:
         error = exc
-    ids, filed = np.array(ids, np.int32).reshape(3, -1), np.array(filed, _TAIL_DTYPE)
+    ids, filed = [np.array(i, np.int32) for i in ids], np.array(filed, _TAIL_DTYPE)
     filings = {name: filed[name] for name in _TAIL_DTYPE.names}
     return list(zip(map(list, seen), ids)), filings, [np.array(v, float) for v in values], error
+
+
+def _layout(firm_idx: np.ndarray, date_idx: np.ndarray, shape: tuple) -> str | None:
+    """'C' when the rows are every cell of `shape` once in firm-major order, 'F' in
+    date-major order (the generator's), else None; by reductions, no array a row long."""
+    for order in "CF" if len(firm_idx) == shape[0] * shape[1] > 0 else "":
+        grids = [idx.reshape(shape, order=order) for idx in (firm_idx, date_idx)]
+        ends = [end(grid, axis=1 - k) for k, grid in enumerate(grids) for end in (np.min, np.max)]
+        if all(np.array_equal(e, np.arange(shape[k // 2])) for k, e in enumerate(ends)):
+            return order
+    return None
 
 
 def _index_rows(path: Path, columns: list, filed: dict, values: list):
@@ -323,15 +338,17 @@ def _index_rows(path: Path, columns: list, filed: dict, values: list):
 
     Takes the readers' (distinct cells, each row's index into them) per text column
     (for the exchange, each row's filing, whose 'exchange' indexes the cells), filing
-    columns, and return and cap.  Returns (firms, calendar, firm_idx, date_idx, filing,
-    filings), indices int32, or raises the PanelFormatError of the first offending row.
+    columns, and return and cap.  Returns (firms, calendar, cells: _layout's order or the
+    rows' (firm_idx, date_idx), filing, filings), or raises the PanelFormatError of the
+    first offending row.
     Each check's mask is built and dropped in turn, and the checks that read the text
     ids run first: the ids are then freed (`columns` is emptied) before the floats are."""
     (firm_keys, firm_inv), (date_keys, date_inv), (exchange_keys, filing) = columns
     firm_ids = [f.strip() for f in firm_keys]
     firms = sorted(set(firm_ids))
-    firm_pos = {f: i for i, f in enumerate(firms)}
-    firm_idx = np.array([firm_pos[f] for f in firm_ids], dtype=np.int32)[firm_inv]
+    firm_pos, firm_idx = {f: i for i, f in enumerate(firms)}, firm_inv
+    if firm_ids != firms:  # else the ids are the sorted positions already
+        firm_idx = np.array([firm_pos[f] for f in firm_ids], dtype=np.int32)[firm_inv]
 
     parsed: list[date | None] = []
     for s in date_keys:
@@ -340,57 +357,58 @@ def _index_rows(path: Path, columns: list, filed: dict, values: list):
         except ValueError:
             parsed.append(None)
     calendar = sorted({d for d in parsed if d is not None})
-    date_pos = {d: t for t, d in enumerate(calendar)}
+    date_pos, date_idx = {d: t for t, d in enumerate(calendar)}, date_inv
     # An unparseable date takes the slot past the calendar; a duplicate key
     # there always comes after a row whose date check fails first.
-    date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], np.int32)[date_inv]
+    if parsed != calendar:
+        date_idx = np.array([date_pos.get(d, len(calendar)) for d in parsed], np.int32)[date_inv]
     bad_date = np.array([d is None for d in parsed], dtype=bool)
 
     exchanges, exchange = [e.strip() for e in exchange_keys], filed.pop("exchange")
     bad_exchange = np.array([e not in (MAIN, SECONDARY) for e in exchanges], dtype=bool)
     filings = {"is_main": np.array([e == MAIN for e in exchanges], dtype=bool)[exchange], **filed}
 
-    def duplicate():
-        taken = np.zeros((len(firms), len(calendar) + 1), dtype=bool)
-        taken[firm_idx, date_idx] = True
-        mask = np.zeros(len(firm_idx), dtype=bool)
-        if np.count_nonzero(taken) < len(mask):  # only then a row key and its sort
-            key = firm_idx.astype(np.int64) * (len(calendar) + 1) + date_idx
-            order = np.argsort(key, kind="stable")
-            mask[order[1:][key[order][1:] == key[order][:-1]]] = True
-        return mask
-
     hits = []  # (first offending row, the check's place in a row-by-row scan, message)
 
-    def check(k: int, mask: np.ndarray, message) -> None:
-        if mask.any():
+    def check(k: int, mask: np.ndarray, message, rows=None) -> None:
+        # A mask of distinct cells or filings reaches the rows, by `rows`, if it marks one.
+        if mask.any() and (rows is None or (mask := mask[rows]).any()):
             row = int(np.argmax(mask))
             hits.append((row, k, message(row)))
 
-    check(0, bad_date[date_inv], lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}")
+    check(0, bad_date, lambda r: f"field 'date': invalid date {date_keys[date_inv[r]]!r}", date_inv)
     check(
         9,
-        bad_exchange[exchange][filing],
+        bad_exchange[exchange],
         lambda r: f"exchange must be '{MAIN}' or '{SECONDARY}', "
         f"got {exchanges[exchange[filing[r]]]!r}",
+        filing,
     )
-    filing = filing.copy()  # its own array: the text ids it was cut from go now
+    cells = _layout(firm_idx, date_idx, (len(firms), len(calendar))) or (firm_idx, date_idx)
     columns.clear()
-    del firm_inv, date_inv, exchange
+    del firm_inv, date_inv, exchange, firm_idx, date_idx
     for k, name in enumerate(PANEL_FIELDS, start=1):
-        finite = np.isfinite(values[k - 1]) if k < 3 else np.isfinite(filed[name])[filing]
-        check(k, ~finite, lambda r: f"field '{name}': non-finite value")
+        field, rows = (values[k - 1], None) if k < 3 else (filed[name], filing)
+        check(k, ~np.isfinite(field), lambda r: f"field '{name}': non-finite value", rows)
     ret, cap, tap = *values, filed["total_assets_prior"]
     check(7, ret <= -1.0, lambda r: "daily_return must be > -1")
     check(8, cap <= 0.0, lambda r: "market_cap must be positive")
-    check(10, (tap <= 0.0)[filing], lambda r: "total_assets_prior must be positive")
-    check(
-        11, duplicate(), lambda r: f"duplicate key ({firms[firm_idx[r]]}, {calendar[date_idx[r]]})"
-    )
+    check(10, tap <= 0.0, lambda r: "total_assets_prior must be positive", filing)
+    if isinstance(cells, tuple):  # else every cell is there once, so no key repeats
+        firm_idx, date_idx = cells
+        taken = np.zeros((len(firms), len(calendar) + 1), dtype=bool)
+        taken[firm_idx, date_idx] = True
+        if np.count_nonzero(taken) < len(firm_idx):  # only then a row key and its sort
+            key = firm_idx.astype(np.int64) * (len(calendar) + 1) + date_idx
+            order = np.argsort(key, kind="stable")
+            repeat = np.zeros(len(firm_idx), dtype=bool)
+            repeat[order[1:][key[order][1:] == key[order][:-1]]] = True
+            message = lambda r: f"duplicate key ({firms[firm_idx[r]]}, {calendar[date_idx[r]]})"
+            check(11, repeat, message)
     if hits:  # on a tie the check a row-by-row scan meets first wins
         row, _k, message = min(hits)
         raise PanelFormatError(f"{path}: row {row + 2}: {message}")
-    return firms, calendar, firm_idx, date_idx, filing, filings
+    return firms, calendar, cells, filing, filings
 
 
 def load_panel(path: str | Path) -> SecurityPanel:
@@ -407,51 +425,62 @@ def load_panel(path: str | Path) -> SecurityPanel:
     warns when a process with threads forks, the parse is one pass.  A file
     with quoted fields, blank lines or a CR inside a line goes through the csv
     module, as does the whole of a file in which a block fails; it locates the
-    bad row.  The row checks free the text ids before they read the floats, and
-    the dense arrays are built one field at a time, so the parsed floats and the
-    panel are not both held whole."""
+    bad row.  The row checks free the text ids before they read the floats.  A
+    file of every cell once, firm-major or date-major (the generator's order), keeps
+    the parsed return, cap and filing rows as the dense arrays: views, in C or Fortran
+    order, of the parse's buffers (shared memory for a split parse).  Any other has
+    them placed a field at a time, each row freed once placed."""
     path = Path(path)
     next(tables.read_rows(path, PANEL_COLUMNS), None)  # checks the header and row 2's field count
     columns, filed, values, error = _read_columns_fast(path) or _read_columns_by_row(path)
-    firms, calendar, firm_idx, date_idx, filing, filings = _index_rows(path, columns, filed, values)
+    firms, calendar, cells, filing, filings = _index_rows(path, columns, filed, values)
     if error is not None:
         raise error
     if not firms:
         raise PanelFormatError(f"{path}: panel is empty")
-    shape = (len(firms), len(calendar))
-    cells = np.full(shape, -1, np.int32)
-    cells[firm_idx, date_idx] = filing
-    arrays = {}
-    for name in PANEL_FIELDS[:2]:  # one field at a time: its row floats go once it is placed
-        arrays[name] = np.full(shape, np.nan)
-        arrays[name][firm_idx, date_idx] = values.pop(0)
-    return SecurityPanel(firms, calendar, filing=cells, filings=filings, **arrays)
+    shape, arrays, rows = (len(firms), len(calendar)), {}, [filing, *values]
+    del filing, values[:]  # `rows` holds them alone, so each goes once it is placed
+    for name, blank in zip(("filing",) + PANEL_FIELDS[:2], (-1, np.nan, np.nan)):
+        if isinstance(cells, str):
+            arrays[name] = rows.pop(0).reshape(shape, order=cells)
+        else:
+            arrays[name] = np.full(shape, blank, rows[0].dtype)
+            arrays[name][cells] = rows.pop(0)
+    return SecurityPanel(firms, calendar, filings=filings, **arrays)
 
 
-def _value_weighted(panel: SecurityPanel, member: np.ndarray) -> np.ndarray:
-    """Cap-weighted mean return per date of the firms a (..., firms, dates) mask selects.
-
-    The sums accumulate one firm at a time in firm order, the same additions
-    a loop over each date's cross-section makes, so the result does not
-    depend on numpy's pairwise summation.  Dates with no member give NaN.  A
-    return x cap or sum that is not finite names its first date and firm."""
-    sums = np.zeros((2, *member.shape[:-2], member.shape[-1]))
+def _value_weighted(panel: SecurityPanel, member: np.ndarray, days: np.ndarray) -> tuple:
+    """(Cap-weighted mean return, NaN where no firm is; whether one is) per (group, cell,
+    date) of the firms `member` (firms, groups, 6, periods) puts there for the periods of
+    `days`, on the dates they are present.  Sums go firm by firm in firm order, the
+    additions of a loop over each date's cross-section, 4 firms' rows copied out at a time
+    (a date-major panel's are strided).  A return x cap or sum that is not finite names
+    the first group's first such date and its firm."""
+    shape = (*member.shape[1:3], len(panel.calendar))
+    sums, hit = np.zeros((2, *shape)), np.zeros(shape, dtype=bool)
     num, den = sums
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that is not finite is located below
-        for i in range(len(panel.firms)):  # each firm's return x cap row in its turn
-            cap = panel.market_cap[i]
-            np.add(num, panel.daily_return[i] * cap, out=num, where=member[..., i, :])
-            np.add(den, cap, out=den, where=member[..., i, :])
+        for lo in range(0, len(panel.firms), 4):
+            rows = slice(lo, lo + 4)
+            ret, cap = map(np.ascontiguousarray, (panel.daily_return[rows], panel.market_cap[rows]))
+            block = np.repeat(member[rows], days, axis=-1)  # (firm, group, cell, date)
+            block &= (panel.filing[rows] >= 0)[:, None, None]
+            for firm_member, firm_ret, firm_cap in zip(block, ret, cap):  # each firm's return x cap
+                np.add(num, firm_ret * firm_cap, out=num, where=firm_member)
+                np.add(den, firm_cap, out=den, where=firm_member)
+            hit |= block.any(axis=0)
         if not np.isfinite(sums).all():  # that date's sums, summed firm by firm again
-            t = int(np.argmax(~np.isfinite(sums).reshape(-1, sums.shape[-1]).all(axis=0)))
-            cap, col = panel.market_cap[:, t], member[..., t].reshape(-1, len(panel.firms))
+            g, t = divmod(int(np.argmax(~np.isfinite(sums).all(axis=(0, 2)))), shape[-1])
+            period = int(np.searchsorted(np.cumsum(days), t, side="right"))  # date t's
+            col = member[:, g, :, period].T & (panel.filing[:, t] >= 0)  # (cell, firm)
+            cap = panel.market_cap[:, t]
             terms = np.where(col, np.stack([panel.daily_return[:, t] * cap, cap])[:, None], 0.0)
             i = int(np.argmax(~np.isfinite(np.cumsum(terms, axis=-1)).all(axis=(0, 1))))
             raise PanelFormatError(
                 f"firm {panel.firms[i]}, date {panel.calendar[t]}: "
                 "daily_return x market_cap overflows the value-weighted sums"
             )
-    return np.divide(num, den, out=np.full(num.shape, np.nan), where=member.any(axis=-2))
+    return np.divide(num, den, out=np.full(shape, np.nan), where=hit), hit
 
 
 def _rf_on(calendar: list[date], rf: dict[date, float]) -> np.ndarray:
@@ -512,14 +541,28 @@ def _sort_cells(
         filed["operating_income"] / be,
         filed["total_assets"] / filed["total_assets_prior"] - 1.0,
     )
-    size_bp = float(np.median(size[main]))
-    size_bucket = np.where(size <= size_bp, 0, 1)  # 0 small, 1 big
+    size_bucket = np.where(size <= _median(size[main]), 0, 1)  # 0 small, 1 big
     cells = np.empty((len(rows), 3), dtype=np.int8)
     for dim, c in enumerate(characteristics):
-        p30, p70 = np.percentile(c[main], [30.0, 70.0])
+        p30, p70 = _percentiles(c[main], [30.0, 70.0])
         char_bucket = np.where(c <= p30, 0, np.where(c > p70, 2, 1))  # low/mid/high
         cells[:, dim] = size_bucket * 3 + char_bucket
     return rows, cells
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, bit for bit, without it: it imports numpy.ma (1.25 MB)."""
+    middle = [len(values) // 2] if len(values) % 2 else [len(values) // 2 - 1, len(values) // 2]
+    return sum(np.partition(values, middle + [-1])[middle].tolist(), 0.0) / len(middle)
+
+
+def _percentiles(values: np.ndarray, qs: list[float]) -> list[float]:
+    """np.percentile ('linear') of finite values, bit for bit, without it: it imports numpy.ma."""
+    at = [(len(values) - 1) * (q / 100) for q in qs]
+    lo = [int(v) if v < len(values) - 1 else -1 for v in at]  # -1: the last value, both sides
+    part = np.partition(values, sorted({0, -1, *lo, *(k + 1 for k in lo if k >= 0)})).tolist()
+    ends = [(part[k], part[k + 1 if k >= 0 else -1], v - k) for v, k in zip(at, lo)]
+    return [b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g for a, b, g in ends]
 
 
 def construct_factors(
@@ -538,29 +581,22 @@ def construct_factors(
     rf_arr = _rf_on(calendar, rf)
     starts = rebalance_schedule(calendar, rebalance_month, rebalance_day)
 
-    # Cell of each firm per sort dimension and date; -1 = not sorted (entered
-    # the panel after the last rebalance) or absent that date.
-    cell = np.full((3, len(panel.firms), len(calendar)), -1, dtype=np.int8)
-    for start, end in zip(starts, starts[1:] + [len(calendar)]):
+    # Each firm's groups per rebalance period: the market, of every firm, then the six cells
+    # of each sort dimension, in none of which is a firm that entered after the rebalance.
+    member = np.zeros((len(panel.firms), 4, 6, len(starts)), dtype=bool)
+    member[:, 0, 0] = True
+    for period, start in enumerate(starts):
         rows, cells = _sort_cells(panel, start, min_breakpoint_stocks)
-        cell[:, rows, start:end] = cells.T[:, :, None]
-    present = panel.filing >= 0
-    market = _value_weighted(panel, present)
-    cell[:, ~present] = -1
-    del present  # the cells mark it now
-
-    ret = np.empty((3, 6, len(calendar)))
-    member = np.empty((6, *cell.shape[1:]), dtype=bool)  # one dimension's masks at a time
-    for dim, dim_cell in enumerate(cell):
-        np.equal(dim_cell, np.arange(6)[:, None, None], out=member)
-        # An empty cell on a date is imputed the market return.
-        ret[dim] = np.where(member.any(axis=-2), _value_weighted(panel, member), market)
+        member[rows, 1:, :, period] = cells[:, :, None] == np.arange(6)
+    weighted, hit = _value_weighted(panel, member, np.diff(starts + [len(calendar)]))
+    market = weighted[0, 0]
+    ret = np.where(hit[1:], weighted[1:], market)  # an empty cell is imputed the market return
 
     small = (ret[:, 0] + ret[:, 1] + ret[:, 2]) / 3.0
     big = (ret[:, 3] + ret[:, 4] + ret[:, 5]) / 3.0
     smb_legs = small - big  # per dimension
     v, p, inv = ret
-    return FactorSeries(
+    series = FactorSeries(
         dates=list(calendar),
         rmrf=market - rf_arr,
         smb=(smb_legs[0] + smb_legs[1] + smb_legs[2]) / 3.0,
@@ -569,6 +605,14 @@ def construct_factors(
         cma=(inv[0] + inv[3]) / 2.0 - (inv[2] + inv[5]) / 2.0,  # conservative = low growth
         rf=rf_arr,
     )
+    for name in FACTOR_NAMES:  # factors.csv's range, which its writer and reader hold it to
+        check = tables.FACTORS.columns[name][1]
+        for d, x in zip(calendar, getattr(series, name).tolist()):
+            try:
+                check(x)
+            except ValueError as exc:
+                raise PanelFormatError(f"date {d}: constructed {name} {exc}") from None
+    return series
 
 
 def _zero_share(present: np.ndarray, returns: np.ndarray) -> np.ndarray:

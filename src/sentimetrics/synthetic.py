@@ -302,6 +302,8 @@ def _aliases(i: int) -> list[str]:
 
 
 def gen_dataset(config: SynthConfig) -> SynthDataset:
+    """The dataset of `config`.  Its panel's market_cap is a read-only broadcast view (one
+    cap a firm), so copy it before writing to it."""
     rng = DeterministicRng(config.seed)
     calendar = trading_calendar(config.start, config.n_days)
     n_days = config.n_days
@@ -407,8 +409,8 @@ def gen_dataset(config: SynthConfig) -> SynthDataset:
     panel = SecurityPanel(
         firms=[firm_ids[i] for i in order],
         calendar=list(calendar),
-        daily_return=returns[order],
-        market_cap=np.repeat(cap[order, None], n_days, axis=1),
+        daily_return=returns if order == list(range(config.n_firms)) else returns[order],
+        market_cap=np.broadcast_to(cap[order, None], (config.n_firms, n_days)),
         filing=np.repeat(np.arange(config.n_firms, dtype=np.int32)[:, None], n_days, axis=1),
         filings={name: v[order] for name, v in filings.items()},
     )

@@ -31,7 +31,7 @@ Each table has one Schema, declared here and used by both ends: its columns
 in file order with their kinds, and the rule on its 'date' column (ASCENDING
 strictly for the pipeline's own dated tables; UNIQUE, any order and no date
 twice, for the dated input series).  Kinds: FLOAT is written with repr and
-must be finite; within(...) is a FLOAT that the reader also holds to a range,
+must be finite; within(...) is a FLOAT that both ends also hold to a range,
 so a factor, rate or index level in the wrong unit is a fault of its field;
 BLANK_FLOAT may also be an empty field, which NaN and None are written as and
 which reads back as None; INT, DATE (ISO), TEXT, and choice(...) for one of a
@@ -217,10 +217,13 @@ def _check_dates(path: Path, schema: Schema, columns: Mapping[str, Sequence]) ->
         seen.add(d)
 
 
-def _format_column(path: Path, name: str, fmt: Callable, values: Sequence) -> list[str]:
+def _format_column(path: Path, name: str, kind: tuple, values: Sequence) -> list[str]:
     values = values.tolist() if hasattr(values, "tolist") else values  # numpy to Python scalars
+    fmt, parse = kind
+    if fmt is FLOAT[0]:  # a float's repr, once its reader's check passes: a within() range too
+        fmt = lambda x: repr(parse(x))
     try:
-        if fmt is FLOAT[0] and all(map(math.isfinite, values)):  # a float's field is its repr
+        if parse is _float and all(map(math.isfinite, values)):  # a float's field is its repr
             return list(map(float.__repr__, values))  # TypeError for any other value
         return list(map(fmt, values))
     except (TypeError, ValueError):  # again field by field, to name the first bad one
@@ -233,8 +236,8 @@ def write_table(path: str | Path, schema: Schema, columns: Mapping[str, Sequence
     if list(columns) != list(schema.columns) or len(set(map(len, columns.values()))) > 1:
         raise ValueError(f"{path}: columns {list(columns)} are not {list(schema.columns)}")
     fields = [
-        _format_column(path, name, fmt, values)
-        for (name, values), (fmt, _parse) in zip(columns.items(), schema.columns.values())
+        _format_column(path, name, kind, values)
+        for (name, values), kind in zip(columns.items(), schema.columns.values())
     ]
     _check_dates(path, schema, columns)
     kinds = schema.columns.values()

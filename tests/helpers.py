@@ -1,13 +1,14 @@
 """Builders the tests share: weekday calendars (the generator's `trading_calendar`,
 as `weekdays`), returns on a factor calendar, security panels from per-firm rows
 or of random values, single panel cells read back as rows, and a panel's fields
-as dense firm x date arrays.
+as dense firm x date arrays; and tracemalloc's reading of one call.
 
 The library keeps a panel's return and cap as dense firm x date arrays and its
 exchange and fundamentals once per filing; tests that state a universe firm by
 firm, check one observation or compare whole panels go through here.
 """
 
+import tracemalloc
 from datetime import date
 from typing import NamedTuple
 
@@ -22,6 +23,24 @@ from sentimetrics.factors import (
     SecurityPanel,
 )
 from sentimetrics.synthetic import trading_calendar as weekdays
+
+
+class Traced(NamedTuple):
+    result: object
+    peak: int  # tracemalloc's peak bytes during the call
+    held: int  # the bytes still traced when it returned, its result's among them
+
+
+def traced_peak(fn) -> Traced:
+    """fn()'s result and what tracemalloc saw during the call, a first call's imports
+    among it: the memory tests make one call before the one they trace."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Traced(result, peak, held)
 
 
 def on_calendar(excess: dict[date, float], factors: FactorSeries) -> np.ndarray:

@@ -1148,6 +1148,30 @@ def test_a_return_that_overflows_the_value_weighted_sums_names_the_panel(demo7, 
     )
 
 
+def test_a_constructed_factor_out_of_factors_csvs_range_stops_factors_naming_the_panel(
+    demo7, tmp_path, capsys
+):
+    # A return of 1.5 is legal in the panel (> -1), so every firm's 1.5 on 2021-06-01 passes
+    # the row checks, but it makes that day's rmrf about 1.5: outside the range that the
+    # reader of factors.csv holds rmrf to.  factors used to write it, and eventstudy then
+    # stopped on a row of out/factors.csv; now factors stops, naming the panel.
+    def edit(rows):
+        for row in rows:
+            if row[1] == "2021-06-01":
+                row[2] = "1.5"
+
+    cfg_path, path = _corrupt(demo7, tmp_path, "panel.csv", edit)
+    factors_csv = path.parent / "out" / "factors.csv"
+    before = factors_csv.read_bytes()
+    assert main(["all", "--config", str(_constructing_factors(cfg_path))]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(
+        f"sentimetrics: error: {path}: date 2021-06-01: constructed rmrf must be < 1, got 1.4"
+    )
+    assert err[-2].startswith("sentimetrics: sentiment: done")  # no stage after it finished
+    assert factors_csv.read_bytes() == before
+
+
 def test_a_provided_rmrf_of_1e308_stops_the_run_before_the_event_study(demo7, tmp_path, capsys):
     # Read as it stands, 1e308 excluded every event as "design rank 3 < 16" and left each N's
     # r2 blank, with exit 0.  The factors stage now stops on the value, so no stage after it

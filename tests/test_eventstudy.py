@@ -1,4 +1,3 @@
-import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -23,7 +22,7 @@ from sentimetrics.eventstudy import ArPath
 from sentimetrics.sentiment import StockSentimentEvent
 from sentimetrics.synthetic import SynthConfig, gen_dataset
 
-from helpers import Row, on_calendar, panel_from_rows, random_panel, weekdays
+from helpers import Row, on_calendar, panel_from_rows, random_panel, traced_peak, weekdays
 
 
 def _factors(n_days, seed=0, start=date(2020, 1, 6)):
@@ -808,23 +807,35 @@ def test_the_in_place_excess_build_matches_column_copies_when_calendars_differ_b
 
 
 def test_run_event_study_holds_one_excess_return_array():
-    # Bytes a panel cell, the calendars being equal: 8 for the firms x factor-dates
-    # excess returns, filled in place, and under 1 for the ten events' designs, fits
-    # and paths at 200 x 500.  A build from column copies holds beside those 8 the
-    # returns' excess on the factor calendar, its masked copy and the mask (8 + 8 + 1):
-    # 25, above the bound of 10.
+    # Bytes a panel cell, the calendars being equal: 8 for a firms x factor-dates array of
+    # excess returns, and under 1 for the ten events' designs, fits and paths at 200 x 500.
+    # A build from column copies holds beside those 8 the returns' excess on the factor
+    # calendar, its masked copy and the mask (8 + 8 + 1): 25, above the bound of 10.
     factors = _factors(500, seed=47, start=date(2018, 1, 1))
     panel = random_panel(200, factors.dates, seed=48)
     events = [
         StockSentimentEvent(panel.firms[k], factors.dates[300 + k], 0.5, "positive")
         for k in range(10)
     ]
-    run_event_study(events[:1], panel, factors, EventWindowConfig())  # first-call imports aside
-    tracemalloc.start()
-    try:
-        run = run_event_study(events, panel, factors, EventWindowConfig())
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    window = EventWindowConfig()
+    run_event_study(events[:1], panel, factors, window)  # first-call imports aside
+    run, peak, _held = traced_peak(lambda: run_event_study(events, panel, factors, window))
     assert len(run.ar_paths["positive"]) == 10
     assert peak < 10 * panel.filing.size, peak / panel.filing.size
+
+
+def test_run_event_study_holds_one_firms_excess_returns_at_a_time():
+    # Ten events on ten of 1000 firms, 500 days: about 0.3 bytes a panel cell, the events'
+    # designs, fits and paths and one firm's excess returns.  A firms x factor-dates array
+    # of them is 8 bytes a cell.
+    factors = _factors(500, seed=47, start=date(2018, 1, 1))
+    panel = random_panel(1000, factors.dates, seed=48)
+    events = [
+        StockSentimentEvent(panel.firms[100 * k], factors.dates[300 + k], 0.5, "positive")
+        for k in range(10)
+    ]
+    window = EventWindowConfig()
+    run_event_study(events[:1], panel, factors, window)  # first-call imports aside
+    run, peak, _held = traced_peak(lambda: run_event_study(events, panel, factors, window))
+    assert len(run.ar_paths["positive"]) == 10
+    assert peak < 1 * panel.filing.size, peak / panel.filing.size

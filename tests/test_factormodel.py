@@ -3,8 +3,8 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import random
+import subprocess
 import sys
-import tracemalloc
 from bisect import bisect_left
 from datetime import date, timedelta
 from functools import partial
@@ -32,7 +32,15 @@ from sentimetrics.eventstudy import EventWindowConfig, run_event_study
 from sentimetrics.sentiment import StockSentimentEvent
 from sentimetrics.tables import FACTORS, write_series
 
-from helpers import Row, cell, panel_arrays, panel_from_rows, random_panel, weekdays
+from helpers import (
+    Row,
+    cell,
+    panel_arrays,
+    panel_from_rows,
+    random_panel,
+    traced_peak,
+    weekdays,
+)
 
 RF = 1e-4
 
@@ -1111,7 +1119,7 @@ def test_a_panel_of_two_blocks_is_split_on_two_cpus(tmp_path, monkeypatch):
     parsed, parse = [], factors._parse_range
 
     def spy(*args):
-        parsed.append(args[2].shape[1])  # in a child, this appends to the child's copy
+        parsed.append(len(args[2][0]))  # in a child, this appends to the child's copy
         return parse(*args)
 
     monkeypatch.setattr(factors, "_parse_range", spy)
@@ -1148,21 +1156,10 @@ def _full_panel(tmp_path, n_firms, n_days, yearly=False):
     return p, calendar
 
 
-def _traced(work):
-    """(work(), tracemalloc's peak bytes in it)."""
-    tracemalloc.start()
-    try:
-        result = work()
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def _traced_load(tmp_path, n_firms, n_days):
     """(panel, tracemalloc's peak bytes in load_panel) of a full plain panel, each row its
     own filing."""
-    panel, peak = _traced(partial(load_panel, _full_panel(tmp_path, n_firms, n_days)[0]))
+    panel, peak, _held = traced_peak(partial(load_panel, _full_panel(tmp_path, n_firms, n_days)[0]))
     assert (panel.filing >= 0).all()
     return panel, peak
 
@@ -1206,25 +1203,102 @@ def test_a_panel_of_yearly_filings_holds_each_filing_once(tmp_path, monkeypatch)
         return panel, construct_factors(panel, rf)
 
     load_and_construct()  # first-call imports aside
-    (panel, _factors), peak = _traced(load_and_construct)
+    (panel, _factors), peak, _held = traced_peak(load_and_construct)
     assert peak / panel.filing.size < 70, peak / panel.filing.size
 
 
+def _dense_panel(tmp_path, n_firms, n_days, order):
+    """A panel file of every cell once, each firm filing once, its rows in `order`:
+    "date-major" (the generator's), "firm-major" or "shuffled"."""
+    calendar = weekdays(date(2018, 1, 1), n_days)
+    cells = [(k, t) for t in range(n_days) for k in range(n_firms)]
+    if order == "firm-major":
+        cells.sort()
+    elif order == "shuffled":
+        random.Random(5).shuffle(cells)
+    lines = [PANEL_HEADER] + [
+        f"F{k:03d},{calendar[t]},{(k * 7 + t) % 13 / 400 - 0.015!r},{1 + k % 7 + t % 5}e9,"
+        f"{'main' if k % 3 else 'secondary'},{k + 1}e8,{k % 5 + 1}e7,{k + 3}e8,{k + 2}e8"
+        for k, t in cells
+    ]
+    p = tmp_path / f"{order}.csv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return p
+
+
+@pytest.mark.parametrize("order, memory_order", [("date-major", "F"), ("firm-major", "C")])
+def test_a_dense_panel_in_order_is_held_once(tmp_path, monkeypatch, order, memory_order):
+    # The parse's return, cap and filing rows become the panel's arrays as they are, so
+    # load_panel's peak is the parse's 28 bytes a row (three int32 ids, two floats) and a
+    # block's texts: 1.46 (date-major) to 1.49 (firm-major, a new filing a block) times
+    # the 20-byte-a-cell panel.  Placing the rows into new dense arrays, as a file in
+    # another order needs, holds both: 2.05.
+    monkeypatch.setattr(factors, "_range_count", lambda: 1)
+    monkeypatch.setattr(factors, "_BLOCK_ROWS", 256)
+    load_panel(_dense_panel(tmp_path, 3, 40, order))  # first-call imports aside
+    p = _dense_panel(tmp_path, 200, 1200, order)
+    panel, peak, _held = traced_peak(partial(load_panel, p))
+    arrays = [panel.daily_return, panel.market_cap, panel.filing, *panel.filings.values()]
+    assert peak <= 1.5 * sum(a.nbytes for a in arrays), peak / sum(a.nbytes for a in arrays)
+    assert all(a.flags[f"{memory_order}_CONTIGUOUS"] for a in arrays[:3])
+
+
+def test_a_dense_panel_reads_the_same_in_any_row_order(tmp_path):
+    # Only the in-order files keep their rows as views; the shuffled one is placed cell by
+    # cell.  Filings are numbered in the order rows first show them, so compare per cell.
+    got = [panel_arrays(load_panel(_dense_panel(tmp_path, 30, 400, order)))
+           for order in ("date-major", "firm-major", "shuffled")]
+    for arrays in got[1:]:
+        assert arrays.keys() == got[0].keys()
+        for name, array in arrays.items():
+            assert np.array_equal(array, got[0][name]), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 11, 64, 65])
+def test_the_size_breakpoint_and_percentiles_are_numpys_bit_for_bit(n):
+    # Without np.median and np.percentile, which import numpy.ma: odd and even sizes, ties,
+    # and the zeros of both signs, which compare equal but print apart.
+    rng = np.random.default_rng(n)
+    for values in (
+        rng.lognormal(20.0, 2.0, n),
+        rng.integers(0, 3, n).astype(float) * 1e9,
+        rng.choice([-0.0, 0.0, 1.0, -1.0], n),
+        rng.normal(0.0, 1.0, n),
+    ):
+        assert np.float64(factors._median(values)).tobytes() == np.median(values).tobytes()
+        qs = [30.0, 70.0, 0.0, 100.0, 50.0, 99.99]
+        got = np.array(factors._percentiles(values, qs))
+        assert got.tobytes() == np.percentile(values, qs).tobytes()
+
+
+def test_constructing_factors_imports_no_numpy_ma():
+    # numpy.ma costs about 1.25 MB of RSS and 12 ms to import.
+    code = (
+        "import sys\n"
+        "from datetime import date\n"
+        "from helpers import random_panel, weekdays\n"
+        "from sentimetrics.factors import construct_factors\n"
+        "panel = random_panel(30, weekdays(date(2018, 1, 1), 300))\n"
+        "construct_factors(panel, {d: 1e-4 for d in panel.calendar})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    tests = os.path.dirname(__file__)
+    path = os.pathsep.join([os.path.join(tests, "..", "src"), tests])
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout == "False\n", out.stderr
+
+
 def test_construct_factors_holds_one_sort_dimensions_masks_at_a_time():
-    # Bytes a panel cell: 3 of int8 sort cells (one per dimension) and 6 of one
-    # dimension's (6, firms, dates) membership masks.  The per-date arrays (the 3 x 6
-    # cell returns, a call's 2 x 6 sums and 6 returns, the market's) are about 45 floats
-    # a date, under 2 bytes a cell at 200 firms: 11 in all, below 12.  All three
-    # dimensions' masks at once (18) or a panel-sized return x cap (8) break the bound.
+    # Bytes a panel cell: about 4, the per-date arrays alone (the market's and the 3 x 6
+    # cells' sums, masks and returns, about 90 floats a date) and four firms' rows at a
+    # time.  Int8 sort cells of every firm and date (3) with one dimension's (6, firms,
+    # dates) masks (6) came to 11, below 12.  All three dimensions' masks at once (18) or a
+    # panel-sized return x cap (8) break the bound.
     panel = random_panel(200, weekdays(date(2018, 1, 1), 500))
     rf = {d: RF for d in panel.calendar}
     construct_factors(random_panel(20, panel.calendar[:30]), rf)  # first-call imports aside
-    tracemalloc.start()
-    try:
-        construct_factors(panel, rf)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: construct_factors(panel, rf)).peak
     assert peak < 12 * panel.filing.size, peak / panel.filing.size
 
 

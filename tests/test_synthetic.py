@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import re
-import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -28,7 +27,7 @@ from sentimetrics.synthetic import (
     write_dataset,
 )
 
-from helpers import cell, on_calendar, panel_arrays, refile
+from helpers import cell, on_calendar, panel_arrays, refile, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +540,7 @@ def plain_panel_csv(panel) -> bytes:
 def test_the_panel_writer_sees_every_change_of_a_firms_constant_fields(tmp_path):
     ds = gen_dataset(SynthConfig(seed=7))
     p = ds.panel
+    p.market_cap = p.market_cap.copy()  # the generator's is a read-only view
     p.filing[2, 50:54] = -1  # absent for four days
     p.daily_return[2, 50:54] = p.market_cap[2, 50:54] = np.nan
     p.filing[3, 120:123] = -1  # absent, its return and cap left as they were
@@ -570,12 +570,7 @@ def test_the_panel_writer_holds_one_day_at_a_time(tmp_path):
     # 135 B a cell, the size of the file; a whole-panel array of exchange names adds 36.
     cfg = SynthConfig(seed=0, n_firms=200, n_days=300)
     ds = gen_dataset(cfg)
-    tracemalloc.start()
-    try:
-        write_dataset(ds, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: write_dataset(ds, tmp_path)).peak
     assert peak / (cfg.n_firms * cfg.n_days) < 60  # bytes a cell; about 9 today
 
 
@@ -677,24 +672,27 @@ def test_the_generator_holds_the_noise_of_one_day_at_a_time():
     # The idiosyncratic noise and the zero-return mask are drawn day by day: a
     # whole-calendar block doubles the peak, and with it the benchmark's set-up RSS.
     cfg = SynthConfig(seed=0, n_firms=200, n_days=300)
-    tracemalloc.start()
-    try:
-        gen_dataset(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: gen_dataset(cfg)).peak
     assert peak / (cfg.n_firms * cfg.n_days) < 80  # bytes a cell; about 39 today
+
+
+@pytest.mark.parametrize("n_firms", [200, 1001])  # ids in generation order, then not
+def test_the_generator_holds_its_returns_once_and_a_cap_a_firm(n_firms):
+    # Bytes a cell that the dataset holds: about 19 at 200 firms and 15 at 1001, the
+    # returns (8) and filing rows (4) among them.  A copy of the returns in sorted firm
+    # order and a dense cap array held 28 and 23.
+    cfg = SynthConfig(seed=0, n_firms=n_firms, n_days=300)
+    dataset, _peak, held = traced_peak(lambda: gen_dataset(cfg))
+    assert held / (cfg.n_firms * cfg.n_days) < 22, held / (cfg.n_firms * cfg.n_days)
+    cap = dataset.panel.market_cap
+    assert cap.strides[1] == 0 and not cap.flags.writeable  # a read-only view, one cap a firm
+    assert dataset.panel.firms == sorted(dataset.panel.firms)
 
 
 def test_the_generator_holds_each_firms_fundamentals_once():
     # Bytes a cell that the dataset holds: about 28 with one filing a firm, and 57 when
     # is_main and the four fundamentals were repeated over every day.
     cfg = SynthConfig(seed=0, n_firms=200, n_days=300)
-    tracemalloc.start()
-    try:
-        dataset = gen_dataset(cfg)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    dataset, _peak, held = traced_peak(lambda: gen_dataset(cfg))
     assert held / (cfg.n_firms * cfg.n_days) < 40, held / (cfg.n_firms * cfg.n_days)
     assert dataset.panel.filings["book_equity"].shape == (cfg.n_firms,)

@@ -286,11 +286,15 @@ def test_a_bad_field_is_the_error_before_a_ragged_row_or_a_later_bad_field(tmp_p
     assert str(exc.value) == f"{p}: row 3: unexpected end of data"
 
 
+# RF's columns with a plain FLOAT rf: RF's range would refuse 5, 1e300 and 10**20.
+PLAIN_RF = Schema(RF.dates, date=DATE, rf=FLOAT)
+
+
 def test_the_float_writer_writes_what_the_field_formatter_writes(tmp_path):
     p = tmp_path / "rf.csv"
     values = [0.1, 5, True, np.float64(0.2), "1.5", -0.0, 1e300, 5e-324, 10**20]
     days = [date(2022, 1, 3) + timedelta(days=i) for i in range(len(values))]
-    write_table(p, RF, {"date": days, "rf": values})
+    write_table(p, PLAIN_RF, {"date": days, "rf": values})
     assert p.read_text(encoding="utf-8").splitlines()[1:] == [
         f"{d.isoformat()},{FLOAT[0](v)}" for d, v in zip(days, values)
     ]
@@ -351,7 +355,12 @@ def test_a_range_kind_reads_its_ends_and_names_the_rule_a_value_breaks(
     columns = {column: [0.0, 0.0] for column in schema.columns}
     columns["date"] = [date(2022, 1, 3), date(2022, 1, 4)]
     columns[name] = [inside, outside]
-    write_table(p, schema, columns)
+    with pytest.raises(PanelFormatError) as exc:  # the writer refuses what the reader refuses
+        write_table(p, schema, columns)
+    assert str(exc.value) == f"{p}: row 3: field '{name}': {message}"
+    assert not p.exists()
+    # The same rows written under the schema with a plain FLOAT column, then read.
+    write_table(p, Schema(schema.dates, **{**schema.columns, name: FLOAT}), columns)
     with pytest.raises(PanelFormatError) as exc:
         read_table(p, schema)
     assert str(exc.value) == f"{p}: row 3: field '{name}': {message}"
